@@ -56,6 +56,7 @@ from .extensions import (
 from .reduced import cs_cohomology, reduced_cohomology, reduced_homology
 from .structures import (
     Brace,
+    _load_json,
     brace_to_lcs,
     lcs_to_brace,
     load_structure,
@@ -91,16 +92,6 @@ def _emit(obj) -> None:
 
 def _say(line: str) -> None:
     sys.stdout.write(line + "\n")
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise MalformedTableError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedTableError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_structure_arg(path, normalize: bool = True):

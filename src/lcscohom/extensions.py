@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .abelian import FiniteAbelianGroup, parse_group_spec
-from .bicomplex import dv_matrix
+from .bicomplex import shuffle_rows, total_chain_matrix
 from .budget import check_search
 from .errors import (
     BudgetError,
@@ -38,7 +38,7 @@ from .linalg import (
     solve_mod,
     vstack,
 )
-from .reduced import linearity_rows, reduced_boundary_matrix
+from .reduced import _degenerate_rows, linearity_rows, reduced_boundary_matrix
 from .structures import (
     Brace,
     LinearCycleSet,
@@ -656,15 +656,7 @@ def additive_section(triple: ExtensionTriple):
         ]
         for a in range(n)
     ]
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            row = [0] * n
-            row[base.add[a][b]] += 1
-            row[a] -= 1
-            row[b] -= 1
-            rows.append(row)
-    defect = IntegerMatrix(n * n, n, rows)
+    defect = linearity_rows(base, 1)
     parts = []
     for t, m in enumerate(gamma.factors):
         rhs = [g0[a][b][t] for a in range(n) for b in range(n)]
@@ -910,21 +902,6 @@ def cocycles_cohomologous(c1, c2, normalized: bool = False):
     return False, None
 
 
-def _full_coboundary_matrix(base: LinearCycleSet) -> IntegerMatrix:
-    return vstack(
-        [
-            reduced_boundary_matrix(base, 2).transpose(),
-            dv_matrix(base, 0, 2).transpose(),
-        ]
-    )
-
-
-def _normalized_theta_generators(base, m):
-    row = [0] * base.order
-    row[base.zero] = 1
-    return kernel_mod_m(IntegerMatrix(1, base.order, [row]), m)
-
-
 def _cohomologous_in_lattice(c1, c2, normalized: bool) -> bool:
     """Lattice-membership fallback when the direct search is out of budget."""
     base = c1.base
@@ -934,12 +911,12 @@ def _cohomologous_in_lattice(c1, c2, normalized: bool) -> bool:
     if reduced:
         cob = reduced_boundary_matrix(base, 2).transpose()
     else:
-        cob = _full_coboundary_matrix(base)
+        cob = total_chain_matrix(base, 2).transpose()
     for t, m in enumerate(gamma.factors):
         if reduced:
             gens = kernel_mod_m(linearity_rows(base, 1), m)
         elif normalized:
-            gens = _normalized_theta_generators(base, m)
+            gens = kernel_mod_m(_degenerate_rows(base, 1), m)
         else:
             gens = IntegerMatrix.identity(n)
         image = cob @ gens
@@ -1047,58 +1024,25 @@ def _coset_representatives(cocycles, coboundaries, m):
     return sorted(reps)
 
 
-def _translation_cocycle_rows(base: LinearCycleSet) -> IntegerMatrix:
-    n = base.order
-    add, dot = base.add, base.dot
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                row = [0] * (n * n)
-                row[add[a][b] * n + c] += 1
-                row[dot[a][b] * n + dot[a][c]] -= 1
-                row[a * n + c] -= 1
-                rows.append(row)
-    return IntegerMatrix(len(rows), n * n, rows)
+def _two_cocycle_system(base: LinearCycleSet, flavor: str):
+    """Constraint rows cutting out the degree-2 cocycles of a flavor, and
+    the coboundary matrix on 1-cochains.
 
-
-def _full_constraint_rows(base: LinearCycleSet) -> IntegerMatrix:
+    Cycle-type cocycles are the last-linear f killed by the degree-3
+    coboundary.  General ones are normalized pairs (f, g): g symmetric,
+    the pair killed by the total degree-3 coboundary, and g(0,0) = 0.
+    """
     n = base.order
-    add, dot = base.add, base.dot
-    size = 2 * n * n
-    goff = n * n
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            if a < b:
-                row = [0] * size
-                row[goff + a * n + b] += 1
-                row[goff + b * n + a] -= 1
-                rows.append(row)
-            for c in range(n):
-                row = [0] * size
-                row[add[a][b] * n + c] += 1
-                row[dot[a][b] * n + dot[a][c]] -= 1
-                row[a * n + c] -= 1
-                rows.append(row)
-                row = [0] * size
-                row[a * n + add[b][c]] += 1
-                row[a * n + b] -= 1
-                row[a * n + c] -= 1
-                row[goff + dot[a][b] * n + dot[a][c]] -= 1
-                row[goff + b * n + c] += 1
-                rows.append(row)
-                row = [0] * size
-                row[goff + a * n + b] += 1
-                row[goff + add[a][b] * n + c] += 1
-                row[goff + b * n + c] -= 1
-                row[goff + a * n + add[b][c]] -= 1
-                rows.append(row)
-    zb = base.zero
-    norm = [0] * size
-    norm[goff + zb * n + zb] = 1
-    rows.append(norm)
-    return IntegerMatrix(len(rows), size, rows)
+    if flavor == "cycle-type":
+        constraints = vstack(
+            [linearity_rows(base, 2), reduced_boundary_matrix(base, 3).transpose().scaled(-1)]
+        )
+        return constraints, reduced_boundary_matrix(base, 2).transpose()
+    symmetric = hstack([IntegerMatrix.zeros(n * n, n * n), shuffle_rows(base, 0, 2)])
+    norm = IntegerMatrix.zeros(1, 2 * n * n)
+    norm.data[0][n * n + base.zero * n + base.zero] = 1
+    constraints = vstack([symmetric, total_chain_matrix(base, 3).transpose(), norm])
+    return constraints, total_chain_matrix(base, 2).transpose()
 
 
 @dataclass
@@ -1128,21 +1072,14 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
         raise ParameterError(f"unknown classification flavor {flavor!r}")
     require_valid_lcs(base)
     n = base.order
-    if flavor == "cycle-type":
-        constraints = vstack(
-            [linearity_rows(base, 2), _translation_cocycle_rows(base)]
-        )
-        cob = reduced_boundary_matrix(base, 2).transpose()
-    else:
-        constraints = _full_constraint_rows(base)
-        cob = _full_coboundary_matrix(base)
+    constraints, cob = _two_cocycle_system(base, flavor)
     per_factor = []
     for m in gamma.factors:
         z_gens = kernel_mod_m(constraints, m)
         if flavor == "cycle-type":
             theta_gens = kernel_mod_m(linearity_rows(base, 1), m)
         else:
-            theta_gens = _normalized_theta_generators(base, m)
+            theta_gens = kernel_mod_m(_degenerate_rows(base, 1), m)
         b_cols = cob @ theta_gens
         cocycles = _span_mod(z_gens, m, "the cocycle group enumeration")
         coboundaries = _span_mod(b_cols, m, "the coboundary group enumeration")

@@ -24,7 +24,6 @@ __all__ = [
     "LatticeTester",
     "lattice_quotient_invariants",
     "subquotient_invariants",
-    "kernel_in_subgroup",
     "hstack",
     "vstack",
 ]
@@ -173,17 +172,11 @@ def vstack(mats):
 
 @dataclass
 class SmithDecomposition:
-    """Invertible U, V with U @ M @ V = S diagonal, d1 | d2 | ... >= 0.
-
-    u_inv and v_inv are the exact integer inverses of u and v; they come out
-    of the reduction for free and the lattice routines below rely on them.
-    """
+    """Unimodular U, V with U @ M @ V = S diagonal, d1 | d2 | ... >= 0."""
 
     u: IntegerMatrix
     s: IntegerMatrix
     v: IntegerMatrix
-    u_inv: IntegerMatrix
-    v_inv: IntegerMatrix
 
     @property
     def diagonal(self):
@@ -211,48 +204,36 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithDecomposition:
     nr, nc = mat.rows, mat.cols
     a = [row[:] for row in mat.data]
     u = IntegerMatrix.identity(nr).data
-    ui = IntegerMatrix.identity(nr).data
     v = IntegerMatrix.identity(nc).data
-    vi = IntegerMatrix.identity(nc).data
 
     def row_add(dst, src, q):
-        # row dst += q * row src; inverse transform tracked on columns of ui
+        # row dst += q * row src
         rd, rs = a[dst], a[src]
         for t in range(nc):
             rd[t] += q * rs[t]
         rd, rs = u[dst], u[src]
         for t in range(nr):
             rd[t] += q * rs[t]
-        for row in ui:
-            row[src] -= q * row[dst]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for row in ui:
-            row[i], row[j] = row[j], row[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for row in ui:
-            row[i] = -row[i]
 
     def col_add(dst, src, q):
         for row in a:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
-        rs, rd = vi[src], vi[dst]
-        for t in range(nc):
-            rs[t] -= q * rd[t]
 
     def col_swap(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     t = 0
     limit = min(nr, nc)
@@ -330,8 +311,6 @@ def smith_normal_form(mat: IntegerMatrix) -> SmithDecomposition:
         u=IntegerMatrix(nr, nr, u),
         s=IntegerMatrix(nr, nc, a),
         v=IntegerMatrix(nc, nc, v),
-        u_inv=IntegerMatrix(nr, nr, ui),
-        v_inv=IntegerMatrix(nc, nc, vi),
     )
 
 
@@ -536,31 +515,3 @@ def subquotient_invariants(
     m_b = hstack([d_in_cols, IntegerMatrix.identity(n).scaled(m)])
     return lattice_quotient_invariants(m_k, m_b)
 
-
-def kernel_in_subgroup(
-    d_out: IntegerMatrix,
-    generators: IntegerMatrix,
-    m: int,
-) -> IntegerMatrix:
-    """Reduced generators (mod m) of ker(d_out) intersected with <generators>.
-
-    Returns at most N columns: a lattice basis of the intersection taken
-    mod m, with vanishing columns dropped.  Feeding the result to subgroup
-    enumeration keeps the search space as small as possible.
-    """
-    _check_modulus(m)
-    n = generators.rows
-    if n == 0:
-        return IntegerMatrix(0, 0)
-    m_k = _constrained_lattice(d_out, generators, m)
-    dec = smith_normal_form(m_k)
-    diag = dec.diagonal
-    if len(diag) < n or any(d == 0 for d in diag):
-        raise LatticeError("kernel lattice lost full rank; generators malformed")
-    ui = dec.u_inv.data
-    cols = []
-    for i in range(n):
-        col = [ui[t][i] * diag[i] % m for t in range(n)]
-        if any(col):
-            cols.append(col)
-    return IntegerMatrix.from_columns(n, cols)

@@ -8,7 +8,10 @@ matrix of the degree-k coboundary is the transpose of the degree-(k+1)
 boundary matrix.
 
 Degree-k bases grow as |A|^k, so everything checks the basis budget
-before materializing matrices.
+before materializing matrices.  Every boundary, linearity and permutation
+matrix here and in the bicomplex is one signed list of face maps on tuples
+(act by the dot operation, merge by +, drop or permute coordinates) handed
+to the single builder `_face_matrix`.
 
 The boundary of a tuple (a_1, ..., a_k) is
 
@@ -84,6 +87,55 @@ def _check_degree(k: int):
         raise DegreeError(f"degree must be an integer >= 1, got {k!r}")
 
 
+def _face_matrix(n: int, k: int, faces, degree=None) -> IntegerMatrix:
+    """Matrix of a signed sum of face maps on the free module over k-tuples.
+
+    Each face is a (sign, tuple -> tuple) pair; columns are the k-tuples
+    and rows the tuples of the faces' degree (k - 1 unless given), both in
+    lexicographic order, and coinciding terms accumulate.
+    """
+    degree = k - 1 if degree is None else degree
+    index = {t: i for i, t in enumerate(all_tuples(n, degree))}
+    data = [[0] * n**k for _ in range(n**degree)]
+    for col, t in enumerate(all_tuples(n, k)):
+        for sign, face in faces:
+            data[index[face(t)]][col] += sign
+    return IntegerMatrix(n**degree, n**k, data)
+
+
+def _act(dot, pos: int):
+    """Coordinate pos acts by the dot operation on all the others."""
+
+    def face(t):
+        row = dot[t[pos]]
+        return tuple(row[x] for x in t[:pos] + t[pos + 1 :])
+
+    return face
+
+
+def _merge(add, pos: int):
+    """Coordinates pos-1 and pos merge into their sum."""
+    return lambda t: t[: pos - 1] + (add[t[pos - 1]][t[pos]],) + t[pos + 1 :]
+
+
+def _drop(pos: int):
+    return lambda t: t[:pos] + t[pos + 1 :]
+
+
+def _permute(perm):
+    """Position p of the image holds coordinate perm[p] of the source."""
+    return lambda t: tuple(t[q] for q in perm)
+
+
+def _horizontal_faces(structure: LinearCycleSet, i: int):
+    """Dot action, alternating merges among the first i coordinates and
+    (-1)^i times the drop of coordinate i (1-based)."""
+    faces = [(1, _act(structure.dot, 0))]
+    faces += [((-1) ** p, _merge(structure.add, p)) for p in range(1, i)]
+    faces.append(((-1) ** i, _drop(i - 1)))
+    return faces
+
+
 def reduced_boundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     """Matrix of the degree-k boundary on free modules, A^k -> A^(k-1).
 
@@ -97,21 +149,7 @@ def reduced_boundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     check_basis(n**k, f"the degree-{k} tuple basis")
     if k == 1:
         return IntegerMatrix.zeros(0, n)
-    add, dot = structure.add, structure.dot
-    data = [[0] * n**k for _ in range(n ** (k - 1))]
-    for col, t in enumerate(all_tuples(n, k)):
-        head = dot[t[0]]
-        first = tuple(head[x] for x in t[1:])
-        data[tuple_index(first, n)][col] += 1
-        sign = 1
-        for i in range(1, k - 1):
-            sign = -sign
-            merged = t[: i - 1] + (add[t[i - 1]][t[i]],) + t[i + 1 :]
-            data[tuple_index(merged, n)][col] += sign
-        sign = -sign
-        last = t[: k - 2] + (t[k - 1],)
-        data[tuple_index(last, n)][col] += sign
-    return IntegerMatrix(n ** (k - 1), n**k, data)
+    return _face_matrix(n, k, _horizontal_faces(structure, k - 1))
 
 
 def linearity_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
@@ -125,19 +163,8 @@ def linearity_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     _check_degree(k)
     n = structure.order
     check_basis(n**k, f"the degree-{k} tuple basis")
-    add = structure.add
-    cols = n**k
-    data = []
-    for prefix in all_tuples(n, k - 1):
-        base = tuple_index(prefix, n) * n
-        for a in range(n):
-            for b in range(n):
-                row = [0] * cols
-                row[base + add[a][b]] += 1
-                row[base + a] -= 1
-                row[base + b] -= 1
-                data.append(row)
-    return IntegerMatrix(len(data), cols, data)
+    faces = [(1, _merge(structure.add, k)), (-1, _drop(k)), (-1, _drop(k - 1))]
+    return _face_matrix(n, k + 1, faces).transpose()
 
 
 def degenerate_indices(structure: LinearCycleSet, k: int):
@@ -464,18 +491,10 @@ def cs_chain_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     check_basis(n**k, f"the degree-{k} tuple basis")
     if k == 1:
         return IntegerMatrix.zeros(0, n)
-    dot = structure.dot
-    data = [[0] * n**k for _ in range(n ** (k - 1))]
-    for col, t in enumerate(all_tuples(n, k)):
-        sign = 1
-        for i in range(k - 1):
-            row = dot[t[i]]
-            acted = tuple(row[t[p]] for p in range(k) if p != i)
-            data[tuple_index(acted, n)][col] += sign
-            dropped = t[:i] + t[i + 1 :]
-            data[tuple_index(dropped, n)][col] -= sign
-            sign = -sign
-    return IntegerMatrix(n ** (k - 1), n**k, data)
+    faces = []
+    for i in range(k - 1):
+        faces += [((-1) ** i, _act(structure.dot, i)), (-((-1) ** i), _drop(i))]
+    return _face_matrix(n, k, faces)
 
 
 def cs_coboundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
@@ -538,14 +557,10 @@ def antisymmetrization_matrix(structure: LinearCycleSet, k: int) -> IntegerMatri
     _check_degree(k)
     n = structure.order
     check_basis(n**k, f"the degree-{k} tuple basis")
-    size = n**k
-    data = [[0] * size for _ in range(size)]
-    perms = [(p, _parity(p)) for p in itertools.permutations(range(k - 1))]
-    for col, t in enumerate(all_tuples(n, k)):
-        for p, sign in perms:
-            shuffled = tuple(t[p[i]] for i in range(k - 1)) + (t[k - 1],)
-            data[tuple_index(shuffled, n)][col] += sign
-    return IntegerMatrix(size, size, data)
+    faces = [
+        (_parity(p), _permute(p + (k - 1,))) for p in itertools.permutations(range(k - 1))
+    ]
+    return _face_matrix(n, k, faces, degree=k)
 
 
 def antisymmetrization_is_chain_map(structure: LinearCycleSet, k: int) -> bool:

@@ -343,13 +343,19 @@ def structure_from_dict(data, normalize: bool = True):
     return structure
 
 
+def _load_json(path):
+    """Parse a JSON file; an unreadable or undecodable one is malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise MalformedTableError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedTableError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_structure(path, normalize: bool = True):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedTableError(f"{path}: not valid JSON ({exc})")
-    return structure_from_dict(data, normalize=normalize)
+    return structure_from_dict(_load_json(path), normalize=normalize)
 
 
 def save_structure(structure, path):

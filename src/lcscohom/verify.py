@@ -24,6 +24,7 @@ from .bicomplex import (
 from .corpus import builtin_structure, enumerate_braces, enumerate_lcs, trivial_lcs
 from .extensions import (
     FullTwoCocycle,
+    _two_cocycle_system,
     ReducedTwoCocycle,
     additive_section,
     build_brace_extension,
@@ -40,6 +41,7 @@ from .extensions import (
     translate_to_brace_pair,
     validate_extension_triple,
 )
+from .linalg import kernel_mod_m
 from .reduced import (
     antisymmetrization_is_chain_map,
     cs_coboundary_matrix,
@@ -364,19 +366,31 @@ def verify_paper(seed: int = 0):
     )
 
     def construction_full_random():
+        # random elements of the normalized full 2-cocycle group, each also
+        # perturbed in one entry, so both verdicts of the criterion occur
         rng = random.Random(seed)
-        trials = 10_000
-        valid_seen = 0
-        for _ in range(trials):
-            f = [[rng.randrange(2) for _ in range(4)] for _ in range(4)]
-            g = [[rng.randrange(2) for _ in range(4)] for _ in range(4)]
-            total = force_extension_full(Z2, z4, f, g)
-            built = validate_lcs(total).valid
-            claimed = is_full_2cocycle(z4, Z2, f, g).valid
-            if built != claimed:
-                return False, f"criterion breaks after {valid_seen} valid pairs"
-            valid_seen += built
-        return True, f"{trials} random pairs, {valid_seen} valid, 0 discrepancies"
+        gens = kernel_mod_m(_two_cocycle_system(z4, "general")[0], 2).to_lists()
+        draws = 500
+        valid_seen = invalid_seen = 0
+        for _ in range(draws):
+            coeffs = [rng.randrange(2) for _ in gens[0]]
+            flat = [sum(c * x for c, x in zip(coeffs, row)) % 2 for row in gens]
+            perturbed = flat[:]
+            perturbed[rng.randrange(len(flat))] ^= 1
+            for drawn, values in ((True, flat), (False, perturbed)):
+                f = [values[4 * a : 4 * a + 4] for a in range(4)]
+                g = [values[16 + 4 * a : 20 + 4 * a] for a in range(4)]
+                built = validate_lcs(force_extension_full(Z2, z4, f, g)).valid
+                claimed = is_full_2cocycle(z4, Z2, f, g).valid
+                if built != claimed or (drawn and not claimed):
+                    return False, f"criterion breaks at {values}"
+                valid_seen += built
+                invalid_seen += not built
+        detail = (
+            f"{2 * draws} random pairs, {valid_seen} valid, {invalid_seen} invalid, "
+            "0 discrepancies"
+        )
+        return valid_seen > 0 and invalid_seen > 0, detail
 
     _run(
         results,

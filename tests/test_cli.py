@@ -79,6 +79,16 @@ def test_validate_malformed_file(capsys, tmp_path):
     assert payload["kind"] == "MalformedTableError"
 
 
+def test_validate_unreadable_file(capsys, tmp_path):
+    undecodable = tmp_path / "binary.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path / "absent.json", undecodable):
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "MalformedTableError"
+
+
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "validate", "builtin:mystery")
     assert code == 2
