@@ -4,9 +4,9 @@ A linear cycle set is an abelian group with a second binary operation
 whose left translations are bijective and interact with the addition
 through a cyclic identity; they are the same data as braces.  This
 package computes reduced and full (co)homology of such structures with
-finite abelian coefficients, entirely over the integers, and builds,
-checks, compares and classifies the central extensions that degree-2
-cocycles encode.  The `lcscohom` command line exposes the same
+finite abelian coefficients, exactly, by sparse elimination over Z/p^e,
+and builds, checks, compares and classifies the central extensions that
+degree-2 cocycles encode.  The `lcscohom` command line exposes the same
 operations on JSON files.
 """
 

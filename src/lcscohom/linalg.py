@@ -1,16 +1,23 @@
-"""Exact integer linear algebra: Smith normal form and lattice quotients.
+"""Exact linear algebra over Z/m: one sparse elimination kernel.
 
-All computations here run over arbitrary-precision Python integers; no
-floating point is used anywhere.  Finite abelian groups enter as follows:
-a subgroup of (Z/m)^N is modelled by the integer lattice spanned by its
-generators together with m*I, and quotients of nested full-rank lattices
-yield invariant factors through a change of basis plus one more Smith
-reduction.
+Every invariant the package reports is a finite abelian group over Z/m
+coefficients.  Z/m splits by the Chinese remainder theorem into local
+rings Z/p^e, and over Z/p^e a pivot of least p-valuation divides every
+entry left, so a single elimination pass on sparse {column: entry} rows
+with entries below p^e decides ranks, kernels and orders of subgroups.
+Quotients K / B come from the orders of p^i K + B.  No floating point is
+used anywhere.
+
+The dense integer Smith normal form stays for the two integer-lattice
+questions: membership tests (`LatticeTester`) and one particular
+solution of a linear system mod m (`solve_mod`).
 """
 
+import heapq
 from dataclasses import dataclass
-from math import gcd
+from itertools import compress
 
+from .abelian import merge_invariants
 from .errors import InvalidModulusError, LatticeError, ShapeError
 
 __all__ = [
@@ -18,11 +25,8 @@ __all__ = [
     "SmithDecomposition",
     "smith_normal_form",
     "kernel_mod_m",
-    "integer_kernel",
-    "solution_lattice_mod",
     "solve_mod",
     "LatticeTester",
-    "lattice_quotient_invariants",
     "subquotient_invariants",
     "hstack",
     "vstack",
@@ -74,8 +78,9 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, self.cols, [row[:] for row in self.data])
 
     def transpose(self):
-        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return IntegerMatrix(self.cols, self.rows, data)
+        if not self.rows:
+            return IntegerMatrix(self.cols, 0, [[] for _ in range(self.cols)])
+        return IntegerMatrix(self.cols, self.rows, [list(col) for col in zip(*self.data)])
 
     def scaled(self, k: int):
         return IntegerMatrix(self.rows, self.cols, [[k * x for x in row] for row in self.data])
@@ -319,12 +324,184 @@ def _check_modulus(m: int):
         raise InvalidModulusError(f"modulus must be an integer >= 2, got {m!r}")
 
 
+def _prime_powers(m: int):
+    """The (p, e) pairs of the factorization m = product of p**e."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def _sparse_columns(mat: IntegerMatrix):
+    """The columns of a dense matrix as {row: entry} dicts of its nonzeros."""
+    cols = [{} for _ in range(mat.cols)]
+    every = range(mat.cols)
+    for i, row in enumerate(mat.data):
+        for j in compress(every, row):
+            cols[j][i] = row[j]
+    return cols
+
+
+def _mod(vec: dict, q: int) -> dict:
+    out = {}
+    for c, x in vec.items():
+        x %= q
+        if x:
+            out[c] = x
+    return out
+
+
+def _scaled(vec: dict, k: int, q: int) -> dict:
+    return _mod({c: k * x for c, x in vec.items()}, q)
+
+
+def _eliminate(rows, p: int, e: int, tags=None):
+    """Row-reduce sparse rows over the local ring Z/p^e.
+
+    `rows` are {column: entry} dicts with entries in [1, p^e); they and
+    the optional parallel `tags` are consumed.  Phase v pivots on entries
+    of p-valuation exactly v, shortest row first and, within it, the
+    column shared by the fewest rows; such a pivot divides every entry
+    still active, so it clears its column from all the other rows.  Each
+    tag follows its row through the same combinations.
+
+    Returns (pivots, zero_tags): pivots as (row, valuation, tag) in pivot
+    order, each pivot column absent from every later pivot row, and the
+    tags of the rows that reduced to zero.  The rows span a group of
+    order p^(sum of e - valuation).  With rows A^T and tags the identity,
+    the zero tags and p^(e - v) times the pivot tags generate ker A.
+
+    The rows of A^T for A = [[2, 4], [1, 2]] over Z/8: the unit pivot 1
+    clears the second row, whose tag (6, 1) then spans ker A.
+
+    >>> pivots, zeros = _eliminate([{0: 2, 1: 1}, {0: 4, 1: 2}], 2, 3, [{0: 1}, {1: 1}])
+    >>> [(row, v) for row, v, _tag in pivots], zeros == [{0: 6, 1: 1}]
+    ([({0: 2, 1: 1}, 0)], True)
+    """
+    q = p**e
+    if tags is None:
+        tags = [None] * len(rows)
+    where = {}  # column -> ids of the active rows with an entry there
+    for i, row in enumerate(rows):
+        for c in row:
+            where.setdefault(c, set()).add(i)
+    active = set(range(len(rows)))
+    pivots = []
+    for v in range(e):
+        pv = p**v
+        heap = [(len(rows[i]), i) for i in active if rows[i]]
+        heapq.heapify(heap)
+        while heap:
+            length, i = heapq.heappop(heap)
+            row = rows[i]
+            if i not in active or len(row) != length:
+                continue
+            col, best = None, 0
+            for c, x in row.items():
+                if x % (pv * p) and (col is None or len(where[c]) < best):
+                    col, best = c, len(where[c])
+            if col is None:
+                continue
+            active.discard(i)
+            for c in row:
+                where[c].discard(i)
+            inv = pow(row[col] // pv, -1, q)
+            tag = tags[i]
+            for j in list(where[col]):
+                other = rows[j]
+                f = other[col] // pv * inv % q
+                for c, x in row.items():
+                    y = (other.get(c, 0) - f * x) % q
+                    if y:
+                        if c not in other:
+                            where[c].add(j)
+                        other[c] = y
+                    elif c in other:
+                        del other[c]
+                        where[c].discard(j)
+                if tag is not None:
+                    t = tags[j]
+                    for c, x in tag.items():
+                        y = (t.get(c, 0) - f * x) % q
+                        if y:
+                            t[c] = y
+                        else:
+                            t.pop(c, None)
+                heapq.heappush(heap, (len(other), j))
+            pivots.append((row, v, tag))
+    return pivots, [tags[i] for i in sorted(active)]
+
+
+def _kernel_tags(rows, tags, p: int, e: int):
+    """Generators of {sum a_i tags_i : sum a_i rows_i == 0 mod p^e}."""
+    pivots, zeros = _eliminate(rows, p, e, tags)
+    q = p**e
+    out = [t for t in zeros if t]
+    for _row, v, tag in pivots:
+        if v:
+            t = _scaled(tag, p ** (e - v), q)
+            if t:
+                out.append(t)
+    return out
+
+
+def _log_order(rows, p: int, e: int):
+    """log_p of the order of the span of rows over Z/p^e, and an echelon
+    basis of that span."""
+    pivots, _ = _eliminate([dict(r) for r in rows], p, e)
+    return sum(e - v for _row, v, _tag in pivots), [row for row, _v, _tag in pivots]
+
+
+def _quotient_invariants(k_gens, b_gens, p: int, e: int):
+    """Invariant factors of K / B over Z/p^e from the orders of p^i K + B.
+
+    |p^i (K/B)| = |p^i K + B| / |B|, and the drop from p^i to p^(i+1)
+    counts the cyclic factors of order above p^i.  B must lie in K.
+    """
+    q = p**e
+    log_k, k_rows = _log_order(k_gens, p, e)
+    log_b, b_rows = _log_order(b_gens, p, e)
+    logs = []
+    for i in range(e):
+        scaled = [_scaled(r, p**i, q) for r in k_rows]
+        logs.append(_log_order([r for r in scaled if r] + b_rows, p, e)[0])
+    if logs[0] != log_k:
+        raise LatticeError("generators are not contained in the enclosing subgroup")
+    logs.append(log_b)
+    above = [logs[i] - logs[i + 1] for i in range(e)] + [0]
+    return [p**t for t in range(1, e + 1) for _ in range(above[t - 1] - above[t])]
+
+
+def _subquotient_mod(rows, tags, bound, m: int):
+    """Invariant factors over Z/m of K / B, where K is generated by the
+    combinations of `tags` whose matching combination of `rows` vanishes
+    and B by `bound`; all three are lists of integer {index: entry} dicts.
+    The work splits over the prime powers of m."""
+    parts = []
+    for p, e in _prime_powers(m):
+        q = p**e
+        k_gens = _kernel_tags([_mod(r, q) for r in rows], [_mod(t, q) for t in tags], p, e)
+        parts.append(_quotient_invariants(k_gens, [_mod(b, q) for b in bound], p, e))
+    return merge_invariants(*parts)
+
+
 def kernel_mod_m(mat: IntegerMatrix, m: int) -> IntegerMatrix:
     """Generators of {x in (Z/m)^cols : mat @ x == 0 mod m}.
 
     Columns of the result generate the kernel subgroup; entries are reduced
-    into [0, m).  Generators that vanish mod m are dropped, so the result
-    for an unconstrained coordinate system is the identity.
+    into [0, m).  The kernel is computed per prime power of m and the parts
+    are glued by the Chinese remainder theorem, generator i of every part
+    into column i, so the result for an unconstrained coordinate system is
+    the identity.
 
     >>> kernel_mod_m(IntegerMatrix.from_rows([[1, 1]]), 2).to_lists()
     [[1], [1]]
@@ -333,55 +510,18 @@ def kernel_mod_m(mat: IntegerMatrix, m: int) -> IntegerMatrix:
     n = mat.cols
     if n == 0:
         return IntegerMatrix(0, 0)
-    dec = smith_normal_form(mat)
-    diag = dec.diagonal
-    vdata = dec.v.data
-    cols = []
-    for i in range(n):
-        di = diag[i] if i < len(diag) else 0
-        c = m // gcd(di, m)
-        if c == m and di != 0:
-            continue
-        col = [vdata[t][i] * c % m for t in range(n)]
-        if any(col):
-            cols.append(col)
-    return IntegerMatrix.from_columns(n, cols)
-
-
-def integer_kernel(mat: IntegerMatrix) -> IntegerMatrix:
-    """Basis of {x in Z^cols : mat @ x == 0}, as matrix columns."""
-    n = mat.cols
-    if n == 0:
-        return IntegerMatrix(0, 0)
-    dec = smith_normal_form(mat)
-    diag = dec.diagonal
-    vdata = dec.v.data
-    cols = []
-    for i in range(n):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            cols.append([vdata[t][i] for t in range(n)])
-    return IntegerMatrix.from_columns(n, cols)
-
-
-def solution_lattice_mod(mat: IntegerMatrix, m: int) -> IntegerMatrix:
-    """Basis of the full lattice {y in Z^cols : mat @ y == 0 mod m}.
-
-    Unlike kernel_mod_m this keeps every basis vector, including the ones
-    lying in m * Z^cols, because callers need the lattice itself.
-    """
-    _check_modulus(m)
-    n = mat.cols
-    dec = smith_normal_form(mat)
-    diag = dec.diagonal
-    vdata = dec.v.data
-    data = [[0] * n for _ in range(n)]
-    for i in range(n):
-        di = diag[i] if i < len(diag) else 0
-        c = m // gcd(di, m)
-        for t in range(n):
-            data[t][i] = vdata[t][i] * c
-    return IntegerMatrix(n, n, data)
+    cols = _sparse_columns(mat)
+    glued = []
+    for p, e in _prime_powers(m):
+        q = p**e
+        lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
+        rows = [_mod(c, q) for c in cols]
+        for i, gen in enumerate(_kernel_tags(rows, [{j: 1} for j in range(n)], p, e)):
+            if i == len(glued):
+                glued.append([0] * n)
+            for c, x in gen.items():
+                glued[i][c] = (glued[i][c] + lift * x) % m
+    return IntegerMatrix.from_columns(n, glued)
 
 
 def solve_mod(mat: IntegerMatrix, rhs, m: int):
@@ -410,10 +550,11 @@ def solve_mod(mat: IntegerMatrix, rhs, m: int):
 
 
 class LatticeTester:
-    """Membership tests against the lattice spanned by some generators.
+    """Membership tests against the integer lattice spanned by some generators.
 
-    One Smith reduction of the generator matrix up front; each test is then
-    a matrix-vector product and a divisibility sweep.
+    One Smith reduction of the generator matrix up front; a vector lies in
+    the lattice when its image under U is divisible, coordinate by
+    coordinate, by the Smith diagonal (and zero past the rank).
     """
 
     def __init__(self, generators: IntegerMatrix):
@@ -422,69 +563,22 @@ class LatticeTester:
         self._u = dec.u
         self._diag = dec.diagonal
 
+    def _divisible(self, i: int, values) -> bool:
+        d = self._diag[i] if i < len(self._diag) else 0
+        if d == 0:
+            return not any(values)
+        return d == 1 or not any(x % d for x in values)
+
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
             raise ShapeError("vector does not live in the lattice's ambient space")
-        w = self._u.apply(vec)
-        for i, x in enumerate(w):
-            d = self._diag[i] if i < len(self._diag) else 0
-            if d == 0:
-                if x:
-                    return False
-            elif x % d:
-                return False
-        return True
+        return all(self._divisible(i, (x,)) for i, x in enumerate(self._u.apply(vec)))
 
     def contains_all(self, mat: IntegerMatrix) -> bool:
-        return all(self.contains(mat.column(j)) for j in range(mat.cols))
-
-
-def lattice_quotient_invariants(k_gens: IntegerMatrix, b_gens: IntegerMatrix):
-    """Invariant factors (> 1) of K / B for nested full-rank lattices.
-
-    K and B are given by generator columns with B contained in K.  The
-    routine changes basis so K becomes Z^N and reads the factors off a
-    Smith reduction of B's coordinates; failure of containment or of full
-    rank raises LatticeError.
-    """
-    n = k_gens.rows
-    if b_gens.rows != n:
-        raise ShapeError("lattice generator matrices must share their ambient space")
-    if n == 0:
-        return []
-    dec = smith_normal_form(k_gens)
-    diag = dec.diagonal
-    if len(diag) < n or any(d == 0 for d in diag):
-        raise LatticeError("enclosing lattice is not of full rank, quotient is infinite")
-    t = dec.u @ b_gens
-    xdata = []
-    for i in range(n):
-        di = diag[i]
-        row = []
-        for j in range(t.cols):
-            q, r = divmod(t.data[i][j], di)
-            if r:
-                raise LatticeError("generators are not contained in the enclosing lattice")
-            row.append(q)
-        xdata.append(row)
-    x = IntegerMatrix(n, b_gens.cols, xdata)
-    d2 = smith_normal_form(x).diagonal
-    if len(d2) < n or any(d == 0 for d in d2):
-        raise LatticeError("inner lattice is not of full rank, quotient is infinite")
-    return [d for d in d2 if d > 1]
-
-
-def _constrained_lattice(d_out: IntegerMatrix, generators: IntegerMatrix, m: int):
-    """Lattice of {x : x in <generators> + mZ^N and d_out @ x == 0 mod m}."""
-    n = generators.rows
-    m_g = hstack([generators, IntegerMatrix.identity(n).scaled(m)])
-    if d_out.rows == 0 or d_out.is_zero():
-        return m_g
-    if d_out.cols != n:
-        raise ShapeError("constraint matrix does not act on the generators' space")
-    c = d_out @ m_g
-    w = solution_lattice_mod(c, m)
-    return m_g @ w
+        """Whether every column of mat lies in the lattice, from one U @ mat."""
+        if mat.rows != self.ambient:
+            raise ShapeError("vectors do not live in the lattice's ambient space")
+        return all(self._divisible(i, row) for i, row in enumerate((self._u @ mat).data))
 
 
 def subquotient_invariants(
@@ -497,7 +591,8 @@ def subquotient_invariants(
 
     G is the subgroup of (Z/m)^N generated by the columns of `generators`;
     the image of d_in must lie in that kernel for the quotient to exist,
-    otherwise LatticeError propagates from the containment check.
+    otherwise LatticeError is raised.  The kernel is read off one tagged
+    elimination of the images d_out @ g, each carrying its generator g.
 
     >>> d_out = IntegerMatrix.from_rows([[1, 1]])
     >>> z = IntegerMatrix.zeros(2, 0)
@@ -510,8 +605,16 @@ def subquotient_invariants(
         raise ShapeError("boundary-in matrix does not land in the generators' space")
     if n == 0:
         return []
-    m_k = _constrained_lattice(d_out, generators, m)
-    d_in_cols = d_in if d_in.rows == n else IntegerMatrix.zeros(n, 0)
-    m_b = hstack([d_in_cols, IntegerMatrix.identity(n).scaled(m)])
-    return lattice_quotient_invariants(m_k, m_b)
-
+    if d_out.rows and d_out.cols != n:
+        raise ShapeError("constraint matrix does not act on the generators' space")
+    out_cols = _sparse_columns(d_out) if d_out.rows else [{}] * n
+    gens = _sparse_columns(generators)
+    images = []
+    for g in gens:
+        image = {}
+        for c, x in g.items():
+            for r, y in out_cols[c].items():
+                image[r] = image.get(r, 0) + x * y
+        images.append(image)
+    bound = _sparse_columns(d_in) if d_in.rows else []
+    return _subquotient_mod(images, gens, bound, m)

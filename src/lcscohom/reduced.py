@@ -1,8 +1,8 @@
 """The reduced chain and cochain complexes of a linear cycle set.
 
 Degree-k chains are formal sums over k-tuples of elements; the reduced
-complex imposes linearity in the last coordinate, realized here as an
-explicit relation lattice over the free module on A^k.  Cochains are
+complex imposes linearity in the last coordinate, realized here as
+explicit relations on the free module over A^k.  Cochains are
 value tables over the lexicographically ordered tuple basis, and the
 matrix of the degree-k coboundary is the transpose of the degree-(k+1)
 boundary matrix.
@@ -41,10 +41,9 @@ from .errors import (
 from .linalg import (
     IntegerMatrix,
     LatticeTester,
-    hstack,
-    integer_kernel,
+    _sparse_columns,
+    _subquotient_mod,
     kernel_mod_m,
-    lattice_quotient_invariants,
     subquotient_invariants,
     vstack,
 )
@@ -157,14 +156,18 @@ def linearity_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
 
     One row per (prefix, a, b): the value at (prefix, a + b) minus the
     values at (prefix, a) and (prefix, b).  Kernel mod m = the group of
-    last-linear cochains; transposed columns = the relation lattice of
+    last-linear cochains; transposed columns = the linearity relations of
     the chain-side presentation.
     """
     _check_degree(k)
     n = structure.order
     check_basis(n**k, f"the degree-{k} tuple basis")
-    faces = [(1, _merge(structure.add, k)), (-1, _drop(k)), (-1, _drop(k - 1))]
-    return _face_matrix(n, k + 1, faces).transpose()
+    return _face_matrix(n, k + 1, _linearity_faces(structure, k)).transpose()
+
+
+def _linearity_faces(structure: LinearCycleSet, k: int):
+    """(prefix, a, b) -> (prefix, a + b) - (prefix, a) - (prefix, b)."""
+    return [(1, _merge(structure.add, k)), (-1, _drop(k)), (-1, _drop(k - 1))]
 
 
 def degenerate_indices(structure: LinearCycleSet, k: int):
@@ -203,15 +206,15 @@ def cochain_space_generators(
     return kernel_mod_m(constraints, m)
 
 
-def _relation_lattice(structure, k, m, normalized):
-    """Chain-side relation lattice inside Z^(n^k): linearity columns,
-    degenerate generators when normalized, and m times the identity."""
+def _relations(structure, k, normalized):
+    """Relations of the degree-k chain presentation, as sparse vectors over
+    the k-tuples: linearity in the last coordinate and, when normalized,
+    the degenerate tuples."""
     n = structure.order
-    parts = [linearity_rows(structure, k).transpose()]
+    rels = _sparse_columns(_face_matrix(n, k + 1, _linearity_faces(structure, k)))
     if normalized:
-        parts.append(_degenerate_rows(structure, k).transpose())
-    parts.append(IntegerMatrix.identity(n**k).scaled(m))
-    return hstack(parts)
+        rels += [{i: 1} for i in degenerate_indices(structure, k)]
+    return rels
 
 
 @dataclass
@@ -452,10 +455,11 @@ def reduced_homology(
     """Invariant factors of the degree-k reduced homology group.
 
     Chains are presented as the free module on k-tuples modulo the
-    linearity relations (and degenerate generators when normalized); the
-    homology lattice quotient is (preimage of relations under the
-    boundary) / (boundary image + relations).  Degree 1 is the full
-    degree-1 chain group modulo the image from degree 2.
+    linearity relations (and degenerate generators when normalized); over
+    each cyclic factor Z/m the homology is (preimage of the relations
+    under the boundary) / (boundary image + relations), both taken mod m.
+    Degree 1 is the full degree-1 chain group modulo the image from
+    degree 2.
     """
     require_valid_lcs(structure)
     _check_degree(k)
@@ -463,21 +467,17 @@ def reduced_homology(
     check_basis(n**k, f"the degree-{k} tuple basis")
     check_basis(n ** (k + 1), f"the degree-{k + 1} tuple basis")
     nk = n**k
-    m_down = reduced_boundary_matrix(structure, k)
-    m_up = reduced_boundary_matrix(structure, k + 1)
-    parts = []
-    for m in coeffs.factors:
-        w_here = _relation_lattice(structure, k, m, normalized)
-        if k >= 2:
-            w_prev = _relation_lattice(structure, k - 1, m, normalized)
-            block = hstack([m_down, w_prev.scaled(-1)])
-            ker = integer_kernel(block)
-            cycles = IntegerMatrix(nk, ker.cols, [ker.data[i][:] for i in range(nk)])
-        else:
-            cycles = IntegerMatrix.identity(nk)
-        boundaries = hstack([m_up, w_here])
-        parts.append(lattice_quotient_invariants(cycles, boundaries))
-    return merge_invariants(*parts)
+    # cycles are the x whose boundary lies in the relations below; their
+    # rows carry x as a tag, the relation rows carry nothing
+    rows = _sparse_columns(reduced_boundary_matrix(structure, k))
+    tags = [{j: 1} for j in range(nk)]
+    if k >= 2:
+        below = _relations(structure, k - 1, normalized)
+        rows += below
+        tags += [{}] * len(below)
+    bound = _sparse_columns(reduced_boundary_matrix(structure, k + 1))
+    bound += _relations(structure, k, normalized)
+    return merge_invariants(*(_subquotient_mod(rows, tags, bound, m) for m in coeffs.factors))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,32 @@
+"""Run the doctest examples of every lcscohom module."""
+
+import doctest
+import importlib
+import pkgutil
+
+import pytest
+
+import lcscohom
+
+# __main__ runs the command line on import
+MODULES = ["lcscohom"] + [
+    f"lcscohom.{info.name}"
+    for info in pkgutil.iter_modules(lcscohom.__path__)
+    if info.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0
+
+
+def test_examples_are_collected():
+    counts = {
+        name: doctest.testmod(importlib.import_module(name)).attempted
+        for name in ("lcscohom.abelian", "lcscohom.linalg")
+    }
+    assert counts["lcscohom.abelian"] >= 3 and counts["lcscohom.linalg"] >= 9
+    finder = doctest.DocTestFinder()
+    assert finder.find(importlib.import_module("lcscohom.linalg")._eliminate)[0].examples

@@ -1,0 +1,90 @@
+"""Property tests: the elimination over Z/p^e against the integer-lattice oracle.
+
+Random small systems mod 2, 4, 8, 9, 12 and 27 (prime, prime-power and
+composite moduli).  Kernels must span the oracle's solution lattice mod m,
+subquotients with an image inside the kernel must give the oracle's
+invariant factors, and an image with one column outside the kernel must
+raise LatticeError on both paths.
+"""
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from lattice_oracle import constrained_lattice, solution_lattice_mod
+from lattice_oracle import subquotient_invariants as oracle_subquotient
+from lcscohom.errors import LatticeError
+from lcscohom.linalg import (
+    IntegerMatrix,
+    LatticeTester,
+    hstack,
+    kernel_mod_m,
+    subquotient_invariants,
+)
+
+MODULI = (2, 4, 8, 9, 12, 27)
+PROPERTY = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+def matrices(rows, cols, bound):
+    entry = st.integers(-bound, bound)
+    return st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda data: IntegerMatrix(rows, cols, data))
+
+
+@st.composite
+def systems(draw):
+    """(m, d_out, generators, d_in) with every column of d_in in the kernel."""
+    m = draw(st.sampled_from(MODULI))
+    n = draw(st.integers(1, 6))
+    d_out = draw(matrices(draw(st.integers(0, 3)), n, m))
+    generators = draw(matrices(n, draw(st.integers(1, 6)), m))
+    lattice = constrained_lattice(d_out, generators, m)
+    # a multiple of m * I adds nothing mod m; scaling by a divisor of m
+    # leaves quotients with prime-power factors
+    scale = draw(st.sampled_from([d for d in range(1, m) if m % d == 0]))
+    coeffs = draw(matrices(lattice.cols, draw(st.integers(1, 3)), 3))
+    return m, d_out, generators, (lattice @ coeffs).scaled(scale)
+
+
+@PROPERTY
+@given(st.sampled_from(MODULI), st.integers(1, 5), st.integers(1, 6), st.data())
+def test_kernel_mod_m_spans_the_oracle_kernel(m, rows, cols, data):
+    mat = data.draw(matrices(rows, cols, m))
+    gens = kernel_mod_m(mat, m)
+    assert gens.rows == cols
+    assert all(0 <= x < m for row in gens.data for x in row)
+    # every generator solves the system, and they reach every solution
+    for c in range(gens.cols):
+        assert all(x % m == 0 for x in mat.apply(gens.column(c)))
+    span = LatticeTester(hstack([gens, IntegerMatrix.identity(cols).scaled(m)]))
+    assert span.contains_all(solution_lattice_mod(mat, m))
+
+
+@PROPERTY
+@given(systems())
+def test_contained_image_gives_the_oracle_invariants(system):
+    m, d_out, generators, d_in = system
+    assert subquotient_invariants(d_out, d_in, generators, m) == oracle_subquotient(
+        d_out, d_in, generators, m
+    )
+
+
+@PROPERTY
+@given(systems(), st.data())
+def test_image_outside_the_kernel_is_refused(system, data):
+    m, d_out, generators, d_in = system
+    stray = data.draw(matrices(generators.rows, 1, m))
+    assume(not LatticeTester(constrained_lattice(d_out, generators, m)).contains(stray.column(0)))
+    d_in = hstack([d_in, stray])
+    with pytest.raises(LatticeError):
+        oracle_subquotient(d_out, d_in, generators, m)
+    with pytest.raises(LatticeError):
+        subquotient_invariants(d_out, d_in, generators, m)

@@ -1,9 +1,10 @@
-"""Oracle tests for the exact integer matrix layer.
+"""Oracle tests for the exact matrix layer.
 
 The Smith reduction is checked against frozen examples and against its own
 certificates (transforms, unimodularity, divisibility) on a seeded random
 battery; kernels are compared with exhaustive enumeration on small
-moduli.
+moduli, and the integer-lattice oracle of `lattice_oracle` is checked in
+both its accept and reject directions beside the elimination path.
 """
 
 import itertools
@@ -11,16 +12,14 @@ import random
 
 import pytest
 
+from lattice_oracle import integer_kernel, lattice_quotient_invariants, solution_lattice_mod
 from lcscohom.errors import InvalidModulusError, LatticeError, ShapeError
 from lcscohom.linalg import (
     IntegerMatrix,
     LatticeTester,
     hstack,
-    integer_kernel,
     kernel_mod_m,
-    lattice_quotient_invariants,
     smith_normal_form,
-    solution_lattice_mod,
     solve_mod,
     subquotient_invariants,
     vstack,
@@ -149,6 +148,9 @@ def test_integer_kernel():
     for c in range(ker.cols):
         assert all(x == 0 for x in mat.apply(ker.column(c)))
     assert integer_kernel(IntegerMatrix.identity(3)).cols == 0
+    # the same two statements mod 5 on the elimination path
+    assert len(span_of_columns(kernel_mod_m(mat, 5), 5)) == 25
+    assert kernel_mod_m(IntegerMatrix.identity(3), 5).cols == 0
 
 
 def test_solution_lattice_mod():
@@ -160,6 +162,9 @@ def test_solution_lattice_mod():
     assert LatticeTester(lat).contains([0, 4])
     assert LatticeTester(lat).contains([1, 2])
     assert not LatticeTester(lat).contains([1, 1])
+    span = span_of_columns(kernel_mod_m(mat, 4), 4)
+    assert (0, 0) in span and (1, 2) in span
+    assert (1, 1) not in span
 
 
 def test_solve_mod_roundtrip():
@@ -194,6 +199,7 @@ def test_lattice_quotient_frozen():
     k = IntegerMatrix.identity(2)
     b = IntegerMatrix.from_rows([[2, 0], [0, 3]])
     assert lattice_quotient_invariants(k, b) == [6]
+    assert subquotient_invariants(IntegerMatrix.zeros(0, 2), b, k, 6) == [6]
 
 
 def test_lattice_quotient_errors():
@@ -206,6 +212,15 @@ def test_lattice_quotient_errors():
         lattice_quotient_invariants(
             IntegerMatrix.from_rows([[1, 0], [0, 0]]),
             IntegerMatrix.from_rows([[1, 0], [0, 0]]),
+        )
+    # containment fails on the elimination path too; rank cannot, every
+    # group there is finite
+    with pytest.raises(LatticeError):
+        subquotient_invariants(
+            IntegerMatrix.zeros(0, 2),
+            IntegerMatrix.identity(2),
+            IntegerMatrix.from_rows([[2, 0], [0, 2]]),
+            4,
         )
 
 
@@ -253,6 +268,21 @@ def test_subquotient_splits_over_coprime_factors():
         from lcscohom.abelian import merge_invariants
 
         assert six == merge_invariants(two, three)
+
+
+def test_contains_all_needs_every_column():
+    tester = LatticeTester(IntegerMatrix.from_rows([[2, 0], [0, 3], [0, 0]]))
+    inside = IntegerMatrix.from_rows([[2, 4, 0], [3, 0, -6], [0, 0, 0]])
+    assert tester.contains_all(inside)
+    for c in range(inside.cols):
+        assert tester.contains(inside.column(c))
+    for r, c, bump in ((0, 1, 1), (1, 2, 1), (2, 0, 5)):
+        one_out = inside.copy()
+        one_out.data[r][c] += bump
+        assert not tester.contains_all(one_out), (r, c)
+    assert tester.contains_all(IntegerMatrix.zeros(3, 0))
+    with pytest.raises(ShapeError):
+        tester.contains_all(IntegerMatrix.zeros(2, 1))
 
 
 def test_stacking():
