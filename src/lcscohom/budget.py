@@ -1,4 +1,4 @@
-"""Basis-size budgets for the brute-force and matrix pipelines.
+"""Basis-size budgets for the matrix pipelines.
 
 Chain groups over a structure of order n have free rank n**k in degree k.
 To keep runs predictable, every routine that materializes such a basis
@@ -11,10 +11,6 @@ import os
 from .errors import BudgetError
 
 DEFAULT_BASIS_BUDGET = 20000
-
-# Brute-force searches over maps A -> Gamma (theta searches, subgroup
-# enumeration) use a separate cap on the number of candidates.
-DEFAULT_SEARCH_BUDGET = 2**20
 
 _ENV_VAR = "LCSCOHOM_BUDGET"
 
@@ -45,11 +41,3 @@ def check_basis(size: int, what: str, factor: int = 1) -> None:
             f" (set {_ENV_VAR} to raise it)"
         )
 
-
-def check_search(size: int, what: str) -> None:
-    if size > DEFAULT_SEARCH_BUDGET:
-        raise BudgetError(
-            f"{what} would enumerate {size} candidates, over the search cap"
-            f" of {DEFAULT_SEARCH_BUDGET};"
-            " compare cohomology classes through their SNF coordinates instead"
-        )

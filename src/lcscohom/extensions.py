@@ -10,8 +10,10 @@ reduction mod |base|.
 The module covers both directions: building extension triples from
 cocycles, extracting cocycles from sections, deciding equivalence through
 translation isomorphisms (gamma_part + theta(base_part), base_part), and
-classifying all central extensions by enumerating cocycles modulo
-coboundaries, one cyclic coefficient factor at a time.
+classifying all central extensions as cocycles modulo coboundaries, one
+cyclic coefficient factor at a time.  Equivalence and classification are
+linear algebra over Z/m: the Howell form of the coboundary system yields
+the least theta of an equivalence and the least cocycle of each class.
 """
 
 import itertools
@@ -19,9 +21,8 @@ from dataclasses import dataclass, field
 
 from .abelian import FiniteAbelianGroup, parse_group_spec
 from .bicomplex import shuffle_rows, total_chain_matrix
-from .budget import check_search
+from .budget import check_basis
 from .errors import (
-    BudgetError,
     CocycleError,
     LinearityError,
     MalformedTableError,
@@ -30,14 +31,7 @@ from .errors import (
     SectionError,
     ShapeError,
 )
-from .linalg import (
-    IntegerMatrix,
-    LatticeTester,
-    hstack,
-    kernel_mod_m,
-    solve_mod,
-    vstack,
-)
+from .linalg import IntegerMatrix, _HowellForm, hstack, kernel_mod_m, solve_mod, vstack
 from .reduced import _degenerate_rows, linearity_rows, reduced_boundary_matrix
 from .structures import (
     Brace,
@@ -355,22 +349,34 @@ class ExtensionTriple:
         self.pi = tuple(self.pi)
 
 
+def _deformed_table(gamma, n: int, base_op, deformation, carry: bool):
+    """One operation table on gamma x base, element c * n + a for (c, a).
+
+    (c1, a1), (c2, a2) goes to (c + deformation(a1, a2), base_op(a1, a2)),
+    where c is c1 + c2 when `carry` is set and c2 otherwise.  Coefficients
+    are added through an index table of gamma's addition.
+    """
+    elements = [gamma.element(i) for i in range(gamma.order)]
+    plus = [[gamma.index(gamma.add(x, y)) for y in elements] for x in elements]
+    shift = [[gamma.index(v) for v in row] for row in deformation]
+    table = []
+    for c1 in range(gamma.order):
+        for a1 in range(n):
+            srow, brow = shift[a1], base_op[a1]
+            row = []
+            for c2 in range(gamma.order):
+                moved = plus[plus[c1][c2]] if carry else plus[c2]
+                row.extend(moved[srow[a2]] * n + brow[a2] for a2 in range(n))
+            table.append(row)
+    return table
+
+
 def _deformed_tables(gamma, base, f, g):
     n = base.order
-    ng = gamma.order
-    order = ng * n
-    gadd = gamma.add
-    gidx = gamma.index
-    gel = [gamma.element(i) for i in range(ng)]
-    add = [[0] * order for _ in range(order)]
-    dot = [[0] * order for _ in range(order)]
-    for e1 in range(order):
-        c1, a1 = divmod(e1, n)
-        for e2 in range(order):
-            c2, a2 = divmod(e2, n)
-            add[e1][e2] = gidx(gadd(gadd(gel[c1], gel[c2]), g[a1][a2])) * n + base.add[a1][a2]
-            dot[e1][e2] = gidx(gadd(gel[c2], f[a1][a2])) * n + base.dot[a1][a2]
-    return add, dot
+    return (
+        _deformed_table(gamma, n, base.add, g, carry=True),
+        _deformed_table(gamma, n, base.dot, f, carry=False),
+    )
 
 
 def force_extension_full(gamma, base: LinearCycleSet, f, g) -> LinearCycleSet:
@@ -505,18 +511,8 @@ def build_brace_extension(
             report,
         )
     order = gamma.order * n
-    gel = [gamma.element(i) for i in range(gamma.order)]
-    add = [[0] * order for _ in range(order)]
-    circle = [[0] * order for _ in range(order)]
-    for e1 in range(order):
-        c1, a1 = divmod(e1, n)
-        for e2 in range(order):
-            c2, a2 = divmod(e2, n)
-            both = gamma.add(gel[c1], gel[c2])
-            add[e1][e2] = gamma.index(gamma.add(both, g[a1][a2])) * n + brace.add[a1][a2]
-            circle[e1][e2] = (
-                gamma.index(gamma.add(both, f[a1][a2])) * n + brace.circle[a1][a2]
-            )
+    add = _deformed_table(gamma, n, brace.add, g, carry=True)
+    circle = _deformed_table(gamma, n, brace.circle, f, carry=True)
     total = Brace(order, add, circle)
     require_valid_brace(total)
     return _canonical_triple(gamma, brace, total, g)
@@ -852,87 +848,50 @@ def _same_setting(c1, c2):
 
 
 def cocycles_cohomologous(c1, c2, normalized: bool = False):
-    """Exhaustive search for a 1-cochain whose coboundary joins c1 to c2.
+    """The least 1-cochain theta whose coboundary joins c1 to c2.
 
-    Reduced flavor: candidates are the additive maps, the coboundary moves
-    only the dot deformation.  Full flavor: candidates are arbitrary maps
-    (normalized: vanishing at 0) and both deformations must match.  Returns
-    (verdict, witness-or-None); the search space |coeffs|^|base| is budget
-    checked.
+    Reduced flavor: theta must be additive and theta(a.b) - theta(b) =
+    c2.f(a, b) - c1.f(a, b).  Full flavor: theta is arbitrary (normalized:
+    theta(0) = 0) and theta(a+b) - theta(a) - theta(b) must match the
+    difference of the addition deformations as well.  Per cyclic factor
+    Z/m this is one linear system A theta = delta: the Howell form of
+    [A^T | I] reduces (-delta, 0) to (0, theta) exactly when a solution
+    exists, and theta is then the lexicographically least one, glued
+    across the factors.  Returns (verdict, theta-or-None); theta lists one
+    coefficient element per base element.
     """
     _same_setting(c1, c2)
     base = c1.base
     gamma = c1.coeffs
     n = base.order
-    check_search(gamma.order**n, "the coboundary search space")
-    add, dot = base.add, base.dot
-    elements = [gamma.element(i) for i in range(gamma.order)]
-    reduced = isinstance(c1, ReducedTwoCocycle)
-    df = tuple(
-        tuple(gamma.sub(c2.f[a][b], c1.f[a][b]) for b in range(n)) for a in range(n)
-    )
-    if not reduced:
-        dg = tuple(
-            tuple(gamma.sub(c2.g[a][b], c1.g[a][b]) for b in range(n))
-            for a in range(n)
+    if isinstance(c1, ReducedTwoCocycle):
+        tables = [(c1.f, c2.f)]
+        system = vstack(
+            [reduced_boundary_matrix(base, 2).transpose(), linearity_rows(base, 1)]
         )
-    for theta in itertools.product(elements, repeat=n):
-        if reduced:
-            if any(
-                theta[add[a][b]] != gamma.add(theta[a], theta[b])
-                for a in range(n)
-                for b in range(n)
-            ):
-                continue
-        elif normalized and theta[base.zero] != gamma.zero:
-            continue
-        if any(
-            df[a][b] != gamma.sub(theta[dot[a][b]], theta[b])
-            for a in range(n)
-            for b in range(n)
-        ):
-            continue
-        if not reduced and any(
-            dg[a][b] != gamma.sub(gamma.sub(theta[add[a][b]], theta[a]), theta[b])
-            for a in range(n)
-            for b in range(n)
-        ):
-            continue
-        return True, theta
-    return False, None
-
-
-def _cohomologous_in_lattice(c1, c2, normalized: bool) -> bool:
-    """Lattice-membership fallback when the direct search is out of budget."""
-    base = c1.base
-    gamma = c1.coeffs
-    n = base.order
-    reduced = isinstance(c1, ReducedTwoCocycle)
-    if reduced:
-        cob = reduced_boundary_matrix(base, 2).transpose()
     else:
-        cob = total_chain_matrix(base, 2).transpose()
+        tables = [(c1.f, c2.f), (c1.g, c2.g)]
+        parts = [total_chain_matrix(base, 2).transpose()]
+        if normalized:
+            parts.append(_degenerate_rows(base, 1))
+        system = vstack(parts)
+    delta = [
+        gamma.sub(y, x)
+        for t1, t2 in tables
+        for r1, r2 in zip(t1, t2)
+        for x, y in zip(r1, r2)
+    ]
+    width = system.rows
+    unit = IntegerMatrix.identity(n).data
+    rows = [col + e for col, e in zip(system.transpose().data, unit)]
+    thetas = []
     for t, m in enumerate(gamma.factors):
-        if reduced:
-            gens = kernel_mod_m(linearity_rows(base, 1), m)
-        elif normalized:
-            gens = kernel_mod_m(_degenerate_rows(base, 1), m)
-        else:
-            gens = IntegerMatrix.identity(n)
-        image = cob @ gens
-        lattice = hstack([image, IntegerMatrix.identity(cob.rows).scaled(m)])
-        diff = [
-            gamma.sub(c2.f[a][b], c1.f[a][b])[t] for a in range(n) for b in range(n)
-        ]
-        if not reduced:
-            diff += [
-                gamma.sub(c2.g[a][b], c1.g[a][b])[t]
-                for a in range(n)
-                for b in range(n)
-            ]
-        if not LatticeTester(lattice).contains(diff):
-            return False
-    return True
+        target = [-d[t] for d in delta] + [0] * (width + n - len(delta))
+        left_and_theta = _HowellForm(rows, m, width + n).reduce(target)
+        if any(left_and_theta[:width]):
+            return False, None
+        thetas.append(left_and_theta[width:])
+    return True, tuple(tuple(theta[a] for theta in thetas) for a in range(n))
 
 
 def extensions_equivalent(t1: ExtensionTriple, t2: ExtensionTriple):
@@ -941,9 +900,8 @@ def extensions_equivalent(t1: ExtensionTriple, t2: ExtensionTriple):
     Normalized sections give normalized cocycle pairs; equivalences are
     exactly the translations x -> iota(theta(pi(x))) + x, so the verdict is
     the cohomologousness of the extracted pairs under normalized 1-cochains.
-    When a witness theta is found the isomorphism is built and verified;
-    past the search budget the verdict falls back to an exact lattice
-    membership test and carries no witness.
+    The witness is the least such theta; the isomorphism it gives is built
+    and verified before it is returned.
     """
     t1 = _as_lcs_triple(t1)
     t2 = _as_lcs_triple(t2)
@@ -955,10 +913,7 @@ def extensions_equivalent(t1: ExtensionTriple, t2: ExtensionTriple):
     s2 = normalized_section(t2)
     c1 = extract_cocycle(t1, "full", s1)
     c2 = extract_cocycle(t2, "full", s2)
-    try:
-        ok, theta = cocycles_cohomologous(c1, c2, normalized=True)
-    except BudgetError:
-        return _cohomologous_in_lattice(c1, c2, normalized=True), None
+    ok, theta = cocycles_cohomologous(c1, c2, normalized=True)
     if not ok:
         return False, None
     gamma = t1.gamma
@@ -991,37 +946,25 @@ def extensions_equivalent(t1: ExtensionTriple, t2: ExtensionTriple):
 # Classification
 
 
-def _span_mod(gens: IntegerMatrix, m: int, what: str):
-    dim = gens.rows
-    zero = tuple([0] * dim)
-    cols = [
-        tuple(gens.data[r][c] % m for r in range(dim)) for c in range(gens.cols)
-    ]
-    elements = {zero}
+def _class_representatives(z_rows, b_form, width: int):
+    """The lexicographically least element of every coset of B in Z, sorted.
+
+    Walks Z / B from 0, adding each generator of Z and reducing modulo B.
+    """
+    zero = tuple([0] * width)
+    gens = {tuple(b_form.reduce(z)) for z in z_rows} - {zero}
+    seen = {zero}
     frontier = [zero]
     while frontier:
         new = []
         for e in frontier:
-            for g in cols:
-                s = tuple((x + y) % m for x, y in zip(e, g))
-                if s not in elements:
-                    elements.add(s)
+            for g in gens:
+                s = tuple(b_form.reduce([x + y for x, y in zip(e, g)]))
+                if s not in seen:
+                    seen.add(s)
                     new.append(s)
-        check_search(len(elements), what)
         frontier = new
-    return sorted(elements)
-
-
-def _coset_representatives(cocycles, coboundaries, m):
-    reps = set()
-    for z in cocycles:
-        reps.add(
-            min(
-                tuple((x + y) % m for x, y in zip(z, b))
-                for b in coboundaries
-            )
-        )
-    return sorted(reps)
+    return sorted(seen)
 
 
 def _two_cocycle_system(base: LinearCycleSet, flavor: str):
@@ -1045,6 +988,13 @@ def _two_cocycle_system(base: LinearCycleSet, flavor: str):
     return constraints, total_chain_matrix(base, 2).transpose()
 
 
+# Every class materializes two |total|^2 tables and validates them, so the
+# classification is budgeted by class count times |total|^2 table entries.
+# This many basis budgets admit the 4,096 classes of order 32 of the
+# trivial structure on Z/2+Z/2 over Z/2+Z/4 (about 4.2 million entries).
+_CLASS_TABLE_FACTOR = 256
+
+
 @dataclass
 class ClassifiedExtension:
     class_index: int
@@ -1062,28 +1012,39 @@ class ClassifiedExtension:
 def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
     """One representative extension per second-cohomology class.
 
-    flavor "cycle-type" walks reduced cocycles modulo coboundaries of
-    additive 1-cochains; flavor "general" walks normalized full pairs
+    flavor "cycle-type" takes reduced cocycles Z modulo coboundaries B of
+    additive 1-cochains; flavor "general" takes normalized full pairs
     modulo coboundaries of normalized 1-cochains.  Work is done per cyclic
-    coefficient factor and assembled by products, so the class list is
-    deterministic: per-factor representatives ascend lexicographically.
+    coefficient factor Z/m: the Howell form of B gives each coset of Z / B
+    its lexicographically least element, and a walk from 0 along the
+    generators of Z reaches every coset.  The class count |Z| / |B| is read
+    off the pivots and budgeted before any triple is built.  Factors are
+    assembled by products, so the class list is deterministic: per-factor
+    representatives ascend lexicographically.
     """
     if flavor not in ("cycle-type", "general"):
         raise ParameterError(f"unknown classification flavor {flavor!r}")
     require_valid_lcs(base)
     n = base.order
     constraints, cob = _two_cocycle_system(base, flavor)
-    per_factor = []
+    if flavor == "cycle-type":
+        theta_rows = linearity_rows(base, 1)
+    else:
+        theta_rows = _degenerate_rows(base, 1)
+    factors = []
+    count = 1
     for m in gamma.factors:
-        z_gens = kernel_mod_m(constraints, m)
-        if flavor == "cycle-type":
-            theta_gens = kernel_mod_m(linearity_rows(base, 1), m)
-        else:
-            theta_gens = kernel_mod_m(_degenerate_rows(base, 1), m)
-        b_cols = cob @ theta_gens
-        cocycles = _span_mod(z_gens, m, "the cocycle group enumeration")
-        coboundaries = _span_mod(b_cols, m, "the coboundary group enumeration")
-        per_factor.append(_coset_representatives(cocycles, coboundaries, m))
+        z_rows = kernel_mod_m(constraints, m).transpose().data
+        b_rows = (cob @ kernel_mod_m(theta_rows, m)).transpose().data
+        b_form = _HowellForm(b_rows, m, cob.rows)
+        count *= _HowellForm(z_rows, m, cob.rows).order // b_form.order
+        factors.append((z_rows, b_form))
+    check_basis(
+        count * (gamma.order * n) ** 2,
+        "the classification's total-structure tables",
+        factor=_CLASS_TABLE_FACTOR,
+    )
+    per_factor = [_class_representatives(z, b, cob.rows) for z, b in factors]
     width = len(gamma.factors)
     out = []
     for idx, combo in enumerate(itertools.product(*per_factor)):

@@ -8,6 +8,11 @@ with entries below p^e decides ranks, kernels and orders of subgroups.
 Quotients K / B come from the orders of p^i K + B.  No floating point is
 used anywhere.
 
+Where an answer must be the lexicographically least element of a coset,
+as for equivalence witnesses and class representatives of extensions, a
+Howell form over Z/m itself does the work: lexicographic order does not
+survive a split of Z/m into its prime powers.
+
 The dense integer Smith normal form stays for the two integer-lattice
 questions: membership tests (`LatticeTester`) and one particular
 solution of a linear system mod m (`solve_mod`).
@@ -16,6 +21,7 @@ solution of a linear system mod m (`solve_mod`).
 import heapq
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 
 from .abelian import merge_invariants
 from .errors import InvalidModulusError, LatticeError, ShapeError
@@ -522,6 +528,93 @@ def kernel_mod_m(mat: IntegerMatrix, m: int) -> IntegerMatrix:
             for c, x in gen.items():
                 glued[i][c] = (glued[i][c] + lift * x) % m
     return IntegerMatrix.from_columns(n, glued)
+
+
+def _gcdex(a: int, b: int):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _unit_to_gcd(a: int, m: int) -> int:
+    """A unit w of Z/m with w*a == gcd(a, m) (mod m)."""
+    d, s, _t = _gcdex(a, m)
+    step = m // d  # s is a unit mod m/d; some s + k*m/d is one mod m
+    while gcd(s, m) != 1:
+        s += step
+    return s % m
+
+
+class _HowellForm:
+    """The Howell form over Z/m of the span L of some dense rows.
+
+    Column by column, one extended-gcd row operation per pair merges the
+    rows with an entry there into one pivot row, which a unit scales to
+    the pivot d = gcd(entry, m).  The pivot row times m/d is zero in that
+    column and is pushed back into the remaining rows.  That keeps the
+    Howell property: the pivot rows from column c on span exactly the
+    elements of L that vanish before column c.  So `reduce` brings each
+    pivot coordinate into [0, d) in turn and returns the lexicographically
+    least element of vec + L, the same for every vector of the coset.
+
+    Over Z/4 the row (2, 1) spans {0, (2, 1), (0, 2), (2, 3)}; the pushed
+    row 2 * (2, 1) = (0, 2) gives the second pivot.
+
+    >>> form = _HowellForm([[2, 1]], 4, 2)
+    >>> form.pivots, form.order
+    ([(0, [2, 1]), (1, [0, 2])], 4)
+    >>> form.reduce([3, 3]), form.reduce([1, 1])
+    ([1, 0], [1, 1])
+    """
+
+    def __init__(self, rows, m: int, width: int):
+        self.m = m
+        pool = [r for r in ([x % m for x in row] for row in rows) if any(r)]
+        self.pivots = []  # (column, row) with row[column] = d dividing m
+        for col in range(width):
+            live = [r for r in pool if r[col]]
+            if not live:
+                continue
+            pool = [r for r in pool if not r[col]]
+            head = live[0]
+            for row in live[1:]:
+                g, s, t = _gcdex(head[col], row[col])
+                u, v = head[col] // g, row[col] // g
+                head, row = (
+                    [(s * x + t * y) % m for x, y in zip(head, row)],
+                    [(u * y - v * x) % m for x, y in zip(head, row)],
+                )
+                if any(row):
+                    pool.append(row)
+            w = _unit_to_gcd(head[col], m)
+            head = [w * x % m for x in head]
+            spare = [m // head[col] * x % m for x in head]
+            if any(spare):
+                pool.append(spare)
+            self.pivots.append((col, head))
+
+    @property
+    def order(self) -> int:
+        """The order of L: the product of m / d over the pivots d."""
+        out = 1
+        for col, row in self.pivots:
+            out *= self.m // row[col]
+        return out
+
+    def reduce(self, vec):
+        """The lexicographically least element of vec + L, entries in [0, m)."""
+        m = self.m
+        vec = [x % m for x in vec]
+        for col, row in self.pivots:
+            q = vec[col] // row[col]
+            if q:
+                vec = [(x - q * y) % m for x, y in zip(vec, row)]
+        return vec
 
 
 def solve_mod(mat: IntegerMatrix, rhs, m: int):

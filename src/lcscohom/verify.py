@@ -79,6 +79,25 @@ def _small_corpus():
     return out
 
 
+def _cohomologous_by_search(c1, c2) -> bool:
+    """Whether a normalized 1-cochain joins two full pairs, by trying every
+    map; kept apart from the library's linear algebra, so that a count
+    made with it checks classification independently."""
+    base, gamma = c1.base, c1.coeffs
+    n = base.order
+    sub = gamma.sub
+    pairs = list(itertools.product(range(n), repeat=2))
+    for theta in itertools.product(gamma.elements(), repeat=n):
+        if theta[base.zero] == gamma.zero and all(
+            sub(c2.f[a][b], c1.f[a][b]) == sub(theta[base.dot[a][b]], theta[b])
+            and sub(c2.g[a][b], c1.g[a][b])
+            == sub(sub(theta[base.add[a][b]], theta[a]), theta[b])
+            for a, b in pairs
+        ):
+            return True
+    return False
+
+
 def _run(results, name, fn):
     try:
         outcome = fn()
@@ -488,10 +507,7 @@ def verify_paper(seed: int = 0):
             if not (report.valid and report.normalized):
                 continue
             pair = FullTwoCocycle(t2, Z2, f, g)
-            if not any(
-                cocycles_cohomologous(pair, rep, normalized=True)[0]
-                for rep in representatives
-            ):
+            if not any(_cohomologous_by_search(pair, rep) for rep in representatives):
                 representatives.append(pair)
         order_enum = len(representatives)
         order_classify = len(classify_extensions(t2, Z2, "general"))

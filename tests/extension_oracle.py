@@ -1,0 +1,99 @@
+"""Brute-force reference for extension equivalence and classification.
+
+The library decides both by linear algebra over Z/m (a Howell form of
+the coboundary system).  The functions here decide them by enumeration:
+every map from the base to the coefficient group is tried in
+lexicographic order, and every cocycle group and coboundary group is
+listed element by element.  They are exponential and serve only as the
+oracle the tests compare the library against.
+"""
+
+import itertools
+
+from lcscohom.extensions import ReducedTwoCocycle, _two_cocycle_system
+from lcscohom.linalg import IntegerMatrix, kernel_mod_m
+from lcscohom.reduced import _degenerate_rows, linearity_rows
+
+
+def search_theta(c1, c2, normalized: bool = False):
+    """The first 1-cochain, in lexicographic order, joining c1 to c2.
+
+    Reduced flavor: theta additive with theta(a.b) - theta(b) equal to the
+    difference of the dot deformations.  Full flavor: theta arbitrary
+    (normalized: theta(0) = 0), matching both deformations.  Returns
+    (verdict, theta-or-None).
+    """
+    base = c1.base
+    gamma = c1.coeffs
+    n = base.order
+    add, dot = base.add, base.dot
+    reduced = isinstance(c1, ReducedTwoCocycle)
+    df = [[gamma.sub(c2.f[a][b], c1.f[a][b]) for b in range(n)] for a in range(n)]
+    if not reduced:
+        dg = [[gamma.sub(c2.g[a][b], c1.g[a][b]) for b in range(n)] for a in range(n)]
+    pairs = list(itertools.product(range(n), repeat=2))
+    for theta in itertools.product(gamma.elements(), repeat=n):
+        if reduced:
+            if any(theta[add[a][b]] != gamma.add(theta[a], theta[b]) for a, b in pairs):
+                continue
+        elif normalized and theta[base.zero] != gamma.zero:
+            continue
+        if any(df[a][b] != gamma.sub(theta[dot[a][b]], theta[b]) for a, b in pairs):
+            continue
+        if not reduced and any(
+            dg[a][b] != gamma.sub(gamma.sub(theta[add[a][b]], theta[a]), theta[b])
+            for a, b in pairs
+        ):
+            continue
+        return True, theta
+    return False, None
+
+
+def span_mod(gens: IntegerMatrix, m: int):
+    """Every element of the subgroup of (Z/m)^rows spanned by the columns."""
+    dim = gens.rows
+    zero = tuple([0] * dim)
+    cols = [tuple(gens.data[r][c] % m for r in range(dim)) for c in range(gens.cols)]
+    elements = {zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in cols:
+                s = tuple((x + y) % m for x, y in zip(e, g))
+                if s not in elements:
+                    elements.add(s)
+                    new.append(s)
+        frontier = new
+    return sorted(elements)
+
+
+def coset_representatives(cocycles, coboundaries, m: int):
+    """The lexicographically least element of every coset, sorted."""
+    reps = set()
+    for z in cocycles:
+        reps.add(min(tuple((x + y) % m for x, y in zip(z, b)) for b in coboundaries))
+    return sorted(reps)
+
+
+def class_cocycles(base, gamma, flavor: str):
+    """The cocycle tables of the classes, in classification order: f for
+    "cycle-type", (f, g) for "general"."""
+    n = base.order
+    constraints, cob = _two_cocycle_system(base, flavor)
+    theta_rows = linearity_rows(base, 1) if flavor == "cycle-type" else _degenerate_rows(base, 1)
+    per_factor = []
+    for m in gamma.factors:
+        cocycles = span_mod(kernel_mod_m(constraints, m), m)
+        coboundaries = span_mod(cob @ kernel_mod_m(theta_rows, m), m)
+        per_factor.append(coset_representatives(cocycles, coboundaries, m))
+    out = []
+    for combo in itertools.product(*per_factor):
+        def table(offset):
+            return tuple(
+                tuple(tuple(part[offset + a * n + b] for part in combo) for b in range(n))
+                for a in range(n)
+            )
+
+        out.append(table(0) if flavor == "cycle-type" else (table(0), table(n * n)))
+    return out

@@ -359,25 +359,46 @@ def test_equivalence_rejects_mismatched_pairs():
 
 
 def test_budget_fallback():
+    # No search space is budgeted any more: 16^16 candidate maps used to
+    # raise BudgetError, the linear system answers at once.
     big = trivial_lcs(FiniteAbelianGroup((16,)))
     zero16 = [[0] * 16 for _ in range(16)]
     c = ReducedTwoCocycle(big, Z4, zero16)
-    with pytest.raises(BudgetError):
-        cocycles_cohomologous(c, c)
-    # 8^7 candidate translations overflow the search budget, so the
-    # verdict must come from the lattice test and carry no witness
+    assert cocycles_cohomologous(c, c) == (True, ((0,),) * 16)
+    # 8^7 candidate translations: the witness comes with the verdict, and
+    # its coboundary joins the two extracted pairs
     base = trivial_lcs(FiniteAbelianGroup((8,)))
     z8 = FiniteAbelianGroup((8,))
     zero8 = [[0] * 8 for _ in range(8)]
+    shift = [0, 3, 5, 1, 7, 2, 2, 6]
+    f = [[(shift[base.dot[a][b]] - shift[b]) % 8 for b in range(8)] for a in range(8)]
+    g = [[(shift[base.add[a][b]] - shift[a] - shift[b]) % 8 for b in range(8)] for a in range(8)]
     t1 = build_extension_reduced(z8, base, zero8)
-    t2 = build_extension_reduced(z8, base, zero8)
+    t2 = build_extension_full(z8, base, f, g)
     ok, witness = extensions_equivalent(t1, t2)
     assert ok
-    assert witness is None
+    theta = [x for (x,) in witness["theta"]]
+    c1 = extract_cocycle(t1, "full", normalized_section(t1))
+    c2 = extract_cocycle(t2, "full", normalized_section(t2))
+    assert theta[base.zero] == 0
+    for a in range(8):
+        for b in range(8):
+            df = (c2.f[a][b][0] - c1.f[a][b][0]) % 8
+            dg = (c2.g[a][b][0] - c1.g[a][b][0]) % 8
+            assert df == (theta[base.dot[a][b]] - theta[b]) % 8
+            assert dg == (theta[base.add[a][b]] - theta[a] - theta[b]) % 8
 
 
 # ---------------------------------------------------------------------------
 # Classification
+
+
+def test_classify_budgets_class_count_first():
+    # 65,536 classes of order 64: the count comes off the Howell pivots
+    # and is refused before any class is enumerated or built
+    base = trivial_lcs(FiniteAbelianGroup((2, 2)))
+    with pytest.raises(BudgetError, match="16777216"):
+        classify_extensions(base, FiniteAbelianGroup((4, 4)), "general")
 
 
 def test_classify_counts_match_cohomology():

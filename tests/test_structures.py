@@ -222,6 +222,19 @@ def test_load_rejects_bad_json(tmp_path):
         load_structure(path)
 
 
+def test_save_over_larger_file_leaves_only_new_json(tmp_path):
+    path = tmp_path / "s.json"
+    save_structure(builtin_structure("trivial(6)"), path)
+    big = path.stat().st_size
+    small = builtin_structure("z4-lcs")
+    save_structure(small, path)
+    fresh = tmp_path / "fresh.json"
+    save_structure(small, fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_size < big
+    assert structure_to_dict(load_structure(path)) == structure_to_dict(small)
+
+
 def test_save_is_deterministic(tmp_path):
     s = builtin_structure("z4-lcs")
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
