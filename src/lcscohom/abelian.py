@@ -124,7 +124,12 @@ def parse_group_spec(text: str) -> FiniteAbelianGroup:
         match = _FACTOR_RE.match(part)
         if not match:
             raise UnsupportedCoefficientsError(f"malformed coefficient factor {part!r}")
-        m = int(match.group(1))
+        try:
+            m = int(match.group(1))
+        except ValueError:  # more digits than int() converts
+            raise UnsupportedCoefficientsError(
+                f"cyclic factor modulus has {len(match.group(1))} digits, too many"
+            ) from None
         if m < 2:
             raise UnsupportedCoefficientsError(f"cyclic factor Z/{m} is not supported")
         factors.append(m)

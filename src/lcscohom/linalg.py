@@ -24,7 +24,7 @@ from itertools import compress
 from math import gcd
 
 from .abelian import merge_invariants
-from .errors import InvalidModulusError, LatticeError, ShapeError
+from .errors import BudgetError, InvalidModulusError, LatticeError, ShapeError
 
 __all__ = [
     "IntegerMatrix",
@@ -330,21 +330,101 @@ def _check_modulus(m: int):
         raise InvalidModulusError(f"modulus must be an integer >= 2, got {m!r}")
 
 
+# Trial division runs below this bound; a cofactor left over is split by
+# Pollard's rho and proved prime by Miller-Rabin.
+_TRIAL_BOUND = 1000
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+# Rho budget per cofactor, over all restarts, in iterations times the
+# square of the cofactor's size in 128-bit words (about the cost of one
+# product).  Rho needs about sqrt(p) iterations to split off a prime p,
+# so a cofactor below 2^128 reaches p near 2^36.  A cofactor it cannot
+# split costs at most about 0.2 s on a 2 GHz core, whatever its size.
+_RHO_STEPS = 1 << 18
+_RHO_BATCH = 64
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin, exact for _TRIAL_BOUND < n < _MILLER_RABIN_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int):
+    """A proper factor of n by Pollard's rho with Floyd cycle finding and
+    batched gcds, or None when the _RHO_STEPS budget finds none."""
+    budget = _RHO_STEPS // (n.bit_length() // 128 + 1) ** 2
+    steps = 0
+    c = 0
+    while steps < budget:
+        c += 1
+        x = y = 2
+        g = 1
+        while g == 1 and steps < budget:
+            start, q = (x, y), 1
+            for _ in range(_RHO_BATCH):
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            steps += _RHO_BATCH
+            g = gcd(q, n)
+        if g == n:
+            # The batch overshot: replay it one gcd at a time.
+            x, y = start
+            g = 1
+            while g == 1:
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+        if 1 < g < n:
+            return g
+    return None
+
+
 def _prime_powers(m: int):
-    """The (p, e) pairs of the factorization m = product of p**e."""
-    out = []
+    """The (p, e) pairs of the factorization m = product of p**e, p ascending.
+
+    Raises BudgetError when m has a factor that neither splits within the
+    rho budget nor is small enough for Miller-Rabin to prove prime.
+    """
+    found = {}
     p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
+    while p < _TRIAL_BOUND and p * p <= m:
+        while m % p == 0:
+            m //= p
+            found[p] = found.get(p, 0) + 1
         p += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
+    pending = [m] if m > 1 else []
+    while pending:
+        q = pending.pop()
+        if q < _TRIAL_BOUND**2 or (q < _MILLER_RABIN_LIMIT and _is_prime(q)):
+            found[q] = found.get(q, 0) + 1
+            continue
+        d = _rho_factor(q)
+        if d is None:
+            raise BudgetError(
+                f"cannot factor the modulus exactly: its factor {q} neither"
+                " splits within the search budget nor is small enough to prove prime"
+            )
+        pending += [d, q // d]
+    return tuple(sorted(found.items()))
 
 
 def _sparse_columns(mat: IntegerMatrix):

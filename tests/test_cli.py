@@ -5,6 +5,7 @@ verified claims, 1 for failed verification, 2 for unusable input.
 """
 
 import json
+import time
 
 import pytest
 
@@ -412,3 +413,32 @@ def test_verify_battery_text(capsys):
     lines = out.strip().split("\n")
     assert lines[-1].endswith("claims verified")
     assert all(line.startswith("ok") for line in lines[:-1])
+
+
+@pytest.mark.parametrize(
+    "modulus, code",
+    [
+        (2**61 - 1, 0),  # a large prime
+        ((2**31 - 1) * (2**61 - 1), 0),  # a large semiprime that factors
+        (1099511627689 * 1099511627791, 2),  # a semiprime past the budget
+    ],
+)
+def test_large_moduli_finish_quickly(capsys, modulus, code):
+    start = time.perf_counter()
+    got, out, err = run(
+        capsys, "cohomology", "builtin:z4-lcs", "--coeff", f"Z/{modulus}", "--degree", "2"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["invariants"] == []
+    else:
+        assert json.loads(err)["kind"] == "BudgetError"
+
+
+def test_modulus_past_the_digit_limit(capsys):
+    code, _, err = run(
+        capsys, "cohomology", "builtin:z4-lcs", "--coeff", "Z/1" + "0" * 5000, "--degree", "2"
+    )
+    assert code == 2
+    assert json.loads(err)["kind"] == "UnsupportedCoefficientsError"

@@ -34,7 +34,9 @@ EQUIVALENT_COEFFS = ("Z/2", "Z/4", "Z/6", "Z/2+Z/2")
 # Pairs per base, coefficient group and flavor: the first classes only.
 PAIRS = 3
 # The trivial structure on Z/2+Z/2 has 4,096 general classes over Z/2+Z/4,
-# each an order-32 structure validated outright: half a minute on its own.
+# each an order-32 structure validated outright: 7.7 s on its own (one
+# AMD EPYC core, CPython 3.11), 19.4 s when every law was checked one
+# element at a time.
 HEAVY = ("Z/2+Z/4", "general", 3)
 
 

@@ -13,9 +13,10 @@ import random
 import pytest
 
 from lattice_oracle import integer_kernel, lattice_quotient_invariants, solution_lattice_mod
-from lcscohom.errors import InvalidModulusError, LatticeError, ShapeError
+from lcscohom.errors import BudgetError, InvalidModulusError, LatticeError, ShapeError
 from lcscohom.linalg import (
     IntegerMatrix,
+    _prime_powers,
     LatticeTester,
     hstack,
     kernel_mod_m,
@@ -299,3 +300,52 @@ def test_stacking():
 def test_modulus_guard():
     with pytest.raises(InvalidModulusError):
         kernel_mod_m(IntegerMatrix.identity(2), 1)
+
+
+def _trial_division(m):
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
+
+
+def test_prime_powers_match_trial_division():
+    rng = random.Random(4)
+    moduli = list(range(2, 3000)) + [rng.randrange(2, 10**9) for _ in range(200)]
+    moduli += [999983**2, 999983 * 1000003, 2**4 * 1000003**3]
+    for m in moduli:
+        assert _prime_powers(m) == _trial_division(m), m
+
+
+M61 = 2**61 - 1  # prime
+M31 = 2**31 - 1  # prime
+
+
+def test_prime_powers_of_large_moduli():
+    assert _prime_powers(M61) == ((M61, 1),)
+    assert _prime_powers(M31 * M61) == ((M31, 1), (M61, 1))
+    assert _prime_powers(12 * M31**2 * M61) == ((2, 2), (3, 1), (M31, 2), (M61, 1))
+    # Two primes near 2^36: split within the rho budget.
+    assert _prime_powers(68719476731 * 68719476767) == ((68719476731, 1), (68719476767, 1))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        2**89 - 1,  # prime, but past the exact Miller-Rabin bound
+        1099511627689 * 1099511627791,  # two primes near 2^40: past the rho budget
+        M61 * (2**89 - 1),
+    ],
+)
+def test_prime_powers_refuse_what_they_cannot_factor_exactly(m):
+    with pytest.raises(BudgetError):
+        _prime_powers(m)
