@@ -19,21 +19,16 @@ differential restricted to block (i, j) is dh + (-1)^i dv.
 import itertools
 from dataclasses import dataclass, field
 
-from .abelian import FiniteAbelianGroup, merge_invariants
+from .abelian import FiniteAbelianGroup
 from .budget import check_basis
 from .errors import DegreeError, ParameterError
-from .linalg import (
-    IntegerMatrix,
-    LatticeTester,
-    hstack,
-    kernel_mod_m,
-    subquotient_invariants,
-    vstack,
-)
+from .linalg import IntegerMatrix, LatticeTester, kernel_mod_m, vstack
 from .reduced import (
+    _cohomology,
     _degenerate_rows,
     _drop,
     _face_matrix,
+    _face_rows,
     _horizontal_faces,
     _merge,
     _permute,
@@ -120,14 +115,21 @@ def shuffle_rows(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
     if j < 2:
         return IntegerMatrix.zeros(0, size)
     check_basis(size, f"the degree-{i + j} tuple basis")
-    data = []
-    for r in range(1, j):
-        faces = [
+    data = []  # one shuffle type at a time: no matrix and its transpose at full size
+    for faces in _shuffle_faces(i, j):
+        data += _face_matrix(n, i + j, [faces], all_tuples(n, i + j)).transpose().data
+    return IntegerMatrix(len(data), size, data)
+
+
+def _shuffle_faces(i: int, j: int):
+    """One face list per shuffle type (r, j - r) of the last j coordinates."""
+    return [
+        [
             (sign, _permute(tuple(range(i)) + tuple(i + q for q in inverse)))
             for sign, inverse in shuffle_permutations(r, j)
         ]
-        data += _face_matrix(n, i + j, faces, degree=i + j).transpose().data
-    return IntegerMatrix(len(data), size, data)
+        for r in range(1, j)
+    ]
 
 
 def dh_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
@@ -137,7 +139,7 @@ def dh_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
     n = structure.order
     k = i + j
     check_basis(n**k, f"the degree-{k} tuple basis")
-    return _face_matrix(n, k, _horizontal_faces(structure, i))
+    return _face_matrix(n, k, [_horizontal_faces(structure, i)], all_tuples(n, k - 1))
 
 
 def dv_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
@@ -147,11 +149,14 @@ def dv_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
     n = structure.order
     k = i + j
     check_basis(n**k, f"the degree-{k} tuple basis")
-    add = structure.add
+    return _face_matrix(n, k, [_vertical_faces(structure, i, j)], all_tuples(n, k - 1))
+
+
+def _vertical_faces(structure: LinearCycleSet, i: int, j: int):
     faces = [(-1, _drop(i))]
-    faces += [((-1) ** (offset + 1), _merge(add, i + offset)) for offset in range(1, j)]
-    faces.append(((-1) ** (j - 1), _drop(k - 1)))
-    return _face_matrix(n, k, faces)
+    faces += [((-1) ** (offset + 1), _merge(structure.add, i + offset)) for offset in range(1, j)]
+    faces.append(((-1) ** (j - 1), _drop(i + j - 1)))
+    return faces
 
 
 def total_blocks(n: int):
@@ -159,6 +164,30 @@ def total_blocks(n: int):
     if not isinstance(n, int) or n < 1:
         raise DegreeError(f"total degree must be an integer >= 1, got {n!r}")
     return [(i, n - i) for i in range(n - 1, -1, -1)]
+
+
+def _into(block, face):
+    return lambda t: (block, face(t))
+
+
+def _total_faces(structure: LinearCycleSet, n: int):
+    """One face list per source block of the degree-n total boundary: dh
+    into (i-1, j) and (-1)^i dv into (i, j-1), on (block, tuple) keys."""
+    out = []
+    for i, j in total_blocks(n):
+        faces = []
+        if i >= 1:
+            faces += [(s, _into((i - 1, j), f)) for s, f in _horizontal_faces(structure, i)]
+        if j >= 2:
+            vertical = _vertical_faces(structure, i, j)
+            faces += [((-1) ** i * s, _into((i, j - 1), f)) for s, f in vertical]
+        out.append(faces)
+    return out
+
+
+def _total_keys(order: int, n: int):
+    """The (block, tuple) coordinates of total degree n, in matrix order."""
+    return [(b, t) for b in total_blocks(n) for t in all_tuples(order, n)]
 
 
 def total_chain_matrix(structure: LinearCycleSet, n: int) -> IntegerMatrix:
@@ -169,22 +198,11 @@ def total_chain_matrix(structure: LinearCycleSet, n: int) -> IntegerMatrix:
     the zero map into nothing.
     """
     order = structure.order
-    src = total_blocks(n)
     size_src = order**n
-    check_basis(len(src) * size_src, f"the total degree-{n} basis", factor=3)
+    check_basis(len(total_blocks(n)) * size_src, f"the total degree-{n} basis", factor=3)
     if n == 1:
         return IntegerMatrix.zeros(0, size_src)
-    zero = IntegerMatrix.zeros(order ** (n - 1), size_src)
-
-    def block(target, i, j):
-        if (i - 1, j) == target:
-            return dh_matrix(structure, i, j)
-        if (i, j - 1) == target:
-            dv = dv_matrix(structure, i, j)
-            return dv.scaled(-1) if i % 2 else dv
-        return zero
-
-    return vstack([hstack([block(t, i, j) for i, j in src]) for t in total_blocks(n - 1)])
+    return _face_matrix(order, n, _total_faces(structure, n), _total_keys(order, n - 1))
 
 
 def block_cochain_generators(
@@ -209,22 +227,6 @@ def block_cochain_generators(
     return kernel_mod_m(constraints, m)
 
 
-def _block_diagonal(mats):
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    data = [[0] * cols for _ in range(rows)]
-    roff = coff = 0
-    for m in mats:
-        for rr in range(m.rows):
-            row = data[roff + rr]
-            src = m.data[rr]
-            for cc in range(m.cols):
-                row[coff + cc] = src[cc]
-        roff += m.rows
-        coff += m.cols
-    return IntegerMatrix(rows, cols, data)
-
-
 def full_cohomology(
     structure: LinearCycleSet,
     coeffs: FiniteAbelianGroup,
@@ -242,25 +244,29 @@ def full_cohomology(
         raise DegreeError(f"degree must be an integer >= 1, got {degree!r}")
     n = structure.order
     check_basis((degree + 1) * n ** (degree + 1), f"the total degree-{degree + 1} basis", factor=3)
-    d_out = total_chain_matrix(structure, degree + 1).transpose()
-    d_in_free = total_chain_matrix(structure, degree).transpose() if degree >= 2 else None
-    parts = []
-    for m in coeffs.factors:
-        gens = _block_diagonal(
-            [block_cochain_generators(structure, i, j, m, normalized) for i, j in total_blocks(degree)]
-        )
-        if degree >= 2:
-            prev = _block_diagonal(
-                [
-                    block_cochain_generators(structure, i, j, m, normalized)
-                    for i, j in total_blocks(degree - 1)
-                ]
-            )
-            d_in = d_in_free @ prev
-        else:
-            d_in = IntegerMatrix.zeros(n**degree, 0)
-        parts.append(subquotient_invariants(d_out, d_in, gens, m))
-    return merge_invariants(*parts)
+
+    def shuffles(d):
+        blocks = [(b, faces) for b in total_blocks(d) for faces in _shuffle_faces(*b)]
+        return [[(s, _into(b, f)) for s, f in faces] for b, faces in blocks]
+
+    def degenerate(keys):
+        return {x for x, (_block, t) in enumerate(keys) if structure.zero in t}
+
+    keys = _total_keys(n, degree)
+    total = _total_faces(structure, degree + 1)
+    cocycles = _face_rows(n, degree + 1, total, keys)
+    width = len(total) * n ** (degree + 1)
+    for row, more in zip(cocycles, _face_rows(n, degree, shuffles(degree), keys, width)):
+        row.update(more)
+    constraints = coboundaries = dead = dead_below = ()
+    if degree >= 2:
+        below = _total_keys(n, degree - 1)
+        constraints = _face_rows(n, degree - 1, shuffles(degree - 1), below)
+        coboundaries = _face_rows(n, degree, _total_faces(structure, degree), below)
+    if normalized:
+        dead = degenerate(keys)
+        dead_below = degenerate(below) if degree >= 2 else ()
+    return _cohomology(coeffs, cocycles, constraints, coboundaries, dead, dead_below)
 
 
 # ---------------------------------------------------------------------------

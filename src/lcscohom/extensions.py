@@ -33,7 +33,13 @@ from .errors import (
     ShapeError,
 )
 from .linalg import IntegerMatrix, _HowellForm, hstack, kernel_mod_m, solve_mod, vstack
-from .reduced import _degenerate_rows, linearity_rows, reduced_boundary_matrix
+from .reduced import (
+    _degenerate_rows,
+    _file_coeffs,
+    _file_values,
+    linearity_rows,
+    reduced_boundary_matrix,
+)
 from .structures import (
     Brace,
     LinearCycleSet,
@@ -309,22 +315,7 @@ def two_cocycle_from_dict(data, base: LinearCycleSet, coeffs=None, flavor="reduc
     """
     if flavor not in ("reduced", "full"):
         raise ParameterError(f"unknown cocycle flavor {flavor!r}")
-    if not isinstance(data, dict):
-        raise MalformedTableError("cocycle file must be a JSON object")
-    extra = set(data) - {"degree", "coeff", "values"}
-    if extra:
-        raise MalformedTableError(f"unknown keys in cocycle file: {sorted(extra)}")
-    if "coeff" in data:
-        if not isinstance(data["coeff"], str):
-            raise MalformedTableError("cocycle coeff must be a group spec string")
-        declared = parse_group_spec(data["coeff"])
-        if coeffs is not None and declared != coeffs:
-            raise MalformedTableError(
-                f"cocycle file declares coefficients {declared}, expected {coeffs}"
-            )
-        coeffs = declared
-    if coeffs is None:
-        raise MalformedTableError("cocycle file lacks a coeff key and none was supplied")
+    coeffs = _file_coeffs(data, coeffs, "cocycle")
     if data.get("degree") != 2:
         raise MalformedTableError("cocycle files must have degree 2")
     n = base.order
@@ -335,21 +326,7 @@ def two_cocycle_from_dict(data, base: LinearCycleSet, coeffs=None, flavor="reduc
             f"a {flavor} cocycle over an order-{n} structure needs "
             f"{blocks * n * n} values"
         )
-    width = len(coeffs.factors)
-    flat = []
-    for v in raw:
-        if isinstance(v, int) and not isinstance(v, bool) and width == 1:
-            flat.append((v,))
-        elif (
-            isinstance(v, list)
-            and len(v) == width
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
-        ):
-            flat.append(tuple(v))
-        else:
-            raise MalformedTableError(
-                f"cocycle values must be ints (single factor) or lists of {width} ints"
-            )
+    flat = _file_values(raw, coeffs, "cocycle")
     def table(block):
         off = block * n * n
         return tuple(
@@ -472,6 +449,11 @@ def _checked_triple(gamma, base: LinearCycleSet, f, g) -> ExtensionTriple:
     return _canonical_triple(gamma, base, total, g)
 
 
+def _in_setting(cocycle, base, gamma):
+    if cocycle.base != base or cocycle.coeffs != gamma:
+        raise ParameterError("cocycle lives over a different structure or coefficient group")
+
+
 def build_extension_reduced(gamma, base: LinearCycleSet, f) -> ExtensionTriple:
     """Central cycle-type extension: direct-sum addition, deformed dot.
 
@@ -482,13 +464,8 @@ def build_extension_reduced(gamma, base: LinearCycleSet, f) -> ExtensionTriple:
     require_valid_lcs(base)
     if not isinstance(f, ReducedTwoCocycle):
         f = ReducedTwoCocycle(base, gamma, f)
-    n = base.order
-    return _checked_triple(
-        gamma,
-        base,
-        _as_table(gamma, n, f.f, "dot deformation"),
-        _as_table(gamma, n, None, "zero"),
-    )
+    _in_setting(f, base, gamma)
+    return _checked_triple(gamma, base, f.f, _as_table(gamma, base.order, None, "zero"))
 
 
 def build_extension_full(gamma, base: LinearCycleSet, f, g) -> ExtensionTriple:
@@ -502,13 +479,8 @@ def build_extension_full(gamma, base: LinearCycleSet, f, g) -> ExtensionTriple:
     require_valid_lcs(base)
     if not isinstance(f, FullTwoCocycle):
         f = FullTwoCocycle(base, gamma, f, g)
-    n = base.order
-    return _checked_triple(
-        gamma,
-        base,
-        _as_table(gamma, n, f.f, "dot deformation"),
-        _as_table(gamma, n, f.g, "addition deformation"),
-    )
+    _in_setting(f, base, gamma)
+    return _checked_triple(gamma, base, f.f, f.g)
 
 
 def translate_to_lcs_pair(gamma, brace: Brace, f, g=None):
@@ -565,12 +537,8 @@ def build_brace_extension(
     require_valid_brace(brace)
     n = brace.order
     f = _as_table(gamma, n, f, "circle deformation")
-    g = _as_table(gamma, n, g, "addition deformation")
+    fbar, g = translate_to_lcs_pair(gamma, brace, f, g)
     lcs = brace_to_lcs(brace)
-    fbar = tuple(
-        tuple(gamma.sub(g[a][b], f[a][lcs.dot[a][b]]) for b in range(n))
-        for a in range(n)
-    )
     if reduced:
         zero = gamma.zero
         if any(v != zero for row in g for v in row):

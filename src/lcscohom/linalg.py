@@ -5,8 +5,10 @@ coefficients.  Z/m splits by the Chinese remainder theorem into local
 rings Z/p^e, and over Z/p^e a pivot of least p-valuation divides every
 entry left, so a single elimination pass on sparse {column: entry} rows
 with entries below p^e decides ranks, kernels and orders of subgroups.
-Quotients K / B come from the orders of p^i K + B.  No floating point is
-used anywhere.
+Every (co)homology group is one call of `_subquotient_mod`: its cycles K
+and boundaries B are each the tags of the vanishing combinations of
+sparse rows, read off one tagged elimination, and K / B comes from the
+orders of p^i K + B.  No floating point is used anywhere.
 
 Where an answer must be the lexicographically least element of a coset,
 as for equivalence witnesses and class representatives of extensions, a
@@ -33,7 +35,6 @@ __all__ = [
     "kernel_mod_m",
     "solve_mod",
     "LatticeTester",
-    "subquotient_invariants",
     "hstack",
     "vstack",
 ]
@@ -567,16 +568,37 @@ def _quotient_invariants(k_gens, b_gens, p: int, e: int):
     return [p**t for t in range(1, e + 1) for _ in range(above[t - 1] - above[t])]
 
 
-def _subquotient_mod(rows, tags, bound, m: int):
-    """Invariant factors over Z/m of K / B, where K is generated by the
-    combinations of `tags` whose matching combination of `rows` vanishes
-    and B by `bound`; all three are lists of integer {index: entry} dicts.
-    The work splits over the prime powers of m."""
+def _subquotient_mod(k_rows, k_tags, b_rows, b_tags, m: int):
+    """Invariant factors over Z/m of K / B for two tagged systems.
+
+    K is generated by the combinations of `k_tags` whose matching
+    combination of `k_rows` vanishes mod m, and B likewise by `b_tags` and
+    `b_rows`; all four are lists of integer {index: entry} dicts, and B
+    must lie in K (LatticeError otherwise).  Empty rows put their tags in
+    the kernel outright, so an explicit B is passed as empty rows tagged
+    with its generators.  The work splits over the prime powers of m,
+    with one tagged elimination for K and one for B each.
+
+    On two coordinates over Z/4, K = {x : x_0 + x_1 = 0} is cyclic of
+    order 4, and B = <(2, 2)> lies in it:
+
+    >>> k_rows, k_tags = [{0: 1}, {0: 1}], [{0: 1}, {1: 1}]
+    >>> _subquotient_mod(k_rows, k_tags, [{}], [{0: 2, 1: 2}], 4)
+    [2]
+    >>> _subquotient_mod(k_rows, k_tags, [], [], 4)
+    [4]
+    >>> _subquotient_mod(k_rows, k_tags, [{}], [{0: 1}], 4)
+    Traceback (most recent call last):
+    lcscohom.errors.LatticeError: generators are not contained in the enclosing subgroup
+    """
     parts = []
     for p, e in _prime_powers(m):
         q = p**e
-        k_gens = _kernel_tags([_mod(r, q) for r in rows], [_mod(t, q) for t in tags], p, e)
-        parts.append(_quotient_invariants(k_gens, [_mod(b, q) for b in bound], p, e))
+
+        def kernel(rows, tags):
+            return _kernel_tags([_mod(r, q) for r in rows], [_mod(t, q) for t in tags], p, e)
+
+        parts.append(_quotient_invariants(kernel(k_rows, k_tags), kernel(b_rows, b_tags), p, e))
     return merge_invariants(*parts)
 
 
@@ -752,42 +774,3 @@ class LatticeTester:
         if mat.rows != self.ambient:
             raise ShapeError("vectors do not live in the lattice's ambient space")
         return all(self._divisible(i, row) for i, row in enumerate((self._u @ mat).data))
-
-
-def subquotient_invariants(
-    d_out: IntegerMatrix,
-    d_in: IntegerMatrix,
-    generators: IntegerMatrix,
-    m: int,
-):
-    """Invariant factors of (ker d_out intersected with G) / im d_in over Z/m.
-
-    G is the subgroup of (Z/m)^N generated by the columns of `generators`;
-    the image of d_in must lie in that kernel for the quotient to exist,
-    otherwise LatticeError is raised.  The kernel is read off one tagged
-    elimination of the images d_out @ g, each carrying its generator g.
-
-    >>> d_out = IntegerMatrix.from_rows([[1, 1]])
-    >>> z = IntegerMatrix.zeros(2, 0)
-    >>> subquotient_invariants(d_out, z, IntegerMatrix.identity(2), 2)
-    [2]
-    """
-    _check_modulus(m)
-    n = generators.rows
-    if d_in.rows not in (0, n):
-        raise ShapeError("boundary-in matrix does not land in the generators' space")
-    if n == 0:
-        return []
-    if d_out.rows and d_out.cols != n:
-        raise ShapeError("constraint matrix does not act on the generators' space")
-    out_cols = _sparse_columns(d_out) if d_out.rows else [{}] * n
-    gens = _sparse_columns(generators)
-    images = []
-    for g in gens:
-        image = {}
-        for c, x in g.items():
-            for r, y in out_cols[c].items():
-                image[r] = image.get(r, 0) + x * y
-        images.append(image)
-    bound = _sparse_columns(d_in) if d_in.rows else []
-    return _subquotient_mod(images, gens, bound, m)

@@ -8,10 +8,12 @@ matrix of the degree-k coboundary is the transpose of the degree-(k+1)
 boundary matrix.
 
 Degree-k bases grow as |A|^k, so everything checks the basis budget
-before materializing matrices.  Every boundary, linearity and permutation
-matrix here and in the bicomplex is one signed list of face maps on tuples
-(act by the dot operation, merge by +, drop or permute coordinates) handed
-to the single builder `_face_matrix`.
+before materializing matrices.  Every boundary, linearity, shuffle and
+permutation operator here and in the bicomplex is a signed list of face
+maps on tuples (act by the dot operation, merge by +, drop or permute
+coordinates) per block of source tuples, built by `_face_rows`.  Its
+sparse rows are all that any (co)homology group is reduced from; its
+dense view gives the public matrices.
 
 The boundary of a tuple (a_1, ..., a_k) is
 
@@ -28,6 +30,7 @@ with the degree-1 boundary zero.  The unconstrained companion complex
 """
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
@@ -41,10 +44,8 @@ from .errors import (
 from .linalg import (
     IntegerMatrix,
     LatticeTester,
-    _sparse_columns,
     _subquotient_mod,
     kernel_mod_m,
-    subquotient_invariants,
     vstack,
 )
 from .structures import LinearCycleSet, require_valid_lcs
@@ -86,20 +87,52 @@ def _check_degree(k: int):
         raise DegreeError(f"degree must be an integer >= 1, got {k!r}")
 
 
-def _face_matrix(n: int, k: int, faces, degree=None) -> IntegerMatrix:
-    """Matrix of a signed sum of face maps on the free module over k-tuples.
+def _face_matrix(n: int, k: int, blocks, targets) -> IntegerMatrix:
+    """The dense view of `_face_rows`, for the public API."""
+    cols = len(blocks) * n**k
+    data = _face_rows(n, k, blocks, targets, width=cols)
+    return IntegerMatrix(len(data), cols, data)
 
-    Each face is a (sign, tuple -> tuple) pair; columns are the k-tuples
-    and rows the tuples of the faces' degree (k - 1 unless given), both in
-    lexicographic order, and coinciding terms accumulate.
+
+def _face_rows(n: int, k: int, blocks, targets, start: int = 0, width=None):
+    """Rows of signed sums of face maps, one sum per block of columns.
+
+    Each block is a list of (sign, face) pairs applied to every k-tuple in
+    lexicographic order, and the blocks' columns follow one another from
+    `start`.  A face sends a tuple to a row key; `targets` lists the row
+    keys in row order, and coinciding terms accumulate.  Rows are sparse
+    {column: entry} dicts, or lists of `width` entries when it is given.
+    Row r of the boundary of degree k + 1 is column r of the coboundary of
+    degree k, so sparse rows are the functionals that cochain computations
+    eliminate.
     """
-    degree = k - 1 if degree is None else degree
-    index = {t: i for i, t in enumerate(all_tuples(n, degree))}
-    data = [[0] * n**k for _ in range(n**degree)]
-    for col, t in enumerate(all_tuples(n, k)):
-        for sign, face in faces:
-            data[index[face(t)]][col] += sign
-    return IntegerMatrix(n**degree, n**k, data)
+    index = {key: r for r, key in enumerate(targets)}
+    rows = [defaultdict(int) if width is None else [0] * width for _ in index]
+    col = start
+    for faces in blocks:
+        for t in all_tuples(n, k):
+            for sign, face in faces:
+                rows[index[face(t)]][col] += sign
+            col += 1
+    return rows
+
+
+def _cohomology(coeffs, cocycles, constraints, coboundaries, dead=(), dead_below=()):
+    """Invariant factors of ker delta_k / delta(C^(k-1)) on constrained cochains.
+
+    `cocycles[x]` is column x of the constraints and delta_k side by side,
+    so the identity tags of its kernel span the cocycles.  Column y of the
+    constraints one degree below, tagged with column y of delta_(k-1),
+    gives a kernel whose tags span the coboundaries.  Coordinates in `dead`
+    and `dead_below` are forced to zero, so their columns are left out.
+    """
+    live = [x for x in range(len(cocycles)) if x not in dead]
+    below = [y for y in range(len(constraints)) if y not in dead_below]
+    k_rows, k_tags = [cocycles[x] for x in live], [{x: 1} for x in live]
+    b_rows, b_tags = [constraints[y] for y in below], [coboundaries[y] for y in below]
+    return merge_invariants(
+        *(_subquotient_mod(k_rows, k_tags, b_rows, b_tags, m) for m in coeffs.factors)
+    )
 
 
 def _act(dot, pos: int):
@@ -148,7 +181,7 @@ def reduced_boundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     check_basis(n**k, f"the degree-{k} tuple basis")
     if k == 1:
         return IntegerMatrix.zeros(0, n)
-    return _face_matrix(n, k, _horizontal_faces(structure, k - 1))
+    return _face_matrix(n, k, [_horizontal_faces(structure, k - 1)], all_tuples(n, k - 1))
 
 
 def linearity_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
@@ -162,7 +195,7 @@ def linearity_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     _check_degree(k)
     n = structure.order
     check_basis(n**k, f"the degree-{k} tuple basis")
-    return _face_matrix(n, k + 1, _linearity_faces(structure, k)).transpose()
+    return _face_matrix(n, k + 1, [_linearity_faces(structure, k)], all_tuples(n, k)).transpose()
 
 
 def _linearity_faces(structure: LinearCycleSet, k: int):
@@ -204,17 +237,6 @@ def cochain_space_generators(
     if normalized:
         constraints = vstack([constraints, _degenerate_rows(structure, k)])
     return kernel_mod_m(constraints, m)
-
-
-def _relations(structure, k, normalized):
-    """Relations of the degree-k chain presentation, as sparse vectors over
-    the k-tuples: linearity in the last coordinate and, when normalized,
-    the degenerate tuples."""
-    n = structure.order
-    rels = _sparse_columns(_face_matrix(n, k + 1, _linearity_faces(structure, k)))
-    if normalized:
-        rels += [{i: 1} for i in degenerate_indices(structure, k)]
-    return rels
 
 
 @dataclass
@@ -331,6 +353,50 @@ class Cochain:
         return {"degree": self.degree, "coeff": str(self.coeffs), "values": values}
 
 
+def _file_coeffs(data, coeffs, what: str) -> FiniteAbelianGroup:
+    """The coefficient group of a cochain or cocycle file dict, after the
+    checks both kinds share; `what` names the kind in every message."""
+    if not isinstance(data, dict):
+        raise MalformedTableError(f"{what} file must be a JSON object")
+    extra = set(data) - {"degree", "coeff", "values"}
+    if extra:
+        raise MalformedTableError(f"unknown keys in {what} file: {sorted(extra)}")
+    if "coeff" in data:
+        spec = data["coeff"]
+        if not isinstance(spec, str):
+            raise MalformedTableError(f"{what} coeff must be a group spec string")
+        declared = parse_group_spec(spec)
+        if coeffs is not None and declared != coeffs:
+            raise MalformedTableError(
+                f"{what} file declares coefficients {declared}, expected {coeffs}"
+            )
+        coeffs = declared
+    if coeffs is None:
+        raise MalformedTableError(f"{what} file lacks a coeff key and none was supplied")
+    return coeffs
+
+
+def _file_values(raw, coeffs: FiniteAbelianGroup, what: str):
+    """File values as coefficient tuples: ints for one cyclic factor,
+    lists of ints for several."""
+    width = len(coeffs.factors)
+    values = []
+    for v in raw:
+        if isinstance(v, int) and not isinstance(v, bool) and width == 1:
+            values.append((v,))
+        elif (
+            isinstance(v, list)
+            and len(v) == width
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
+        ):
+            values.append(tuple(v))
+        else:
+            raise MalformedTableError(
+                f"{what} values must be ints (single factor) or lists of {width} ints"
+            )
+    return tuple(values)
+
+
 def cochain_from_dict(
     data, base: LinearCycleSet, coeffs: FiniteAbelianGroup = None
 ) -> Cochain:
@@ -339,23 +405,7 @@ def cochain_from_dict(
     The coefficient group comes from the optional "coeff" key or from the
     caller; when both are given they must agree.
     """
-    if not isinstance(data, dict):
-        raise MalformedTableError("cochain file must be a JSON object")
-    extra = set(data) - {"degree", "coeff", "values"}
-    if extra:
-        raise MalformedTableError(f"unknown keys in cochain file: {sorted(extra)}")
-    if "coeff" in data:
-        spec = data["coeff"]
-        if not isinstance(spec, str):
-            raise MalformedTableError("cochain coeff must be a group spec string")
-        declared = parse_group_spec(spec)
-        if coeffs is not None and declared != coeffs:
-            raise MalformedTableError(
-                f"cochain file declares coefficients {declared}, expected {coeffs}"
-            )
-        coeffs = declared
-    if coeffs is None:
-        raise MalformedTableError("cochain file lacks a coeff key and none was supplied")
+    coeffs = _file_coeffs(data, coeffs, "cochain")
     degree = data.get("degree")
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise MalformedTableError(f"cochain degree must be an integer >= 1, got {degree!r}")
@@ -363,23 +413,7 @@ def cochain_from_dict(
     expected = base.order**degree
     if not isinstance(raw, list) or len(raw) != expected:
         raise MalformedTableError(f"cochain of degree {degree} needs exactly {expected} values")
-    width = len(coeffs.factors)
-    values = []
-    for v in raw:
-        if isinstance(v, int) and not isinstance(v, bool) and width == 1:
-            elem = (v,)
-        elif (
-            isinstance(v, list)
-            and len(v) == width
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
-        ):
-            elem = tuple(v)
-        else:
-            raise MalformedTableError(
-                f"cochain values must be ints (single factor) or lists of {width} ints"
-            )
-        values.append(coeffs.reduce(elem))
-    return Cochain(base, coeffs, degree, tuple(values))
+    return Cochain(base, coeffs, degree, _file_values(raw, coeffs, "cochain"))
 
 
 def reduced_coboundary(f: Cochain, check: bool = True) -> Cochain:
@@ -433,17 +467,17 @@ def reduced_cohomology(
     n = structure.order
     check_basis(n**k, f"the degree-{k} tuple basis")
     check_basis(n ** (k + 1), f"the degree-{k + 1} tuple basis")
-    d_out = reduced_boundary_matrix(structure, k + 1).transpose()
-    d_in_free = reduced_boundary_matrix(structure, k).transpose() if k >= 2 else None
-    parts = []
-    for m in coeffs.factors:
-        gens = cochain_space_generators(structure, k, m, normalized)
-        if k >= 2:
-            d_in = d_in_free @ cochain_space_generators(structure, k - 1, m, normalized)
-        else:
-            d_in = IntegerMatrix.zeros(n**k, 0)
-        parts.append(subquotient_invariants(d_out, d_in, gens, m))
-    return merge_invariants(*parts)
+    faces = [_linearity_faces(structure, k), _horizontal_faces(structure, k)]
+    cocycles = _face_rows(n, k + 1, faces, all_tuples(n, k))
+    constraints = coboundaries = dead = dead_below = ()
+    if k >= 2:
+        below = list(all_tuples(n, k - 1))
+        constraints = _face_rows(n, k, [_linearity_faces(structure, k - 1)], below)
+        coboundaries = _face_rows(n, k, [_horizontal_faces(structure, k - 1)], below)
+    if normalized:
+        dead = set(degenerate_indices(structure, k))
+        dead_below = set(degenerate_indices(structure, k - 1)) if k >= 2 else ()
+    return _cohomology(coeffs, cocycles, constraints, coboundaries, dead, dead_below)
 
 
 def reduced_homology(
@@ -466,22 +500,38 @@ def reduced_homology(
     n = structure.order
     check_basis(n**k, f"the degree-{k} tuple basis")
     check_basis(n ** (k + 1), f"the degree-{k + 1} tuple basis")
-    nk = n**k
+
+    def chains(d):
+        # the boundaries of the d-tuples, then the relations of degree d - 1,
+        # as the columns of their face rows
+        faces = [_horizontal_faces(structure, d - 1), _linearity_faces(structure, d - 1)]
+        vectors = [{} for _ in range(2 * n**d)]
+        for r, row in enumerate(_face_rows(n, d, faces, all_tuples(n, d - 1))):
+            for c, x in row.items():
+                vectors[c][r] = x
+        if normalized:
+            vectors += [{i: 1} for i in degenerate_indices(structure, d - 1)]
+        return vectors
+
     # cycles are the x whose boundary lies in the relations below; their
     # rows carry x as a tag, the relation rows carry nothing
-    rows = _sparse_columns(reduced_boundary_matrix(structure, k))
-    tags = [{j: 1} for j in range(nk)]
-    if k >= 2:
-        below = _relations(structure, k - 1, normalized)
-        rows += below
-        tags += [{}] * len(below)
-    bound = _sparse_columns(reduced_boundary_matrix(structure, k + 1))
-    bound += _relations(structure, k, normalized)
-    return merge_invariants(*(_subquotient_mod(rows, tags, bound, m) for m in coeffs.factors))
+    rows = chains(k) if k >= 2 else [{}] * n**k
+    tags = [{x: 1} for x in range(n**k)] + [{}] * (len(rows) - n**k)
+    bound = chains(k + 1)
+    return merge_invariants(
+        *(_subquotient_mod(rows, tags, [{}] * len(bound), bound, m) for m in coeffs.factors)
+    )
 
 
 # ---------------------------------------------------------------------------
 # The unconstrained companion complex (all set-theoretic cochains)
+
+
+def _cs_faces(structure: LinearCycleSet, k: int):
+    faces = []
+    for i in range(k - 1):
+        faces += [((-1) ** i, _act(structure.dot, i)), (-((-1) ** i), _drop(i))]
+    return faces
 
 
 def cs_chain_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
@@ -491,10 +541,7 @@ def cs_chain_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     check_basis(n**k, f"the degree-{k} tuple basis")
     if k == 1:
         return IntegerMatrix.zeros(0, n)
-    faces = []
-    for i in range(k - 1):
-        faces += [((-1) ** i, _act(structure.dot, i)), (-((-1) ** i), _drop(i))]
-    return _face_matrix(n, k, faces)
+    return _face_matrix(n, k, [_cs_faces(structure, k)], all_tuples(n, k - 1))
 
 
 def cs_coboundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
@@ -502,37 +549,26 @@ def cs_coboundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     return cs_chain_matrix(structure, k + 1).transpose()
 
 
-def cs_cocycle_group(structure: LinearCycleSet, coeffs: FiniteAbelianGroup, k: int):
-    """Invariant factors of the group of degree-k unconstrained cocycles."""
+def _cs_cocycles(structure: LinearCycleSet, k: int):
     require_valid_lcs(structure)
     _check_degree(k)
     n = structure.order
     check_basis(n ** (k + 1), f"the degree-{k + 1} tuple basis")
-    d_out = cs_coboundary_matrix(structure, k)
-    empty = IntegerMatrix.zeros(n**k, 0)
-    parts = [
-        subquotient_invariants(d_out, empty, IntegerMatrix.identity(n**k), m)
-        for m in coeffs.factors
-    ]
-    return merge_invariants(*parts)
+    return _face_rows(n, k + 1, [_cs_faces(structure, k + 1)], all_tuples(n, k))
+
+
+def cs_cocycle_group(structure: LinearCycleSet, coeffs: FiniteAbelianGroup, k: int):
+    """Invariant factors of the group of degree-k unconstrained cocycles."""
+    return _cohomology(coeffs, _cs_cocycles(structure, k), (), ())
 
 
 def cs_cohomology(structure: LinearCycleSet, coeffs: FiniteAbelianGroup, k: int):
     """Invariant factors of the degree-k cohomology of the unconstrained complex."""
-    require_valid_lcs(structure)
-    _check_degree(k)
+    cocycles = _cs_cocycles(structure, k)
     n = structure.order
-    check_basis(n ** (k + 1), f"the degree-{k + 1} tuple basis")
-    d_out = cs_coboundary_matrix(structure, k)
-    if k >= 2:
-        d_in = cs_chain_matrix(structure, k).transpose()
-    else:
-        d_in = IntegerMatrix.zeros(n**k, 0)
-    parts = [
-        subquotient_invariants(d_out, d_in, IntegerMatrix.identity(n**k), m)
-        for m in coeffs.factors
-    ]
-    return merge_invariants(*parts)
+    below = all_tuples(n, k - 1) if k >= 2 else ()
+    coboundaries = _face_rows(n, k, [_cs_faces(structure, k)], below)
+    return _cohomology(coeffs, cocycles, [{}] * len(coboundaries), coboundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +596,7 @@ def antisymmetrization_matrix(structure: LinearCycleSet, k: int) -> IntegerMatri
     faces = [
         (_parity(p), _permute(p + (k - 1,))) for p in itertools.permutations(range(k - 1))
     ]
-    return _face_matrix(n, k, faces, degree=k)
+    return _face_matrix(n, k, [faces], all_tuples(n, k))
 
 
 def antisymmetrization_is_chain_map(structure: LinearCycleSet, k: int) -> bool:

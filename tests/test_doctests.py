@@ -29,4 +29,6 @@ def test_examples_are_collected():
     }
     assert counts["lcscohom.abelian"] >= 3 and counts["lcscohom.linalg"] >= 9
     finder = doctest.DocTestFinder()
-    assert finder.find(importlib.import_module("lcscohom.linalg")._eliminate)[0].examples
+    linalg = importlib.import_module("lcscohom.linalg")
+    assert finder.find(linalg._eliminate)[0].examples
+    assert finder.find(linalg._subquotient_mod)[0].examples

@@ -14,13 +14,8 @@ from hypothesis import strategies as st
 from lattice_oracle import constrained_lattice, solution_lattice_mod
 from lattice_oracle import subquotient_invariants as oracle_subquotient
 from lcscohom.errors import LatticeError
-from lcscohom.linalg import (
-    IntegerMatrix,
-    LatticeTester,
-    hstack,
-    kernel_mod_m,
-    subquotient_invariants,
-)
+from lcscohom.linalg import IntegerMatrix, LatticeTester, hstack, kernel_mod_m
+from subquotient_route import subquotient_invariants
 
 MODULI = (2, 4, 8, 9, 12, 27)
 PROPERTY = settings(

@@ -228,6 +228,25 @@ def test_non_normalized_build():
     assert ok and witness is not None
 
 
+def test_build_refuses_a_cocycle_from_another_setting():
+    reduced = ReducedTwoCocycle(Z4LCS, Z2, phi_table(PHIS[1]))
+    full = FullTwoCocycle(Z4LCS, Z2, phi_table(PHIS[1]), None)
+    for gamma, base in ((Z4, Z4LCS), (Z2, builtin_structure("trivial(4)"))):
+        with pytest.raises(ParameterError, match="different structure"):
+            build_extension_reduced(gamma, base, reduced)
+        with pytest.raises(ParameterError, match="different structure"):
+            build_extension_full(gamma, base, full, None)
+    # a matching object builds what its tables build; raw tables are validated
+    built = build_extension_reduced(Z2, Z4LCS, reduced)
+    assert built.total == build_extension_reduced(Z2, Z4LCS, reduced.f).total
+    assert build_extension_full(Z2, Z4LCS, full, None).total == built.total
+    constant = [[1] * 4 for _ in range(4)]
+    with pytest.raises(CocycleError):
+        build_extension_reduced(Z2, Z4LCS, constant)
+    with pytest.raises(CocycleError):
+        build_extension_full(Z2, Z4LCS, constant, None)
+
+
 def test_extraction_errors():
     cocycle = ReducedTwoCocycle(Z4LCS, Z2, phi_table(PHIS[1]))
     triple = build_extension_reduced(Z2, Z4LCS, cocycle)

@@ -22,9 +22,9 @@ from lcscohom.linalg import (
     kernel_mod_m,
     smith_normal_form,
     solve_mod,
-    subquotient_invariants,
     vstack,
 )
+from subquotient_route import subquotient_invariants
 
 
 def determinant(mat):
