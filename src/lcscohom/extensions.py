@@ -32,7 +32,7 @@ from .errors import (
     SectionError,
     ShapeError,
 )
-from .linalg import IntegerMatrix, _HowellForm, hstack, kernel_mod_m, solve_mod, vstack
+from .linalg import IntegerMatrix, _HowellForm, _least_solution, hstack, kernel_mod_m, vstack
 from .reduced import (
     _degenerate_rows,
     _file_coeffs,
@@ -675,8 +675,9 @@ def additive_section(triple: ExtensionTriple):
     """An additive section of the projection, or None when there is none.
 
     Starting from a normalized section with addition defect g0, an additive
-    correction tau must satisfy tau(a+b) - tau(a) - tau(b) = g0(a, b); that
-    system is solved exactly per cyclic coefficient factor.
+    correction tau must satisfy tau(a+b) - tau(a) - tau(b) = g0(a, b).  Per
+    cyclic coefficient factor, the section comes from the lexicographically
+    least such tau (`_least_solution`).
     """
     total = triple.total
     if isinstance(total, Brace):
@@ -694,11 +695,11 @@ def additive_section(triple: ExtensionTriple):
         ]
         for a in range(n)
     ]
-    defect = linearity_rows(base, 1)
+    columns = linearity_rows(base, 1).transpose().data
     parts = []
     for t, m in enumerate(gamma.factors):
         rhs = [g0[a][b][t] for a in range(n) for b in range(n)]
-        tau_t = solve_mod(defect, rhs, m)
+        tau_t = _least_solution(columns, rhs, m)
         if tau_t is None:
             return None
         parts.append(tau_t)
@@ -896,11 +897,10 @@ def cocycles_cohomologous(c1, c2, normalized: bool = False):
     c2.f(a, b) - c1.f(a, b).  Full flavor: theta is arbitrary (normalized:
     theta(0) = 0) and theta(a+b) - theta(a) - theta(b) must match the
     difference of the addition deformations as well.  Per cyclic factor
-    Z/m this is one linear system A theta = delta: the Howell form of
-    [A^T | I] reduces (-delta, 0) to (0, theta) exactly when a solution
-    exists, and theta is then the lexicographically least one, glued
-    across the factors.  Returns (verdict, theta-or-None); theta lists one
-    coefficient element per base element.
+    Z/m this is one linear system A theta = delta, and theta is its
+    lexicographically least solution (`_least_solution`), glued across the
+    factors.  Returns (verdict, theta-or-None); theta lists one coefficient
+    element per base element.
     """
     _same_setting(c1, c2)
     base = c1.base
@@ -923,16 +923,14 @@ def cocycles_cohomologous(c1, c2, normalized: bool = False):
         for r1, r2 in zip(t1, t2)
         for x, y in zip(r1, r2)
     ]
-    width = system.rows
-    unit = IntegerMatrix.identity(n).data
-    rows = [col + e for col, e in zip(system.transpose().data, unit)]
+    columns = system.transpose().data
+    pad = [0] * (system.rows - len(delta))
     thetas = []
     for t, m in enumerate(gamma.factors):
-        target = [-d[t] for d in delta] + [0] * (width + n - len(delta))
-        left_and_theta = _HowellForm(rows, m, width + n).reduce(target)
-        if any(left_and_theta[:width]):
+        theta = _least_solution(columns, [d[t] for d in delta] + pad, m)
+        if theta is None:
             return False, None
-        thetas.append(left_and_theta[width:])
+        thetas.append(theta)
     return True, tuple(tuple(theta[a] for theta in thetas) for a in range(n))
 
 

@@ -1,4 +1,5 @@
-"""Exact linear algebra over Z/m: one sparse elimination kernel.
+"""Exact linear algebra: a sparse elimination over Z/p^e, a Howell form
+over Z/m and an echelon form over Z.
 
 Every invariant the package reports is a finite abelian group over Z/m
 coefficients.  Z/m splits by the Chinese remainder theorem into local
@@ -11,17 +12,18 @@ sparse rows, read off one tagged elimination, and K / B comes from the
 orders of p^i K + B.  No floating point is used anywhere.
 
 Where an answer must be the lexicographically least element of a coset,
-as for equivalence witnesses and class representatives of extensions, a
-Howell form over Z/m itself does the work: lexicographic order does not
-survive a split of Z/m into its prime powers.
+as for equivalence witnesses, class representatives of extensions and
+least solutions of linear systems mod m (`_least_solution`), a Howell
+form over Z/m itself does the work: lexicographic order does not survive
+a split of Z/m into its prime powers.
 
-The dense integer Smith normal form stays for the two integer-lattice
-questions: membership tests (`LatticeTester`) and one particular
-solution of a linear system mod m (`solve_mod`).
+The structural checks ask one question over Z itself: whether some
+vectors lie in the integer span of some relation rows.  An echelon form
+over Z (`_IntegerSpan`) answers it by the Howell form's gcd merges
+without a modulus.
 """
 
 import heapq
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 
@@ -30,11 +32,7 @@ from .errors import BudgetError, InvalidModulusError, LatticeError, ShapeError
 
 __all__ = [
     "IntegerMatrix",
-    "SmithDecomposition",
-    "smith_normal_form",
     "kernel_mod_m",
-    "solve_mod",
-    "LatticeTester",
     "hstack",
     "vstack",
 ]
@@ -80,9 +78,6 @@ class IntegerMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int):
         return cls(rows, cols)
-
-    def copy(self):
-        return IntegerMatrix(self.rows, self.cols, [row[:] for row in self.data])
 
     def transpose(self):
         if not self.rows:
@@ -180,150 +175,6 @@ def vstack(mats):
     for m in mats:
         data.extend(row[:] for row in m.data)
     return IntegerMatrix(len(data), cols, data)
-
-
-@dataclass
-class SmithDecomposition:
-    """Unimodular U, V with U @ M @ V = S diagonal, d1 | d2 | ... >= 0."""
-
-    u: IntegerMatrix
-    s: IntegerMatrix
-    v: IntegerMatrix
-
-    @property
-    def diagonal(self):
-        return [self.s.data[i][i] for i in range(min(self.s.rows, self.s.cols))]
-
-    @property
-    def rank(self):
-        return sum(1 for d in self.diagonal if d)
-
-
-def smith_normal_form(mat: IntegerMatrix) -> SmithDecomposition:
-    """Compute the Smith normal form with full transform bookkeeping.
-
-    Pivots of least magnitude are pulled to the diagonal; row and column
-    reductions alternate until the pivot divides its whole row and column,
-    and a final sweep folds any entry the pivot does not divide back into
-    the pivot row.  This keeps every diagonal entry dividing the next.
-
-    >>> d = smith_normal_form(IntegerMatrix.from_rows([[2, 4], [4, 8]]))
-    >>> d.diagonal
-    [2, 0]
-    >>> (d.u @ IntegerMatrix.from_rows([[2, 4], [4, 8]]) @ d.v) == d.s
-    True
-    """
-    nr, nc = mat.rows, mat.cols
-    a = [row[:] for row in mat.data]
-    u = IntegerMatrix.identity(nr).data
-    v = IntegerMatrix.identity(nc).data
-
-    def row_add(dst, src, q):
-        # row dst += q * row src
-        rd, rs = a[dst], a[src]
-        for t in range(nc):
-            rd[t] += q * rs[t]
-        rd, rs = u[dst], u[src]
-        for t in range(nr):
-            rd[t] += q * rs[t]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_add(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        # find a smallest-magnitude pivot in the trailing block
-        pivot = None
-        best = 0
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                x = row[j]
-                if x and (pivot is None or abs(x) < best):
-                    pivot = (i, j)
-                    best = abs(x)
-                    if best == 1:
-                        break
-            if best == 1 and pivot is not None:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        if a[t][t] < 0:
-            row_negate(t)
-
-        while True:
-            # clear column t below the pivot, then row t to its right;
-            # a nonzero remainder becomes the new, strictly smaller pivot
-            restart = False
-            piv = a[t][t]
-            for i in range(t + 1, nr):
-                x = a[i][t]
-                if x:
-                    q = x // piv
-                    if q:
-                        row_add(i, t, -q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                x = a[t][j]
-                if x:
-                    q = x // piv
-                    if q:
-                        col_add(j, t, -q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # pivot must divide the whole trailing block before moving on
-            piv = a[t][t]
-            offender = None
-            for i in range(t + 1, nr):
-                row = a[i]
-                for j in range(t + 1, nc):
-                    if row[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        t += 1
-
-    return SmithDecomposition(
-        u=IntegerMatrix(nr, nr, u),
-        s=IntegerMatrix(nr, nc, a),
-        v=IntegerMatrix(nc, nc, v),
-    )
 
 
 def _check_modulus(m: int):
@@ -719,58 +570,82 @@ class _HowellForm:
         return vec
 
 
-def solve_mod(mat: IntegerMatrix, rhs, m: int):
-    """One solution x of mat @ x == rhs (mod m), or None when there is none.
+def _least_solution(columns, rhs, m: int):
+    """The lexicographically least x in (Z/m)^n with sum_j x_j columns_j ==
+    rhs (mod m), or None when there is none.
 
-    Solves [mat | m*I] w = rhs over the integers through the Smith form and
-    keeps the first block of w, reduced mod m.
+    The Howell form of the rows [columns_j | e_j] reduces (-rhs, 0) to the
+    least element of its coset, (sum_j x_j columns_j - rhs, x) over all x.
+    Its first block vanishes exactly when a solution exists, and its second
+    block is then the least solution (Storjohann and Mulders, 1998).
+
+    Over Z/4, 2 x_0 + x_1 = 1 is solved least by (0, 1); 2 x_0 = 1 has no
+    solution.
+
+    >>> _least_solution([[2], [1]], [1], 4)
+    [0, 1]
+    >>> _least_solution([[2]], [1], 4) is None
+    True
     """
-    _check_modulus(m)
-    if len(rhs) != mat.rows:
-        raise ShapeError("right-hand side length does not match the matrix")
-    aug = hstack([mat, IntegerMatrix.identity(mat.rows).scaled(m)])
-    dec = smith_normal_form(aug)
-    u_rhs = dec.u.apply(rhs)
-    z = [0] * aug.cols
-    for i in range(aug.rows):
-        d = dec.s.data[i][i] if i < aug.cols else 0
-        if d:
-            if u_rhs[i] % d:
-                return None
-            z[i] = u_rhs[i] // d
-        elif u_rhs[i]:
-            return None
-    w = dec.v.apply(z)
-    return [w[c] % m for c in range(mat.cols)]
+    n = len(columns)
+    width = len(rhs)
+    rows = [list(col) + [int(i == j) for i in range(n)] for j, col in enumerate(columns)]
+    reduced = _HowellForm(rows, m, width + n).reduce([-x for x in rhs] + [0] * n)
+    if any(reduced[:width]):
+        return None
+    return reduced[width:]
 
 
-class LatticeTester:
-    """Membership tests against the integer lattice spanned by some generators.
+class _IntegerSpan:
+    """An echelon form over Z of the integer span L of some dense rows.
 
-    One Smith reduction of the generator matrix up front; a vector lies in
-    the lattice when its image under U is divisible, coordinate by
-    coordinate, by the Smith diagonal (and zero past the rank).
+    Column by column, one extended-gcd row operation per pair merges the
+    rows with an entry there into one pivot row, as in `_HowellForm`, but
+    over Z: no modulus, no unit scaling and no pushed-back row.  Every
+    operation is unimodular, so the pivot rows still span L, and each is
+    zero before its pivot column (Kannan and Bachem, 1979).  `contains`
+    clears a vector pivot by pivot: it lies in L exactly when every pivot
+    divides what is left in its column and nothing is left at the end.
+
+    The rows (2, 0) and (0, 3) span 2Z x 3Z:
+
+    >>> span = _IntegerSpan([[2, 0], [0, 3]], 2)
+    >>> span.contains([4, -3]), span.contains([1, 3])
+    (True, False)
     """
 
-    def __init__(self, generators: IntegerMatrix):
-        self.ambient = generators.rows
-        dec = smith_normal_form(generators)
-        self._u = dec.u
-        self._diag = dec.diagonal
-
-    def _divisible(self, i: int, values) -> bool:
-        d = self._diag[i] if i < len(self._diag) else 0
-        if d == 0:
-            return not any(values)
-        return d == 1 or not any(x % d for x in values)
+    def __init__(self, rows, width: int):
+        self.width = width
+        pool = [row for row in rows if any(row)]
+        self.pivots = []  # (column, pivot, nonzeros of the pivot row)
+        for col in range(width):
+            live = [r for r in pool if r[col]]
+            if not live:
+                continue
+            pool = [r for r in pool if not r[col]]
+            head = live[0]
+            for row in live[1:]:
+                g, s, t = _gcdex(head[col], row[col])
+                u, v = head[col] // g, row[col] // g
+                head, row = (
+                    [s * x + t * y for x, y in zip(head, row)],
+                    [u * y - v * x for x, y in zip(head, row)],
+                )
+                if any(row):
+                    pool.append(row)
+            nonzeros = [(c, head[c]) for c in compress(range(col, width), head[col:])]
+            self.pivots.append((col, head[col], nonzeros))
 
     def contains(self, vec) -> bool:
-        if len(vec) != self.ambient:
-            raise ShapeError("vector does not live in the lattice's ambient space")
-        return all(self._divisible(i, (x,)) for i, x in enumerate(self._u.apply(vec)))
-
-    def contains_all(self, mat: IntegerMatrix) -> bool:
-        """Whether every column of mat lies in the lattice, from one U @ mat."""
-        if mat.rows != self.ambient:
-            raise ShapeError("vectors do not live in the lattice's ambient space")
-        return all(self._divisible(i, row) for i, row in enumerate((self._u @ mat).data))
+        """Whether the integer vector vec lies in L."""
+        if len(vec) != self.width:
+            raise ShapeError(f"vector of length {len(vec)} against span width {self.width}")
+        vec = list(vec)
+        for col, pivot, nonzeros in self.pivots:
+            q, r = divmod(vec[col], pivot)
+            if r:
+                return False
+            if q:
+                for c, x in nonzeros:
+                    vec[c] -= q * x
+        return not any(vec)

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .linalg import (
     IntegerMatrix,
-    LatticeTester,
+    _IntegerSpan,
     _subquotient_mod,
     kernel_mod_m,
     vstack,
@@ -612,13 +612,14 @@ def antisymmetrization_is_chain_map(structure: LinearCycleSet, k: int) -> bool:
         return True
     lhs = reduced_boundary_matrix(structure, k) @ antisymmetrization_matrix(structure, k)
     rhs = antisymmetrization_matrix(structure, k - 1) @ cs_chain_matrix(structure, k)
-    diff = IntegerMatrix(
-        lhs.rows,
-        lhs.cols,
-        [
-            [lhs.data[i][j] - rhs.data[i][j] for j in range(lhs.cols)]
-            for i in range(lhs.rows)
-        ],
-    )
-    tester = LatticeTester(linearity_rows(structure, k - 1).transpose())
-    return tester.contains_all(diff)
+    diff = [
+        [x - y for x, y in zip(lhs_col, rhs_col)]
+        for lhs_col, rhs_col in zip(zip(*lhs.data), zip(*rhs.data))
+    ]
+    return _in_integer_span(linearity_rows(structure, k - 1), diff)
+
+
+def _in_integer_span(generators: IntegerMatrix, vectors) -> bool:
+    """Whether every vector lies in the integer span of the generator rows."""
+    span = _IntegerSpan(generators.data, generators.cols)
+    return all(span.contains(vec) for vec in vectors)

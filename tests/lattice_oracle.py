@@ -4,14 +4,192 @@ This is the dense path the library used before its sparse elimination
 kernel: a subgroup of (Z/m)^N is modelled by the integer lattice spanned
 by its generators together with m*I, and quotients of nested full-rank
 lattices yield invariant factors through a change of basis plus one more
-Smith reduction.  It shares nothing with the kernel except the Smith
-normal form, so the property tests compare the two.
+Smith reduction.  The dense Smith normal form and the membership tester
+built on it live here too, so the oracle shares nothing with the library
+but the dense matrix type, and the property tests compare the two.
 """
 
+from dataclasses import dataclass
 from math import gcd
 
 from lcscohom.errors import LatticeError, ShapeError
-from lcscohom.linalg import IntegerMatrix, hstack, smith_normal_form
+from lcscohom.linalg import IntegerMatrix, hstack
+
+
+@dataclass
+class SmithDecomposition:
+    """Unimodular U, V with U @ M @ V = S diagonal, d1 | d2 | ... >= 0."""
+
+    u: IntegerMatrix
+    s: IntegerMatrix
+    v: IntegerMatrix
+
+    @property
+    def diagonal(self):
+        return [self.s.data[i][i] for i in range(min(self.s.rows, self.s.cols))]
+
+    @property
+    def rank(self):
+        return sum(1 for d in self.diagonal if d)
+
+
+def smith_normal_form(mat: IntegerMatrix) -> SmithDecomposition:
+    """Compute the Smith normal form with full transform bookkeeping.
+
+    Pivots of least magnitude are pulled to the diagonal; row and column
+    reductions alternate until the pivot divides its whole row and column,
+    and a final sweep folds any entry the pivot does not divide back into
+    the pivot row.  This keeps every diagonal entry dividing the next.
+
+    >>> d = smith_normal_form(IntegerMatrix.from_rows([[2, 4], [4, 8]]))
+    >>> d.diagonal
+    [2, 0]
+    >>> (d.u @ IntegerMatrix.from_rows([[2, 4], [4, 8]]) @ d.v) == d.s
+    True
+    """
+    nr, nc = mat.rows, mat.cols
+    a = [row[:] for row in mat.data]
+    u = IntegerMatrix.identity(nr).data
+    v = IntegerMatrix.identity(nc).data
+
+    def row_add(dst, src, q):
+        # row dst += q * row src
+        rd, rs = a[dst], a[src]
+        for t in range(nc):
+            rd[t] += q * rs[t]
+        rd, rs = u[dst], u[src]
+        for t in range(nr):
+            rd[t] += q * rs[t]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def row_negate(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def col_add(dst, src, q):
+        for row in a:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        # find a smallest-magnitude pivot in the trailing block
+        pivot = None
+        best = 0
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                x = row[j]
+                if x and (pivot is None or abs(x) < best):
+                    pivot = (i, j)
+                    best = abs(x)
+                    if best == 1:
+                        break
+            if best == 1 and pivot is not None:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        if a[t][t] < 0:
+            row_negate(t)
+
+        while True:
+            # clear column t below the pivot, then row t to its right;
+            # a nonzero remainder becomes the new, strictly smaller pivot
+            restart = False
+            piv = a[t][t]
+            for i in range(t + 1, nr):
+                x = a[i][t]
+                if x:
+                    q = x // piv
+                    if q:
+                        row_add(i, t, -q)
+                    if a[i][t]:
+                        row_swap(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, nc):
+                x = a[t][j]
+                if x:
+                    q = x // piv
+                    if q:
+                        col_add(j, t, -q)
+                    if a[t][j]:
+                        col_swap(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            # pivot must divide the whole trailing block before moving on
+            piv = a[t][t]
+            offender = None
+            for i in range(t + 1, nr):
+                row = a[i]
+                for j in range(t + 1, nc):
+                    if row[j] % piv:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+        t += 1
+
+    return SmithDecomposition(
+        u=IntegerMatrix(nr, nr, u),
+        s=IntegerMatrix(nr, nc, a),
+        v=IntegerMatrix(nc, nc, v),
+    )
+
+
+class LatticeTester:
+    """Membership tests against the integer lattice spanned by some generators.
+
+    One Smith reduction of the generator matrix up front; a vector lies in
+    the lattice when its image under U is divisible, coordinate by
+    coordinate, by the Smith diagonal (and zero past the rank).
+    """
+
+    def __init__(self, generators: IntegerMatrix):
+        self.ambient = generators.rows
+        dec = smith_normal_form(generators)
+        self._u = dec.u
+        self._diag = dec.diagonal
+
+    def _divisible(self, i: int, values) -> bool:
+        d = self._diag[i] if i < len(self._diag) else 0
+        if d == 0:
+            return not any(values)
+        return d == 1 or not any(x % d for x in values)
+
+    def contains(self, vec) -> bool:
+        if len(vec) != self.ambient:
+            raise ShapeError("vector does not live in the lattice's ambient space")
+        return all(self._divisible(i, (x,)) for i, x in enumerate(self._u.apply(vec)))
+
+    def contains_all(self, mat: IntegerMatrix) -> bool:
+        """Whether every column of mat lies in the lattice, from one U @ mat."""
+        if mat.rows != self.ambient:
+            raise ShapeError("vectors do not live in the lattice's ambient space")
+        return all(self._divisible(i, row) for i, row in enumerate((self._u @ mat).data))
 
 
 def integer_kernel(mat: IntegerMatrix) -> IntegerMatrix:

@@ -6,6 +6,8 @@ shuffle sums are frozen by hand.
 
 import pytest
 
+import lcscohom.bicomplex as bicomplex
+from lattice_oracle import LatticeTester
 from lcscohom.abelian import FiniteAbelianGroup
 from lcscohom.bicomplex import (
     bicomplex_identity_check,
@@ -23,8 +25,15 @@ from lcscohom.bicomplex import (
 )
 from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.errors import DegreeError, ParameterError
-from lcscohom.linalg import IntegerMatrix, LatticeTester, hstack
-from lcscohom.reduced import all_tuples, reduced_boundary_matrix, tuple_index
+from lcscohom.linalg import IntegerMatrix, hstack
+from lcscohom.reduced import (
+    _in_integer_span,
+    all_tuples,
+    linearity_rows,
+    reduced_boundary_matrix,
+    tuple_index,
+)
+from lcscohom.structures import LinearCycleSet
 
 Z2 = FiniteAbelianGroup((2,))
 T2 = builtin_structure("trivial(2)")
@@ -194,6 +203,65 @@ def test_shuffle_span_preserved():
                 tester = LatticeTester(shuffle_rows(s, i, j - 1).transpose())
                 for c in range(image.cols):
                     assert tester.contains(image.column(c)), (i, j, c)
+
+
+def _oracle_contains_all(generators, vectors):
+    # the oracle's Smith-form tester, generators as columns
+    tester = LatticeTester(generators.transpose())
+    return all(tester.contains(vec) for vec in vectors)
+
+
+def test_shuffle_checks_refuse_a_perturbed_image(monkeypatch):
+    # One entry of the first shuffle image off by one: the span checks
+    # fail, and the oracle refuses the same images.
+    def off_by_one(generators, images):
+        images = [list(row) for row in images]
+        images[0][1] += 1
+        assert not _oracle_contains_all(generators, images)
+        return _in_integer_span(generators, images)
+
+    monkeypatch.setattr(bicomplex, "_in_integer_span", off_by_one)
+    for s in (T3, Z4LCS):
+        report = bicomplex_identity_check(s, 4)
+        verdicts = {c.name: c.ok for c in report.checks if "shuffles" in c.name}
+        assert {name for name, ok in verdicts.items() if not ok} == {
+            "dh preserves shuffles at (1,2)",
+            "dv preserves shuffles at (0,3)",
+            "dh preserves shuffles at (2,2)",
+            "dh preserves shuffles at (1,3)",
+            "dv preserves shuffles at (1,3)",
+            "dv preserves shuffles at (0,4)",
+        }
+        # images of one-slot shuffles must vanish outright, no span check
+        assert {name for name, ok in verdicts.items() if ok} == {
+            "dv preserves shuffles at (0,2)",
+            "dv preserves shuffles at (1,2)",
+            "dv preserves shuffles at (2,2)",
+        }
+
+
+def test_column_match_refuses_a_perturbed_trivial_boundary(monkeypatch):
+    # The bar-matrix half still matches; the trivial reduced boundary has
+    # one entry off by one, and the sum leaves the linearity lattice.
+    real = reduced_boundary_matrix
+
+    def perturbed(structure, k):
+        mat = real(structure, k)
+        if structure.dot == (tuple(range(structure.order)),) * structure.order:
+            mat.data[1][1] += 1
+        return mat
+
+    monkeypatch.setattr(bicomplex, "reduced_boundary_matrix", perturbed)
+    for s in (T3, Z4LCS):
+        trivial = LinearCycleSet(s.order, s.add, [list(range(s.order))] * s.order)
+        for j in (2, 3):
+            assert not column_matches_trivial_reduced(s, j), (s.order, j)
+            dv = dv_matrix(s, 0, j)
+            total = [
+                [x + y for x, y in zip(col, red_col)]
+                for col, red_col in zip(zip(*dv.data), zip(*perturbed(trivial, j).data))
+            ]
+            assert not _oracle_contains_all(linearity_rows(s, j - 1), total)
 
 
 def test_total_blocks():

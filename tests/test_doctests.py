@@ -32,3 +32,5 @@ def test_examples_are_collected():
     linalg = importlib.import_module("lcscohom.linalg")
     assert finder.find(linalg._eliminate)[0].examples
     assert finder.find(linalg._subquotient_mod)[0].examples
+    assert finder.find(linalg._IntegerSpan)[0].examples
+    assert finder.find(linalg._least_solution)[0].examples

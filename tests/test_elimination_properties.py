@@ -1,20 +1,24 @@
-"""Property tests: the elimination over Z/p^e against the integer-lattice oracle.
+"""Property tests: the exact kernels against independent oracles.
 
 Random small systems mod 2, 4, 8, 9, 12 and 27 (prime, prime-power and
 composite moduli).  Kernels must span the oracle's solution lattice mod m,
 subquotients with an image inside the kernel must give the oracle's
 invariant factors, and an image with one column outside the kernel must
-raise LatticeError on both paths.
+raise LatticeError on both paths.  Integer-span membership must agree with
+the oracle's Smith-form tester, and the least solution mod m with a brute
+force search, each seeing both verdicts.
 """
+
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lattice_oracle import constrained_lattice, solution_lattice_mod
+from lattice_oracle import LatticeTester, constrained_lattice, solution_lattice_mod
 from lattice_oracle import subquotient_invariants as oracle_subquotient
 from lcscohom.errors import LatticeError
-from lcscohom.linalg import IntegerMatrix, LatticeTester, hstack, kernel_mod_m
+from lcscohom.linalg import IntegerMatrix, _IntegerSpan, _least_solution, hstack, kernel_mod_m
 from subquotient_route import subquotient_invariants
 
 MODULI = (2, 4, 8, 9, 12, 27)
@@ -83,3 +87,48 @@ def test_image_outside_the_kernel_is_refused(system, data):
         oracle_subquotient(d_out, d_in, generators, m)
     with pytest.raises(LatticeError):
         subquotient_invariants(d_out, d_in, generators, m)
+
+
+def test_integer_span_membership_agrees_with_the_oracle():
+    seen = set()
+
+    @PROPERTY
+    @given(st.integers(0, 4), st.integers(1, 4), st.data())
+    def check(count, width, data):
+        gens = data.draw(matrices(count, width, 4))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count))
+        shift = data.draw(st.lists(st.integers(-2, 2), min_size=width, max_size=width))
+        vec = [sum(c * row[k] for c, row in zip(coeffs, gens.data)) + d for k, d in enumerate(shift)]
+        verdict = _IntegerSpan(gens.data, width).contains(vec)
+        assert verdict == LatticeTester(gens.transpose()).contains(vec)
+        seen.add(verdict)
+
+    check()
+    assert seen == {True, False}
+
+
+def test_least_solution_agrees_with_brute_force():
+    seen = set()
+
+    @PROPERTY
+    @given(st.sampled_from((2, 4, 6, 8, 9, 12)), st.integers(1, 3), st.integers(1, 3), st.data())
+    def check(m, n, rows, data):
+        residues = st.lists(st.integers(0, m - 1), min_size=rows, max_size=rows)
+        columns = data.draw(st.lists(residues, min_size=n, max_size=n))
+        rhs = data.draw(residues)
+        least = next(
+            (
+                list(x)
+                for x in itertools.product(range(m), repeat=n)
+                if all(
+                    (sum(xj * col[r] for xj, col in zip(x, columns)) - rhs[r]) % m == 0
+                    for r in range(rows)
+                )
+            ),
+            None,
+        )
+        assert _least_solution(columns, rhs, m) == least
+        seen.add(least is not None)
+
+    check()
+    assert seen == {True, False}

@@ -13,6 +13,8 @@ import random
 
 import pytest
 
+import lcscohom.reduced as reduced
+from lattice_oracle import LatticeTester
 from lcscohom.abelian import FiniteAbelianGroup
 from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.errors import DegreeError, LinearityError, MalformedTableError, ShapeError
@@ -325,6 +327,29 @@ def test_antisymmetrization_chain_map():
     for _, s in standard_corpus():
         for k in (2, 3):
             assert antisymmetrization_is_chain_map(s, k), (s.order, k)
+
+
+def test_antisymmetrization_chain_map_refuses_a_perturbed_matrix(monkeypatch):
+    # One entry of the degree-3 antisymmetrization off by one: the column
+    # differences leave the linearity lattice, on both paths.
+    real = antisymmetrization_matrix
+
+    def perturbed(structure, k):
+        mat = real(structure, k)
+        if k == 3:
+            mat.data[1][1] += 1
+        return mat
+
+    monkeypatch.setattr(reduced, "antisymmetrization_matrix", perturbed)
+    for s in (T3, Z4LCS):
+        assert not antisymmetrization_is_chain_map(s, 3), s.order
+        lhs = reduced_boundary_matrix(s, 3) @ perturbed(s, 3)
+        rhs = perturbed(s, 2) @ cs_chain_matrix(s, 3)
+        diff = IntegerMatrix(
+            lhs.rows, lhs.cols, [[x - y for x, y in zip(a, b)] for a, b in zip(lhs.data, rhs.data)]
+        )
+        tester = LatticeTester(linearity_rows(s, 2).transpose())
+        assert not all(tester.contains(diff.column(c)) for c in range(diff.cols))
 
 
 def test_linearity_rows_annihilate_generators():
