@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .abelian import FiniteAbelianGroup
-from .budget import check_basis
+from .budget import check_power
 from .errors import DegreeError, ParameterError
 from .linalg import IntegerMatrix, kernel_mod_m, vstack
 from .reduced import (
@@ -57,6 +57,18 @@ __all__ = [
     "column_matches_trivial_reduced",
 ]
 
+# Shuffle sums are budgeted by what they build: per shuffle, a permutation
+# of the i + j coordinates and one term on each of the n**(i+j) tuples.
+# Under this factor every full cohomology group of order >= 2 that the
+# basis budget admits is still admitted, and so is trivial(1) to degree 21.
+_SHUFFLE_FACTOR = 8192
+
+
+def _check_shuffles(n: int, i: int, j: int, what: str) -> None:
+    """Budget fewer than 2**j shuffles of bidegree (i, j), whose basis
+    n**(i+j) has been checked already."""
+    check_power(2, j, what, _SHUFFLE_FACTOR, times=n ** (i + j) + i + j)
+
 
 def shuffle_permutations(r: int, j: int):
     """Permutations of {0..j-1} increasing on the first r and last j-r slots.
@@ -91,9 +103,10 @@ def partial_shuffles(structure: LinearCycleSet, i: int, j: int, r: int):
     """
     if i < 0 or j < 2:
         raise ParameterError(f"partial shuffles need i >= 0 and j >= 2, got ({i}, {j})")
-    perms = shuffle_permutations(r, j)
     n = structure.order
-    check_basis(n ** (i + j), f"the degree-{i + j} tuple basis")
+    check_power(n, i + j, f"the degree-{i + j} tuple basis")
+    _check_shuffles(n, i, j, f"the shuffle sums at bidegree ({i}, {j})")
+    perms = shuffle_permutations(r, j)
     sums = []
     for t in all_tuples(n, i + j):
         acc = {}
@@ -112,10 +125,11 @@ def shuffle_rows(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
     j < 2 there are no shuffles and the matrix has zero rows.
     """
     n = structure.order
+    check_power(n, i + j, f"the degree-{i + j} tuple basis")
     size = n ** (i + j)
     if j < 2:
         return IntegerMatrix.zeros(0, size)
-    check_basis(size, f"the degree-{i + j} tuple basis")
+    _check_shuffles(n, i, j, f"the shuffle sums at bidegree ({i}, {j})")
     data = []  # one shuffle type at a time: no matrix and its transpose at full size
     for faces in _shuffle_faces(i, j):
         data += _face_matrix(n, i + j, [faces], all_tuples(n, i + j)).transpose().data
@@ -139,7 +153,7 @@ def dh_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
         raise ParameterError(f"horizontal differential needs i, j >= 1, got ({i}, {j})")
     n = structure.order
     k = i + j
-    check_basis(n**k, f"the degree-{k} tuple basis")
+    check_power(n, k, f"the degree-{k} tuple basis")
     return _face_matrix(n, k, [_horizontal_faces(structure, i)], all_tuples(n, k - 1))
 
 
@@ -149,7 +163,7 @@ def dv_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
         raise ParameterError(f"vertical differential needs i >= 0 and j >= 2, got ({i}, {j})")
     n = structure.order
     k = i + j
-    check_basis(n**k, f"the degree-{k} tuple basis")
+    check_power(n, k, f"the degree-{k} tuple basis")
     return _face_matrix(n, k, [_vertical_faces(structure, i, j)], all_tuples(n, k - 1))
 
 
@@ -162,9 +176,13 @@ def _vertical_faces(structure: LinearCycleSet, i: int, j: int):
 
 def total_blocks(n: int):
     """Bidegrees summing to n with j >= 1, ordered by descending i."""
+    _check_total_degree(n)
+    return [(i, n - i) for i in range(n - 1, -1, -1)]
+
+
+def _check_total_degree(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise DegreeError(f"total degree must be an integer >= 1, got {n!r}")
-    return [(i, n - i) for i in range(n - 1, -1, -1)]
 
 
 def _into(block, face):
@@ -199,10 +217,10 @@ def total_chain_matrix(structure: LinearCycleSet, n: int) -> IntegerMatrix:
     the zero map into nothing.
     """
     order = structure.order
-    size_src = order**n
-    check_basis(len(total_blocks(n)) * size_src, f"the total degree-{n} basis", factor=3)
+    _check_total_degree(n)
+    check_power(order, n, f"the total degree-{n} basis", factor=3, times=n)
     if n == 1:
-        return IntegerMatrix.zeros(0, size_src)
+        return IntegerMatrix.zeros(0, order)
     return _face_matrix(order, n, _total_faces(structure, n), _total_keys(order, n - 1))
 
 
@@ -244,7 +262,11 @@ def full_cohomology(
     if not isinstance(degree, int) or degree < 1:
         raise DegreeError(f"degree must be an integer >= 1, got {degree!r}")
     n = structure.order
-    check_basis((degree + 1) * n ** (degree + 1), f"the total degree-{degree + 1} basis", factor=3)
+    check_power(n, degree + 1, f"the total degree-{degree + 1} basis", factor=3, times=degree + 1)
+    # all blocks of total degree `degree` together hold fewer than
+    # 2**(degree + 1) shuffles, each on the n**degree tuples
+    what = f"the shuffle sums of total degree {degree}"
+    check_power(2, degree + 1, what, _SHUFFLE_FACTOR, times=n**degree + degree)
 
     def shuffles(d):
         blocks = [(b, faces) for b in total_blocks(d) for faces in _shuffle_faces(*b)]
@@ -318,7 +340,8 @@ def bicomplex_identity_check(structure: LinearCycleSet, max_degree: int) -> Bico
     if not isinstance(max_degree, int) or max_degree < 2:
         raise DegreeError(f"max degree must be an integer >= 2, got {max_degree!r}")
     n = structure.order
-    check_basis(n**max_degree, f"the degree-{max_degree} tuple basis")
+    check_power(n, max_degree, f"the degree-{max_degree} tuple basis")
+    _check_shuffles(n, 0, max_degree, f"the shuffle sums of total degree {max_degree}")
     report = BicomplexReport(order=n, max_degree=max_degree)
     checks = report.checks
     for total in range(2, max_degree + 1):

@@ -4,8 +4,13 @@ Chain groups over a structure of order n have free rank n**k in degree k.
 To keep runs predictable, every routine that materializes such a basis
 checks it against a budget first.  The default allows n**k up to 20000
 basis elements; the environment variable LCSCOHOM_BUDGET overrides it.
+
+Sizes are compared before they are built: `check_power` takes n and k
+rather than n**k, so a degree in the billions is refused without
+computing a power of billions of digits.
 """
 
+import math
 import os
 
 from .errors import BudgetError
@@ -13,6 +18,10 @@ from .errors import BudgetError
 DEFAULT_BASIS_BUDGET = 20000
 
 _ENV_VAR = "LCSCOHOM_BUDGET"
+
+# 2**14284 < 10**4300, CPython's default limit on printing an int; a size
+# past both this and the budget is never built, and is reported as a power.
+_PRINTABLE_BITS = 14284
 
 
 def basis_budget() -> int:
@@ -36,8 +45,26 @@ def check_basis(size: int, what: str, factor: int = 1) -> None:
     """
     limit = factor * basis_budget()
     if size > limit:
-        raise BudgetError(
-            f"{what} needs {size} basis elements, over the budget of {limit}"
-            f" (set {_ENV_VAR} to raise it)"
-        )
+        raise _over(what, size, limit)
 
+
+def check_power(base: int, exponent: int, what: str, factor: int = 1, times: int = 1) -> None:
+    """`check_basis(times * base**exponent, what, factor)`, comparing first.
+
+    The power is built only when it fits the budget or prints in full, so
+    the message is the same as check_basis gives wherever that one prints.
+    `times` must be at least 1.
+    """
+    limit = factor * basis_budget()
+    bits = math.log2(times) + (exponent * math.log2(base) if base > 1 else 0)
+    if bits > max(_PRINTABLE_BITS, limit.bit_length() + 1):
+        power = f"{base}**{exponent}" if times == 1 else f"{times} * {base}**{exponent}"
+        raise _over(what, power, limit)
+    check_basis(times * base**exponent, what, factor)
+
+
+def _over(what, size, limit) -> BudgetError:
+    return BudgetError(
+        f"{what} needs {size} basis elements, over the budget of {limit}"
+        f" (set {_ENV_VAR} to raise it)"
+    )

@@ -11,9 +11,15 @@ commands to one-line summaries.  Exit codes: 0 on success, 1 when a
 verification fails (invalid structure or cocycle, inequivalent
 extensions, failed identity checks), 2 on usage errors, malformed input
 or blown budgets.
+
+`main(argv)` may be called any number of times in one process.  The
+argument parser is built once, on the first call (not at import), and
+reused: a command's output and exit code do not depend on the calls
+before it.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -312,6 +318,7 @@ def cmd_verify_paper(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcscohom",
@@ -326,11 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the axiom battery on a structure file")
     p.add_argument("file")
-    p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("convert", help="convert between cycle set and brace tables")
     p.add_argument("file")
-    p.set_defaults(handler=cmd_convert)
 
     p = sub.add_parser("cohomology", help="invariant factors of a cohomology group")
     p.add_argument("file")
@@ -338,33 +343,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff", required=True, help="coefficient group, e.g. Z/2+Z/4")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--normalized", action="store_true")
-    p.set_defaults(handler=cmd_cohomology)
 
     p = sub.add_parser("homology", help="invariant factors of a reduced homology group")
     p.add_argument("file")
     p.add_argument("--coeff", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--normalized", action="store_true")
-    p.set_defaults(handler=cmd_homology)
 
     p = sub.add_parser("cocycle-check", help="check a degree-2 cochain file")
     p.add_argument("file")
     p.add_argument("--cocycle", required=True)
     p.add_argument("--flavor", choices=["reduced", "full"], default="reduced")
     p.add_argument("--coeff", help="coefficients when the cochain file has none")
-    p.set_defaults(handler=cmd_cocycle_check)
 
     p = sub.add_parser("extend", help="build the central extension of a cocycle")
     p.add_argument("file")
     p.add_argument("--cocycle", required=True)
     p.add_argument("--flavor", choices=["reduced", "full"], default="reduced")
     p.add_argument("--coeff", help="coefficients when the cochain file has none")
-    p.set_defaults(handler=cmd_extend)
 
     p = sub.add_parser("equivalent", help="decide equivalence of two extension files")
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(handler=cmd_equivalent)
 
     p = sub.add_parser("classify", help="one extension per second-cohomology class")
     p.add_argument("file")
@@ -372,18 +372,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--flavor", choices=["cycle-type", "general"], default="cycle-type"
     )
-    p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("bicomplex-check", help="audit the bicomplex identities")
     p.add_argument("file")
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--bidegree", help="dump the differentials at i,j instead")
-    p.set_defaults(handler=cmd_bicomplex_check)
 
     p = sub.add_parser("verify-paper", help="run the built-in verification battery")
     p.add_argument("--json", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_verify_paper)
 
     return parser
 
@@ -397,10 +394,12 @@ def _fail(exc) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call, so the cached parser holds no handler and a
+    # rebinding of cmd_* (by a tracer or a test) takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except _VERIFICATION_ERRORS as exc:
         _fail(exc)
         return 1

@@ -10,6 +10,7 @@ import itertools
 import re
 
 from .abelian import FiniteAbelianGroup
+from .budget import check_basis
 from .errors import ParameterError, UnknownStructureError
 from .structures import Brace, LinearCycleSet, validate_brace, validate_lcs
 
@@ -38,9 +39,17 @@ def builtin_structure(name: str):
     compact = name.strip()
     match = _TRIVIAL_RE.match(compact)
     if match:
-        n = int(match.group(1))
+        try:
+            n = int(match.group(1))
+        except ValueError:  # more digits than int() converts
+            raise UnknownStructureError(
+                f"trivial(n) with {len(match.group(1))} digits is too large"
+            ) from None
         if n < 1:
             raise UnknownStructureError(f"trivial({n}) needs n >= 1")
+        # two n x n tables; factor 2 admits every order whose degree-1
+        # cochains (n**2 of them) fit the basis budget
+        check_basis(2 * n * n, f"the trivial({n}) tables", factor=2)
         add = [[(a + b) % n for b in range(n)] for a in range(n)]
         dot = [[b for b in range(n)] for _ in range(n)]
         return LinearCycleSet(n, add, dot)

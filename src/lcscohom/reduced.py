@@ -34,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
-from .budget import check_basis
+from .budget import check_power
 from .errors import (
     DegreeError,
     LinearityError,
@@ -178,7 +178,7 @@ def reduced_boundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     """
     _check_degree(k)
     n = structure.order
-    check_basis(n**k, f"the degree-{k} tuple basis")
+    check_power(n, k, f"the degree-{k} tuple basis")
     if k == 1:
         return IntegerMatrix.zeros(0, n)
     return _face_matrix(n, k, [_horizontal_faces(structure, k - 1)], all_tuples(n, k - 1))
@@ -194,7 +194,7 @@ def linearity_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     """
     _check_degree(k)
     n = structure.order
-    check_basis(n**k, f"the degree-{k} tuple basis")
+    check_power(n, k, f"the degree-{k} tuple basis")
     return _face_matrix(n, k + 1, [_linearity_faces(structure, k)], all_tuples(n, k)).transpose()
 
 
@@ -431,7 +431,7 @@ def reduced_coboundary(f: Cochain, check: bool = True) -> Cochain:
             )
     base, g, k = f.base, f.coeffs, f.degree
     n = base.order
-    check_basis(n ** (k + 1), f"the degree-{k + 1} tuple basis")
+    check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
     add, dot = base.add, base.dot
 
     def value(t):
@@ -465,8 +465,8 @@ def reduced_cohomology(
     require_valid_lcs(structure)
     _check_degree(k)
     n = structure.order
-    check_basis(n**k, f"the degree-{k} tuple basis")
-    check_basis(n ** (k + 1), f"the degree-{k + 1} tuple basis")
+    check_power(n, k, f"the degree-{k} tuple basis")
+    check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
     faces = [_linearity_faces(structure, k), _horizontal_faces(structure, k)]
     cocycles = _face_rows(n, k + 1, faces, all_tuples(n, k))
     constraints = coboundaries = dead = dead_below = ()
@@ -498,8 +498,8 @@ def reduced_homology(
     require_valid_lcs(structure)
     _check_degree(k)
     n = structure.order
-    check_basis(n**k, f"the degree-{k} tuple basis")
-    check_basis(n ** (k + 1), f"the degree-{k + 1} tuple basis")
+    check_power(n, k, f"the degree-{k} tuple basis")
+    check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
 
     def chains(d):
         # the boundaries of the d-tuples, then the relations of degree d - 1,
@@ -538,7 +538,7 @@ def cs_chain_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     """Matrix of the degree-k boundary of the unconstrained complex."""
     _check_degree(k)
     n = structure.order
-    check_basis(n**k, f"the degree-{k} tuple basis")
+    check_power(n, k, f"the degree-{k} tuple basis")
     if k == 1:
         return IntegerMatrix.zeros(0, n)
     return _face_matrix(n, k, [_cs_faces(structure, k)], all_tuples(n, k - 1))
@@ -553,7 +553,7 @@ def _cs_cocycles(structure: LinearCycleSet, k: int):
     require_valid_lcs(structure)
     _check_degree(k)
     n = structure.order
-    check_basis(n ** (k + 1), f"the degree-{k + 1} tuple basis")
+    check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
     return _face_rows(n, k + 1, [_cs_faces(structure, k + 1)], all_tuples(n, k))
 
 
@@ -592,7 +592,7 @@ def antisymmetrization_matrix(structure: LinearCycleSet, k: int) -> IntegerMatri
     """
     _check_degree(k)
     n = structure.order
-    check_basis(n**k, f"the degree-{k} tuple basis")
+    check_power(n, k, f"the degree-{k} tuple basis")
     faces = [
         (_parity(p), _permute(p + (k - 1,))) for p in itertools.permutations(range(k - 1))
     ]

@@ -1,0 +1,41 @@
+"""Budgets compare sizes before building them, with unchanged messages."""
+
+import time
+
+import pytest
+
+from lcscohom.budget import check_basis, check_power
+from lcscohom.corpus import builtin_structure
+from lcscohom.errors import BudgetError
+
+
+def message(check, *args, **kwargs):
+    with pytest.raises(BudgetError) as exc:
+        check(*args, **kwargs)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("base, exponent, times", [(4, 8, 1), (4, 7142, 1), (3, 100, 7), (2, 40, 3)])
+def test_power_messages_match_the_built_size(base, exponent, times):
+    size = times * base**exponent
+    assert message(check_power, base, exponent, "it", 3, times) == message(check_basis, size, "it", 3)
+
+
+def test_power_within_the_budget_passes():
+    check_power(4, 7, "it")  # 16384 <= 20000
+    check_power(1, 10**11, "it", times=20000)
+    check_power(2, 14, "it", factor=3, times=3)  # 49152 <= 60000
+
+
+@pytest.mark.parametrize("exponent", [7143, 10**11, 10**30])
+def test_power_past_printing_is_reported_unbuilt(exponent):
+    start = time.perf_counter()
+    text = message(check_power, 4, exponent, "it", times=5)
+    assert time.perf_counter() - start < 0.1
+    assert text.startswith(f"it needs 5 * 4**{exponent} basis elements, over the budget of 20000")
+
+
+def test_trivial_orders_up_to_the_degree_one_basis():
+    assert builtin_structure("trivial(141)").order == 141
+    with pytest.raises(BudgetError, match="trivial\\(142\\) tables needs 40328"):
+        builtin_structure("trivial(142)")

@@ -4,8 +4,13 @@ Every command is exercised through its JSON contract: exit code 0 for
 verified claims, 1 for failed verification, 2 for unusable input.
 """
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -442,3 +447,151 @@ def test_modulus_past_the_digit_limit(capsys):
     )
     assert code == 2
     assert json.loads(err)["kind"] == "UnsupportedCoefficientsError"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env():
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""), "COLUMNS": "80"}
+
+
+def run_any(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call, SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at this width
+    cohomology = ["cohomology", "builtin:z4-lcs", "--coeff", "Z/2", "--degree", "2"]
+    sequence = [
+        cohomology + ["--normalized"],
+        cohomology,
+        ["--text", "validate", "builtin:z4-brace"],
+        ["validate", "builtin:z4-brace"],
+        ["classify", "builtin:z4-lcs", "--coeff", "Z/2", "--flavor", "bogus"],
+        ["classify", "builtin:z4-lcs", "--coeff", "Z/2"],
+        ["--help"],
+        ["convert", "builtin:z4-brace"],
+    ]
+    fresh = [
+        subprocess.Popen(
+            [sys.executable, "-m", "lcscohom", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        )
+        for argv in sequence
+    ]
+    got = [run_any(capsys, argv) for argv in sequence]
+    want = []
+    for proc in fresh:
+        out, err = proc.communicate(timeout=60)
+        want.append((proc.returncode, out, err))
+    assert [code for code, _, _ in got] == [0, 0, 0, 0, 2, 0, 0, 0]
+    assert got[4][2].startswith("usage: lcscohom classify")
+    assert got[6][1].startswith("usage: lcscohom")
+    assert got == want
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    argv = ["validate", "builtin:z4-lcs"]
+    run_any(capsys, argv)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(10):
+        assert run_any(capsys, argv)[0] == 0
+    assert built == []
+
+
+# Run in a child whose address space is capped, so that a regression fails
+# the test (MemoryError, or the timeout) instead of exhausting the machine.
+_LIMITED = """
+import contextlib, io, json, resource, sys, time
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from lcscohom.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = "raised " + type(exc).__name__
+    results.append([code, out.getvalue(), err.getvalue(), time.perf_counter() - start])
+print(json.dumps(results))
+"""
+
+
+def run_limited(argvs):
+    """(exit code, stdout, stderr, seconds) per argv, run in one capped child."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def assert_refused(results, kind="BudgetError"):
+    for code, out, err, seconds in results:
+        assert (code, out) == (2, "")
+        assert json.loads(err)["kind"] == kind
+        assert seconds < 1.0
+
+
+@pytest.mark.parametrize("degree", ["8000", "100000000000"])
+def test_huge_degrees_are_refused_before_their_size_is_built(degree):
+    z4 = "builtin:z4-lcs"
+    argvs = [
+        ["cohomology", z4, "--coeff", "Z/2", "--degree", degree, "--theory", theory]
+        for theory in ("reduced", "full", "cs")
+    ]
+    argvs += [
+        ["homology", z4, "--coeff", "Z/2", "--degree", degree],
+        ["bicomplex-check", z4, "--max-degree", degree],
+        ["bicomplex-check", z4, "--bidegree", f"1,{degree}"],
+    ]
+    results = run_limited(argvs)
+    assert_refused(results)
+    assert f"4**{degree}" in json.loads(results[0][2])["error"]
+
+
+def test_trivial_tables_are_budgeted():
+    too_long, too_large = run_limited(
+        [
+            ["validate", "builtin:trivial(1" + "0" * 5000 + ")"],
+            ["validate", "builtin:trivial(100000)"],
+        ]
+    )
+    assert_refused([too_long], "UnknownStructureError")
+    assert_refused([too_large])
+    assert "20000000000" in json.loads(too_large[2])["error"]
+
+
+def test_shuffles_of_the_full_theory_are_budgeted():
+    argv = ["cohomology", "builtin:trivial(1)", "--theory", "full", "--coeff", "Z/2"]
+    # degree 21 still answers (in about 4 GB); degree 22 would need about 8 GB
+    results = run_limited([argv + ["--degree", d] for d in ("22", "50", "300")])
+    assert_refused(results)
+    assert "shuffle sums" in json.loads(results[0][2])["error"]
