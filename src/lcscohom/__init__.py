@@ -18,7 +18,6 @@ from .abelian import (
 )
 from .bicomplex import (
     bicomplex_identity_check,
-    block_cochain_generators,
     column_matches_trivial_reduced,
     dh_matrix,
     dv_matrix,

@@ -2,10 +2,10 @@
 
 A coefficient group is a direct sum of cyclic groups Z/m with m >= 2,
 written in the text grammar ``Z/m1+Z/m2+...``.  Elements are tuples of
-residues, one per factor, ordered lexicographically; all per-factor
-computations act through the integer matrices of the complexes, so a
-direct sum is processed factor by factor and the resulting invariant
-lists are merged back into a single divisibility chain.
+residues, one per factor, ordered lexicographically.  The complexes are
+integer face lists that do not depend on the coefficients, so a direct
+sum is processed one cyclic factor Z/m at a time, and the invariant
+lists of the factors are merged back into a single divisibility chain.
 
 >>> g = parse_group_spec(" Z/4 + Z/2 ")
 >>> g.order

@@ -14,6 +14,10 @@ whose linearization kills every partial shuffle of the last j
 coordinates; the total complex in degree n is the direct sum over
 i + j = n, j >= 1, with blocks ordered by descending i, and the chain
 differential restricted to block (i, j) is dh + (-1)^i dv.
+
+Every operator is a signed face list on tuples, as in the reduced
+complex; the structural checks apply face lists to formal sums, tuple
+by tuple, without a matrix.
 """
 
 import itertools
@@ -22,21 +26,18 @@ from dataclasses import dataclass, field
 from .abelian import FiniteAbelianGroup
 from .budget import check_power
 from .errors import DegreeError, ParameterError
-from .linalg import IntegerMatrix, kernel_mod_m, vstack
+from .linalg import IntegerMatrix, _IntegerSpan
 from .reduced import (
+    _apply,
     _cohomology,
-    _degenerate_rows,
     _drop,
     _face_matrix,
     _face_rows,
     _horizontal_faces,
-    _in_integer_span,
+    _linearity_span,
     _merge,
     _permute,
     all_tuples,
-    degenerate_indices,
-    linearity_rows,
-    reduced_boundary_matrix,
     tuple_index,
 )
 from .structures import LinearCycleSet, require_valid_lcs
@@ -49,7 +50,6 @@ __all__ = [
     "dv_matrix",
     "total_chain_matrix",
     "total_blocks",
-    "block_cochain_generators",
     "full_cohomology",
     "BicomplexReport",
     "bicomplex_identity_check",
@@ -106,15 +106,8 @@ def partial_shuffles(structure: LinearCycleSet, i: int, j: int, r: int):
     n = structure.order
     check_power(n, i + j, f"the degree-{i + j} tuple basis")
     _check_shuffles(n, i, j, f"the shuffle sums at bidegree ({i}, {j})")
-    perms = shuffle_permutations(r, j)
-    sums = []
-    for t in all_tuples(n, i + j):
-        acc = {}
-        for sign, inverse in perms:
-            term = t[:i] + tuple(t[i + inverse[p]] for p in range(j))
-            acc[term] = acc.get(term, 0) + sign
-        sums.append({term: c for term, c in acc.items() if c})
-    return sums
+    faces = _shuffle_faces(i, j, r)
+    return [_apply(faces, {t: 1}) for t in all_tuples(n, i + j)]
 
 
 def shuffle_rows(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
@@ -131,19 +124,17 @@ def shuffle_rows(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
         return IntegerMatrix.zeros(0, size)
     _check_shuffles(n, i, j, f"the shuffle sums at bidegree ({i}, {j})")
     data = []  # one shuffle type at a time: no matrix and its transpose at full size
-    for faces in _shuffle_faces(i, j):
+    for r in range(1, j):
+        faces = _shuffle_faces(i, j, r)
         data += _face_matrix(n, i + j, [faces], all_tuples(n, i + j)).transpose().data
     return IntegerMatrix(len(data), size, data)
 
 
-def _shuffle_faces(i: int, j: int):
-    """One face list per shuffle type (r, j - r) of the last j coordinates."""
+def _shuffle_faces(i: int, j: int, r: int):
+    """The face list of the (r, j - r) shuffles of the last j coordinates."""
     return [
-        [
-            (sign, _permute(tuple(range(i)) + tuple(i + q for q in inverse)))
-            for sign, inverse in shuffle_permutations(r, j)
-        ]
-        for r in range(1, j)
+        (sign, _permute(tuple(range(i)) + tuple(i + q for q in inverse)))
+        for sign, inverse in shuffle_permutations(r, j)
     ]
 
 
@@ -224,28 +215,6 @@ def total_chain_matrix(structure: LinearCycleSet, n: int) -> IntegerMatrix:
     return _face_matrix(order, n, _total_faces(structure, n), _total_keys(order, n - 1))
 
 
-def block_cochain_generators(
-    structure: LinearCycleSet,
-    i: int,
-    j: int,
-    m: int,
-    normalized: bool = False,
-) -> IntegerMatrix:
-    """Generators (mod m) of the bidegree-(i, j) cochain group.
-
-    Value tables whose linearization vanishes on every partial shuffle of
-    the last j coordinates, and on degenerate tuples when normalized.
-    """
-    n = structure.order
-    size = n ** (i + j)
-    constraints = shuffle_rows(structure, i, j)
-    if normalized:
-        constraints = vstack([constraints, _degenerate_rows(structure, i + j)])
-    if constraints.rows == 0:
-        return IntegerMatrix.identity(size)
-    return kernel_mod_m(constraints, m)
-
-
 def full_cohomology(
     structure: LinearCycleSet,
     coeffs: FiniteAbelianGroup,
@@ -269,7 +238,7 @@ def full_cohomology(
     check_power(2, degree + 1, what, _SHUFFLE_FACTOR, times=n**degree + degree)
 
     def shuffles(d):
-        blocks = [(b, faces) for b in total_blocks(d) for faces in _shuffle_faces(*b)]
+        blocks = [(b, _shuffle_faces(*b, r)) for b in total_blocks(d) for r in range(1, b[1])]
         return [[(s, _into(b, f)) for s, f in faces] for b, faces in blocks]
 
     def degenerate(keys):
@@ -331,10 +300,14 @@ class BicomplexReport:
 def bicomplex_identity_check(structure: LinearCycleSet, max_degree: int) -> BicomplexReport:
     """Exact structural checks of the bicomplex up to a total degree.
 
-    Composite identities (dh.dh = 0, dv.dv = 0, and the commutation of dh
-    with dv) are exact matrix equalities on free modules; preservation of
-    the shuffle subgroups is an integer lattice-membership check, and
-    preservation of the degenerate subgroups a support check.
+    Each check walks the tuples of its degree and reads the image of each
+    tuple under a composite of face lists, applying the last map first.
+    The composite identities (dh.dh = 0, dv.dv = 0, and the commutation
+    of dh with dv) compare these images exactly.  Preservation of the
+    shuffle subgroups asks whether the image of every shuffle sum lies in
+    the integer span of the shuffle sums below, and preservation of the
+    degenerate subgroups whether every term of the image of a degenerate
+    tuple is degenerate.
     """
     require_valid_lcs(structure)
     if not isinstance(max_degree, int) or max_degree < 2:
@@ -344,57 +317,62 @@ def bicomplex_identity_check(structure: LinearCycleSet, max_degree: int) -> Bico
     _check_shuffles(n, 0, max_degree, f"the shuffle sums of total degree {max_degree}")
     report = BicomplexReport(order=n, max_degree=max_degree)
     checks = report.checks
+
+    def dh(i):
+        return _horizontal_faces(structure, i)
+
+    def dv(i, j):
+        return _vertical_faces(structure, i, j)
+
+    def images(total, second, first):
+        for t in all_tuples(n, total):
+            yield _apply(second, _apply(first, {t: 1}))
+
+    def shuffle_sums(i, j):
+        for r in range(1, j):
+            yield from partial_shuffles(structure, i, j, r)
+
+    def preserves(faces, i, j, target):
+        out = (_apply(faces, s) for s in shuffle_sums(i, j))
+        if target[1] < 2:  # one slot cannot shuffle: the images must vanish
+            return not any(out)
+        span = _IntegerSpan(shuffle_sums(*target))
+        return all(map(span.contains, out))
+
     for total in range(2, max_degree + 1):
         for i, j in total_blocks(total):
             if i >= 2:
-                prod = dh_matrix(structure, i - 1, j) @ dh_matrix(structure, i, j)
-                checks.append(
-                    BicomplexCheck(f"dh.dh=0 at ({i},{j})", prod.is_zero())
-                )
+                ok = not any(images(total, dh(i - 1), dh(i)))
+                checks.append(BicomplexCheck(f"dh.dh=0 at ({i},{j})", ok))
             if j >= 3:
-                prod = dv_matrix(structure, i, j - 1) @ dv_matrix(structure, i, j)
-                checks.append(
-                    BicomplexCheck(f"dv.dv=0 at ({i},{j})", prod.is_zero())
-                )
+                ok = not any(images(total, dv(i, j - 1), dv(i, j)))
+                checks.append(BicomplexCheck(f"dv.dv=0 at ({i},{j})", ok))
             if i >= 1 and j >= 2:
-                lhs = dh_matrix(structure, i, j - 1) @ dv_matrix(structure, i, j)
-                rhs = dv_matrix(structure, i - 1, j) @ dh_matrix(structure, i, j)
-                checks.append(
-                    BicomplexCheck(f"dh.dv=dv.dh at ({i},{j})", lhs == rhs)
-                )
+                lhs = images(total, dh(i), dv(i, j))
+                rhs = images(total, dv(i - 1, j), dh(i))
+                ok = all(a == b for a, b in zip(lhs, rhs))
+                checks.append(BicomplexCheck(f"dh.dv=dv.dh at ({i},{j})", ok))
     for total in range(2, max_degree + 1):
         for i, j in total_blocks(total):
             if j < 2:
                 continue
-            # row s of shuffles @ d^T is the image d(s) of one shuffle sum s
-            shuffles = shuffle_rows(structure, i, j)
             if i >= 1:
-                images = shuffles @ dh_matrix(structure, i, j).transpose()
-                ok = _in_integer_span(shuffle_rows(structure, i - 1, j), images.data)
+                ok = preserves(dh(i), i, j, (i - 1, j))
                 checks.append(BicomplexCheck(f"dh preserves shuffles at ({i},{j})", ok))
-            images = shuffles @ dv_matrix(structure, i, j).transpose()
-            if j - 1 >= 2:
-                ok = _in_integer_span(shuffle_rows(structure, i, j - 1), images.data)
-            else:
-                ok = images.is_zero()
+            ok = preserves(dv(i, j), i, j, (i, j - 1))
             checks.append(BicomplexCheck(f"dv preserves shuffles at ({i},{j})", ok))
+    zero = structure.zero
     for total in range(2, max_degree + 1):
-        target_ok = set(degenerate_indices(structure, total - 1))
-        source = degenerate_indices(structure, total)
+        degenerate = [t for t in all_tuples(n, total) if zero in t]
         for i, j in total_blocks(total):
-            mats = []
+            faces = []
             if i >= 1:
-                mats.append(("dh", dh_matrix(structure, i, j)))
+                faces.append(("dh", dh(i)))
             if j >= 2:
-                mats.append(("dv", dv_matrix(structure, i, j)))
-            for name, mat in mats:
-                ok = all(
-                    all(r in target_ok or not mat.data[r][col] for r in range(mat.rows))
-                    for col in source
-                )
-                checks.append(
-                    BicomplexCheck(f"{name} preserves degenerates at ({i},{j})", ok)
-                )
+                faces.append(("dv", dv(i, j)))
+            for name, d in faces:
+                ok = all(zero in u for t in degenerate for u in _apply(d, {t: 1}))
+                checks.append(BicomplexCheck(f"{name} preserves degenerates at ({i},{j})", ok))
     return report
 
 
@@ -455,12 +433,8 @@ def column_matches_trivial_reduced(structure: LinearCycleSet, j: int) -> bool:
         [list(row) for row in structure.add],
         [[b for b in range(n)] for _ in range(n)],
     )
-    dv = dv_matrix(structure, 0, j)
-    if dv != _bar_matrix(structure, j).scaled(-1):
+    if dv_matrix(structure, 0, j) != _bar_matrix(structure, j).scaled(-1):
         return False
-    red = reduced_boundary_matrix(trivial, j)
-    total = [
-        [x + y for x, y in zip(col, red_col)]
-        for col, red_col in zip(zip(*dv.data), zip(*red.data))
-    ]
-    return _in_integer_span(linearity_rows(structure, j - 1), total)
+    faces = _vertical_faces(structure, 0, j) + _horizontal_faces(trivial, j - 1)
+    span = _linearity_span(structure, j - 1)
+    return all(span.contains(_apply(faces, {t: 1})) for t in all_tuples(n, j))

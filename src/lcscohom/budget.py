@@ -7,7 +7,9 @@ basis elements; the environment variable LCSCOHOM_BUDGET overrides it.
 
 Sizes are compared before they are built: `check_power` takes n and k
 rather than n**k, so a degree in the billions is refused without
-computing a power of billions of digits.
+computing a power of billions of digits.  On order 1 the basis n**k is
+always 1, yet a degree-k job still writes about k faces of k coordinates
+each, so there `check_power` compares k**2 instead and bounds the degree.
 """
 
 import math
@@ -53,9 +55,14 @@ def check_power(base: int, exponent: int, what: str, factor: int = 1, times: int
 
     The power is built only when it fits the budget or prints in full, so
     the message is the same as check_basis gives wherever that one prints.
-    `times` must be at least 1.
+    `times` must be at least 1.  On base 1, `times * exponent**2` is
+    compared instead, the face coordinates of a degree-`exponent` job.
     """
     limit = factor * basis_budget()
+    if base == 1 and times * exponent**2 > limit:
+        # one tuple, but each of its about k faces writes k coordinates
+        size = f"{exponent}**2" if times == 1 else f"{times} * {exponent}**2"
+        raise _over(f"{what} on one element", size, limit, "face coordinates")
     bits = math.log2(times) + (exponent * math.log2(base) if base > 1 else 0)
     if bits > max(_PRINTABLE_BITS, limit.bit_length() + 1):
         power = f"{base}**{exponent}" if times == 1 else f"{times} * {base}**{exponent}"
@@ -63,8 +70,8 @@ def check_power(base: int, exponent: int, what: str, factor: int = 1, times: int
     check_basis(times * base**exponent, what, factor)
 
 
-def _over(what, size, limit) -> BudgetError:
+def _over(what, size, limit, unit="basis elements") -> BudgetError:
     return BudgetError(
-        f"{what} needs {size} basis elements, over the budget of {limit}"
+        f"{what} needs {size} {unit}, over the budget of {limit}"
         f" (set {_ENV_VAR} to raise it)"
     )

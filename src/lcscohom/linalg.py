@@ -19,8 +19,8 @@ a split of Z/m into its prime powers.
 
 The structural checks ask one question over Z itself: whether some
 vectors lie in the integer span of some relation rows.  An echelon form
-over Z (`_IntegerSpan`) answers it by the Howell form's gcd merges
-without a modulus.
+over Z (`_IntegerSpan`) answers it on the sparse rows that the face
+lists give, by the Howell form's gcd merges without a modulus.
 """
 
 import heapq
@@ -597,55 +597,63 @@ def _least_solution(columns, rhs, m: int):
 
 
 class _IntegerSpan:
-    """An echelon form over Z of the integer span L of some dense rows.
+    """An echelon form over Z of the integer span L of sparse rows.
 
-    Column by column, one extended-gcd row operation per pair merges the
-    rows with an entry there into one pivot row, as in `_HowellForm`, but
-    over Z: no modulus, no unit scaling and no pushed-back row.  Every
-    operation is unimodular, so the pivot rows still span L, and each is
-    zero before its pivot column (Kannan and Bachem, 1979).  `contains`
-    clears a vector pivot by pivot: it lies in L exactly when every pivot
-    divides what is left in its column and nothing is left at the end.
+    Rows are {key: entry} dicts over ordered keys, and every pivot row
+    has its own least key.  A row is cleared at its least key by the
+    pivot row there, or merged with it by one extended-gcd row operation
+    as in `_HowellForm` but over Z, until it becomes a pivot row itself.
+    The operations are unimodular, so the pivot rows still span L
+    (Kannan and Bachem, 1979).  A vector lies in L exactly when every
+    pivot divides what is left at its key and nothing is left at the end.
 
     The rows (2, 0) and (0, 3) span 2Z x 3Z:
 
-    >>> span = _IntegerSpan([[2, 0], [0, 3]], 2)
-    >>> span.contains([4, -3]), span.contains([1, 3])
+    >>> span = _IntegerSpan([{0: 2}, {1: 3}])
+    >>> span.contains({0: 4, 1: -3}), span.contains({0: 1, 1: 3})
     (True, False)
     """
 
-    def __init__(self, rows, width: int):
-        self.width = width
-        pool = [row for row in rows if any(row)]
-        self.pivots = []  # (column, pivot, nonzeros of the pivot row)
-        for col in range(width):
-            live = [r for r in pool if r[col]]
-            if not live:
-                continue
-            pool = [r for r in pool if not r[col]]
-            head = live[0]
-            for row in live[1:]:
-                g, s, t = _gcdex(head[col], row[col])
-                u, v = head[col] // g, row[col] // g
-                head, row = (
-                    [s * x + t * y for x, y in zip(head, row)],
-                    [u * y - v * x for x, y in zip(head, row)],
-                )
-                if any(row):
-                    pool.append(row)
-            nonzeros = [(c, head[c]) for c in compress(range(col, width), head[col:])]
-            self.pivots.append((col, head[col], nonzeros))
+    def __init__(self, rows):
+        self.pivots = {}  # least key -> the pivot row with that least key
+        for row in rows:
+            row = {c: x for c, x in row.items() if x}
+            while row:
+                key = min(row)
+                head = self.pivots.get(key)
+                if head is None:
+                    self.pivots[key] = row
+                    break
+                a, b = head[key], row[key]
+                if b % a:
+                    g, s, t = _gcdex(a, b)
+                    self.pivots[key] = _combine(s, head, t, row)
+                    row = _combine(a // g, row, -(b // g), head)
+                else:
+                    row = _combine(1, row, -(b // a), head)
 
     def contains(self, vec) -> bool:
-        """Whether the integer vector vec lies in L."""
-        if len(vec) != self.width:
-            raise ShapeError(f"vector of length {len(vec)} against span width {self.width}")
-        vec = list(vec)
-        for col, pivot, nonzeros in self.pivots:
-            q, r = divmod(vec[col], pivot)
+        """Whether the integer vector vec, a {key: entry} dict, lies in L."""
+        vec = {c: x for c, x in vec.items() if x}
+        while vec:
+            key = min(vec)
+            head = self.pivots.get(key)
+            if head is None:
+                return False
+            q, r = divmod(vec[key], head[key])
             if r:
                 return False
-            if q:
-                for c, x in nonzeros:
-                    vec[c] -= q * x
-        return not any(vec)
+            vec = _combine(1, vec, -q, head)
+        return True
+
+
+def _combine(a: int, u: dict, b: int, v: dict) -> dict:
+    """a u + b v for sparse rows without zero entries."""
+    out = {c: a * x for c, x in u.items()} if a else {}
+    for c, y in v.items():
+        x = out.get(c, 0) + b * y
+        if x:
+            out[c] = x
+        else:
+            out.pop(c, None)
+    return out

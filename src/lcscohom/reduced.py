@@ -11,9 +11,10 @@ Degree-k bases grow as |A|^k, so everything checks the basis budget
 before materializing matrices.  Every boundary, linearity, shuffle and
 permutation operator here and in the bicomplex is a signed list of face
 maps on tuples (act by the dot operation, merge by +, drop or permute
-coordinates) per block of source tuples, built by `_face_rows`.  Its
-sparse rows are all that any (co)homology group is reduced from; its
-dense view gives the public matrices.
+coordinates).  `_face_rows` writes face lists into the sparse rows that
+every (co)homology group is reduced from; their dense view gives the
+public matrices.  The chain-map and structural checks send each tuple
+through face lists as a formal sum (`_apply`), without a matrix.
 
 The boundary of a tuple (a_1, ..., a_k) is
 
@@ -30,7 +31,7 @@ with the degree-1 boundary zero.  The unconstrained companion complex
 """
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
@@ -41,13 +42,7 @@ from .errors import (
     MalformedTableError,
     ShapeError,
 )
-from .linalg import (
-    IntegerMatrix,
-    _IntegerSpan,
-    _subquotient_mod,
-    kernel_mod_m,
-    vstack,
-)
+from .linalg import IntegerMatrix, _IntegerSpan, _subquotient_mod
 from .structures import LinearCycleSet, require_valid_lcs
 
 __all__ = [
@@ -57,7 +52,6 @@ __all__ = [
     "reduced_boundary_matrix",
     "linearity_rows",
     "degenerate_indices",
-    "cochain_space_generators",
     "reduced_coboundary",
     "reduced_cohomology",
     "reduced_homology",
@@ -115,6 +109,26 @@ def _face_rows(n: int, k: int, blocks, targets, start: int = 0, width=None):
                 rows[index[face(t)]][col] += sign
             col += 1
     return rows
+
+
+def _apply(faces, chain) -> dict:
+    """The image of a formal sum {tuple: coefficient} under a face list.
+
+    Coinciding terms accumulate, and the image keeps only the nonzero
+    ones.  The face list (a, b) -> (b) - (a) sends (0, 1) + (1, 0) to
+    zero, but not 2 (0, 1):
+
+    >>> faces = [(1, _drop(0)), (-1, _drop(1))]
+    >>> _apply(faces, {(0, 1): 1, (1, 0): 1})
+    {}
+    >>> _apply(faces, {(0, 1): 2})
+    {(1,): 2, (0,): -2}
+    """
+    out = defaultdict(int)
+    for t, c in chain.items():
+        for sign, face in faces:
+            out[face(t)] += sign * c
+    return {t: c for t, c in out.items() if c}
 
 
 def _cohomology(coeffs, cocycles, constraints, coboundaries, dead=(), dead_below=()):
@@ -203,6 +217,12 @@ def _linearity_faces(structure: LinearCycleSet, k: int):
     return [(1, _merge(structure.add, k)), (-1, _drop(k)), (-1, _drop(k - 1))]
 
 
+def _linearity_span(structure: LinearCycleSet, k: int) -> _IntegerSpan:
+    """The integer span of the linearity relations among k-tuples."""
+    faces = _linearity_faces(structure, k)
+    return _IntegerSpan(_apply(faces, {t: 1}) for t in all_tuples(structure.order, k + 1))
+
+
 def degenerate_indices(structure: LinearCycleSet, k: int):
     """Indices of tuples containing the additive neutral element."""
     _check_degree(k)
@@ -220,23 +240,6 @@ def _degenerate_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
         row[i] = 1
         data.append(row)
     return IntegerMatrix(len(data), cols, data)
-
-
-def cochain_space_generators(
-    structure: LinearCycleSet,
-    k: int,
-    m: int,
-    normalized: bool = False,
-) -> IntegerMatrix:
-    """Generators (mod m) of the degree-k cochain group.
-
-    Last-linear value tables, additionally vanishing on degenerate tuples
-    when normalized.
-    """
-    constraints = linearity_rows(structure, k)
-    if normalized:
-        constraints = vstack([constraints, _degenerate_rows(structure, k)])
-    return kernel_mod_m(constraints, m)
 
 
 @dataclass
@@ -584,6 +587,12 @@ def _parity(perm) -> int:
     return sign
 
 
+def _antisymmetrization_faces(k: int):
+    return [
+        (_parity(p), _permute(p + (k - 1,))) for p in itertools.permutations(range(k - 1))
+    ]
+
+
 def antisymmetrization_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     """Signed sum over permutations of the first k-1 coordinates.
 
@@ -593,33 +602,29 @@ def antisymmetrization_matrix(structure: LinearCycleSet, k: int) -> IntegerMatri
     _check_degree(k)
     n = structure.order
     check_power(n, k, f"the degree-{k} tuple basis")
-    faces = [
-        (_parity(p), _permute(p + (k - 1,))) for p in itertools.permutations(range(k - 1))
-    ]
-    return _face_matrix(n, k, [faces], all_tuples(n, k))
+    return _face_matrix(n, k, [_antisymmetrization_faces(k)], all_tuples(n, k))
 
 
 def antisymmetrization_is_chain_map(structure: LinearCycleSet, k: int) -> bool:
     """Check boundary . antisym == antisym . cs_boundary modulo linearity.
 
-    The identity holds in the reduced quotient, so the column differences
-    must lie in the integer lattice spanned by the linearity relations of
-    degree k-1.  Degree 1 is vacuous.
+    The identity holds in the reduced quotient, so on every k-tuple the
+    two composites must differ by an element of the integer lattice
+    spanned by the linearity relations of degree k-1.  Degree 1 is
+    vacuous.
     """
     require_valid_lcs(structure)
     _check_degree(k)
     if k == 1:
         return True
-    lhs = reduced_boundary_matrix(structure, k) @ antisymmetrization_matrix(structure, k)
-    rhs = antisymmetrization_matrix(structure, k - 1) @ cs_chain_matrix(structure, k)
-    diff = [
-        [x - y for x, y in zip(lhs_col, rhs_col)]
-        for lhs_col, rhs_col in zip(zip(*lhs.data), zip(*rhs.data))
-    ]
-    return _in_integer_span(linearity_rows(structure, k - 1), diff)
-
-
-def _in_integer_span(generators: IntegerMatrix, vectors) -> bool:
-    """Whether every vector lies in the integer span of the generator rows."""
-    span = _IntegerSpan(generators.data, generators.cols)
-    return all(span.contains(vec) for vec in vectors)
+    n = structure.order
+    check_power(n, k, f"the degree-{k} tuple basis")
+    boundary, cs = _horizontal_faces(structure, k - 1), _cs_faces(structure, k)
+    upper, lower = _antisymmetrization_faces(k), _antisymmetrization_faces(k - 1)
+    span = _linearity_span(structure, k - 1)
+    for t in all_tuples(n, k):
+        diff = Counter(_apply(boundary, _apply(upper, {t: 1})))
+        diff.subtract(_apply(lower, _apply(cs, {t: 1})))
+        if not span.contains(diff):
+            return False
+    return True

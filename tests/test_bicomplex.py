@@ -9,9 +9,9 @@ import pytest
 import lcscohom.bicomplex as bicomplex
 from lattice_oracle import LatticeTester
 from lcscohom.abelian import FiniteAbelianGroup
+from lcscohom.cli import main
 from lcscohom.bicomplex import (
     bicomplex_identity_check,
-    block_cochain_generators,
     column_matches_trivial_reduced,
     dh_matrix,
     dv_matrix,
@@ -25,9 +25,10 @@ from lcscohom.bicomplex import (
 )
 from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.errors import DegreeError, ParameterError
-from lcscohom.linalg import IntegerMatrix, hstack
+from lcscohom.linalg import IntegerMatrix, _IntegerSpan, hstack, kernel_mod_m
 from lcscohom.reduced import (
-    _in_integer_span,
+    _drop,
+    _merge,
     all_tuples,
     linearity_rows,
     reduced_boundary_matrix,
@@ -212,16 +213,37 @@ def _oracle_contains_all(generators, vectors):
 
 
 def test_shuffle_checks_refuse_a_perturbed_image(monkeypatch):
-    # One entry of the first shuffle image off by one: the span checks
-    # fail, and the oracle refuses the same images.
-    def off_by_one(generators, images):
-        images = [list(row) for row in images]
-        images[0][1] += 1
-        assert not _oracle_contains_all(generators, images)
-        return _in_integer_span(generators, images)
-
-    monkeypatch.setattr(bicomplex, "_in_integer_span", off_by_one)
+    # The first shuffle image that each span check reads is off by one at
+    # the tuple of index 1: the span checks fail, and the oracle refuses
+    # the same image.
     for s in (T3, Z4LCS):
+        n = s.order
+
+        class OffByOne(_IntegerSpan):
+            def __init__(self, rows):
+                self.rows = list(rows)
+                super().__init__(self.rows)
+                self.perturbed = False
+
+            def contains(self, vec):
+                if self.perturbed:
+                    return super().contains(vec)
+                self.perturbed = True
+                degree = len(next(t for row in self.rows for t in row))
+                key = (0,) * (degree - 1) + (1,)
+                vec = dict(vec)
+                vec[key] = vec.get(key, 0) + 1
+                generators = IntegerMatrix(len(self.rows), n**degree)
+                for r, row in enumerate(self.rows):
+                    for t, x in row.items():
+                        generators.data[r][tuple_index(t, n)] = x
+                dense = [0] * n**degree
+                for t, x in vec.items():
+                    dense[tuple_index(t, n)] = x
+                assert not _oracle_contains_all(generators, [dense])
+                return super().contains(vec)
+
+        monkeypatch.setattr(bicomplex, "_IntegerSpan", OffByOne)
         report = bicomplex_identity_check(s, 4)
         verdicts = {c.name: c.ok for c in report.checks if "shuffles" in c.name}
         assert {name for name, ok in verdicts.items() if not ok} == {
@@ -241,27 +263,128 @@ def test_shuffle_checks_refuse_a_perturbed_image(monkeypatch):
 
 
 def test_column_match_refuses_a_perturbed_trivial_boundary(monkeypatch):
-    # The bar-matrix half still matches; the trivial reduced boundary has
-    # one entry off by one, and the sum leaves the linearity lattice.
-    real = reduced_boundary_matrix
+    # The bar-matrix half still matches; the last face of the trivial
+    # reduced boundary has its sign flipped, and the sum leaves the
+    # linearity lattice.
+    real = bicomplex._horizontal_faces
 
-    def perturbed(structure, k):
-        mat = real(structure, k)
+    def perturbed(structure, i):
+        faces = real(structure, i)
         if structure.dot == (tuple(range(structure.order)),) * structure.order:
-            mat.data[1][1] += 1
-        return mat
+            sign, face = faces[-1]
+            faces[-1] = (-sign, face)
+        return faces
 
-    monkeypatch.setattr(bicomplex, "reduced_boundary_matrix", perturbed)
+    monkeypatch.setattr(bicomplex, "_horizontal_faces", perturbed)
     for s in (T3, Z4LCS):
         trivial = LinearCycleSet(s.order, s.add, [list(range(s.order))] * s.order)
         for j in (2, 3):
             assert not column_matches_trivial_reduced(s, j), (s.order, j)
             dv = dv_matrix(s, 0, j)
+            # dh_matrix at (j - 1, 1) is the reduced boundary, built from the same faces
+            red = dh_matrix(trivial, j - 1, 1)
+            assert red != reduced_boundary_matrix(trivial, j)
             total = [
                 [x + y for x, y in zip(col, red_col)]
-                for col, red_col in zip(zip(*dv.data), zip(*perturbed(trivial, j).data))
+                for col, red_col in zip(zip(*dv.data), zip(*red.data))
             ]
             assert not _oracle_contains_all(linearity_rows(s, j - 1), total)
+
+
+def _flip(faces, at):
+    sign, face = faces[at]
+    faces[at] = (-sign, face)
+    return faces
+
+
+_REAL_DH, _REAL_DV = bicomplex._horizontal_faces, bicomplex._vertical_faces
+DH_BLOCKS = ("(1,1)", "(1,2)", "(1,3)", "(2,1)", "(2,2)", "(3,1)")
+DV_BLOCKS = ("(0,2)", "(0,3)", "(0,4)", "(1,2)", "(1,3)", "(2,2)")
+DH_DEGENERATES = {f"dh preserves degenerates at {b}" for b in DH_BLOCKS}
+DV_DEGENERATES = {f"dv preserves degenerates at {b}" for b in DV_BLOCKS}
+DH_DH = {"dh.dh=0 at (2,1)", "dh.dh=0 at (2,2)", "dh.dh=0 at (3,1)"}
+DV_DV = {"dv.dv=0 at (0,3)", "dv.dv=0 at (0,4)", "dv.dv=0 at (1,3)"}
+SPAN_BLOCKS = ("(0,3)", "(0,4)", "(1,3)")
+
+# (horizontal faces, vertical faces, the checks that must fail at max degree 4)
+BROKEN_FACES = {
+    # the drop of coordinate i with the wrong sign
+    "dh drop sign": (
+        lambda s, i: _flip(_REAL_DH(s, i), -1),
+        _REAL_DV,
+        DH_DH | DH_DEGENERATES,
+    ),
+    # the drop of coordinate i + 1 with the wrong sign
+    "dv drop sign": (
+        _REAL_DH,
+        lambda s, i, j: _flip(_REAL_DV(s, i, j), 0),
+        DV_DV
+        | DV_DEGENERATES
+        | {f"dv preserves shuffles at {b}" for b in DV_BLOCKS},
+    ),
+    # a merge across the two blocks, (.., a, 0, ..) -> (.., a, ..)
+    "dh extra merge": (
+        lambda s, i: _REAL_DH(s, i) + [(1, _merge(s.add, i))],
+        _REAL_DV,
+        DH_DH
+        | DH_DEGENERATES
+        | {f"dh preserves shuffles at {b}" for b in ("(1,2)", "(1,3)", "(2,2)")}
+        | {f"dh.dv=dv.dh at {b}" for b in ("(1,2)", "(1,3)", "(2,2)")},
+    ),
+    # a second merge of coordinates i + 1 and i + 2
+    "dv extra merge": (
+        _REAL_DH,
+        lambda s, i, j: _REAL_DV(s, i, j) + [(1, _merge(s.add, i + 1))],
+        DV_DV | DV_DEGENERATES | {f"dv preserves shuffles at {b}" for b in SPAN_BLOCKS},
+    ),
+}
+
+
+def _dense_verdicts(s, max_degree):
+    # the composite and degenerate checks from products and columns of the
+    # dense matrices, which the patched face lists build too
+    out = {}
+    for total in range(2, max_degree + 1):
+        source = [x for x, t in enumerate(all_tuples(s.order, total)) if s.zero in t]
+        target = {x for x, t in enumerate(all_tuples(s.order, total - 1)) if s.zero in t}
+        for i, j in total_blocks(total):
+            mats = []
+            if i >= 2:
+                prod = dh_matrix(s, i - 1, j) @ dh_matrix(s, i, j)
+                out[f"dh.dh=0 at ({i},{j})"] = is_zero(prod)
+            if j >= 3:
+                prod = dv_matrix(s, i, j - 1) @ dv_matrix(s, i, j)
+                out[f"dv.dv=0 at ({i},{j})"] = is_zero(prod)
+            if i >= 1 and j >= 2:
+                lhs = dh_matrix(s, i, j - 1) @ dv_matrix(s, i, j)
+                rhs = dv_matrix(s, i - 1, j) @ dh_matrix(s, i, j)
+                out[f"dh.dv=dv.dh at ({i},{j})"] = lhs == rhs
+            if i >= 1:
+                mats.append(("dh", dh_matrix(s, i, j)))
+            if j >= 2:
+                mats.append(("dv", dv_matrix(s, i, j)))
+            for name, mat in mats:
+                out[f"{name} preserves degenerates at ({i},{j})"] = all(
+                    r in target or not mat.data[r][x] for x in source for r in range(mat.rows)
+                )
+    return out
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_FACES))
+def test_structural_checks_refuse_broken_faces(broken, monkeypatch, capsys):
+    horizontal, vertical, failing = BROKEN_FACES[broken]
+    monkeypatch.setattr(bicomplex, "_horizontal_faces", horizontal)
+    monkeypatch.setattr(bicomplex, "_vertical_faces", vertical)
+    for s, name in ((T3, "trivial(3)"), (Z4LCS, "z4-lcs")):
+        report = bicomplex_identity_check(s, 4)
+        verdicts = {c.name: c.ok for c in report.checks}
+        assert {c for c, ok in verdicts.items() if not ok} == failing, name
+        dense = _dense_verdicts(s, 4)
+        assert dense == {c: verdicts[c] for c in dense}, name
+        code = main(["--text", "bicomplex-check", f"builtin:{name}", "--max-degree", "4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == "".join(f"FAIL {c.name}\n" for c in report.checks if not c.ok)
 
 
 def test_total_blocks():
@@ -323,7 +446,7 @@ def test_full_cohomology_trivial_coefficients():
 
 def test_block_generators_at_symmetric_corner():
     # bidegree (0,2) mod 2: tables constant under swapping the two slots
-    gens = block_cochain_generators(T2, 0, 2, 2)
+    gens = kernel_mod_m(shuffle_rows(T2, 0, 2), 2)
     span = set()
     frontier = [(0, 0, 0, 0)]
     span.add((0, 0, 0, 0))

@@ -23,7 +23,8 @@ def test_power_messages_match_the_built_size(base, exponent, times):
 
 def test_power_within_the_budget_passes():
     check_power(4, 7, "it")  # 16384 <= 20000
-    check_power(1, 10**11, "it", times=20000)
+    check_power(1, 141, "it")  # 141**2 = 19881 face coordinates
+    check_power(1, 39, "it", factor=3, times=39)  # 39**3 = 59319 <= 60000
     check_power(2, 14, "it", factor=3, times=3)  # 49152 <= 60000
 
 
@@ -33,6 +34,19 @@ def test_power_past_printing_is_reported_unbuilt(exponent):
     text = message(check_power, 4, exponent, "it", times=5)
     assert time.perf_counter() - start < 0.1
     assert text.startswith(f"it needs 5 * 4**{exponent} basis elements, over the budget of 20000")
+
+
+@pytest.mark.parametrize("exponent, times", [(245, 1), (10**11, 1), (40, 40), (10**4000, 3)])
+def test_order_one_bounds_the_degree(exponent, times):
+    # one tuple, but about k faces of k coordinates each
+    start = time.perf_counter()
+    text = message(check_power, 1, exponent, "it", 3, times)
+    assert time.perf_counter() - start < 0.1
+    size = f"{exponent}**2" if times == 1 else f"{times} * {exponent}**2"
+    assert text == (
+        f"it on one element needs {size} face coordinates, over the budget of 60000"
+        " (set LCSCOHOM_BUDGET to raise it)"
+    )
 
 
 def test_trivial_orders_up_to_the_degree_one_basis():

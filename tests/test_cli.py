@@ -577,6 +577,24 @@ def test_huge_degrees_are_refused_before_their_size_is_built(degree):
     assert f"4**{degree}" in json.loads(results[0][2])["error"]
 
 
+@pytest.mark.parametrize("degree", ["100000", "100000000000"])
+def test_order_one_degrees_are_bounded(degree):
+    # every n**k reads 1 on order 1, yet a degree-k job writes about k
+    # faces of k coordinates each
+    one = "builtin:trivial(1)"
+    argvs = [
+        ["cohomology", one, "--coeff", "Z/2", "--degree", degree, "--theory", theory]
+        for theory in ("reduced", "cs")
+    ]
+    argvs += [
+        ["homology", one, "--coeff", "Z/2", "--degree", degree],
+        ["bicomplex-check", one, "--bidegree", f"{degree},1"],
+    ]
+    results = run_limited(argvs)
+    assert_refused(results)
+    assert f"{degree}**2 face coordinates" in json.loads(results[0][2])["error"]
+
+
 def test_trivial_tables_are_budgeted():
     too_long, too_large = run_limited(
         [

@@ -1,12 +1,16 @@
-"""Every (co)homology group takes the one sparse route.
+"""Every (co)homology group and structural check takes a sparse route.
 
-The groups are read from tagged eliminations of sparse face rows, so no
+The groups are read from tagged eliminations of sparse face rows, and the
+bicomplex and chain-map checks apply face lists to formal sums, so no
 dense matrix, cochain generator set or matrix product is formed on the
-way.  The guard test makes every dense path raise and still expects the
-invariants below, which were frozen from the dense generator-and-product
-route this one replaced; the memory test bounds what that route cost.
+way.  The guard tests make every dense path raise and still expect the
+invariants and reports below, which were frozen from the dense
+generator-and-product routes these replaced; the memory tests bound what
+those routes cost.
 """
 
+import hashlib
+import json
 import tracemalloc
 from collections import Counter
 
@@ -14,10 +18,16 @@ import lcscohom.bicomplex
 import lcscohom.linalg
 import lcscohom.reduced
 from lcscohom.abelian import parse_group_spec
-from lcscohom.bicomplex import full_cohomology
-from lcscohom.corpus import builtin_structure
+from lcscohom.bicomplex import bicomplex_identity_check, full_cohomology
+from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.linalg import IntegerMatrix
-from lcscohom.reduced import cs_cocycle_group, cs_cohomology, reduced_cohomology, reduced_homology
+from lcscohom.reduced import (
+    antisymmetrization_is_chain_map,
+    cs_cocycle_group,
+    cs_cohomology,
+    reduced_cohomology,
+    reduced_homology,
+)
 
 Z4LCS = builtin_structure("z4-lcs")
 
@@ -46,38 +56,63 @@ DENSE = {
     lcscohom.linalg: ("kernel_mod_m",),
     lcscohom.reduced: (
         "_face_matrix",
-        "kernel_mod_m",
         "reduced_boundary_matrix",
         "linearity_rows",
-        "cochain_space_generators",
         "cs_chain_matrix",
         "cs_coboundary_matrix",
         "antisymmetrization_matrix",
     ),
     lcscohom.bicomplex: (
         "_face_matrix",
-        "kernel_mod_m",
-        "reduced_boundary_matrix",
-        "linearity_rows",
         "shuffle_rows",
         "dh_matrix",
         "dv_matrix",
         "total_chain_matrix",
-        "block_cochain_generators",
     ),
 }
 
 
+# SHA-256 of the sorted JSON of bicomplex_identity_check(z4-lcs, 4): 30
+# passing checks, as the dense products reported them.
+Z4LCS_REPORT = "14ef6caf208561958c72152ca9da9606f651c3573b09d562443d68715bfd78a3"
+
+
 def refuse(*_args, **_kwargs):
-    raise AssertionError("a (co)homology group took a dense path")
+    raise AssertionError("a dense path was taken")
 
 
-def test_no_dense_matrix_on_the_route(monkeypatch):
+def refuse_dense(monkeypatch):
     for module, names in DENSE.items():
         for name in names:
             monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(IntegerMatrix, "__init__", refuse)
     monkeypatch.setattr(IntegerMatrix, "__matmul__", refuse)
+
+
+def test_no_dense_matrix_in_the_structural_checks(monkeypatch):
+    refuse_dense(monkeypatch)
+    report = bicomplex_identity_check(Z4LCS, 4).to_dict()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == Z4LCS_REPORT
+    for name, s in standard_corpus():
+        for k in (2, 3):
+            assert antisymmetrization_is_chain_map(s, k), (name, k)
+
+
+def test_identity_check_stays_small():
+    # The dense products peaked at 72.5 MiB here; the face lists take under 1.
+    tracemalloc.start()
+    try:
+        report = bicomplex_identity_check(Z4LCS, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(report.checks) == 54
+    assert peak < 8 * 2**20, peak
+
+
+def test_no_dense_matrix_on_the_route(monkeypatch):
+    refuse_dense(monkeypatch)
     coeffs = parse_group_spec("Z/2+Z/4")
     for normalized in (False, True):
         for k in (1, 2, 3):

@@ -34,3 +34,5 @@ def test_examples_are_collected():
     assert finder.find(linalg._subquotient_mod)[0].examples
     assert finder.find(linalg._IntegerSpan)[0].examples
     assert finder.find(linalg._least_solution)[0].examples
+    reduced = importlib.import_module("lcscohom.reduced")
+    assert len(finder.find(reduced._apply)[0].examples) >= 3

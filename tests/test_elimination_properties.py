@@ -99,7 +99,8 @@ def test_integer_span_membership_agrees_with_the_oracle():
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count))
         shift = data.draw(st.lists(st.integers(-2, 2), min_size=width, max_size=width))
         vec = [sum(c * row[k] for c, row in zip(coeffs, gens.data)) + d for k, d in enumerate(shift)]
-        verdict = _IntegerSpan(gens.data, width).contains(vec)
+        rows = [{c: x for c, x in enumerate(row) if x} for row in gens.data]
+        verdict = _IntegerSpan(rows).contains({c: x for c, x in enumerate(vec) if x})
         assert verdict == LatticeTester(gens.transpose()).contains(vec)
         seen.add(verdict)
 

@@ -30,7 +30,6 @@ from lcscohom.linalg import (
     kernel_mod_m,
     vstack,
 )
-from lcscohom.reduced import _in_integer_span
 from subquotient_route import subquotient_invariants
 
 
@@ -271,21 +270,31 @@ def test_subquotient_splits_over_coprime_factors():
         assert six == merge_invariants(two, three)
 
 
+def sparse(vec):
+    return {c: x for c, x in enumerate(vec) if x}
+
+
 def test_contains_all_needs_every_column():
     gens = IntegerMatrix.from_rows([[2, 0, 0], [0, 3, 0]])
-    span = _IntegerSpan(gens.data, gens.cols)
+    span = _IntegerSpan(sparse(row) for row in gens.data)
     inside = IntegerMatrix.from_rows([[2, 4, 0], [3, 0, -6], [0, 0, 0]])
-    columns = [inside.column(c) for c in range(inside.cols)]
-    assert _in_integer_span(gens, columns)
+    columns = [sparse(inside.column(c)) for c in range(inside.cols)]
     for col in columns:
         assert span.contains(col)
     for r, c, bump in ((0, 1, 1), (1, 2, 1), (2, 0, 5)):
-        one_out = [col[:] for col in columns]
-        one_out[c][r] += bump
-        assert not _in_integer_span(gens, one_out), (r, c)
-    assert _in_integer_span(gens, [])
-    with pytest.raises(ShapeError):
-        span.contains([0, 0])
+        one_out = [dict(col) for col in columns]
+        one_out[c][r] = one_out[c].get(r, 0) + bump
+        assert not all(span.contains(col) for col in one_out), (r, c)
+    assert span.contains({}) and span.contains({0: 0, 1: 0})
+    # a pivot that the first row's entry does not divide merges by a gcd
+    merged = _IntegerSpan([{0: 4, 1: 1}, {0: 6}])
+    assert merged.contains({0: 2, 1: -1}) and merged.contains({0: 6})
+    assert not merged.contains({0: 1}) and not merged.contains({1: 1, 2: 1})
+    # 3 divides 6: the second row takes over as the pivot row
+    swapped = _IntegerSpan([{0: 6, 1: 1}, {0: 3, 2: 1}])
+    assert all(x for row in swapped.pivots.values() for x in row.values())
+    assert swapped.contains({0: 6, 1: 1}) and swapped.contains({0: 3, 1: 1, 2: -1})
+    assert not swapped.contains({1: 1}) and not swapped.contains({0: 3})
 
 
 def test_stacking():

@@ -18,14 +18,13 @@ from lattice_oracle import LatticeTester
 from lcscohom.abelian import FiniteAbelianGroup
 from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.errors import DegreeError, LinearityError, MalformedTableError, ShapeError
-from lcscohom.linalg import IntegerMatrix
+from lcscohom.linalg import IntegerMatrix, kernel_mod_m
 from lcscohom.reduced import (
     Cochain,
     all_tuples,
     antisymmetrization_is_chain_map,
     antisymmetrization_matrix,
     cochain_from_dict,
-    cochain_space_generators,
     cs_chain_matrix,
     cs_coboundary_matrix,
     cs_cocycle_group,
@@ -108,7 +107,7 @@ def test_degree_guard():
 
 
 def random_linear_cochain(rng, s, k, m):
-    gens = cochain_space_generators(s, k, m, normalized=False)
+    gens = kernel_mod_m(linearity_rows(s, k), m)
     vec = [0] * gens.rows
     for c in range(gens.cols):
         w = rng.randrange(m)
@@ -330,21 +329,25 @@ def test_antisymmetrization_chain_map():
 
 
 def test_antisymmetrization_chain_map_refuses_a_perturbed_matrix(monkeypatch):
-    # One entry of the degree-3 antisymmetrization off by one: the column
-    # differences leave the linearity lattice, on both paths.
-    real = antisymmetrization_matrix
+    # The transposition in the degree-3 antisymmetrization with the wrong
+    # sign: the differences of the two composites leave the linearity
+    # lattice, on both paths.
+    real = reduced._antisymmetrization_faces
 
-    def perturbed(structure, k):
-        mat = real(structure, k)
+    def perturbed(k):
+        faces = real(k)
         if k == 3:
-            mat.data[1][1] += 1
-        return mat
+            sign, face = faces[1]
+            faces[1] = (-sign, face)
+        return faces
 
-    monkeypatch.setattr(reduced, "antisymmetrization_matrix", perturbed)
+    monkeypatch.setattr(reduced, "_antisymmetrization_faces", perturbed)
     for s in (T3, Z4LCS):
         assert not antisymmetrization_is_chain_map(s, 3), s.order
-        lhs = reduced_boundary_matrix(s, 3) @ perturbed(s, 3)
-        rhs = perturbed(s, 2) @ cs_chain_matrix(s, 3)
+        # the dense matrix is built from the same perturbed faces
+        assert antisymmetrization_matrix(s, 3) != antisym_expansion(s, 3)
+        lhs = reduced_boundary_matrix(s, 3) @ antisymmetrization_matrix(s, 3)
+        rhs = antisymmetrization_matrix(s, 2) @ cs_chain_matrix(s, 3)
         diff = IntegerMatrix(
             lhs.rows, lhs.cols, [[x - y for x, y in zip(a, b)] for a, b in zip(lhs.data, rhs.data)]
         )
@@ -354,7 +357,7 @@ def test_antisymmetrization_chain_map_refuses_a_perturbed_matrix(monkeypatch):
 
 def test_linearity_rows_annihilate_generators():
     rows = linearity_rows(Z4LCS, 2)
-    gens = cochain_space_generators(Z4LCS, 2, 4, normalized=False)
+    gens = kernel_mod_m(rows, 4)
     prod = rows @ gens
     for r in range(prod.rows):
         assert all(x % 4 == 0 for x in prod.data[r])
