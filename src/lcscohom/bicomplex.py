@@ -328,17 +328,6 @@ def bicomplex_identity_check(structure: LinearCycleSet, max_degree: int) -> Bico
         for t in all_tuples(n, total):
             yield _apply(second, _apply(first, {t: 1}))
 
-    def shuffle_sums(i, j):
-        for r in range(1, j):
-            yield from partial_shuffles(structure, i, j, r)
-
-    def preserves(faces, i, j, target):
-        out = (_apply(faces, s) for s in shuffle_sums(i, j))
-        if target[1] < 2:  # one slot cannot shuffle: the images must vanish
-            return not any(out)
-        span = _IntegerSpan(shuffle_sums(*target))
-        return all(map(span.contains, out))
-
     for total in range(2, max_degree + 1):
         for i, j in total_blocks(total):
             if i >= 2:
@@ -352,15 +341,35 @@ def bicomplex_identity_check(structure: LinearCycleSet, max_degree: int) -> Bico
                 rhs = images(total, dv(i - 1, j), dh(i))
                 ok = all(a == b for a, b in zip(lhs, rhs))
                 checks.append(BicomplexCheck(f"dh.dv=dv.dh at ({i},{j})", ok))
+    # Each bidegree's shuffle sums are built once, one shuffle type at a
+    # time: checked as sources at their own total degree, then kept, as an
+    # integer span, for the sums one degree up to land in.  Only the spans
+    # of two total degrees are alive at once.
+    spans = {}
     for total in range(2, max_degree + 1):
+        below, spans = spans, {}
         for i, j in total_blocks(total):
             if j < 2:
                 continue
-            if i >= 1:
-                ok = preserves(dh(i), i, j, (i - 1, j))
-                checks.append(BicomplexCheck(f"dh preserves shuffles at ({i},{j})", ok))
-            ok = preserves(dv(i, j), i, j, (i, j - 1))
-            checks.append(BicomplexCheck(f"dv preserves shuffles at ({i},{j})", ok))
+            maps = [("dh", dh(i), (i - 1, j))] if i >= 1 else []
+            maps.append(("dv", dv(i, j), (i, j - 1)))
+            held = [True] * len(maps)
+            span = spans[i, j] = _IntegerSpan()
+            for r in range(1, j):
+                sums = partial_shuffles(structure, i, j, r)
+                for k, (_name, faces, target) in enumerate(maps):
+                    if not held[k]:
+                        continue
+                    out = (_apply(faces, s) for s in sums)
+                    if target[1] < 2:  # one slot cannot shuffle: images must vanish
+                        held[k] = not any(out)
+                    else:
+                        held[k] = all(map(below[target].contains, out))
+                if total < max_degree:
+                    for s in sums:
+                        span.add(s)
+            for (name, _faces, _target), ok in zip(maps, held):
+                checks.append(BicomplexCheck(f"{name} preserves shuffles at ({i},{j})", ok))
     zero = structure.zero
     for total in range(2, max_degree + 1):
         degenerate = [t for t in all_tuples(n, total) if zero in t]

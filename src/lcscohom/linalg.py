@@ -614,23 +614,27 @@ class _IntegerSpan:
     (True, False)
     """
 
-    def __init__(self, rows):
+    def __init__(self, rows=()):
         self.pivots = {}  # least key -> the pivot row with that least key
         for row in rows:
-            row = {c: x for c, x in row.items() if x}
-            while row:
-                key = min(row)
-                head = self.pivots.get(key)
-                if head is None:
-                    self.pivots[key] = row
-                    break
-                a, b = head[key], row[key]
-                if b % a:
-                    g, s, t = _gcdex(a, b)
-                    self.pivots[key] = _combine(s, head, t, row)
-                    row = _combine(a // g, row, -(b // g), head)
-                else:
-                    row = _combine(1, row, -(b // a), head)
+            self.add(row)
+
+    def add(self, row) -> None:
+        """Widen L by one more row, a {key: entry} dict."""
+        row = {c: x for c, x in row.items() if x}
+        while row:
+            key = min(row)
+            head = self.pivots.get(key)
+            if head is None:
+                self.pivots[key] = row
+                return
+            a, b = head[key], row[key]
+            if b % a:
+                g, s, t = _gcdex(a, b)
+                self.pivots[key] = _combine(s, head, t, row)
+                row = _combine(a // g, row, -(b // g), head)
+            else:
+                row = _combine(1, row, -(b // a), head)
 
     def contains(self, vec) -> bool:
         """Whether the integer vector vec, a {key: entry} dict, lies in L."""

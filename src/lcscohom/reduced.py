@@ -33,6 +33,7 @@ with the degree-1 boundary zero.  The unconstrained companion complex
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from .budget import check_power
@@ -169,8 +170,15 @@ def _drop(pos: int):
 
 
 def _permute(perm):
-    """Position p of the image holds coordinate perm[p] of the source."""
-    return lambda t: tuple(t[q] for q in perm)
+    """Position p of the image holds coordinate perm[p] of the source.
+
+    With one position itemgetter returns a bare entry, so that case is
+    composed by hand, as in `_composers`.
+    """
+    if len(perm) == 1:
+        (q,) = perm
+        return lambda t: (t[q],)
+    return itemgetter(*perm)
 
 
 def _horizontal_faces(structure: LinearCycleSet, i: int):

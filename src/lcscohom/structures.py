@@ -17,17 +17,24 @@ from .errors import MalformedTableError, StructureValidationError
 
 
 def _check_table(table, n, name):
+    """The table as tuple rows, once every entry is an int index in 0..n-1.
+
+    A row of plain ints is accepted in one pass over its types, minimum
+    and maximum; any other row (int subclasses included) is walked entry
+    by entry, which names the first bad entry.
+    """
     if not isinstance(table, (list, tuple)) or len(table) != n:
         raise MalformedTableError(f"{name} table must have {n} rows")
     rows = []
     for i, row in enumerate(table):
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise MalformedTableError(f"{name} table row {i} must have {n} entries")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-                raise MalformedTableError(
-                    f"{name} table entry {x!r} at row {i} is not an index in 0..{n - 1}"
-                )
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+                    raise MalformedTableError(
+                        f"{name} table entry {x!r} at row {i} is not an index in 0..{n - 1}"
+                    )
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -53,6 +60,18 @@ class LinearCycleSet:
         self.add = _check_table(add, order, "add")
         self.dot = _check_table(dot, order, "dot")
         self.zero = _find_neutral(self.add, order)
+
+    @classmethod
+    def _trusted(cls, order, add, dot, zero):
+        """A structure whose caller has proved the tables well formed.
+
+        add and dot must already be tuples of tuple rows of indices in
+        0..order-1, and zero the neutral element of add; nothing is
+        checked or copied.
+        """
+        self = object.__new__(cls)
+        self.order, self.add, self.dot, self.zero = order, add, dot, zero
+        return self
 
     def __eq__(self, other):
         return (

@@ -465,6 +465,8 @@ def verify_paper(seed: int = 0):
             if not verdict:
                 return False, "rebuilt cycle-type extension is not equivalent"
         for e in classify_extensions(t2, Z2, "general"):
+            if not validate_lcs(e.triple.total).valid:
+                return False, "a general class total fails the axioms"
             got = extract_cocycle(e.triple, "full")
             if got.f != e.cocycle.f or got.g != e.cocycle.g:
                 return False, "the canonical section does not recover the pair"

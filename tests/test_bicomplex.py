@@ -215,20 +215,21 @@ def _oracle_contains_all(generators, vectors):
 def test_shuffle_checks_refuse_a_perturbed_image(monkeypatch):
     # The first shuffle image that each span check reads is off by one at
     # the tuple of index 1: the span checks fail, and the oracle refuses
-    # the same image.
+    # the same image.  A span serves two checks, and a check that fails
+    # reads no further image, so every image a span reads is perturbed.
     for s in (T3, Z4LCS):
         n = s.order
 
         class OffByOne(_IntegerSpan):
-            def __init__(self, rows):
-                self.rows = list(rows)
-                super().__init__(self.rows)
-                self.perturbed = False
+            def __init__(self, rows=()):
+                self.rows = []
+                super().__init__(rows)
+
+            def add(self, row):
+                self.rows.append(row)
+                super().add(row)
 
             def contains(self, vec):
-                if self.perturbed:
-                    return super().contains(vec)
-                self.perturbed = True
                 degree = len(next(t for row in self.rows for t in row))
                 key = (0,) * (degree - 1) + (1,)
                 vec = dict(vec)

@@ -36,3 +36,7 @@ def test_examples_are_collected():
     assert finder.find(linalg._least_solution)[0].examples
     reduced = importlib.import_module("lcscohom.reduced")
     assert len(finder.find(reduced._apply)[0].examples) >= 3
+    # the cached helper's doctest is collected through its cache wrapper
+    extensions = importlib.import_module("lcscohom.extensions")
+    names = {t.name for t in finder.find(extensions) if t.examples}
+    assert "lcscohom.extensions._addition_index" in names

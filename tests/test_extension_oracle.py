@@ -6,6 +6,10 @@ not cohomologous; `classify_extensions` must return the oracle's class
 list, representatives and order included.  The sweep covers every linear
 cycle set of orders 1 to 4 over cyclic and non-cyclic coefficient groups,
 including Z/6, which the linear algebra treats as one ring, not by parts.
+
+`classify_extensions` checks each class's cocycle and builds its total
+without validating it; the totals are validated here, and perturbed
+class cocycles must be refused both as cocycles and as built totals.
 """
 
 import itertools
@@ -13,20 +17,36 @@ import itertools
 import pytest
 
 from extension_oracle import class_cocycles, search_theta
+from lcscohom import verify
 from lcscohom.abelian import parse_group_spec
-from lcscohom.corpus import enumerate_lcs
+from lcscohom.corpus import builtin_structure, enumerate_lcs
 from lcscohom.extensions import (
     FullTwoCocycle,
     ReducedTwoCocycle,
+    build_extension_full,
+    build_extension_reduced,
     classify_extensions,
     cocycles_cohomologous,
+    force_extension_full,
+    force_extension_reduced,
+    is_full_2cocycle,
+    is_reduced_2cocycle,
+    validate_extension_triple,
 )
+from lcscohom.structures import LinearCycleSet, validate_lcs
 
 STRUCTURES = [s for n in (1, 2, 3, 4) for s in enumerate_lcs(n)]
 COEFFS = ("Z/2", "Z/3", "Z/4", "Z/6", "Z/2+Z/2", "Z/2+Z/4")
-# classify_extensions builds and validates every class's total structure;
-# the few bases with more classes than this take seconds each.
+# Bases with more classes than this are left out of the per-class
+# comparisons: the oracle lists every cocycle, and each total checked
+# below is validated three times over.  Classifying one costs little (the
+# 4,096 classes of the trivial structure on Z/2+Z/2 over Z/2+Z/2 take
+# about 0.7 s).
 MAX_CLASSES = 64
+# The second cycle-type class of z4-lcs over Z/2, an order-8 base.
+EXT8 = classify_extensions(
+    builtin_structure("z4-lcs"), parse_group_spec("Z/2"), "cycle-type"
+)[1].triple.total
 # Class representatives per base whose pairs are compared.
 PAIRS = 2
 
@@ -84,6 +104,77 @@ def test_classes_match_oracle(coeff, flavor):
         assert got == expected, s
         compared += len(expected) > 1
     assert compared
+
+
+@pytest.mark.parametrize("coeff", ("Z/2", "Z/4", "Z/2+Z/2"))
+@pytest.mark.parametrize("flavor", ["cycle-type", "general"])
+def test_class_totals_are_valid_and_perturbed_cocycles_refused(coeff, flavor):
+    gamma = parse_group_spec(coeff)
+    bump = gamma.element(1)
+    accepted = refused = 0
+    for s in STRUCTURES + [EXT8]:
+        classes = classify_extensions(s, gamma, flavor)
+        for c in classes if len(classes) <= MAX_CLASSES else ():
+            total = c.triple.total
+            assert validate_lcs(total).valid
+            assert validate_extension_triple(c.triple, flavor).valid
+            # the trusted zero is the neutral element a full build finds
+            assert LinearCycleSet(total.order, total.add, total.dot).zero == total.zero
+            if flavor == "cycle-type":
+                public = build_extension_reduced(gamma, s, c.cocycle.f)
+            else:
+                public = build_extension_full(gamma, s, c.cocycle.f, c.cocycle.g)
+            assert total == public.total and hash(total) == hash(public.total)
+            assert (c.triple.iota, c.triple.pi, c.triple.section) == (
+                public.iota,
+                public.pi,
+                public.section,
+            )
+            accepted += 1
+        if len(classes) == 1:
+            continue
+        # The last class is nonzero.  Perturb each entry of its dot
+        # deformation: the cocycle check and the built total agree, and an
+        # entry at the base zero, which every cocycle sends to zero, is
+        # refused by both.
+        cocycle = classes[-1].cocycle
+        for a, b in itertools.product(range(s.order), repeat=2):
+            f = [list(row) for row in cocycle.f]
+            f[a][b] = gamma.add(f[a][b], bump)
+            if flavor == "cycle-type":
+                claimed = is_reduced_2cocycle(s, gamma, f).valid
+                built = validate_lcs(force_extension_reduced(gamma, s, f)).valid
+            else:
+                claimed = is_full_2cocycle(s, gamma, f, cocycle.g).valid
+                built = validate_lcs(force_extension_full(gamma, s, f, cocycle.g)).valid
+            assert claimed == built, (s, a, b)
+            assert b != s.zero or not claimed, (s, a, b)
+            refused += not claimed
+    assert accepted and refused
+
+
+def test_verify_paper_refuses_a_perturbed_general_total(monkeypatch):
+    # Every general class total of the order-2 base gets one entry of its
+    # dot deformation bumped at the base zero, where cocycles vanish.
+    real = verify.classify_extensions
+
+    def perturbed(base, gamma, flavor):
+        out = real(base, gamma, flavor)
+        if flavor == "general":
+            for e in out:
+                f = [list(row) for row in e.cocycle.f]
+                f[-1][base.zero] = gamma.add(f[-1][base.zero], gamma.element(1))
+                e.triple.total = force_extension_full(gamma, base, f, e.cocycle.g)
+        return out
+
+    monkeypatch.setattr(verify, "classify_extensions", perturbed)
+    claims = {c["name"]: c for c in verify.verify_paper()}
+    claim = claims["extract then rebuild gives equivalent extensions"]
+    assert claim == {
+        "name": "extract then rebuild gives equivalent extensions",
+        "ok": False,
+        "detail": "a general class total fails the axioms",
+    }
 
 
 @pytest.mark.parametrize("coeff", COEFFS)

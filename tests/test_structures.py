@@ -204,6 +204,34 @@ def test_malformed_structure_dicts(mutate):
         structure_from_dict(data)
 
 
+class Index(int):
+    """An int subclass: accepted as a table entry like a plain int."""
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(True, "True"), (False, "False"), (-1, "-1"), (2, "2"), (1.0, "1.0"), (0.0, "0.0")],
+)
+def test_table_entries_must_be_int_indices(bad, shown):
+    # The bad entry follows a good one in row 1, so the message must name
+    # the entry the row walk stops at.
+    good = [[0, 1], [0, 1]]
+    with pytest.raises(MalformedTableError) as lcs_err:
+        LinearCycleSet(2, [[1, 0], [0, bad]], good)
+    assert str(lcs_err.value) == f"add table entry {shown} at row 1 is not an index in 0..1"
+    with pytest.raises(MalformedTableError) as brace_err:
+        Brace(2, [[0, 1], [1, 0]], [[0, 1], [1, bad]])
+    assert str(brace_err.value) == (
+        f"circle table entry {shown} at row 1 is not an index in 0..1"
+    )
+
+
+def test_table_entries_may_subclass_int():
+    s = LinearCycleSet(2, [[Index(0), 1], [1, Index(0)]], [[0, Index(1)], [0, 1]])
+    assert s == LinearCycleSet(2, [[0, 1], [1, 0]], [[0, 1], [0, 1]])
+    assert s.zero == 0 and not axioms_broken(s)
+
+
 def test_brace_dict_needs_circle_not_dot():
     data = {
         "kind": "brace",
