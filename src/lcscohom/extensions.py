@@ -38,6 +38,7 @@ from .reduced import (
     _degenerate_rows,
     _file_coeffs,
     _file_values,
+    _permute,
     linearity_rows,
     reduced_boundary_matrix,
 )
@@ -45,7 +46,8 @@ from .structures import (
     Brace,
     LinearCycleSet,
     Violation,
-    _composers,
+    _DrawnViolations,
+    _find_neutral,
     brace_to_lcs,
     require_valid_brace,
     require_valid_lcs,
@@ -90,18 +92,28 @@ def _as_table(coeffs: FiniteAbelianGroup, order: int, raw, what: str):
     """Normalize a square value table over the coefficient group.
 
     Entries may be group elements (tuples) or plain ints when the group has
-    a single cyclic factor; everything is reduced componentwise.
+    a single cyclic factor; everything is reduced componentwise.  A row of
+    plain ints over one factor, or of already reduced elements, is taken
+    in one pass; any other row is walked entry by entry.
     """
     if raw is None:
         zero = coeffs.zero
         return tuple(tuple(zero for _ in range(order)) for _ in range(order))
-    single = len(coeffs.factors) == 1
+    factors = coeffs.factors
+    single = len(factors) == 1
     if len(raw) != order:
         raise ShapeError(f"{what} table must have {order} rows")
     rows = []
     for row in raw:
         if len(row) != order:
             raise ShapeError(f"{what} table must have {order} columns per row")
+        kinds = set(map(type, row))
+        if single and kinds == {int}:
+            rows.append(tuple(zip(map(operator.mod, row, itertools.repeat(factors[0])))))
+            continue
+        if kinds == {tuple} and _is_reduced_row(factors, row):
+            rows.append(tuple(row))
+            continue
         entries = []
         for v in row:
             if isinstance(v, int) and not isinstance(v, bool):
@@ -111,23 +123,33 @@ def _as_table(coeffs: FiniteAbelianGroup, order: int, raw, what: str):
                     )
                 v = (v,)
             v = tuple(v)
-            if len(v) != len(coeffs.factors):
+            if len(v) != len(factors):
                 raise ShapeError(f"{what} entry {v!r} does not fit {coeffs}")
             entries.append(coeffs.reduce(v))
         rows.append(tuple(entries))
     return tuple(rows)
 
 
-@dataclass
-class CocycleReport:
-    flavor: str
-    order: int
-    normalized: bool
-    violations: list = field(default_factory=list)
+def _is_reduced_row(factors, row) -> bool:
+    """Whether every tuple in row is an element with plain int residues."""
+    if set(map(len, row)) != {len(factors)}:
+        return False
+    residues = tuple(itertools.chain.from_iterable(row))
+    return (
+        set(map(type, residues)) == {int}
+        and min(residues) >= 0
+        and all(map(operator.lt, residues, itertools.cycle(factors)))
+    )
 
-    @property
-    def valid(self) -> bool:
-        return not self.violations
+
+class CocycleReport(_DrawnViolations):
+    """The verdict of a 2-cocycle check; its witnesses are listed on read."""
+
+    def __init__(self, flavor: str, order: int, normalized: bool, violations=None):
+        self.flavor = flavor
+        self.order = order
+        self.normalized = normalized
+        self._hold(violations)
 
     def to_dict(self) -> dict:
         return {
@@ -139,50 +161,89 @@ class CocycleReport:
         }
 
 
-def _factor_table(table, t: int):
-    """Component t of a normalized table, as plain residues."""
-    return tuple(tuple(v[t] for v in row) for row in table)
+@functools.lru_cache(maxsize=4)
+def _cocycle_plan(base: LinearCycleSet) -> dict:
+    """The terms of the 2-cocycle identities over base, as gathers.
+
+    A table over the order-n base is flattened row-major, entry (x, y) at
+    x * n + y.  Each term reads one entry per (a, b, c) in lexicographic
+    order: "ab" reads (a, b), "ac" (a, c), "bc" (b, c), "a_bc" (a, b+c),
+    "ab_c" (a+b, c) and "dot" (a.b, a.c).  "ba" reads (b, a) once per
+    pair (a, b).  For the trivial structure on Z/2:
+
+    >>> plan = _cocycle_plan(LinearCycleSet(2, [[0, 1], [1, 0]], [[0, 1], [0, 1]]))
+    >>> plan["a_bc"](range(4))
+    (0, 1, 1, 0, 2, 3, 3, 2)
+    >>> plan["ba"]("wxyz")
+    ('w', 'y', 'x', 'z')
+
+    Each of the six (a, b, c) terms holds n^3 indices: a plan over a base
+    of order 32 holds about 1.6 MB.
+    """
+    n = base.order
+    add, dot = base.add, base.dot
+    # cell[x][y] is the position x * n + y; every term shares these ints
+    cell = [list(range(x * n, x * n + n)) for x in range(n)]
+    triples = list(itertools.product(range(n), repeat=3))
+    terms = {
+        "ab": [cell[a][b] for a, b, _ in triples],
+        "ac": [cell[a][c] for a, _, c in triples],
+        "bc": [cell[b][c] for _, b, c in triples],
+        "a_bc": [cell[a][add[b][c]] for a, b, c in triples],
+        "ab_c": [cell[add[a][b]][c] for a, b, c in triples],
+        "dot": [cell[dot[a][b]][dot[a][c]] for a, b, c in triples],
+        "ba": [cell[b][a] for a in range(n) for b in range(n)],
+    }
+    return {name: _permute(indices) for name, indices in terms.items()}
 
 
-def _residues(m: int, first, *minus):
-    """The residues mod m of first - minus[0] - minus[1] - ..., as a set."""
-    diff = first
-    for row in minus:
-        diff = map(operator.sub, diff, row)
-    return set(map(operator.mod, diff, itertools.repeat(m)))
+def _failing(m: int, plus, minus):
+    """The positions at which the plus terms minus the minus terms are
+    nonzero mod m."""
+    total = plus[0]
+    for term in plus[1:]:
+        total = map(operator.add, total, term)
+    for term in minus:
+        total = map(operator.sub, total, term)
+    residues = map(operator.mod, total, itertools.repeat(m))
+    return itertools.compress(itertools.count(), residues)
+
+
+def _witnesses(n: int, names, keys):
+    """Violations for keys position * len(names) + identity, in key order.
+
+    Position (a * n + b) * n + c names the witness (a, b, c); the pair
+    identity addition-symmetry is keyed at c = 0 and names (a, b).
+    """
+    for key in sorted(keys):
+        position, identity = divmod(key, len(names))
+        ab, c = divmod(position, n)
+        a, b = divmod(ab, n)
+        name = names[identity]
+        yield Violation(name, (a, b) if name == "addition-symmetry" else (a, b, c))
+
+
+_REDUCED_IDENTITIES = ("second-argument-additivity", "translation-cocycle")
 
 
 def _reduced_report(structure: LinearCycleSet, coeffs, f) -> CocycleReport:
     """is_reduced_2cocycle on a table that _as_table has normalized."""
     n = structure.order
-    add, dot = structure.add, structure.dot
-    plus, times = _composers(add), _composers(dot)
-    failing = set()
-    for t, m in enumerate(coeffs.factors):
-        ft = _factor_table(f, t)
-        for a in range(n):
-            fa = ft[a]
-            for b in range(n):
-                # Over c: f(a, b+c) - f(a, c) = f(a, b) and
-                # f(a+b, c) - f(a.b, a.c) - f(a, c) = 0.
-                if (
-                    _residues(m, plus[b](fa), fa) != {fa[b]}
-                    or _residues(m, ft[add[a][b]], times[a](ft[dot[a][b]]), fa) != {0}
-                ):
-                    failing.add((a, b))
-    g = coeffs
-    violations = []
-    for a, b in sorted(failing):
-        for c in range(n):
-            if f[a][add[b][c]] != g.add(f[a][b], f[a][c]):
-                violations.append(Violation("second-argument-additivity", (a, b, c)))
-            if f[add[a][b]][c] != g.add(f[dot[a][b]][dot[a][c]], f[a][c]):
-                violations.append(Violation("translation-cocycle", (a, b, c)))
-    z = structure.zero
+    plan = _cocycle_plan(structure)
+    keys = set()
+    for m, ft in zip(coeffs.factors, zip(*itertools.chain.from_iterable(f))):
+        ab, ac, a_bc, ab_c, dot = (
+            plan[term](ft) for term in ("ab", "ac", "a_bc", "ab_c", "dot")
+        )
+        # f(a, b+c) - f(a, b) - f(a, c) and f(a+b, c) - f(a.b, a.c) - f(a, c)
+        keys.update(2 * p for p in _failing(m, [a_bc], [ab, ac]))
+        keys.update(2 * p + 1 for p in _failing(m, [ab_c], [dot, ac]))
+    z, zero = structure.zero, coeffs.zero
     normalized = z is not None and all(
-        f[z][x] == g.zero and f[x][z] == g.zero for x in range(n)
+        f[z][x] == zero and f[x][z] == zero for x in range(n)
     )
-    return CocycleReport("reduced", n, normalized, violations)
+    witnesses = _witnesses(n, _REDUCED_IDENTITIES, keys)
+    return CocycleReport("reduced", n, normalized, witnesses)
 
 
 def is_reduced_2cocycle(structure: LinearCycleSet, coeffs, f) -> CocycleReport:
@@ -191,52 +252,48 @@ def is_reduced_2cocycle(structure: LinearCycleSet, coeffs, f) -> CocycleReport:
     Identities: additivity in the second argument, f(a, b+c) = f(a,b) +
     f(a,c), and the translation condition f(a+b, c) = f(a.b, a.c) + f(a,c).
     Both are linear, so they are checked one cyclic factor Z/m at a time
-    on plain residues, a whole row (a, b) over c at once; witnesses are
-    collected only on rows where an identity fails.
+    on plain residues: each term is one gather over all (a, b, c) through
+    the base's cached `_cocycle_plan`.  The verdict is known once the
+    gathers are compared; the witnesses are listed when they are read.
     """
     f = _as_table(coeffs, structure.order, f, "cocycle")
     return _reduced_report(structure, coeffs, f)
 
 
+_FULL_IDENTITIES = (
+    "addition-symmetry",
+    "translation-cocycle",
+    "mixed-compatibility",
+    "addition-cocycle",
+)
+
+
 def _full_report(structure: LinearCycleSet, coeffs, f, g) -> CocycleReport:
     """is_full_2cocycle on tables that _as_table has normalized."""
     n = structure.order
-    add, dot = structure.add, structure.dot
-    plus, times = _composers(add), _composers(dot)
-    failing = {(a, b) for a in range(n) for b in range(n) if g[a][b] != g[b][a]}
-    for t, m in enumerate(coeffs.factors):
-        ft, gt = _factor_table(f, t), _factor_table(g, t)
-        for a in range(n):
-            fa, ga = ft[a], gt[a]
-            for b in range(n):
-                ab = dot[a][b]
-                # Over c: f(a+b, c) - f(a.b, a.c) - f(a, c) = 0,
-                # f(a, b+c) + g(b, c) - f(a, c) - g(a.b, a.c) = f(a, b) and
-                # g(a+b, c) - g(b, c) - g(a, b+c) = -g(a, b).
-                mixed = map(operator.add, plus[b](fa), gt[b])
-                if (
-                    _residues(m, ft[add[a][b]], times[a](ft[ab]), fa) != {0}
-                    or _residues(m, mixed, fa, times[a](gt[ab])) != {fa[b]}
-                    or _residues(m, gt[add[a][b]], gt[b], plus[b](ga)) != {-ga[b] % m}
-                ):
-                    failing.add((a, b))
-    gr = coeffs
-    violations = []
-    for a, b in sorted(failing):
-        if g[a][b] != g[b][a]:
-            violations.append(Violation("addition-symmetry", (a, b)))
-        for c in range(n):
-            if f[add[a][b]][c] != gr.add(f[dot[a][b]][dot[a][c]], f[a][c]):
-                violations.append(Violation("translation-cocycle", (a, b, c)))
-            lhs = gr.sub(gr.sub(f[a][add[b][c]], f[a][b]), f[a][c])
-            rhs = gr.sub(g[dot[a][b]][dot[a][c]], g[b][c])
-            if lhs != rhs:
-                violations.append(Violation("mixed-compatibility", (a, b, c)))
-            if gr.add(g[a][b], g[add[a][b]][c]) != gr.add(g[b][c], g[a][add[b][c]]):
-                violations.append(Violation("addition-cocycle", (a, b, c)))
+    plan = _cocycle_plan(structure)
+    flat_g = tuple(itertools.chain.from_iterable(g))
+    # addition-symmetry is keyed at c = 0 of its row (a, b)
+    asymmetric = map(operator.ne, flat_g, plan["ba"](flat_g))
+    keys = {4 * n * p for p in itertools.compress(itertools.count(), asymmetric)}
+    columns = zip(coeffs.factors, zip(*itertools.chain.from_iterable(f)), zip(*flat_g))
+    for m, ft, gt in columns:
+        fab, fac, fa_bc, fab_c, fdot = (
+            plan[term](ft) for term in ("ab", "ac", "a_bc", "ab_c", "dot")
+        )
+        gab, gbc, ga_bc, gab_c, gdot = (
+            plan[term](gt) for term in ("ab", "bc", "a_bc", "ab_c", "dot")
+        )
+        # f(a+b, c) - f(a.b, a.c) - f(a, c),
+        # f(a, b+c) + g(b, c) - f(a, b) - f(a, c) - g(a.b, a.c) and
+        # g(a, b) + g(a+b, c) - g(b, c) - g(a, b+c).
+        keys.update(4 * p + 1 for p in _failing(m, [fab_c], [fdot, fac]))
+        keys.update(4 * p + 2 for p in _failing(m, [fa_bc, gbc], [fab, fac, gdot]))
+        keys.update(4 * p + 3 for p in _failing(m, [gab, gab_c], [gbc, ga_bc]))
     z = structure.zero
-    normalized = z is not None and g[z][z] == gr.zero
-    return CocycleReport("full", n, normalized, violations)
+    normalized = z is not None and g[z][z] == coeffs.zero
+    witnesses = _witnesses(n, _FULL_IDENTITIES, keys)
+    return CocycleReport("full", n, normalized, witnesses)
 
 
 def is_full_2cocycle(structure: LinearCycleSet, coeffs, f, g) -> CocycleReport:
@@ -245,8 +302,9 @@ def is_full_2cocycle(structure: LinearCycleSet, coeffs, f, g) -> CocycleReport:
     g must be symmetric and a cocycle for the addition; f must satisfy the
     translation condition and the mixed condition tying its additivity
     defect in the second argument to g.  Normalized means g(0,0) = 0.
-    Symmetry is compared entry by entry; the three linear identities are
-    checked per cyclic factor and row as in is_reduced_2cocycle.
+    Symmetry is one comparison of g with its transpose; the three linear
+    identities are checked per cyclic factor through gathers, as in
+    is_reduced_2cocycle.
     """
     n = structure.order
     f = _as_table(coeffs, n, f, "dot cocycle")
@@ -387,6 +445,13 @@ class ExtensionTriple:
 
 
 @functools.lru_cache(maxsize=8)
+def _element_index(gamma) -> dict:
+    """Gamma's elements mapped to their lexicographic indices, built once
+    per group."""
+    return {x: i for i, x in enumerate(gamma.elements())}
+
+
+@functools.lru_cache(maxsize=8)
 def _addition_index(gamma):
     """Gamma's addition as a table of element indices, built once per group.
 
@@ -409,7 +474,8 @@ def _deformed_table(gamma, n: int, base_op, deformation, carry: bool):
     Rows are tuples.
     """
     plus = _addition_index(gamma)
-    shift = [[gamma.index(v) for v in row] for row in deformation]
+    index = _element_index(gamma)
+    shift = [list(map(index.__getitem__, row)) for row in deformation]
     # scaled[c][s] is (c + s) * n, the first index of the fiber over c + s
     scaled = [[x * n for x in row] for row in plus]
     first = []
@@ -436,11 +502,18 @@ def _deformed_tables(gamma, base, f, g):
 
 
 def force_extension_full(gamma, base: LinearCycleSet, f, g) -> LinearCycleSet:
-    """Deformed-table structure on gamma x base without any cocycle check."""
+    """Deformed-table structure on gamma x base without any cocycle check.
+
+    The deformed tables are tuple rows of indices in range by
+    construction, so they are not shape-checked again; the additive
+    neutral element is searched for, as an unchecked deformation may have
+    none.
+    """
     f = _as_table(gamma, base.order, f, "dot deformation")
     g = _as_table(gamma, base.order, g, "addition deformation")
     add, dot = _deformed_tables(gamma, base, f, g)
-    return LinearCycleSet(gamma.order * base.order, add, dot)
+    order = gamma.order * base.order
+    return LinearCycleSet._trusted(order, add, dot, _find_neutral(add, order))
 
 
 def force_extension_reduced(gamma, base: LinearCycleSet, f) -> LinearCycleSet:

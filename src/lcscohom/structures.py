@@ -4,13 +4,14 @@ A structure of order n lives on the index set {0, ..., n-1} with two n x n
 tables.  For a linear cycle set these are `add` (an abelian group) and
 `dot`, where row a of `dot` is the left translation b |-> a . b.  For a
 brace they are `add` and `circle` (a group sharing the neutral element).
-Validation never stops at the first problem: every violated identity is
-reported with a witness tuple.
+A validation report names every violated identity with a witness tuple.
+The checks run as the report is read, so a verdict alone stops at the
+first violation and the witnesses are walked only when they are read.
 """
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import MalformedTableError, StructureValidationError
@@ -127,15 +128,45 @@ class Violation:
         return {"axiom": self.axiom, "witness": list(self.witness)}
 
 
-@dataclass
-class ValidationReport:
-    kind: str
-    order: int
-    violations: list = field(default_factory=list)
+class _DrawnViolations:
+    """The violations of a report, listed by a plain list or drawn from a generator.
+
+    A validator hands over a generator: reading `valid` draws its first
+    violation, if there is one, and the first read of `violations` draws
+    the rest into one list, which every later read returns.  A report
+    built with a list, or with none, holds a plain list to append to.
+    """
+
+    def _hold(self, violations):
+        if violations is None or isinstance(violations, list):
+            self._violations = [] if violations is None else violations
+            self._pending = None
+        else:
+            self._violations, self._pending = [], violations
+
+    @property
+    def violations(self) -> list:
+        if self._pending is not None:
+            self._violations.extend(self._pending)
+            self._pending = None
+        return self._violations
 
     @property
     def valid(self) -> bool:
-        return not self.violations
+        if not self._violations and self._pending is not None:
+            first = next(self._pending, None)
+            if first is None:
+                self._pending = None
+            else:
+                self._violations.append(first)
+        return not self._violations
+
+
+class ValidationReport(_DrawnViolations):
+    def __init__(self, kind: str, order: int, violations=None):
+        self.kind = kind
+        self.order = order
+        self._hold(violations)
 
     def to_dict(self):
         return {
@@ -160,11 +191,12 @@ def _composers(table):
     return [itemgetter(*row) for row in table]
 
 
-def _check_abelian_group(add, n, out):
+def _check_abelian_group(add, n):
+    """Yield the abelian group violations of add; return its neutral element."""
     for a in range(n):
         for b in range(a + 1, n):
             if add[a][b] != add[b][a]:
-                out.append(Violation("add-commutativity", (a, b)))
+                yield Violation("add-commutativity", (a, b))
     plus = _composers(add)
     for a in range(n):
         for b in range(n):
@@ -172,14 +204,14 @@ def _check_abelian_group(add, n, out):
                 continue
             for c in range(n):
                 if add[add[a][b]][c] != add[a][add[b][c]]:
-                    out.append(Violation("add-associativity", (a, b, c)))
+                    yield Violation("add-associativity", (a, b, c))
     e = _find_neutral(add, n)
     if e is None:
-        out.append(Violation("add-neutral", ()))
+        yield Violation("add-neutral", ())
         return None
     for a in range(n):
         if e not in add[a]:
-            out.append(Violation("add-inverses", (a,)))
+            yield Violation("add-inverses", (a,))
     return e
 
 
@@ -191,16 +223,19 @@ def validate_lcs(structure: LinearCycleSet) -> ValidationReport:
     The two derived identities a.0 = 0 and 0.a = a are re-checked
     explicitly so that a corrupted table names them directly.  Each law
     is checked on a whole row (a, b) at once; only a row where one fails
-    is walked element by element for its witnesses.
+    is walked element by element for its witnesses.  The checks run as
+    the report is read: `valid` stops at the first violation, and
+    `violations` walks the rest.
     """
     n = structure.order
-    add, dot = structure.add, structure.dot
-    report = ValidationReport(kind="lcs", order=n)
-    out = report.violations
-    zero = _check_abelian_group(add, n, out)
+    return ValidationReport("lcs", n, _lcs_violations(n, structure.add, structure.dot))
+
+
+def _lcs_violations(n, add, dot):
+    zero = yield from _check_abelian_group(add, n)
     for a in range(n):
         if sorted(dot[a]) != list(range(n)):
-            out.append(Violation("translation-bijectivity", (a,)))
+            yield Violation("translation-bijectivity", (a,))
     plus, times = _composers(add), _composers(dot)
     for a in range(n):
         for b in range(n):
@@ -214,31 +249,34 @@ def validate_lcs(structure: LinearCycleSet) -> ValidationReport:
                 continue
             for c in range(n):
                 if dot[dot[a][b]][dot[a][c]] != dot[dot[b][a]][dot[b][c]]:
-                    out.append(Violation("cycle-identity", (a, b, c)))
+                    yield Violation("cycle-identity", (a, b, c))
                 if dot[a][add[b][c]] != add[dot[a][b]][dot[a][c]]:
-                    out.append(Violation("translation-additivity", (a, b, c)))
+                    yield Violation("translation-additivity", (a, b, c))
                 if dot[add[a][b]][c] != dot[dot[a][b]][dot[a][c]]:
-                    out.append(Violation("sum-translation-compatibility", (a, b, c)))
+                    yield Violation("sum-translation-compatibility", (a, b, c))
     if zero is not None:
         for a in range(n):
             if dot[a][zero] != zero:
-                out.append(Violation("zero-absorption", (a,)))
+                yield Violation("zero-absorption", (a,))
             if dot[zero][a] != a:
-                out.append(Violation("zero-translation-identity", (a,)))
-    return report
+                yield Violation("zero-translation-identity", (a,))
 
 
 def validate_brace(structure: Brace) -> ValidationReport:
     """Check every brace axiom, collecting all violations.
 
     As in validate_lcs, the laws over c are checked a row (a, b) at a
-    time, and witnesses are collected only on the rows where one fails.
+    time, witnesses are collected only on the rows where one fails, and
+    the checks run as the report is read.
     """
     n = structure.order
-    add, circle = structure.add, structure.circle
-    report = ValidationReport(kind="brace", order=n)
-    out = report.violations
-    zero = _check_abelian_group(add, n, out)
+    return ValidationReport(
+        "brace", n, _brace_violations(n, structure.add, structure.circle)
+    )
+
+
+def _brace_violations(n, add, circle):
+    zero = yield from _check_abelian_group(add, n)
     plus, after = _composers(add), _composers(circle)
     for a in range(n):
         for b in range(n):
@@ -246,20 +284,20 @@ def validate_brace(structure: Brace) -> ValidationReport:
                 continue
             for c in range(n):
                 if circle[circle[a][b]][c] != circle[a][circle[b][c]]:
-                    out.append(Violation("circle-associativity", (a, b, c)))
+                    yield Violation("circle-associativity", (a, b, c))
     neutral = None
     for e in range(n):
         if all(circle[e][a] == a and circle[a][e] == a for a in range(n)):
             neutral = e
             break
     if neutral is None:
-        out.append(Violation("circle-neutral", ()))
+        yield Violation("circle-neutral", ())
     else:
         for a in range(n):
             if not any(circle[a][b] == neutral and circle[b][a] == neutral for b in range(n)):
-                out.append(Violation("circle-inverses", (a,)))
+                yield Violation("circle-inverses", (a,))
         if zero is not None and neutral != zero:
-            out.append(Violation("shared-neutral", (zero, neutral)))
+            yield Violation("shared-neutral", (zero, neutral))
     columns = tuple(zip(*add))
     for a in range(n):
         # a o y + a over y; row (a, b) of the law reads it at y = b + c.
@@ -270,8 +308,7 @@ def validate_brace(structure: Brace) -> ValidationReport:
             for c in range(n):
                 # a o (b + c) + a  ==  a o b + a o c
                 if add[circle[a][add[b][c]]][a] != add[circle[a][b]][circle[a][c]]:
-                    out.append(Violation("circle-add-compatibility", (a, b, c)))
-    return report
+                    yield Violation("circle-add-compatibility", (a, b, c))
 
 
 def require_valid_lcs(structure: LinearCycleSet) -> LinearCycleSet:

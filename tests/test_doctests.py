@@ -40,3 +40,4 @@ def test_examples_are_collected():
     extensions = importlib.import_module("lcscohom.extensions")
     names = {t.name for t in finder.find(extensions) if t.examples}
     assert "lcscohom.extensions._addition_index" in names
+    assert "lcscohom.extensions._cocycle_plan" in names

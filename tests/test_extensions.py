@@ -27,6 +27,7 @@ from lcscohom.errors import (
 from lcscohom.extensions import (
     FullTwoCocycle,
     ReducedTwoCocycle,
+    _as_table,
     additive_section,
     build_brace_extension,
     build_extension_full,
@@ -50,7 +51,7 @@ from lcscohom.extensions import (
     validate_extension_triple,
 )
 from lcscohom.reduced import reduced_cohomology
-from lcscohom.structures import Brace, brace_to_lcs, validate_lcs
+from lcscohom.structures import Brace, LinearCycleSet, brace_to_lcs, validate_lcs
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -123,6 +124,87 @@ def test_validator_accepts_int_entries_single_factor_only():
     assert is_reduced_2cocycle(T2, zz, f).valid
     with pytest.raises(ShapeError):
         is_reduced_2cocycle(T2, zz, [[0] * 2 for _ in range(2)])
+
+
+def _walked_table(coeffs, order, raw, what):
+    """The entry-by-entry normalization that `_as_table` falls back to."""
+    rows = []
+    for row in raw:
+        entries = []
+        for v in row:
+            if isinstance(v, int) and not isinstance(v, bool):
+                if len(coeffs.factors) != 1:
+                    raise ShapeError(
+                        f"{what} entries must be tuples over {coeffs}, got a bare int"
+                    )
+                v = (v,)
+            v = tuple(v)
+            if len(v) != len(coeffs.factors):
+                raise ShapeError(f"{what} entry {v!r} does not fit {coeffs}")
+            entries.append(coeffs.reduce(v))
+        rows.append(tuple(entries))
+    return tuple(rows)
+
+
+class Small(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "spec, rows",
+    [
+        ("Z/4", [[0, 5], [-1, 3]]),  # plain ints, reduced in one pass
+        ("Z/4", [(0, 1), (2, 3)]),
+        ("Z/4", [[(1,), (6,)], [(3,), (0,)]]),
+        ("Z/4", [[(1,), (2,)], [(3,), (0,)]]),  # already reduced elements
+        ("Z/4", [[(1,), (4,)], [(3,), (0,)]]),
+        ("Z/4", [[Small(7), 1], [2, 3]]),  # an int subclass is walked
+        ("Z/4", [[(True,), (0,)], [(1,), (0,)]]),  # so is a bool inside a tuple
+        ("Z/4", [[[1], (2,)], [(3,), (0,)]]),
+        ("Z/2+Z/2", [[(0, 1), (1, 1)], [(1, 0), (0, 0)]]),
+        ("Z/2+Z/2", [[(0, 3), (1, 1)], [(1, -1), (0, 0)]]),
+        ("Z/2+Z/2", [[(0, 1), (1, 2)], [(1, 0), (0, 0)]]),
+        ("Z/2+Z/2", [[[0, 1], (1, 1)], [(1, 0), (0, 0)]]),
+    ],
+)
+def test_as_table_matches_the_entry_walk(spec, rows):
+    gamma = parse_group_spec(spec)
+    table = _as_table(gamma, 2, rows, "cocycle")
+    expected = _walked_table(gamma, 2, rows, "cocycle")
+    assert table == expected
+    assert [[type(x) for v in row for x in v] for row in table] == [
+        [type(x) for v in row for x in v] for row in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, rows",
+    [
+        ("Z/2+Z/2", [[0, 1], [1, 0]]),
+        ("Z/2+Z/2", [[(0, 1, 0), (1, 1)], [(1, 0), (0, 0)]]),
+        ("Z/2+Z/2", [[(0,), (1,)], [(1,), (0,)]]),
+        ("Z/4", [[(1, 0), (2,)], [(3,), (0,)]]),
+    ],
+)
+def test_as_table_shape_errors_name_the_entry(spec, rows):
+    gamma = parse_group_spec(spec)
+    with pytest.raises(ShapeError) as walked:
+        _walked_table(gamma, 2, rows, "cocycle")
+    with pytest.raises(ShapeError) as exc:
+        _as_table(gamma, 2, rows, "cocycle")
+    assert str(exc.value) == str(walked.value)
+
+
+def test_force_extension_matches_a_checked_build():
+    f = phi_table(PHIS[1])
+    forced = force_extension_reduced(Z2, Z4LCS, f)
+    checked = LinearCycleSet(forced.order, forced.add, forced.dot)
+    assert (forced.add, forced.dot) == (checked.add, checked.dot)
+    assert forced.zero == checked.zero
+    assert all(type(row) is tuple for row in forced.add + forced.dot)
+    # an unchecked deformation of a broken base may have no neutral element
+    broken = LinearCycleSet(2, [[0, 0], [1, 1]], [[0, 1], [0, 1]])
+    assert force_extension_reduced(Z2, broken, [[0, 0], [0, 0]]).zero is None
 
 
 def test_cocycle_dataclasses_validate():

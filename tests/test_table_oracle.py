@@ -4,21 +4,28 @@ The library checks every law a row (a, b) at a time and collects
 witnesses only on rows where a law fails; `table_oracle` holds the
 element-by-element loops it replaced.  Both must give equal reports,
 violations, witnesses and their order included, on valid and invalid
-tables alike: every family below shows both verdicts.
+tables alike: every family below shows both verdicts.  Reports list
+their witnesses when they are read; the reports here are read in either
+order and must stay the same.
 """
 
+import functools
+import hashlib
 import itertools
 import json
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import table_oracle as oracle
 from lcscohom import corpus
 from lcscohom.abelian import parse_group_spec
 from lcscohom.cli import main
 from lcscohom.corpus import builtin_structure
+from lcscohom.errors import StructureValidationError
 from lcscohom.extensions import (
     classify_extensions,
     is_full_2cocycle,
@@ -27,7 +34,11 @@ from lcscohom.extensions import (
 from lcscohom.structures import (
     Brace,
     LinearCycleSet,
+    ValidationReport,
+    Violation,
     lcs_to_brace,
+    require_valid_lcs,
+    save_structure,
     validate_brace,
     validate_lcs,
 )
@@ -171,6 +182,152 @@ def test_order_one_cocycles():
             is_full_2cocycle(trivial, gamma, f, g).to_dict()
             == oracle.is_full_2cocycle(trivial, gamma, f, g).to_dict()
         )
+
+
+BASES = [s for n in (1, 2, 3, 4) for s in corpus.enumerate_lcs(n)] + [Z4LCS]
+SPECS = ("Z/2", "Z/3", "Z/4", "Z/6", "Z/2+Z/2")
+
+
+@functools.lru_cache(maxsize=None)
+def _class_cocycles(index, spec, flavor):
+    base, gamma = BASES[index], parse_group_spec(spec)
+    return [c.cocycle for c in classify_extensions(base, gamma, flavor)]
+
+
+def _reports(base, gamma, f, g):
+    """The library's report and the oracle's, for the flavor g implies."""
+    if g is None:
+        mine, ref = is_reduced_2cocycle, oracle.is_reduced_2cocycle
+        return mine(base, gamma, f), ref(base, gamma, f)
+    mine, ref = is_full_2cocycle, oracle.is_full_2cocycle
+    return mine(base, gamma, f, g), ref(base, gamma, f, g)
+
+
+def test_cocycle_reports_match_the_oracle():
+    """On every base of order 1 to 4, random tables, class representatives
+    and representatives perturbed in one entry give the oracle's report."""
+    verdicts = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, len(BASES) - 1),
+        st.sampled_from(SPECS),
+        st.sampled_from(("cycle-type", "general")),
+        st.data(),
+    )
+    def check(index, spec, flavor, data):
+        base, gamma = BASES[index], parse_group_spec(spec)
+        n = base.order
+        if len(gamma.factors) == 1:
+            # plain ints, unreduced, as a cocycle file may hold them
+            m = gamma.order
+            entry = st.integers(-m, 2 * m)
+        else:
+            entry = st.tuples(*(st.integers(-m, 2 * m) for m in gamma.factors))
+        row = st.lists(entry, min_size=n, max_size=n)
+        square = st.lists(row, min_size=n, max_size=n)
+        cocycle = data.draw(st.sampled_from(_class_cocycles(index, spec, flavor)))
+        general = flavor == "general"
+        chosen = [cocycle.f, cocycle.g if general else None]
+        perturbed = [[list(row) for row in t] if t else t for t in chosen]
+        which = data.draw(st.integers(0, int(general)))
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        shift = data.draw(st.sampled_from(gamma.elements()[1:]))
+        perturbed[which][a][b] = gamma.add(perturbed[which][a][b], shift)
+        drawn = [data.draw(square), data.draw(square) if general else None]
+        for f, g in (chosen, perturbed, drawn):
+            mine, ref = _reports(base, gamma, f, g)
+            assert mine.to_dict() == ref.to_dict()
+            verdicts.add(mine.valid)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def _corrupted_z4():
+    """z4-lcs with one dot entry moved: 25 violations of four laws."""
+    dot = [list(row) for row in Z4LCS.dot]
+    dot[1][2] = (dot[1][2] + 1) % 4
+    return LinearCycleSet(4, [list(row) for row in Z4LCS.add], dot)
+
+
+def _read_reports():
+    """Fresh reports, with the oracle's, of a broken structure, a broken
+    brace and broken cocycles of both flavors, and of valid ones."""
+    broken = _corrupted_z4()
+    brace = lcs_to_brace(Z4LCS)
+    circle = [list(row) for row in brace.circle]
+    circle[2][3] = (circle[2][3] + 1) % 4
+    broken_brace = Brace(4, brace.add, circle)
+    f = [[1 if (a, b) == (1, 2) else 0 for b in range(4)] for a in range(4)]
+    g = [[1 if (a, b) == (0, 3) else 0 for b in range(4)] for a in range(4)]
+    zero = [[0] * 4 for _ in range(4)]
+    return [
+        (validate_lcs(broken), oracle.validate_lcs(broken)),
+        (validate_brace(broken_brace), oracle.validate_brace(broken_brace)),
+        _reports(Z4LCS, Z2, f, None),
+        _reports(Z4LCS, Z2, zero, g),
+        (validate_lcs(Z4LCS), oracle.validate_lcs(Z4LCS)),
+        _reports(Z4LCS, Z2, zero, zero),
+    ]
+
+
+@pytest.mark.parametrize("first", ["valid", "violations"])
+def test_witnesses_are_walked_on_read(first):
+    verdicts = []
+    for mine, ref in _read_reports():
+        if first == "valid":
+            verdict = mine.valid
+            listed = mine.violations
+        else:
+            listed = mine.violations
+            verdict = mine.valid
+        assert verdict == ref.valid and listed == ref.violations
+        # repeated reads return the one list
+        assert mine.violations is listed and mine.valid == verdict
+        assert mine.to_dict() == ref.to_dict()
+        verdicts.append(verdict)
+    assert verdicts == [False] * 4 + [True] * 2
+
+
+def test_report_built_by_hand_holds_an_appendable_list():
+    report = ValidationReport("lcs", 2)
+    assert report.valid and report.violations == []
+    report.violations.append(Violation("add-neutral", ()))
+    assert not report.valid
+    assert report.to_dict() == {
+        "kind": "lcs",
+        "order": 2,
+        "valid": False,
+        "violations": [{"axiom": "add-neutral", "witness": []}],
+    }
+
+
+def test_require_valid_lcs_message():
+    with pytest.raises(StructureValidationError) as exc:
+        require_valid_lcs(_corrupted_z4())
+    assert str(exc.value) == (
+        "linear cycle set of order 4 is invalid (cycle-identity, "
+        "sum-translation-compatibility, translation-additivity, "
+        "translation-bijectivity)"
+    )
+    assert exc.value.report.to_dict() == oracle.validate_lcs(_corrupted_z4()).to_dict()
+
+
+def test_cli_validate_output_on_a_corrupted_table(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    save_structure(_corrupted_z4(), path)
+    ref = oracle.validate_lcs(_corrupted_z4())
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == json.dumps(ref.to_dict(), sort_keys=True, indent=2) + "\n"
+    # the bytes printed before witnesses were walked on read
+    digest = "d3ba54fd7ef5922675a797a2b58ac61b49167b8ccf327f8e27a65b9cdd2f7a8b"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert main(["--text", "validate", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "invalid lcs: translation-bijectivity fails at (1,) (25 violations)\n"
+    )
 
 
 # A large prime modulus: a table of |Gamma| coefficient entries would take
