@@ -12,8 +12,9 @@ cocycles, extracting cocycles from sections, deciding equivalence through
 translation isomorphisms (gamma_part + theta(base_part), base_part), and
 classifying all central extensions as cocycles modulo coboundaries, one
 cyclic coefficient factor at a time.  Equivalence and classification are
-linear algebra over Z/m: the Howell form of the coboundary system yields
-the least theta of an equivalence and the least cocycle of each class.
+linear algebra over Z/m on the sparse face rows of `_cochain_system`:
+tagged eliminations give cocycles and coboundaries, and Howell forms the
+least theta, class representatives and additive sections.
 """
 
 import functools
@@ -22,8 +23,8 @@ import operator
 from dataclasses import dataclass, field
 
 from .abelian import FiniteAbelianGroup, parse_group_spec
-from .bicomplex import shuffle_rows, total_chain_matrix
-from .budget import check_basis
+from .bicomplex import _check_shuffles, _into, _shuffle_faces, _total_faces, _total_keys
+from .budget import check_basis, check_power
 from .errors import (
     CocycleError,
     LinearityError,
@@ -33,14 +34,15 @@ from .errors import (
     SectionError,
     ShapeError,
 )
-from .linalg import IntegerMatrix, _HowellForm, _least_solution, hstack, kernel_mod_m, vstack
+from .linalg import _HowellForm, _kernel_mod, _least_solution
 from .reduced import (
-    _degenerate_rows,
+    _face_rows,
     _file_coeffs,
     _file_values,
+    _horizontal_faces,
+    _linearity_faces,
     _permute,
-    linearity_rows,
-    reduced_boundary_matrix,
+    all_tuples,
 )
 from .structures import (
     Brace,
@@ -782,9 +784,8 @@ def additive_section(triple: ExtensionTriple):
     """An additive section of the projection, or None when there is none.
 
     Starting from a normalized section with addition defect g0, an additive
-    correction tau must satisfy tau(a+b) - tau(a) - tau(b) = g0(a, b).  Per
-    cyclic coefficient factor, the section comes from the lexicographically
-    least such tau (`_least_solution`).
+    correction tau must satisfy tau(a+b) - tau(a) - tau(b) = g0(a, b).  The
+    section comes from the lexicographically least such tau (`_least_theta`).
     """
     total = triple.total
     if isinstance(total, Brace):
@@ -794,23 +795,13 @@ def additive_section(triple: ExtensionTriple):
     n = base.order
     s0 = normalized_section(triple)
     g0 = [
-        [
-            gamma.element(
-                _fiber_solve(triple, total.add[s0[a]][s0[b]], s0[base.add[a][b]])
-            )
-            for b in range(n)
-        ]
+        gamma.element(_fiber_solve(triple, total.add[s0[a]][s0[b]], s0[base.add[a][b]]))
         for a in range(n)
+        for b in range(n)
     ]
-    columns = linearity_rows(base, 1).transpose().data
-    parts = []
-    for t, m in enumerate(gamma.factors):
-        rhs = [g0[a][b][t] for a in range(n) for b in range(n)]
-        tau_t = _least_solution(columns, rhs, m)
-        if tau_t is None:
-            return None
-        parts.append(tau_t)
-    tau = [tuple(parts[t][a] for t in range(len(gamma.factors))) for a in range(n)]
+    tau = _least_theta(_cochain_system(base, "cycle-type", 1)[0], g0, gamma)
+    if tau is None:
+        return None
     section = tuple(
         total.add[s0[a]][triple.iota[gamma.index(tau[a])]] for a in range(n)
     )
@@ -986,8 +977,55 @@ def validate_extension_triple(
     return report
 
 
+def _cochain_system(base: LinearCycleSet, flavor: str, degree: int, normalized: bool = True):
+    """A flavor's linear system on degree-1 or degree-2 cochains: sparse
+    face rows, one per cochain coordinate, each its column of the system.
+
+    Degree 2 gives the cocycle constraints: linearity, then minus the
+    degree-3 boundary (cycle-type); on pairs (f, g), the symmetry shuffles
+    of g, the total degree-3 boundary and g(0, 0) (general).  Degree 1
+    gives the constraints on theta (additivity; theta(0) = 0 when
+    normalized) and its coboundary.  Budgets are checked first.
+
+    >>> from lcscohom.corpus import builtin_structure
+    >>> additive, _ = _cochain_system(builtin_structure("trivial(2)"), "cycle-type", 1)
+    >>> [{c: x for c, x in row.items() if x} for row in additive]
+    [{0: -1, 1: -1, 2: -1, 3: 1}, {3: -2}]
+    """
+    n = base.order
+    if flavor == "cycle-type":
+        for k in (2, 3) if degree == 2 else (2, 1):
+            check_power(n, k, f"the degree-{k} tuple basis")
+        linear, horizontal = _linearity_faces(base, degree), _horizontal_faces(base, degree)
+        if degree == 2:
+            return _face_rows(n, 3, [linear, [(-s, f) for s, f in horizontal]], all_tuples(n, 2))
+        below = list(all_tuples(n, 1))
+        return [_face_rows(n, 2, [faces], below) for faces in (linear, horizontal)]
+    if degree == 1:
+        check_power(n, 2, "the total degree-2 basis", factor=3, times=2)
+        constraints = [{0: 1} if normalized and a == base.zero else {} for a in range(n)]
+        return constraints, _face_rows(n, 2, _total_faces(base, 2), _total_keys(n, 1))
+    check_power(n, 2, "the degree-2 tuple basis")
+    _check_shuffles(n, 0, 2, "the shuffle sums at bidegree (0, 2)")
+    check_power(n, 3, "the total degree-3 basis", factor=3, times=3)
+    keys = _total_keys(n, 2)
+    shuffles = [(s, _into((0, 2), face)) for s, face in _shuffle_faces(0, 2, 1)]
+    rows = _face_rows(n, 2, [shuffles], keys)
+    for row, more in zip(rows, _face_rows(n, 3, _total_faces(base, 3), keys, start=n * n)):
+        row.update(more)
+    rows[n * n + base.zero * (n + 1)][n * n + 3 * n**3] = 1
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Cohomologousness and equivalence
+
+
+def _least_theta(columns, delta, gamma):
+    """Per cyclic factor of gamma, the least x with sum_j x_j columns_j = delta
+    (`_least_solution`), as one coefficient element per j; None if none."""
+    parts = [_least_solution(columns, rhs, m) for m, rhs in zip(gamma.factors, zip(*delta))]
+    return None if None in parts else tuple(zip(*parts))
 
 
 def _same_setting(c1, c2):
@@ -1004,41 +1042,31 @@ def cocycles_cohomologous(c1, c2, normalized: bool = False):
     c2.f(a, b) - c1.f(a, b).  Full flavor: theta is arbitrary (normalized:
     theta(0) = 0) and theta(a+b) - theta(a) - theta(b) must match the
     difference of the addition deformations as well.  Per cyclic factor
-    Z/m this is one linear system A theta = delta, and theta is its
-    lexicographically least solution (`_least_solution`), glued across the
-    factors.  Returns (verdict, theta-or-None); theta lists one coefficient
-    element per base element.
+    Z/m theta must have coboundary delta and satisfy the constraints, and
+    the least solution is taken (`_least_theta`).  Returns (verdict,
+    theta-or-None); theta lists one coefficient element per base element.
     """
     _same_setting(c1, c2)
     base = c1.base
     gamma = c1.coeffs
-    n = base.order
     if isinstance(c1, ReducedTwoCocycle):
-        tables = [(c1.f, c2.f)]
-        system = vstack(
-            [reduced_boundary_matrix(base, 2).transpose(), linearity_rows(base, 1)]
-        )
+        flavor, tables = "cycle-type", [(c1.f, c2.f)]
     else:
-        tables = [(c1.f, c2.f), (c1.g, c2.g)]
-        parts = [total_chain_matrix(base, 2).transpose()]
-        if normalized:
-            parts.append(_degenerate_rows(base, 1))
-        system = vstack(parts)
+        flavor, tables = "general", [(c1.f, c2.f), (c1.g, c2.g)]
+    constraints, coboundaries = _cochain_system(base, flavor, 1, normalized)
     delta = [
         gamma.sub(y, x)
         for t1, t2 in tables
         for r1, r2 in zip(t1, t2)
         for x, y in zip(r1, r2)
     ]
-    columns = system.transpose().data
-    pad = [0] * (system.rows - len(delta))
-    thetas = []
-    for t, m in enumerate(gamma.factors):
-        theta = _least_solution(columns, [d[t] for d in delta] + pad, m)
-        if theta is None:
-            return False, None
-        thetas.append(theta)
-    return True, tuple(tuple(theta[a] for theta in thetas) for a in range(n))
+    # the constraints are equations with right-hand side 0, after delta's
+    columns = [
+        {**b, **{len(delta) + c: x for c, x in r.items()}}
+        for r, b in zip(constraints, coboundaries)
+    ]
+    theta = _least_theta(columns, delta, gamma)
+    return theta is not None, theta
 
 
 def extensions_equivalent(t1: ExtensionTriple, t2: ExtensionTriple):
@@ -1114,27 +1142,6 @@ def _class_representatives(z_rows, b_form, width: int):
     return sorted(seen)
 
 
-def _two_cocycle_system(base: LinearCycleSet, flavor: str):
-    """Constraint rows cutting out the degree-2 cocycles of a flavor, and
-    the coboundary matrix on 1-cochains.
-
-    Cycle-type cocycles are the last-linear f killed by the degree-3
-    coboundary.  General ones are normalized pairs (f, g): g symmetric,
-    the pair killed by the total degree-3 coboundary, and g(0,0) = 0.
-    """
-    n = base.order
-    if flavor == "cycle-type":
-        constraints = vstack(
-            [linearity_rows(base, 2), reduced_boundary_matrix(base, 3).transpose().scaled(-1)]
-        )
-        return constraints, reduced_boundary_matrix(base, 2).transpose()
-    symmetric = hstack([IntegerMatrix.zeros(n * n, n * n), shuffle_rows(base, 0, 2)])
-    norm = IntegerMatrix.zeros(1, 2 * n * n)
-    norm.data[0][n * n + base.zero * n + base.zero] = 1
-    constraints = vstack([symmetric, total_chain_matrix(base, 3).transpose(), norm])
-    return constraints, total_chain_matrix(base, 2).transpose()
-
-
 # Every class checks its cocycle identities on the base once and then
 # materializes two |total|^2 tables, which are not validated again, so the
 # classification is budgeted by class count times |total|^2 table entries.
@@ -1176,33 +1183,28 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
         raise ParameterError(f"unknown classification flavor {flavor!r}")
     require_valid_lcs(base)
     n = base.order
-    constraints, cob = _two_cocycle_system(base, flavor)
-    if flavor == "cycle-type":
-        theta_rows = linearity_rows(base, 1)
-    else:
-        theta_rows = _degenerate_rows(base, 1)
+    cocycles = _cochain_system(base, flavor, 2)
+    constraints, coboundaries = _cochain_system(base, flavor, 1)
+    width = len(cocycles)
     factors = []
     count = 1
     for m in gamma.factors:
-        z_rows = kernel_mod_m(constraints, m).transpose().data
-        b_rows = (cob @ kernel_mod_m(theta_rows, m)).transpose().data
-        b_form = _HowellForm(b_rows, m, cob.rows)
-        count *= _HowellForm(z_rows, m, cob.rows).order // b_form.order
+        z_rows = _kernel_mod(cocycles, [{x: 1} for x in range(width)], m, width)
+        b_form = _HowellForm(_kernel_mod(constraints, coboundaries, m, width), m, width)
+        count *= _HowellForm(z_rows, m, width).order // b_form.order
         factors.append((z_rows, b_form))
     check_basis(
         count * (gamma.order * n) ** 2,
         "the classification's total-structure tables",
         factor=_CLASS_TABLE_FACTOR,
     )
-    per_factor = [_class_representatives(z, b, cob.rows) for z, b in factors]
-    width = len(gamma.factors)
+    per_factor = [_class_representatives(z, b, width) for z, b in factors]
     zero = _as_table(gamma, n, None, "zero")
     out = []
     for idx, combo in enumerate(itertools.product(*per_factor)):
-        def entry(flat_index):
-            return tuple(combo[t][flat_index] for t in range(width))
-
-        f = tuple(tuple(entry(a * n + b) for b in range(n)) for a in range(n))
+        entries = tuple(zip(*combo))  # one element per cochain coordinate
+        rows = [entries[i : i + n] for i in range(0, width, n)]
+        f = tuple(rows[:n])
         # The base was validated above, and the cocycle constructors check
         # each class's cocycle identities in full, once; the total is then
         # a linear cycle set by the construction lemma.
@@ -1210,11 +1212,7 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
             cocycle = ReducedTwoCocycle(base, gamma, f)
             triple = _trusted_triple(gamma, base, cocycle.f, zero)
         else:
-            goff = n * n
-            g = tuple(
-                tuple(entry(goff + a * n + b) for b in range(n)) for a in range(n)
-            )
-            cocycle = FullTwoCocycle(base, gamma, f, g)
+            cocycle = FullTwoCocycle(base, gamma, f, tuple(rows[n:]))
             triple = _trusted_triple(gamma, base, cocycle.f, cocycle.g)
         out.append(ClassifiedExtension(idx, cocycle, triple))
     return out

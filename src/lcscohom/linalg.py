@@ -15,7 +15,8 @@ Where an answer must be the lexicographically least element of a coset,
 as for equivalence witnesses, class representatives of extensions and
 least solutions of linear systems mod m (`_least_solution`), a Howell
 form over Z/m itself does the work: lexicographic order does not survive
-a split of Z/m into its prime powers.
+a split of Z/m into its prime powers, so `_kernel_mod` first glues the
+prime-power kernels into generators over Z/m.
 
 The structural checks ask one question over Z itself: whether some
 vectors lie in the integer span of some relation rows.  An echelon form
@@ -24,7 +25,6 @@ lists give, by the Howell form's gcd merges without a modulus.
 """
 
 import heapq
-from itertools import compress
 from math import gcd
 
 from .abelian import merge_invariants
@@ -33,8 +33,6 @@ from .errors import BudgetError, InvalidModulusError, LatticeError, ShapeError
 __all__ = [
     "IntegerMatrix",
     "kernel_mod_m",
-    "hstack",
-    "vstack",
 ]
 
 
@@ -151,32 +149,6 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
 
-def hstack(mats):
-    mats = [m for m in mats if m.cols or m.rows]
-    if not mats:
-        return IntegerMatrix(0, 0)
-    rows = mats[0].rows
-    for m in mats:
-        if m.rows != rows:
-            raise ShapeError("hstack needs equal row counts")
-    data = [sum((m.data[i] for m in mats), []) for i in range(rows)]
-    return IntegerMatrix(rows, sum(m.cols for m in mats), data)
-
-
-def vstack(mats):
-    mats = [m for m in mats if m.rows]
-    if not mats:
-        return IntegerMatrix(0, 0)
-    cols = mats[0].cols
-    for m in mats:
-        if m.cols != cols:
-            raise ShapeError("vstack needs equal column counts")
-    data = []
-    for m in mats:
-        data.extend(row[:] for row in m.data)
-    return IntegerMatrix(len(data), cols, data)
-
-
 def _check_modulus(m: int):
     if not isinstance(m, int) or m < 2:
         raise InvalidModulusError(f"modulus must be an integer >= 2, got {m!r}")
@@ -279,16 +251,6 @@ def _prime_powers(m: int):
     return tuple(sorted(found.items()))
 
 
-def _sparse_columns(mat: IntegerMatrix):
-    """The columns of a dense matrix as {row: entry} dicts of its nonzeros."""
-    cols = [{} for _ in range(mat.cols)]
-    every = range(mat.cols)
-    for i, row in enumerate(mat.data):
-        for j in compress(every, row):
-            cols[j][i] = row[j]
-    return cols
-
-
 def _mod(vec: dict, q: int) -> dict:
     out = {}
     for c, x in vec.items():
@@ -381,8 +343,8 @@ def _eliminate(rows, p: int, e: int, tags=None):
 
 def _kernel_tags(rows, tags, p: int, e: int):
     """Generators of {sum a_i tags_i : sum a_i rows_i == 0 mod p^e}."""
-    pivots, zeros = _eliminate(rows, p, e, tags)
     q = p**e
+    pivots, zeros = _eliminate([_mod(r, q) for r in rows], p, e, [_mod(t, q) for t in tags])
     out = [t for t in zeros if t]
     for _row, v, tag in pivots:
         if v:
@@ -444,43 +406,47 @@ def _subquotient_mod(k_rows, k_tags, b_rows, b_tags, m: int):
     """
     parts = []
     for p, e in _prime_powers(m):
-        q = p**e
-
-        def kernel(rows, tags):
-            return _kernel_tags([_mod(r, q) for r in rows], [_mod(t, q) for t in tags], p, e)
-
-        parts.append(_quotient_invariants(kernel(k_rows, k_tags), kernel(b_rows, b_tags), p, e))
+        k_gens, b_gens = _kernel_tags(k_rows, k_tags, p, e), _kernel_tags(b_rows, b_tags, p, e)
+        parts.append(_quotient_invariants(k_gens, b_gens, p, e))
     return merge_invariants(*parts)
+
+
+def _kernel_mod(rows, tags, m: int, width: int):
+    """Generators of {sum a_i tags_i : sum a_i rows_i == 0 mod m}, as lists
+    of `width` entries in [0, m), for integer {index: entry} rows and tags.
+
+    Generator i of each prime-power kernel is glued into generator i by
+    the Chinese remainder theorem.  Over Z/6, 2 x_0 + 2 x_1 vanishes on
+    every x mod 2 and on x_0 + x_1 = 0 mod 3: e_0 glues to (2, 1).
+
+    >>> _kernel_mod([{0: 2}, {0: 2}], [{0: 1}, {1: 1}], 6, 2)
+    [[5, 4], [0, 3]]
+    """
+    glued = []
+    for p, e in _prime_powers(m):
+        q = p**e
+        lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
+        for i, gen in enumerate(_kernel_tags(rows, tags, p, e)):
+            if i == len(glued):
+                glued.append([0] * width)
+            for c, x in gen.items():
+                glued[i][c] = (glued[i][c] + lift * x) % m
+    return glued
 
 
 def kernel_mod_m(mat: IntegerMatrix, m: int) -> IntegerMatrix:
     """Generators of {x in (Z/m)^cols : mat @ x == 0 mod m}.
 
-    Columns of the result generate the kernel subgroup; entries are reduced
-    into [0, m).  The kernel is computed per prime power of m and the parts
-    are glued by the Chinese remainder theorem, generator i of every part
-    into column i, so the result for an unconstrained coordinate system is
-    the identity.
+    Columns of the result generate the kernel subgroup, entries in [0, m):
+    `_kernel_mod` of mat's columns, so zero columns give the identity.
 
     >>> kernel_mod_m(IntegerMatrix.from_rows([[1, 1]]), 2).to_lists()
     [[1], [1]]
     """
     _check_modulus(m)
     n = mat.cols
-    if n == 0:
-        return IntegerMatrix(0, 0)
-    cols = _sparse_columns(mat)
-    glued = []
-    for p, e in _prime_powers(m):
-        q = p**e
-        lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
-        rows = [_mod(c, q) for c in cols]
-        for i, gen in enumerate(_kernel_tags(rows, [{j: 1} for j in range(n)], p, e)):
-            if i == len(glued):
-                glued.append([0] * n)
-            for c, x in gen.items():
-                glued[i][c] = (glued[i][c] + lift * x) % m
-    return IntegerMatrix.from_columns(n, glued)
+    cols = [{i: row[j] for i, row in enumerate(mat.data) if row[j]} for j in range(n)]
+    return IntegerMatrix.from_columns(n, _kernel_mod(cols, [{j: 1} for j in range(n)], m, n))
 
 
 def _gcdex(a: int, b: int):
@@ -574,23 +540,30 @@ def _least_solution(columns, rhs, m: int):
     """The lexicographically least x in (Z/m)^n with sum_j x_j columns_j ==
     rhs (mod m), or None when there is none.
 
+    The columns are sparse {row: entry} dicts, and rows past rhs read 0.
     The Howell form of the rows [columns_j | e_j] reduces (-rhs, 0) to the
     least element of its coset, (sum_j x_j columns_j - rhs, x) over all x.
     Its first block vanishes exactly when a solution exists, and its second
     block is then the least solution (Storjohann and Mulders, 1998).
 
-    Over Z/4, 2 x_0 + x_1 = 1 is solved least by (0, 1); 2 x_0 = 1 has no
-    solution.
+    Over Z/4, 2 x_0 + x_1 = 1 is solved least by (0, 1); neither 2 x_0 = 1
+    nor x_0 = 1 with x_0 = 0 past the end of rhs has a solution.
 
-    >>> _least_solution([[2], [1]], [1], 4)
+    >>> _least_solution([{0: 2}, {0: 1}], [1], 4)
     [0, 1]
-    >>> _least_solution([[2]], [1], 4) is None
+    >>> _least_solution([{0: 2}], [1], 4) is None
+    True
+    >>> _least_solution([{0: 1, 1: 1}], [1], 4) is None
     True
     """
     n = len(columns)
-    width = len(rhs)
-    rows = [list(col) + [int(i == j) for i in range(n)] for j, col in enumerate(columns)]
-    reduced = _HowellForm(rows, m, width + n).reduce([-x for x in rhs] + [0] * n)
+    width = max([len(rhs)] + [c + 1 for col in columns for c in col])
+    rows = [
+        [col.get(c, 0) for c in range(width)] + [int(i == j) for i in range(n)]
+        for j, col in enumerate(columns)
+    ]
+    target = [-x for x in rhs] + [0] * (width - len(rhs) + n)
+    reduced = _HowellForm(rows, m, width + n).reduce(target)
     if any(reduced[:width]):
         return None
     return reduced[width:]

@@ -239,17 +239,6 @@ def degenerate_indices(structure: LinearCycleSet, k: int):
     return [i for i, t in enumerate(all_tuples(n, k)) if zero in t]
 
 
-def _degenerate_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
-    n = structure.order
-    cols = n**k
-    data = []
-    for i in degenerate_indices(structure, k):
-        row = [0] * cols
-        row[i] = 1
-        data.append(row)
-    return IntegerMatrix(len(data), cols, data)
-
-
 @dataclass
 class Cochain:
     """A degree-k cochain: one coefficient-group element per k-tuple.

@@ -24,8 +24,8 @@ from .bicomplex import (
 from .corpus import builtin_structure, enumerate_braces, enumerate_lcs, trivial_lcs
 from .extensions import (
     FullTwoCocycle,
-    _two_cocycle_system,
     ReducedTwoCocycle,
+    _cochain_system,
     additive_section,
     build_brace_extension,
     build_extension_full,
@@ -41,7 +41,7 @@ from .extensions import (
     translate_to_brace_pair,
     validate_extension_triple,
 )
-from .linalg import kernel_mod_m
+from .linalg import _kernel_mod
 from .reduced import (
     antisymmetrization_is_chain_map,
     cs_coboundary_matrix,
@@ -388,12 +388,12 @@ def verify_paper(seed: int = 0):
         # random elements of the normalized full 2-cocycle group, each also
         # perturbed in one entry, so both verdicts of the criterion occur
         rng = random.Random(seed)
-        gens = kernel_mod_m(_two_cocycle_system(z4, "general")[0], 2).to_lists()
+        gens = _kernel_mod(_cochain_system(z4, "general", 2), [{x: 1} for x in range(32)], 2, 32)
         draws = 500
         valid_seen = invalid_seen = 0
         for _ in range(draws):
-            coeffs = [rng.randrange(2) for _ in gens[0]]
-            flat = [sum(c * x for c, x in zip(coeffs, row)) % 2 for row in gens]
+            coeffs = [rng.randrange(2) for _ in gens]
+            flat = [sum(c * x for c, x in zip(coeffs, col)) % 2 for col in zip(*gens)]
             perturbed = flat[:]
             perturbed[rng.randrange(len(flat))] ^= 1
             for drawn, values in ((True, flat), (False, perturbed)):

@@ -6,13 +6,74 @@ every map from the base to the coefficient group is tried in
 lexicographic order, and every cocycle group and coboundary group is
 listed element by element.  They are exponential and serve only as the
 oracle the tests compare the library against.
+
+The cochain systems here are dense stacks of the public face-map
+matrices, as the library built them before it wrote sparse face rows, so
+the oracle shares no system builder with the library.
 """
 
 import itertools
 
-from lcscohom.extensions import ReducedTwoCocycle, _two_cocycle_system
+from lattice_oracle import hstack
+from lcscohom.bicomplex import shuffle_rows, total_chain_matrix
+from lcscohom.extensions import ReducedTwoCocycle
 from lcscohom.linalg import IntegerMatrix, kernel_mod_m
-from lcscohom.reduced import _degenerate_rows, linearity_rows
+from lcscohom.reduced import degenerate_indices, linearity_rows, reduced_boundary_matrix
+
+
+def vstack(mats):
+    """Dense matrices with equal column counts, one above the other."""
+    cols = mats[0].cols
+    data = [row[:] for m in mats for row in m.data]
+    return IntegerMatrix(len(data), cols, data)
+
+
+def degenerate_rows(structure, k: int) -> IntegerMatrix:
+    """One row e_i per degree-k tuple i holding the neutral element."""
+    cols = structure.order**k
+    data = [[int(i == x) for x in range(cols)] for i in degenerate_indices(structure, k)]
+    return IntegerMatrix(len(data), cols, data)
+
+
+def two_cocycle_system(base, flavor: str):
+    """Constraint rows cutting out the degree-2 cocycles of a flavor, and
+    the coboundary matrix on 1-cochains.
+
+    Cycle-type cocycles are the last-linear f killed by the degree-3
+    coboundary.  General ones are normalized pairs (f, g): g symmetric,
+    the pair killed by the total degree-3 coboundary, and g(0,0) = 0.
+    """
+    n = base.order
+    if flavor == "cycle-type":
+        constraints = vstack(
+            [linearity_rows(base, 2), reduced_boundary_matrix(base, 3).transpose().scaled(-1)]
+        )
+        return constraints, reduced_boundary_matrix(base, 2).transpose()
+    symmetric = hstack([IntegerMatrix.zeros(n * n, n * n), shuffle_rows(base, 0, 2)])
+    norm = IntegerMatrix.zeros(1, 2 * n * n)
+    norm.data[0][n * n + base.zero * n + base.zero] = 1
+    constraints = vstack([symmetric, total_chain_matrix(base, 3).transpose(), norm])
+    return constraints, total_chain_matrix(base, 2).transpose()
+
+
+def theta_constraints(base, flavor: str, normalized: bool) -> IntegerMatrix:
+    """The rows that 1-cochains theta must satisfy: additivity for the
+    cycle-type flavor, theta(0) = 0 for the general one when normalized."""
+    if flavor == "cycle-type":
+        return linearity_rows(base, 1)
+    if normalized:
+        return degenerate_rows(base, 1)
+    return IntegerMatrix.zeros(0, base.order)
+
+
+def dense_view(rows, height: int) -> IntegerMatrix:
+    """The dense matrix with `height` rows whose column x is the sparse
+    {row: entry} dict rows[x]."""
+    data = [[0] * len(rows) for _ in range(height)]
+    for x, row in enumerate(rows):
+        for r, entry in row.items():
+            data[r][x] = entry
+    return IntegerMatrix(height, len(rows), data)
 
 
 def search_theta(c1, c2, normalized: bool = False):
@@ -80,8 +141,8 @@ def class_cocycles(base, gamma, flavor: str):
     """The cocycle tables of the classes, in classification order: f for
     "cycle-type", (f, g) for "general"."""
     n = base.order
-    constraints, cob = _two_cocycle_system(base, flavor)
-    theta_rows = linearity_rows(base, 1) if flavor == "cycle-type" else _degenerate_rows(base, 1)
+    constraints, cob = two_cocycle_system(base, flavor)
+    theta_rows = theta_constraints(base, flavor, normalized=True)
     per_factor = []
     for m in gamma.factors:
         cocycles = span_mod(kernel_mod_m(constraints, m), m)

@@ -13,7 +13,20 @@ from dataclasses import dataclass
 from math import gcd
 
 from lcscohom.errors import LatticeError, ShapeError
-from lcscohom.linalg import IntegerMatrix, hstack
+from lcscohom.linalg import IntegerMatrix
+
+
+def hstack(mats):
+    """Dense matrices with equal row counts, side by side."""
+    mats = [m for m in mats if m.cols or m.rows]
+    if not mats:
+        return IntegerMatrix(0, 0)
+    rows = mats[0].rows
+    for m in mats:
+        if m.rows != rows:
+            raise ShapeError("hstack needs equal row counts")
+    data = [sum((m.data[i] for m in mats), []) for i in range(rows)]
+    return IntegerMatrix(rows, sum(m.cols for m in mats), data)
 
 
 @dataclass

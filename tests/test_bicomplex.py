@@ -7,7 +7,7 @@ shuffle sums are frozen by hand.
 import pytest
 
 import lcscohom.bicomplex as bicomplex
-from lattice_oracle import LatticeTester
+from lattice_oracle import LatticeTester, hstack
 from lcscohom.abelian import FiniteAbelianGroup
 from lcscohom.cli import main
 from lcscohom.bicomplex import (
@@ -25,7 +25,7 @@ from lcscohom.bicomplex import (
 )
 from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.errors import DegreeError, ParameterError
-from lcscohom.linalg import IntegerMatrix, _IntegerSpan, hstack, kernel_mod_m
+from lcscohom.linalg import IntegerMatrix, _IntegerSpan, kernel_mod_m
 from lcscohom.reduced import (
     _drop,
     _merge,

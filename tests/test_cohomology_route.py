@@ -1,12 +1,15 @@
-"""Every (co)homology group and structural check takes a sparse route.
+"""Every (co)homology group, structural check and extension decision
+takes a sparse route.
 
 The groups are read from tagged eliminations of sparse face rows, and the
 bicomplex and chain-map checks apply face lists to formal sums, so no
 dense matrix, cochain generator set or matrix product is formed on the
-way.  The guard tests make every dense path raise and still expect the
-invariants and reports below, which were frozen from the dense
-generator-and-product routes these replaced; the memory tests bound what
-those routes cost.
+way.  The extension layer reads its class lists, equivalence verdicts
+and additive sections off the same kind of rows; only the Howell forms
+behind least elements hold dense lists.  The guard tests make every dense
+path raise and still expect the invariants, reports and digests below,
+which were frozen from the dense generator-and-product routes these
+replaced; the memory tests bound what those routes cost.
 """
 
 import hashlib
@@ -20,6 +23,12 @@ import lcscohom.reduced
 from lcscohom.abelian import parse_group_spec
 from lcscohom.bicomplex import bicomplex_identity_check, full_cohomology
 from lcscohom.corpus import builtin_structure, standard_corpus
+from lcscohom.extensions import (
+    classify_extensions,
+    cocycles_cohomologous,
+    extensions_equivalent,
+    validate_extension_triple,
+)
 from lcscohom.linalg import IntegerMatrix
 from lcscohom.reduced import (
     antisymmetrization_is_chain_map,
@@ -72,9 +81,24 @@ DENSE = {
 }
 
 
+# SHA-256 of the sorted JSON of the class lists of z4-lcs over Z/2+Z/4
+# (16 cycle-type classes, 64 general ones), and of the equivalence,
+# cohomologousness and cycle-type validation reports on some of them.
+Z4LCS_CLASSES = {
+    "cycle-type": "a1230c3ee98da818ab4b37fca4fe132639d8ccf403193fb23cc73bdd769e4ec6",
+    "general": "d71876b6140ea2132e16d935bb5894e5554342f323bad57beaa99978ad582db6",
+}
+Z4LCS_EQUIVALENT = "b1c60bd7ab2041630bf0e4eb7817fa4ad21fc65dc2cc81a1207b530702b73b94"
+Z4LCS_COHOMOLOGOUS = "405b515f6cfe9c46f2309697516ee569edd6043e7a26b1feaa7642fb0902241d"
+Z4LCS_VALIDATED = "25d45b9b704cb2bd0f9535400c861bad848f87f86a1a9ac077e8111817e8f79e"
+
 # SHA-256 of the sorted JSON of bicomplex_identity_check(z4-lcs, 4): 30
 # passing checks, as the dense products reported them.
 Z4LCS_REPORT = "14ef6caf208561958c72152ca9da9606f651c3573b09d562443d68715bfd78a3"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
 def refuse(*_args, **_kwargs):
@@ -136,3 +160,30 @@ def test_full_degree_four_stays_small():
     assert got == [2] * 10
     assert peak < 24 * 2**20, peak
 
+
+
+def test_no_dense_matrix_in_the_extension_layer(monkeypatch):
+    refuse_dense(monkeypatch)
+    gamma = parse_group_spec("Z/2+Z/4")
+    classes = {}
+    for flavor, digest in Z4LCS_CLASSES.items():
+        classes[flavor] = classify_extensions(Z4LCS, gamma, flavor)
+        assert _digest([c.to_dict() for c in classes[flavor]]) == digest
+    some = classes["cycle-type"][:3] + classes["general"][:3]
+    verdicts = [extensions_equivalent(a.triple, b.triple) for a in some for b in some]
+    assert {ok for ok, _ in verdicts} == {True, False}
+    assert _digest(verdicts) == Z4LCS_EQUIVALENT
+    pairs = [
+        cocycles_cohomologous(a.cocycle, b.cocycle, normalized)
+        for cl in (classes["cycle-type"][:4], classes["general"][:4])
+        for a in cl
+        for b in cl
+        for normalized in (False, True)
+    ]
+    assert {ok for ok, _ in pairs} == {True, False}
+    assert _digest(pairs) == Z4LCS_COHOMOLOGOUS
+    some = classes["cycle-type"][:4] + classes["general"][:4]
+    reports = [validate_extension_triple(c.triple, "cycle-type").to_dict() for c in some]
+    # both verdicts of the additive-section question occur
+    assert {"additive_section" in r for r in reports} == {True, False}
+    assert _digest(reports) == Z4LCS_VALIDATED

@@ -34,6 +34,7 @@ def test_examples_are_collected():
     assert finder.find(linalg._subquotient_mod)[0].examples
     assert finder.find(linalg._IntegerSpan)[0].examples
     assert finder.find(linalg._least_solution)[0].examples
+    assert finder.find(linalg._kernel_mod)[0].examples
     reduced = importlib.import_module("lcscohom.reduced")
     assert len(finder.find(reduced._apply)[0].examples) >= 3
     # the cached helper's doctest is collected through its cache wrapper
@@ -41,3 +42,4 @@ def test_examples_are_collected():
     names = {t.name for t in finder.find(extensions) if t.examples}
     assert "lcscohom.extensions._addition_index" in names
     assert "lcscohom.extensions._cocycle_plan" in names
+    assert "lcscohom.extensions._cochain_system" in names

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lattice_oracle import LatticeTester, constrained_lattice, solution_lattice_mod
+from lattice_oracle import LatticeTester, constrained_lattice, hstack, solution_lattice_mod
 from lattice_oracle import subquotient_invariants as oracle_subquotient
 from lcscohom.errors import LatticeError
-from lcscohom.linalg import IntegerMatrix, _IntegerSpan, _least_solution, hstack, kernel_mod_m
+from lcscohom.linalg import IntegerMatrix, _IntegerSpan, _least_solution, kernel_mod_m
 from subquotient_route import subquotient_invariants
 
 MODULI = (2, 4, 8, 9, 12, 27)
@@ -128,7 +128,7 @@ def test_least_solution_agrees_with_brute_force():
             ),
             None,
         )
-        assert _least_solution(columns, rhs, m) == least
+        assert _least_solution([dict(enumerate(col)) for col in columns], rhs, m) == least
         seen.add(least is not None)
 
     check()

@@ -16,13 +16,20 @@ import itertools
 
 import pytest
 
-from extension_oracle import class_cocycles, search_theta
+from extension_oracle import (
+    class_cocycles,
+    dense_view,
+    search_theta,
+    theta_constraints,
+    two_cocycle_system,
+)
 from lcscohom import verify
 from lcscohom.abelian import parse_group_spec
 from lcscohom.corpus import builtin_structure, enumerate_lcs
 from lcscohom.extensions import (
     FullTwoCocycle,
     ReducedTwoCocycle,
+    _cochain_system,
     build_extension_full,
     build_extension_reduced,
     classify_extensions,
@@ -86,6 +93,19 @@ def _thetas(gamma, base, additive: bool):
         ):
             out.append(theta)
     return out
+
+
+@pytest.mark.parametrize("flavor", ["cycle-type", "general"])
+def test_cochain_system_matches_the_dense_stacks(flavor):
+    # each sparse row is, entry for entry, a column of the oracle's stack
+    for s in STRUCTURES + [builtin_structure("z4-lcs"), EXT8]:
+        constraints, cob = two_cocycle_system(s, flavor)
+        assert dense_view(_cochain_system(s, flavor, 2), constraints.rows) == constraints
+        for normalized in (False, True):
+            rows, coboundaries = _cochain_system(s, flavor, 1, normalized)
+            dense = theta_constraints(s, flavor, normalized)
+            assert dense_view(rows, dense.rows) == dense, (s, normalized)
+            assert dense_view(coboundaries, cob.rows) == cob, (s, normalized)
 
 
 @pytest.mark.parametrize("coeff", COEFFS)

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import lcscohom.extensions
 from lcscohom.abelian import FiniteAbelianGroup, parse_group_spec
 from lcscohom.bicomplex import full_cohomology
 from lcscohom.corpus import builtin_structure, trivial_lcs
@@ -58,6 +59,8 @@ Z4 = FiniteAbelianGroup((4,))
 T2 = builtin_structure("trivial(2)")
 T3 = builtin_structure("trivial(3)")
 Z4LCS = builtin_structure("z4-lcs")
+# The second cycle-type class of z4-lcs over Z/2, an order-8 base.
+EXT8 = classify_extensions(Z4LCS, Z2, "cycle-type")[1].triple.total
 Z4BRACE = builtin_structure("z4-brace")
 
 PHIS = [(0, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1)]
@@ -510,6 +513,11 @@ def test_classify_counts_match_cohomology():
         (T2, Z2, "general"),
         (Z4LCS, Z2, "general"),
     ]
+    # ext8 has 4 / 16 classes over Z/2, 8 / 16 over Z/4 and 16 / 256 over
+    # Z/2+Z/2 (cycle-type / general)
+    ext8_counts = {"Z/2": (4, 16), "Z/4": (8, 16), "Z/2+Z/2": (16, 256)}
+    for spec in ext8_counts:
+        cases += [(EXT8, parse_group_spec(spec), f) for f in ("cycle-type", "general")]
     for base, gamma, flavor in cases:
         classes = classify_extensions(base, gamma, flavor)
         if flavor == "cycle-type":
@@ -521,6 +529,32 @@ def test_classify_counts_match_cohomology():
             expected *= d
         assert len(classes) == expected, (base.order, flavor)
         assert [c.class_index for c in classes] == list(range(expected))
+        if base is EXT8:
+            assert expected == ext8_counts[str(gamma)][flavor == "general"]
+
+
+@pytest.mark.parametrize(
+    "flavor,message",
+    [
+        ("cycle-type", "the degree-3 tuple basis needs 21952 basis elements"),
+        ("general", "the total degree-3 basis needs 65856 basis elements"),
+    ],
+)
+def test_classify_budget_refuses_before_any_row(monkeypatch, flavor, message):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a face row was written")
+
+    monkeypatch.delenv("LCSCOHOM_BUDGET", raising=False)
+    monkeypatch.setattr(lcscohom.extensions, "_face_rows", refuse)
+    limit = 20000 if flavor == "cycle-type" else 60000
+    with pytest.raises(BudgetError) as info:
+        classify_extensions(trivial_lcs(FiniteAbelianGroup((28,))), Z2, flavor)
+    assert str(info.value) == (
+        f"{message}, over the budget of {limit} (set LCSCOHOM_BUDGET to raise it)"
+    )
+    # one order below, every check passes and the first row is written
+    with pytest.raises(AssertionError, match="a face row was written"):
+        classify_extensions(trivial_lcs(FiniteAbelianGroup((27,))), Z2, flavor)
 
 
 def test_classify_z4_properties():

@@ -15,6 +15,7 @@ import pytest
 
 from lattice_oracle import (
     LatticeTester,
+    hstack,
     integer_kernel,
     lattice_quotient_invariants,
     smith_normal_form,
@@ -26,9 +27,7 @@ from lcscohom.linalg import (
     _IntegerSpan,
     _least_solution,
     _prime_powers,
-    hstack,
     kernel_mod_m,
-    vstack,
 )
 from subquotient_route import subquotient_invariants
 
@@ -185,14 +184,17 @@ def test_least_solution_roundtrip():
         )
         x0 = [rng.randrange(m) for _ in range(cols)]
         rhs = [v % m for v in mat.apply(x0)]
-        x = _least_solution(mat.transpose().data, rhs, m)
+        x = _least_solution([dict(enumerate(col)) for col in mat.transpose().data], rhs, m)
         assert x is not None
         assert [v % m for v in mat.apply(x)] == rhs
 
 
 def test_least_solution_unsolvable():
-    assert _least_solution([[2]], [1], 4) is None
-    assert _least_solution([[2, 0]], [0, 3], 4) is None
+    assert _least_solution([{0: 2}], [1], 4) is None
+    assert _least_solution([{0: 2}], [0, 3], 4) is None
+    # a row past the end of rhs is an equation with right-hand side 0
+    assert _least_solution([{0: 1, 2: 1}], [1], 4) is None
+    assert _least_solution([{0: 1, 2: 1}, {2: 3}], [1], 4) == [1, 1]
 
 
 def test_lattice_quotient_frozen():
@@ -298,12 +300,11 @@ def test_contains_all_needs_every_column():
 
 
 def test_stacking():
+    # the oracles' hstack
     a = IntegerMatrix.from_rows([[1, 2]])
     b = IntegerMatrix.from_rows([[3, 4]])
-    assert vstack([a, b]).to_lists() == [[1, 2], [3, 4]]
     assert hstack([a.transpose(), b.transpose()]).to_lists() == [[1, 3], [2, 4]]
-    with pytest.raises(ShapeError):
-        vstack([a, IntegerMatrix.identity(3)])
+    assert hstack([a, IntegerMatrix(1, 0), b]).to_lists() == [[1, 2, 3, 4]]
     with pytest.raises(ShapeError):
         hstack([a, IntegerMatrix.identity(3)])
 

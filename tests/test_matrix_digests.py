@@ -13,7 +13,8 @@ import pytest
 
 from lcscohom.bicomplex import dh_matrix, dv_matrix, shuffle_rows, total_chain_matrix
 from lcscohom.corpus import enumerate_lcs
-from lcscohom.extensions import _two_cocycle_system
+from extension_oracle import dense_view
+from lcscohom.extensions import _cochain_system
 from lcscohom.reduced import (
     antisymmetrization_matrix,
     cs_chain_matrix,
@@ -25,7 +26,9 @@ STRUCTURES = [s for n in (1, 2, 3, 4) for s in enumerate_lcs(n)]
 
 
 def _cycle_type_stack(structure):
-    return _two_cocycle_system(structure, "cycle-type")[0]
+    # linearity, then minus the degree-3 boundary: 2 n^3 constraints
+    rows = _cochain_system(structure, "cycle-type", 2)
+    return dense_view(rows, 2 * structure.order**3)
 
 
 PINNED = {
