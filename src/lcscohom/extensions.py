@@ -13,8 +13,9 @@ translation isomorphisms (gamma_part + theta(base_part), base_part), and
 classifying all central extensions as cocycles modulo coboundaries, one
 cyclic coefficient factor at a time.  Equivalence and classification are
 linear algebra over Z/m on the sparse face rows of `_cochain_system`:
-tagged eliminations give cocycles and coboundaries, and Howell forms the
-least theta, class representatives and additive sections.
+tagged eliminations give cocycles and coboundaries, and Howell forms over
+Z/m (`linalg._IntegerSpan`) the least theta, class representatives and
+additive sections.
 """
 
 import functools
@@ -34,7 +35,7 @@ from .errors import (
     SectionError,
     ShapeError,
 )
-from .linalg import _HowellForm, _kernel_mod, _least_solution
+from .linalg import _IntegerSpan, _kernel_mod, _least_solution
 from .reduced import (
     _face_rows,
     _file_coeffs,
@@ -466,6 +467,15 @@ def _addition_index(gamma):
     return tuple(tuple(gamma.index(gamma.add(x, y)) for y in elements) for x in elements)
 
 
+@functools.lru_cache(maxsize=8)
+def _fiber_moves(gamma, n: int):
+    """Index maps of gamma x base, once per (gamma, n): scaled[c][s] is
+    (c + s) * n, and moved[c] sends s * n + a to (c + s) * n + a."""
+    scaled = tuple(tuple(x * n for x in row) for row in _addition_index(gamma))
+    moved = tuple(tuple(x + a for x in row for a in range(n)) for row in scaled)
+    return scaled, moved
+
+
 def _deformed_table(gamma, n: int, base_op, deformation, carry: bool):
     """One operation table on gamma x base, element c * n + a for (c, a).
 
@@ -475,22 +485,19 @@ def _deformed_table(gamma, n: int, base_op, deformation, carry: bool):
     one of them, moved by c1 in the coefficient when `carry` is set.
     Rows are tuples.
     """
-    plus = _addition_index(gamma)
     index = _element_index(gamma)
     shift = [list(map(index.__getitem__, row)) for row in deformation]
-    # scaled[c][s] is (c + s) * n, the first index of the fiber over c + s
-    scaled = [[x * n for x in row] for row in plus]
+    scaled, moved = _fiber_moves(gamma, n)
     first = []
     for srow, brow in zip(shift, base_op):
         row = []
-        for moved in scaled:
-            row += map(operator.add, map(moved.__getitem__, srow), brow)
+        for starts in scaled:
+            row += map(operator.add, map(starts.__getitem__, srow), brow)
         first.append(tuple(row))
     if not carry:
         return tuple(first) * gamma.order
     table = []
-    for moved in scaled:
-        by_c1 = [x + a for x in moved for a in range(n)]
+    for by_c1 in moved:
         table += (tuple(map(by_c1.__getitem__, row)) for row in first)
     return tuple(table)
 
@@ -1121,25 +1128,39 @@ def extensions_equivalent(t1: ExtensionTriple, t2: ExtensionTriple):
 # Classification
 
 
-def _class_representatives(z_rows, b_form, width: int):
-    """The lexicographically least element of every coset of B in Z, sorted.
+def _class_representatives(z_gens, b_form, width: int):
+    """The lexicographically least element of every coset of B in Z, as
+    tuples of `width` entries, sorted.
 
-    Walks Z / B from 0, adding each generator of Z and reducing modulo B.
+    Grows a subgroup of Z / B from 0 by one generator g of Z at a time,
+    adding its cosets H + g, H + 2g, ... until a multiple of g falls back
+    into H; every element is reduced modulo B by `b_form`, the Howell form
+    of B.  Over Z/4, Z = <(1, 1)> has the two cosets of B = <(2, 2)>, and
+    (3, 3) is (1, 1) + (2, 2):
+
+    >>> from lcscohom.linalg import _IntegerSpan
+    >>> _class_representatives([{0: 1, 1: 1}], _IntegerSpan([{0: 2, 1: 2}], 4), 2)
+    [(0, 0), (1, 1)]
     """
-    zero = tuple([0] * width)
-    gens = {tuple(b_form.reduce(z)) for z in z_rows} - {zero}
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                s = tuple(b_form.reduce([x + y for x, y in zip(e, g)]))
-                if s not in seen:
-                    seen.add(s)
-                    new.append(s)
-        frontier = new
-    return sorted(seen)
+    zero = (0,) * width
+    reps = {zero: {}}  # dense least element -> the same, sparse
+
+    def step(vec, g):
+        vec = dict(vec)
+        for c, x in g.items():
+            vec[c] = vec.get(c, 0) + x
+        vec = b_form.reduce(vec)
+        return tuple(map(vec.get, range(width), zero)), vec
+
+    for g in z_gens:
+        coset = list(reps.items())  # led by 0, so by the multiples of g
+        while True:
+            first = step(coset[0][1], g)
+            if first[0] in reps:
+                break
+            coset = [first] + [step(vec, g) for _key, vec in coset[1:]]
+            reps.update(coset)
+    return sorted(reps)
 
 
 # Every class checks its cocycle identities on the base once and then
@@ -1189,10 +1210,10 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
     factors = []
     count = 1
     for m in gamma.factors:
-        z_rows = _kernel_mod(cocycles, [{x: 1} for x in range(width)], m, width)
-        b_form = _HowellForm(_kernel_mod(constraints, coboundaries, m, width), m, width)
-        count *= _HowellForm(z_rows, m, width).order // b_form.order
-        factors.append((z_rows, b_form))
+        z_gens = _kernel_mod(cocycles, [{x: 1} for x in range(width)], m)
+        b_form = _IntegerSpan(_kernel_mod(constraints, coboundaries, m), m)
+        count *= _IntegerSpan(z_gens, m).order // b_form.order
+        factors.append((z_gens, b_form))
     check_basis(
         count * (gamma.order * n) ** 2,
         "the classification's total-structure tables",

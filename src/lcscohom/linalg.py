@@ -1,5 +1,5 @@
-"""Exact linear algebra: a sparse elimination over Z/p^e, a Howell form
-over Z/m and an echelon form over Z.
+"""Exact linear algebra: two sparse kernels, an elimination over Z/p^e
+and an echelon form over Z and Z/m.
 
 Every invariant the package reports is a finite abelian group over Z/m
 coefficients.  Z/m splits by the Chinese remainder theorem into local
@@ -11,21 +11,18 @@ and boundaries B are each the tags of the vanishing combinations of
 sparse rows, read off one tagged elimination, and K / B comes from the
 orders of p^i K + B.  No floating point is used anywhere.
 
-Where an answer must be the lexicographically least element of a coset,
-as for equivalence witnesses, class representatives of extensions and
-least solutions of linear systems mod m (`_least_solution`), a Howell
-form over Z/m itself does the work: lexicographic order does not survive
-a split of Z/m into its prime powers, so `_kernel_mod` first glues the
-prime-power kernels into generators over Z/m.
-
-The structural checks ask one question over Z itself: whether some
-vectors lie in the integer span of some relation rows.  An echelon form
-over Z (`_IntegerSpan`) answers it on the sparse rows that the face
-lists give, by the Howell form's gcd merges without a modulus.
+The other kernel, `_IntegerSpan`, merges sparse rows by extended gcds.
+Over Z it decides membership in the integer span of the face lists'
+relation rows.  Over Z/m it is the Howell form, which gives the least
+element of a coset: class representatives, equivalence witnesses and
+least solutions mod m (`_least_solution`).  Lexicographic order does not
+survive a split of Z/m into its prime powers, so `_kernel_mod` first
+glues the prime-power kernels into sparse generators over Z/m.
 """
 
+import functools
 import heapq
-from math import gcd
+from math import gcd, prod
 
 from .abelian import merge_invariants
 from .errors import BudgetError, InvalidModulusError, LatticeError, ShapeError
@@ -222,11 +219,14 @@ def _rho_factor(n: int):
     return None
 
 
+@functools.lru_cache(maxsize=64)
 def _prime_powers(m: int):
-    """The (p, e) pairs of the factorization m = product of p**e, p ascending.
+    """The (p, e) pairs of the factorization m = product of p**e, p ascending,
+    factored once per modulus.
 
     Raises BudgetError when m has a factor that neither splits within the
-    rho budget nor is small enough for Miller-Rabin to prove prime.
+    rho budget nor is small enough for Miller-Rabin to prove prime; a
+    refusal is not cached, so every call with such an m raises again.
     """
     found = {}
     p = 2
@@ -411,16 +411,17 @@ def _subquotient_mod(k_rows, k_tags, b_rows, b_tags, m: int):
     return merge_invariants(*parts)
 
 
-def _kernel_mod(rows, tags, m: int, width: int):
-    """Generators of {sum a_i tags_i : sum a_i rows_i == 0 mod m}, as lists
-    of `width` entries in [0, m), for integer {index: entry} rows and tags.
+def _kernel_mod(rows, tags, m: int):
+    """Generators of {sum a_i tags_i : sum a_i rows_i == 0 mod m}, as
+    {index: entry} dicts with entries in [1, m), for integer {index: entry}
+    rows and tags.
 
     Generator i of each prime-power kernel is glued into generator i by
     the Chinese remainder theorem.  Over Z/6, 2 x_0 + 2 x_1 vanishes on
     every x mod 2 and on x_0 + x_1 = 0 mod 3: e_0 glues to (2, 1).
 
-    >>> _kernel_mod([{0: 2}, {0: 2}], [{0: 1}, {1: 1}], 6, 2)
-    [[5, 4], [0, 3]]
+    >>> _kernel_mod([{0: 2}, {0: 2}], [{0: 1}, {1: 1}], 6)
+    [{0: 5, 1: 4}, {1: 3}]
     """
     glued = []
     for p, e in _prime_powers(m):
@@ -428,9 +429,9 @@ def _kernel_mod(rows, tags, m: int, width: int):
         lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
         for i, gen in enumerate(_kernel_tags(rows, tags, p, e)):
             if i == len(glued):
-                glued.append([0] * width)
-            for c, x in gen.items():
-                glued[i][c] = (glued[i][c] + lift * x) % m
+                glued.append({})
+            for c, x in gen.items():  # x is nonzero mod q, so is the sum
+                glued[i][c] = (glued[i].get(c, 0) + lift * x) % m
     return glued
 
 
@@ -446,7 +447,8 @@ def kernel_mod_m(mat: IntegerMatrix, m: int) -> IntegerMatrix:
     _check_modulus(m)
     n = mat.cols
     cols = [{i: row[j] for i, row in enumerate(mat.data) if row[j]} for j in range(n)]
-    return IntegerMatrix.from_columns(n, _kernel_mod(cols, [{j: 1} for j in range(n)], m, n))
+    gens = _kernel_mod(cols, [{j: 1} for j in range(n)], m)
+    return IntegerMatrix(n, len(gens), [[gen.get(j, 0) for gen in gens] for j in range(n)])
 
 
 def _gcdex(a: int, b: int):
@@ -460,91 +462,15 @@ def _gcdex(a: int, b: int):
     return a, s0, t0
 
 
-def _unit_to_gcd(a: int, m: int) -> int:
-    """A unit w of Z/m with w*a == gcd(a, m) (mod m)."""
-    d, s, _t = _gcdex(a, m)
-    step = m // d  # s is a unit mod m/d; some s + k*m/d is one mod m
-    while gcd(s, m) != 1:
-        s += step
-    return s % m
-
-
-class _HowellForm:
-    """The Howell form over Z/m of the span L of some dense rows.
-
-    Column by column, one extended-gcd row operation per pair merges the
-    rows with an entry there into one pivot row, which a unit scales to
-    the pivot d = gcd(entry, m).  The pivot row times m/d is zero in that
-    column and is pushed back into the remaining rows.  That keeps the
-    Howell property: the pivot rows from column c on span exactly the
-    elements of L that vanish before column c.  So `reduce` brings each
-    pivot coordinate into [0, d) in turn and returns the lexicographically
-    least element of vec + L, the same for every vector of the coset.
-
-    Over Z/4 the row (2, 1) spans {0, (2, 1), (0, 2), (2, 3)}; the pushed
-    row 2 * (2, 1) = (0, 2) gives the second pivot.
-
-    >>> form = _HowellForm([[2, 1]], 4, 2)
-    >>> form.pivots, form.order
-    ([(0, [2, 1]), (1, [0, 2])], 4)
-    >>> form.reduce([3, 3]), form.reduce([1, 1])
-    ([1, 0], [1, 1])
-    """
-
-    def __init__(self, rows, m: int, width: int):
-        self.m = m
-        pool = [r for r in ([x % m for x in row] for row in rows) if any(r)]
-        self.pivots = []  # (column, row) with row[column] = d dividing m
-        for col in range(width):
-            live = [r for r in pool if r[col]]
-            if not live:
-                continue
-            pool = [r for r in pool if not r[col]]
-            head = live[0]
-            for row in live[1:]:
-                g, s, t = _gcdex(head[col], row[col])
-                u, v = head[col] // g, row[col] // g
-                head, row = (
-                    [(s * x + t * y) % m for x, y in zip(head, row)],
-                    [(u * y - v * x) % m for x, y in zip(head, row)],
-                )
-                if any(row):
-                    pool.append(row)
-            w = _unit_to_gcd(head[col], m)
-            head = [w * x % m for x in head]
-            spare = [m // head[col] * x % m for x in head]
-            if any(spare):
-                pool.append(spare)
-            self.pivots.append((col, head))
-
-    @property
-    def order(self) -> int:
-        """The order of L: the product of m / d over the pivots d."""
-        out = 1
-        for col, row in self.pivots:
-            out *= self.m // row[col]
-        return out
-
-    def reduce(self, vec):
-        """The lexicographically least element of vec + L, entries in [0, m)."""
-        m = self.m
-        vec = [x % m for x in vec]
-        for col, row in self.pivots:
-            q = vec[col] // row[col]
-            if q:
-                vec = [(x - q * y) % m for x, y in zip(vec, row)]
-        return vec
-
-
 def _least_solution(columns, rhs, m: int):
     """The lexicographically least x in (Z/m)^n with sum_j x_j columns_j ==
     rhs (mod m), or None when there is none.
 
     The columns are sparse {row: entry} dicts, and rows past rhs read 0.
-    The Howell form of the rows [columns_j | e_j] reduces (-rhs, 0) to the
-    least element of its coset, (sum_j x_j columns_j - rhs, x) over all x.
-    Its first block vanishes exactly when a solution exists, and its second
-    block is then the least solution (Storjohann and Mulders, 1998).
+    The Howell form of the rows {**columns_j, width + j: 1} reduces -rhs to
+    the least element of its coset, (sum_j x_j columns_j - rhs, x) over all
+    x, whose first block vanishes exactly when a solution exists, and whose
+    second block is then the least solution (Storjohann and Mulders, 1998).
 
     Over Z/4, 2 x_0 + x_1 = 1 is solved least by (0, 1); neither 2 x_0 = 1
     nor x_0 = 1 with x_0 = 0 past the end of rhs has a solution.
@@ -556,61 +482,80 @@ def _least_solution(columns, rhs, m: int):
     >>> _least_solution([{0: 1, 1: 1}], [1], 4) is None
     True
     """
-    n = len(columns)
     width = max([len(rhs)] + [c + 1 for col in columns for c in col])
-    rows = [
-        [col.get(c, 0) for c in range(width)] + [int(i == j) for i in range(n)]
-        for j, col in enumerate(columns)
-    ]
-    target = [-x for x in rhs] + [0] * (width - len(rhs) + n)
-    reduced = _HowellForm(rows, m, width + n).reduce(target)
-    if any(reduced[:width]):
+    form = _IntegerSpan(({**col, width + j: 1} for j, col in enumerate(columns)), m)
+    reduced = form.reduce({r: -x for r, x in enumerate(rhs)})
+    if any(c < width for c in reduced):
         return None
-    return reduced[width:]
+    return [reduced.get(width + j, 0) for j in range(len(columns))]
 
 
 class _IntegerSpan:
-    """An echelon form over Z of the integer span L of sparse rows.
+    """An echelon form over Z, or the Howell form over Z/m, of the span L
+    of sparse rows.
 
     Rows are {key: entry} dicts over ordered keys, and every pivot row
     has its own least key.  A row is cleared at its least key by the
-    pivot row there, or merged with it by one extended-gcd row operation
-    as in `_HowellForm` but over Z, until it becomes a pivot row itself.
-    The operations are unimodular, so the pivot rows still span L
-    (Kannan and Bachem, 1979).  A vector lies in L exactly when every
-    pivot divides what is left at its key and nothing is left at the end.
+    pivot row there, or merged with it by one extended-gcd row operation,
+    until it becomes a pivot row itself.  The operations are unimodular,
+    so the pivot rows still span L (Kannan and Bachem, 1979).  Over Z a
+    vector lies in L exactly when every pivot divides what is left at its
+    key and nothing is left at the end.
+
+    Over Z/m (m > 0) a key without a pivot row holds the implicit row
+    m e_key, so a new pivot's entry becomes d = gcd(entry, m), and the
+    residual (m/d) row goes on down.  A later merge of a row r into a
+    pivot h of entry a, giving h' = s h + t r of entry g and pushing r',
+    needs no more: (m/g) h' = (m/a) h + (m/a) t r' lies in the span
+    already.  So the pivots from each key on span the elements of L that
+    vanish before it, the Howell property (Storjohann and Mulders, 1998),
+    and `reduce` gives the lexicographically least element of vec + L.
 
     The rows (2, 0) and (0, 3) span 2Z x 3Z:
 
     >>> span = _IntegerSpan([{0: 2}, {1: 3}])
     >>> span.contains({0: 4, 1: -3}), span.contains({0: 1, 1: 3})
     (True, False)
+
+    Over Z/4 the row (2, 1) spans {0, (2, 1), (0, 2), (2, 3)}; its
+    residual 2 (2, 1) = (0, 2) gives the second pivot:
+
+    >>> form = _IntegerSpan([{0: 2, 1: 1}], 4)
+    >>> form.pivots, form.order
+    ({0: {0: 2, 1: 1}, 1: {1: 2}}, 4)
+    >>> form.reduce({0: 3, 1: 3}), form.reduce({0: 1, 1: 1})
+    ({0: 1}, {0: 1, 1: 1})
     """
 
-    def __init__(self, rows=()):
+    def __init__(self, rows=(), m: int = 0):
+        self.m = m
         self.pivots = {}  # least key -> the pivot row with that least key
         for row in rows:
             self.add(row)
 
     def add(self, row) -> None:
         """Widen L by one more row, a {key: entry} dict."""
-        row = {c: x for c, x in row.items() if x}
+        m = self.m
+        row = _mod(row, m) if m else {c: x for c, x in row.items() if x}
         while row:
             key = min(row)
-            head = self.pivots.get(key)
+            head = self.pivots.get(key) or ({key: m} if m else None)
             if head is None:
                 self.pivots[key] = row
                 return
             a, b = head[key], row[key]
             if b % a:
                 g, s, t = _gcdex(a, b)
-                self.pivots[key] = _combine(s, head, t, row)
-                row = _combine(a // g, row, -(b // g), head)
+                head, row = _combine(s, head, t, row), _combine(a // g, row, -(b // g), head)
+                self.pivots[key] = _mod(head, m) if m else head
             else:
                 row = _combine(1, row, -(b // a), head)
+            if m:
+                row = _mod(row, m)
 
     def contains(self, vec) -> bool:
-        """Whether the integer vector vec, a {key: entry} dict, lies in L."""
+        """Whether the integer vector vec, a {key: entry} dict, lies in L
+        over Z."""
         vec = {c: x for c, x in vec.items() if x}
         while vec:
             key = min(vec)
@@ -622,6 +567,28 @@ class _IntegerSpan:
                 return False
             vec = _combine(1, vec, -q, head)
         return True
+
+    @property
+    def order(self) -> int:
+        """The order of L over Z/m: the product of m / d over the pivots d."""
+        return prod(self.m // row[key] for key, row in self.pivots.items())
+
+    def reduce(self, vec) -> dict:
+        """The lexicographically least element of vec + L over Z/m, with
+        each pivot coordinate in key order brought into [0, d)."""
+        m = self.m
+        vec = _mod(vec, m)
+        for key, head in sorted(self.pivots.items()):
+            q = vec.get(key, 0) // head[key]
+            if not q:
+                continue
+            for c, y in head.items():
+                z = (vec.get(c, 0) - q * y) % m
+                if z:
+                    vec[c] = z
+                else:
+                    vec.pop(c, None)
+        return vec
 
 
 def _combine(a: int, u: dict, b: int, v: dict) -> dict:

@@ -5,8 +5,8 @@ The groups are read from tagged eliminations of sparse face rows, and the
 bicomplex and chain-map checks apply face lists to formal sums, so no
 dense matrix, cochain generator set or matrix product is formed on the
 way.  The extension layer reads its class lists, equivalence verdicts
-and additive sections off the same kind of rows; only the Howell forms
-behind least elements hold dense lists.  The guard tests make every dense
+and additive sections off the same kind of rows, and its Howell forms
+take sparse rows as well.  The guard tests make every dense
 path raise and still expect the invariants, reports and digests below,
 which were frozen from the dense generator-and-product routes these
 replaced; the memory tests bound what those routes cost.

@@ -33,6 +33,11 @@ def test_examples_are_collected():
     assert finder.find(linalg._eliminate)[0].examples
     assert finder.find(linalg._subquotient_mod)[0].examples
     assert finder.find(linalg._IntegerSpan)[0].examples
+    # the merged kernel shows both rings: membership over Z, least coset
+    # elements and the order over Z/m
+    sources = [ex.source for ex in finder.find(linalg._IntegerSpan)[0].examples]
+    assert any(".contains(" in src for src in sources)
+    assert any(".reduce(" in src for src in sources) and any(".order" in src for src in sources)
     assert finder.find(linalg._least_solution)[0].examples
     assert finder.find(linalg._kernel_mod)[0].examples
     reduced = importlib.import_module("lcscohom.reduced")
@@ -43,3 +48,4 @@ def test_examples_are_collected():
     assert "lcscohom.extensions._addition_index" in names
     assert "lcscohom.extensions._cocycle_plan" in names
     assert "lcscohom.extensions._cochain_system" in names
+    assert "lcscohom.extensions._class_representatives" in names

@@ -6,7 +6,9 @@ subquotients with an image inside the kernel must give the oracle's
 invariant factors, and an image with one column outside the kernel must
 raise LatticeError on both paths.  Integer-span membership must agree with
 the oracle's Smith-form tester, and the least solution mod m with a brute
-force search, each seeing both verdicts.
+force search, each seeing both verdicts.  Over Z/m the same span's least
+coset elements and order must agree with the span enumerated outright,
+for vectors inside it and outside it.
 """
 
 import itertools
@@ -22,6 +24,8 @@ from lcscohom.linalg import IntegerMatrix, _IntegerSpan, _least_solution, kernel
 from subquotient_route import subquotient_invariants
 
 MODULI = (2, 4, 8, 9, 12, 27)
+# moduli of the brute-force searches, which enumerate (Z/m)^3 at most
+SMALL_MODULI = (2, 4, 6, 8, 9, 12)
 PROPERTY = settings(
     max_examples=300,
     deadline=None,
@@ -112,7 +116,7 @@ def test_least_solution_agrees_with_brute_force():
     seen = set()
 
     @PROPERTY
-    @given(st.sampled_from((2, 4, 6, 8, 9, 12)), st.integers(1, 3), st.integers(1, 3), st.data())
+    @given(st.sampled_from(SMALL_MODULI), st.integers(1, 3), st.integers(1, 3), st.data())
     def check(m, n, rows, data):
         residues = st.lists(st.integers(0, m - 1), min_size=rows, max_size=rows)
         columns = data.draw(st.lists(residues, min_size=n, max_size=n))
@@ -130,6 +134,46 @@ def test_least_solution_agrees_with_brute_force():
         )
         assert _least_solution([dict(enumerate(col)) for col in columns], rhs, m) == least
         seen.add(least is not None)
+
+    check()
+    assert seen == {True, False}
+
+
+def _enumerated_span(rows, m: int, width: int):
+    """Every element of the span of rows over Z/m, as tuples, by closure."""
+    span = {(0,) * width}
+    frontier = list(span)
+    while frontier:
+        new = []
+        for v in frontier:
+            for row in rows:
+                w = tuple((x + y) % m for x, y in zip(v, row))
+                if w not in span:
+                    span.add(w)
+                    new.append(w)
+        frontier = new
+    return span
+
+
+def test_span_mod_m_reduces_to_the_least_coset_element():
+    seen = set()
+
+    @PROPERTY
+    @given(st.sampled_from(SMALL_MODULI), st.integers(0, 4), st.integers(1, 3), st.data())
+    def check(m, count, width, data):
+        entries = st.lists(st.integers(-m, 2 * m), min_size=width, max_size=width)
+        rows = data.draw(st.lists(entries, min_size=count, max_size=count))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count))
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=width, max_size=width))
+        vec = [sum(c * row[k] for c, row in zip(coeffs, rows)) + d for k, d in enumerate(shift)]
+        span = _enumerated_span(rows, m, width)
+        least = min(tuple((x + y) % m for x, y in zip(vec, v)) for v in span)
+        form = _IntegerSpan([{c: x for c, x in enumerate(row) if x} for row in rows], m)
+        reduced = form.reduce({c: x for c, x in enumerate(vec) if x})
+        assert tuple(reduced.get(c, 0) for c in range(width)) == least
+        assert all(0 < x < m for x in reduced.values())
+        assert form.order == len(span)
+        seen.add(not any(least))
 
     check()
     assert seen == {True, False}

@@ -361,3 +361,16 @@ def test_prime_powers_of_large_moduli():
 def test_prime_powers_refuse_what_they_cannot_factor_exactly(m):
     with pytest.raises(BudgetError):
         _prime_powers(m)
+
+
+def test_prime_powers_factor_once_and_refuse_every_time():
+    m = 2**4 * 1000003**3
+    first = _prime_powers(m)
+    hits = _prime_powers.cache_info().hits
+    assert _prime_powers(m) is first
+    assert _prime_powers.cache_info().hits == hits + 1
+    # a refusal raises on each call, since the cache keeps no exception
+    unfactorable = 1099511627689 * 1099511627791
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            _prime_powers(unfactorable)

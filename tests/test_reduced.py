@@ -14,6 +14,7 @@ import random
 import pytest
 
 import lcscohom.reduced as reduced
+import lcscohom.verify as verify
 from lattice_oracle import LatticeTester
 from lcscohom.abelian import FiniteAbelianGroup
 from lcscohom.corpus import builtin_structure, standard_corpus
@@ -97,6 +98,27 @@ def test_boundary_squares_to_zero(s):
     for k in range(2, top):
         prod = reduced_boundary_matrix(s, k) @ reduced_boundary_matrix(s, k + 1)
         assert prod == IntegerMatrix.zeros(prod.rows, prod.cols), k
+
+
+def test_verify_paper_refuses_a_perturbed_boundary(monkeypatch):
+    # The drop face of the degree-3 horizontal boundary changes sign, so the
+    # composites of degrees 3 and 4 no longer vanish; degree 2 still does.
+    real = verify._horizontal_faces
+
+    def perturbed(s, i):
+        faces = real(s, i)
+        if i == 3:
+            sign, face = faces[-1]
+            faces[-1] = (-sign, face)
+        return faces
+
+    monkeypatch.setattr(verify, "_horizontal_faces", perturbed)
+    claims = {c["name"]: c for c in verify.verify_paper()}
+    assert claims["boundary operators square to zero exactly"] == {
+        "name": "boundary operators square to zero exactly",
+        "ok": False,
+        "detail": "nonzero composite at order 2, degree 3",
+    }
 
 
 def test_degree_guard():
