@@ -16,10 +16,12 @@ i + j = n, j >= 1, with blocks ordered by descending i, and the chain
 differential restricted to block (i, j) is dh + (-1)^i dv.
 
 Every operator is a signed face list on tuples, as in the reduced
-complex; the structural checks apply face lists to formal sums, tuple
-by tuple, without a matrix.
+complex, compiled to index maps over the lexicographic basis; the
+structural checks apply compiled face lists to formal sums of tuple
+indices, without a matrix.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -30,10 +32,13 @@ from .linalg import IntegerMatrix, _IntegerSpan
 from .reduced import (
     _apply,
     _cohomology,
+    _compose,
     _drop,
     _face_matrix,
     _face_rows,
     _horizontal_faces,
+    _index_map,
+    _index_maps,
     _linearity_span,
     _merge,
     _permute,
@@ -106,8 +111,14 @@ def partial_shuffles(structure: LinearCycleSet, i: int, j: int, r: int):
     n = structure.order
     check_power(n, i + j, f"the degree-{i + j} tuple basis")
     _check_shuffles(n, i, j, f"the shuffle sums at bidegree ({i}, {j})")
-    faces = _shuffle_faces(i, j, r)
-    return [_apply(faces, {t: 1}) for t in all_tuples(n, i + j)]
+    tuples = list(all_tuples(n, i + j))
+    return [{tuples[y]: c for y, c in s.items()} for s in _shuffle_sums(n, i, j, r)]
+
+
+def _shuffle_sums(n: int, i: int, j: int, r: int):
+    """`partial_shuffles` keyed by tuple index, without its budget checks."""
+    maps = _index_maps(_shuffle_faces(i, j, r), n, i + j)
+    return [_apply(maps, {x: 1}) for x in range(n ** (i + j))]
 
 
 def shuffle_rows(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
@@ -126,7 +137,7 @@ def shuffle_rows(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
     data = []  # one shuffle type at a time: no matrix and its transpose at full size
     for r in range(1, j):
         faces = _shuffle_faces(i, j, r)
-        data += _face_matrix(n, i + j, [faces], all_tuples(n, i + j)).transpose().data
+        data += _face_matrix(n, i + j, [faces], size).transpose().data
     return IntegerMatrix(len(data), size, data)
 
 
@@ -145,7 +156,7 @@ def dh_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
     n = structure.order
     k = i + j
     check_power(n, k, f"the degree-{k} tuple basis")
-    return _face_matrix(n, k, [_horizontal_faces(structure, i)], all_tuples(n, k - 1))
+    return _face_matrix(n, k, [_horizontal_faces(structure, i)], n ** (k - 1))
 
 
 def dv_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
@@ -155,7 +166,7 @@ def dv_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
     n = structure.order
     k = i + j
     check_power(n, k, f"the degree-{k} tuple basis")
-    return _face_matrix(n, k, [_vertical_faces(structure, i, j)], all_tuples(n, k - 1))
+    return _face_matrix(n, k, [_vertical_faces(structure, i, j)], n ** (k - 1))
 
 
 def _vertical_faces(structure: LinearCycleSet, i: int, j: int):
@@ -177,12 +188,25 @@ def _check_total_degree(n: int) -> None:
 
 
 def _into(block, face):
-    return lambda t: (block, face(t))
+    """The face, landing in block (i, j) of the total complex."""
+    return (_into_map, block, face)
+
+
+def _into_map(n: int, k: int, block, face) -> list:
+    """The map of `_into`: the face's map moved past the j - 1 blocks of
+    total degree i + j before (i, j), of n^(i+j) coordinates each.
+
+    >>> _into_map(2, 2, (0, 1), _drop(1)), _into_map(2, 2, (0, 2), _permute((1, 0)))
+    ([0, 0, 1, 1], [4, 6, 5, 7])
+    """
+    i, j = block
+    offset = (j - 1) * n ** (i + j)
+    return [x + offset for x in _index_map(face, n, k)]
 
 
 def _total_faces(structure: LinearCycleSet, n: int):
     """One face list per source block of the degree-n total boundary: dh
-    into (i-1, j) and (-1)^i dv into (i, j-1), on (block, tuple) keys."""
+    into (i-1, j) and (-1)^i dv into (i, j-1), on total-complex indices."""
     out = []
     for i, j in total_blocks(n):
         faces = []
@@ -195,9 +219,9 @@ def _total_faces(structure: LinearCycleSet, n: int):
     return out
 
 
-def _total_keys(order: int, n: int):
-    """The (block, tuple) coordinates of total degree n, in matrix order."""
-    return [(b, t) for b in total_blocks(n) for t in all_tuples(order, n)]
+def _total_size(order: int, n: int) -> int:
+    """The number of coordinates of total degree n: n blocks of order**n."""
+    return n * order**n
 
 
 def total_chain_matrix(structure: LinearCycleSet, n: int) -> IntegerMatrix:
@@ -212,7 +236,7 @@ def total_chain_matrix(structure: LinearCycleSet, n: int) -> IntegerMatrix:
     check_power(order, n, f"the total degree-{n} basis", factor=3, times=n)
     if n == 1:
         return IntegerMatrix.zeros(0, order)
-    return _face_matrix(order, n, _total_faces(structure, n), _total_keys(order, n - 1))
+    return _face_matrix(order, n, _total_faces(structure, n), _total_size(order, n - 1))
 
 
 def full_cohomology(
@@ -241,23 +265,25 @@ def full_cohomology(
         blocks = [(b, _shuffle_faces(*b, r)) for b in total_blocks(d) for r in range(1, b[1])]
         return [[(s, _into(b, f)) for s, f in faces] for b, faces in blocks]
 
-    def degenerate(keys):
-        return {x for x, (_block, t) in enumerate(keys) if structure.zero in t}
+    def degenerate(d):
+        # the same tuples in each of the d blocks of total degree d
+        tuples = [x for x, t in enumerate(all_tuples(n, d)) if structure.zero in t]
+        return {b * n**d + x for b in range(d) for x in tuples}
 
-    keys = _total_keys(n, degree)
+    size = _total_size(n, degree)
     total = _total_faces(structure, degree + 1)
-    cocycles = _face_rows(n, degree + 1, total, keys)
+    cocycles = _face_rows(n, degree + 1, total, size)
     width = len(total) * n ** (degree + 1)
-    for row, more in zip(cocycles, _face_rows(n, degree, shuffles(degree), keys, width)):
+    for row, more in zip(cocycles, _face_rows(n, degree, shuffles(degree), size, width)):
         row.update(more)
     constraints = coboundaries = dead = dead_below = ()
     if degree >= 2:
-        below = _total_keys(n, degree - 1)
+        below = _total_size(n, degree - 1)
         constraints = _face_rows(n, degree - 1, shuffles(degree - 1), below)
         coboundaries = _face_rows(n, degree, _total_faces(structure, degree), below)
     if normalized:
-        dead = degenerate(keys)
-        dead_below = degenerate(below) if degree >= 2 else ()
+        dead = degenerate(degree)
+        dead_below = degenerate(degree - 1) if degree >= 2 else ()
     return _cohomology(coeffs, cocycles, constraints, coboundaries, dead, dead_below)
 
 
@@ -300,14 +326,15 @@ class BicomplexReport:
 def bicomplex_identity_check(structure: LinearCycleSet, max_degree: int) -> BicomplexReport:
     """Exact structural checks of the bicomplex up to a total degree.
 
-    Each check walks the tuples of its degree and reads the image of each
-    tuple under a composite of face lists, applying the last map first.
-    The composite identities (dh.dh = 0, dv.dv = 0, and the commutation
-    of dh with dv) compare these images exactly.  Preservation of the
-    shuffle subgroups asks whether the image of every shuffle sum lies in
-    the integer span of the shuffle sums below, and preservation of the
-    degenerate subgroups whether every term of the image of a degenerate
-    tuple is degenerate.
+    Every face list is compiled to index maps once per check.  Each check
+    walks the tuple indices of its degree and reads the image of each
+    under a composite of compiled face lists, applying the last map
+    first.  The composite identities (dh.dh = 0, dv.dv = 0, and the
+    commutation of dh with dv) ask that these images vanish exactly.
+    Preservation of the shuffle subgroups asks whether the image of every
+    shuffle sum lies in the integer span of the shuffle sums below, and
+    preservation of the degenerate subgroups whether every term of the
+    image of a degenerate tuple is degenerate.
     """
     require_valid_lcs(structure)
     if not isinstance(max_degree, int) or max_degree < 2:
@@ -318,28 +345,31 @@ def bicomplex_identity_check(structure: LinearCycleSet, max_degree: int) -> Bico
     report = BicomplexReport(order=n, max_degree=max_degree)
     checks = report.checks
 
-    def dh(i):
-        return _horizontal_faces(structure, i)
+    @functools.cache
+    def dh(i, total):
+        # the horizontal differential on the tuples of a total degree
+        return _index_maps(_horizontal_faces(structure, i), n, total)
 
+    @functools.cache
     def dv(i, j):
-        return _vertical_faces(structure, i, j)
+        return _index_maps(_vertical_faces(structure, i, j), n, i + j)
 
-    def images(total, second, first):
-        for t in all_tuples(n, total):
-            yield _apply(second, _apply(first, {t: 1}))
+    def vanishes(total, maps):
+        return not any(_apply(maps, {x: 1}) for x in range(n**total))
 
     for total in range(2, max_degree + 1):
         for i, j in total_blocks(total):
             if i >= 2:
-                ok = not any(images(total, dh(i - 1), dh(i)))
+                ok = vanishes(total, _compose(dh(i - 1, total - 1), dh(i, total)))
                 checks.append(BicomplexCheck(f"dh.dh=0 at ({i},{j})", ok))
             if j >= 3:
-                ok = not any(images(total, dv(i, j - 1), dv(i, j)))
+                ok = vanishes(total, _compose(dv(i, j - 1), dv(i, j)))
                 checks.append(BicomplexCheck(f"dv.dv=0 at ({i},{j})", ok))
             if i >= 1 and j >= 2:
-                lhs = images(total, dh(i), dv(i, j))
-                rhs = images(total, dv(i - 1, j), dh(i))
-                ok = all(a == b for a, b in zip(lhs, rhs))
+                rhs = _compose(dv(i - 1, j), dh(i, total))
+                ok = vanishes(
+                    total, _compose(dh(i, total - 1), dv(i, j)) + [(-s, f) for s, f in rhs]
+                )
                 checks.append(BicomplexCheck(f"dh.dv=dv.dh at ({i},{j})", ok))
     # Each bidegree's shuffle sums are built once, one shuffle type at a
     # time: checked as sources at their own total degree, then kept, as an
@@ -351,12 +381,12 @@ def bicomplex_identity_check(structure: LinearCycleSet, max_degree: int) -> Bico
         for i, j in total_blocks(total):
             if j < 2:
                 continue
-            maps = [("dh", dh(i), (i - 1, j))] if i >= 1 else []
+            maps = [("dh", dh(i, total), (i - 1, j))] if i >= 1 else []
             maps.append(("dv", dv(i, j), (i, j - 1)))
             held = [True] * len(maps)
             span = spans[i, j] = _IntegerSpan()
             for r in range(1, j):
-                sums = partial_shuffles(structure, i, j, r)
+                sums = _shuffle_sums(n, i, j, r)
                 for k, (_name, faces, target) in enumerate(maps):
                     if not held[k]:
                         continue
@@ -371,16 +401,18 @@ def bicomplex_identity_check(structure: LinearCycleSet, max_degree: int) -> Bico
             for (name, _faces, _target), ok in zip(maps, held):
                 checks.append(BicomplexCheck(f"{name} preserves shuffles at ({i},{j})", ok))
     zero = structure.zero
+    flags = [zero in t for t in all_tuples(n, 1)]
     for total in range(2, max_degree + 1):
-        degenerate = [t for t in all_tuples(n, total) if zero in t]
+        flags_below, flags = flags, [zero in t for t in all_tuples(n, total)]
+        degenerate = list(itertools.compress(itertools.count(), flags))
         for i, j in total_blocks(total):
             faces = []
             if i >= 1:
-                faces.append(("dh", dh(i)))
+                faces.append(("dh", dh(i, total)))
             if j >= 2:
                 faces.append(("dv", dv(i, j)))
             for name, d in faces:
-                ok = all(zero in u for t in degenerate for u in _apply(d, {t: 1}))
+                ok = all(flags_below[u] for x in degenerate for u in _apply(d, {x: 1}))
                 checks.append(BicomplexCheck(f"{name} preserves degenerates at ({i},{j})", ok))
     return report
 
@@ -445,5 +477,6 @@ def column_matches_trivial_reduced(structure: LinearCycleSet, j: int) -> bool:
     if dv_matrix(structure, 0, j) != _bar_matrix(structure, j).scaled(-1):
         return False
     faces = _vertical_faces(structure, 0, j) + _horizontal_faces(trivial, j - 1)
+    maps = _index_maps(faces, n, j)
     span = _linearity_span(structure, j - 1)
-    return all(span.contains(_apply(faces, {t: 1})) for t in all_tuples(n, j))
+    return all(span.contains(_apply(maps, {x: 1})) for x in range(n**j))

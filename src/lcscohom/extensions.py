@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .abelian import FiniteAbelianGroup, parse_group_spec
-from .bicomplex import _check_shuffles, _into, _shuffle_faces, _total_faces, _total_keys
+from .bicomplex import _check_shuffles, _into, _shuffle_faces, _total_faces, _total_size
 from .budget import check_basis, check_power
 from .errors import (
     CocycleError,
@@ -35,15 +35,13 @@ from .errors import (
     SectionError,
     ShapeError,
 )
-from .linalg import _IntegerSpan, _kernel_mod, _least_solution
+from .linalg import _IntegerSpan, _kernel_mod, _least_solver
 from .reduced import (
     _face_rows,
     _file_coeffs,
     _file_values,
     _horizontal_faces,
     _linearity_faces,
-    _permute,
-    all_tuples,
 )
 from .structures import (
     Brace,
@@ -197,7 +195,16 @@ def _cocycle_plan(base: LinearCycleSet) -> dict:
         "dot": [cell[dot[a][b]][dot[a][c]] for a, b, c in triples],
         "ba": [cell[b][a] for a in range(n) for b in range(n)],
     }
-    return {name: _permute(indices) for name, indices in terms.items()}
+    return {name: _gatherer(indices) for name, indices in terms.items()}
+
+
+def _gatherer(indices):
+    """The map seq -> tuple(seq[i] for i in indices).  With one index
+    itemgetter returns a bare entry, so that case is composed by hand."""
+    if len(indices) == 1:
+        (only,) = indices
+        return lambda seq: (seq[only],)
+    return operator.itemgetter(*indices)
 
 
 def _failing(m: int, plus, minus):
@@ -806,7 +813,8 @@ def additive_section(triple: ExtensionTriple):
         for a in range(n)
         for b in range(n)
     ]
-    tau = _least_theta(_cochain_system(base, "cycle-type", 1)[0], g0, gamma)
+    additive = _cochain_system(base, "cycle-type", 1)[0]
+    tau = _least_theta(functools.partial(_least_solver, additive), g0, gamma)
     if tau is None:
         return None
     section = tuple(
@@ -1005,20 +1013,19 @@ def _cochain_system(base: LinearCycleSet, flavor: str, degree: int, normalized: 
             check_power(n, k, f"the degree-{k} tuple basis")
         linear, horizontal = _linearity_faces(base, degree), _horizontal_faces(base, degree)
         if degree == 2:
-            return _face_rows(n, 3, [linear, [(-s, f) for s, f in horizontal]], all_tuples(n, 2))
-        below = list(all_tuples(n, 1))
-        return [_face_rows(n, 2, [faces], below) for faces in (linear, horizontal)]
+            return _face_rows(n, 3, [linear, [(-s, f) for s, f in horizontal]], n * n)
+        return [_face_rows(n, 2, [faces], n) for faces in (linear, horizontal)]
     if degree == 1:
         check_power(n, 2, "the total degree-2 basis", factor=3, times=2)
         constraints = [{0: 1} if normalized and a == base.zero else {} for a in range(n)]
-        return constraints, _face_rows(n, 2, _total_faces(base, 2), _total_keys(n, 1))
+        return constraints, _face_rows(n, 2, _total_faces(base, 2), _total_size(n, 1))
     check_power(n, 2, "the degree-2 tuple basis")
     _check_shuffles(n, 0, 2, "the shuffle sums at bidegree (0, 2)")
     check_power(n, 3, "the total degree-3 basis", factor=3, times=3)
-    keys = _total_keys(n, 2)
+    size = _total_size(n, 2)
     shuffles = [(s, _into((0, 2), face)) for s, face in _shuffle_faces(0, 2, 1)]
-    rows = _face_rows(n, 2, [shuffles], keys)
-    for row, more in zip(rows, _face_rows(n, 3, _total_faces(base, 3), keys, start=n * n)):
+    rows = _face_rows(n, 2, [shuffles], size)
+    for row, more in zip(rows, _face_rows(n, 3, _total_faces(base, 3), size, start=n * n)):
         row.update(more)
     rows[n * n + base.zero * (n + 1)][n * n + 3 * n**3] = 1
     return rows
@@ -1028,11 +1035,32 @@ def _cochain_system(base: LinearCycleSet, flavor: str, degree: int, normalized: 
 # Cohomologousness and equivalence
 
 
-def _least_theta(columns, delta, gamma):
-    """Per cyclic factor of gamma, the least x with sum_j x_j columns_j = delta
-    (`_least_solution`), as one coefficient element per j; None if none."""
-    parts = [_least_solution(columns, rhs, m) for m, rhs in zip(gamma.factors, zip(*delta))]
+def _least_theta(solver, delta, gamma):
+    """Per cyclic factor Z/m of gamma, the least x with sum_j x_j columns_j =
+    delta, from `solver(m)`, a `_least_solver` of the columns, as one
+    coefficient element per j; None if none."""
+    parts = [solver(m)(rhs) for m, rhs in zip(gamma.factors, zip(*delta))]
     return None if None in parts else tuple(zip(*parts))
+
+
+@functools.lru_cache(maxsize=8)
+def _cohomologous_solver(base: LinearCycleSet, flavor: str, normalized: bool, m: int):
+    """The `_least_solver` over Z/m of the degree-1 system that
+    `cocycles_cohomologous` solves, built once per (base, flavor,
+    normalized, m); only the right-hand side changes between calls.
+
+    Column a is the coboundary of theta's coordinate a, followed, past the
+    pairs' coordinates, by its constraint entries, where the right-hand
+    side reads 0.  The solver only reduces by its Howell form, and
+    `_IntegerSpan.reduce` never mutates the pivot rows, so one cached
+    solver serves every call.
+    """
+    constraints, coboundaries = _cochain_system(base, flavor, 1, normalized)
+    pairs = (1 if flavor == "cycle-type" else 2) * base.order**2
+    columns = [
+        {**b, **{pairs + c: x for c, x in r.items()}} for r, b in zip(constraints, coboundaries)
+    ]
+    return _least_solver(columns, m)
 
 
 def _same_setting(c1, c2):
@@ -1060,19 +1088,14 @@ def cocycles_cohomologous(c1, c2, normalized: bool = False):
         flavor, tables = "cycle-type", [(c1.f, c2.f)]
     else:
         flavor, tables = "general", [(c1.f, c2.f), (c1.g, c2.g)]
-    constraints, coboundaries = _cochain_system(base, flavor, 1, normalized)
     delta = [
         gamma.sub(y, x)
         for t1, t2 in tables
         for r1, r2 in zip(t1, t2)
         for x, y in zip(r1, r2)
     ]
-    # the constraints are equations with right-hand side 0, after delta's
-    columns = [
-        {**b, **{len(delta) + c: x for c, x in r.items()}}
-        for r, b in zip(constraints, coboundaries)
-    ]
-    theta = _least_theta(columns, delta, gamma)
+    solver = functools.partial(_cohomologous_solver, base, flavor, normalized)
+    theta = _least_theta(solver, delta, gamma)
     return theta is not None, theta
 
 

@@ -471,6 +471,7 @@ def _least_solution(columns, rhs, m: int):
     the least element of its coset, (sum_j x_j columns_j - rhs, x) over all
     x, whose first block vanishes exactly when a solution exists, and whose
     second block is then the least solution (Storjohann and Mulders, 1998).
+    `_least_solver` builds the form once for many right-hand sides.
 
     Over Z/4, 2 x_0 + x_1 = 1 is solved least by (0, 1); neither 2 x_0 = 1
     nor x_0 = 1 with x_0 = 0 past the end of rhs has a solution.
@@ -482,12 +483,30 @@ def _least_solution(columns, rhs, m: int):
     >>> _least_solution([{0: 1, 1: 1}], [1], 4) is None
     True
     """
-    width = max([len(rhs)] + [c + 1 for col in columns for c in col])
+    return _least_solver(columns, m)(rhs)
+
+
+def _least_solver(columns, m: int):
+    """`_least_solution` for fixed columns: the function from rhs to the
+    least solution, or None, with the Howell form built once.
+
+    Rows of rhs that no column reaches must vanish mod m; the others are
+    reduced by the form.  `_IntegerSpan.reduce` never mutates the pivot
+    rows, so the function may be kept and called again.
+    """
+    width = max([0] + [c + 1 for col in columns for c in col])
     form = _IntegerSpan(({**col, width + j: 1} for j, col in enumerate(columns)), m)
-    reduced = form.reduce({r: -x for r, x in enumerate(rhs)})
-    if any(c < width for c in reduced):
-        return None
-    return [reduced.get(width + j, 0) for j in range(len(columns))]
+    count = len(columns)
+
+    def solve(rhs):
+        if any(x % m for x in rhs[width:]):
+            return None
+        reduced = form.reduce({r: -x for r, x in enumerate(rhs[:width])})
+        if any(c < width for c in reduced):
+            return None
+        return [reduced.get(width + j, 0) for j in range(count)]
+
+    return solve
 
 
 class _IntegerSpan:

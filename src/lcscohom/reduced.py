@@ -11,10 +11,14 @@ Degree-k bases grow as |A|^k, so everything checks the basis budget
 before materializing matrices.  Every boundary, linearity, shuffle and
 permutation operator here and in the bicomplex is a signed list of face
 maps on tuples (act by the dot operation, merge by +, drop or permute
-coordinates).  `_face_rows` writes face lists into the sparse rows that
-every (co)homology group is reduced from; their dense view gives the
-public matrices.  The chain-map and structural checks send each tuple
-through face lists as a formal sum (`_apply`), without a matrix.
+coordinates).  A face is compiled, once per call, into an index map over
+the lexicographically ordered basis: entry x of the map is the index of
+the image of tuple x, built by whole-list arithmetic on the tables
+(`_index_map`).  `_face_rows` writes compiled face lists into the sparse
+rows that every (co)homology group is reduced from; their dense view
+gives the public matrices.  The chain-map and structural checks send
+formal sums of tuple indices through compiled face lists (`_apply`),
+without a matrix.
 
 The boundary of a tuple (a_1, ..., a_k) is
 
@@ -31,9 +35,8 @@ with the degree-1 boundary zero.  The unconstrained companion complex
 """
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from .budget import check_power
@@ -82,54 +85,78 @@ def _check_degree(k: int):
         raise DegreeError(f"degree must be an integer >= 1, got {k!r}")
 
 
-def _face_matrix(n: int, k: int, blocks, targets) -> IntegerMatrix:
+def _face_matrix(n: int, k: int, blocks, size: int) -> IntegerMatrix:
     """The dense view of `_face_rows`, for the public API."""
     cols = len(blocks) * n**k
-    data = _face_rows(n, k, blocks, targets, width=cols)
-    return IntegerMatrix(len(data), cols, data)
+    data = [[0] * cols for _ in range(size)]
+    for dense, row in zip(data, _face_rows(n, k, blocks, size)):
+        for c, x in row.items():
+            dense[c] = x
+    return IntegerMatrix(size, cols, data)
 
 
-def _face_rows(n: int, k: int, blocks, targets, start: int = 0, width=None):
+def _face_rows(n: int, k: int, blocks, size: int, start: int = 0):
     """Rows of signed sums of face maps, one sum per block of columns.
 
     Each block is a list of (sign, face) pairs applied to every k-tuple in
     lexicographic order, and the blocks' columns follow one another from
-    `start`.  A face sends a tuple to a row key; `targets` lists the row
-    keys in row order, and coinciding terms accumulate.  Rows are sparse
-    {column: entry} dicts, or lists of `width` entries when it is given.
-    Row r of the boundary of degree k + 1 is column r of the coboundary of
-    degree k, so sparse rows are the functionals that cochain computations
-    eliminate.
+    `start`.  Each face is compiled to its index map, so column x of a
+    block adds every sign at the row that its face's map sends x to; the
+    `size` rows are the target basis in lexicographic order, and
+    coinciding terms accumulate.  Rows are sparse {column: entry} dicts
+    with their keys in ascending order.  Row r of the boundary of degree
+    k + 1 is column r of the coboundary of degree k, so sparse rows are
+    the functionals that cochain computations eliminate.
     """
-    index = {key: r for r, key in enumerate(targets)}
-    rows = [defaultdict(int) if width is None else [0] * width for _ in index]
-    col = start
-    for faces in blocks:
-        for t in all_tuples(n, k):
-            for sign, face in faces:
-                rows[index[face(t)]][col] += sign
-            col += 1
+    rows = [{} for _ in range(size)]
+    count = n**k
+    for b, faces in enumerate(blocks):
+        signs = [sign for sign, _face in faces]
+        maps = [_index_map(face, n, k) for _sign, face in faces]
+        first = start + b * count
+        for col, targets in zip(range(first, first + count), zip(*maps)):
+            for r, sign in zip(targets, signs):
+                row = rows[r]
+                row[col] = row.get(col, 0) + sign
     return rows
 
 
-def _apply(faces, chain) -> dict:
-    """The image of a formal sum {tuple: coefficient} under a face list.
+def _index_maps(faces, n: int, k: int):
+    """A face list on k-tuples compiled to (sign, index map) pairs."""
+    return [(sign, _index_map(face, n, k)) for sign, face in faces]
+
+
+def _apply(maps, chain) -> dict:
+    """The image of a formal sum {tuple index: coefficient} under a
+    compiled face list.
 
     Coinciding terms accumulate, and the image keeps only the nonzero
-    ones.  The face list (a, b) -> (b) - (a) sends (0, 1) + (1, 0) to
-    zero, but not 2 (0, 1):
+    ones.  On pairs over two elements, the face list (a, b) -> (b) - (a)
+    sends (0, 1) + (1, 0), of indices 1 and 2, to zero, but not 2 (0, 1):
 
-    >>> faces = [(1, _drop(0)), (-1, _drop(1))]
-    >>> _apply(faces, {(0, 1): 1, (1, 0): 1})
+    >>> maps = _index_maps([(1, _drop(0)), (-1, _drop(1))], 2, 2)
+    >>> _apply(maps, {1: 1, 2: 1})
     {}
-    >>> _apply(faces, {(0, 1): 2})
-    {(1,): 2, (0,): -2}
+    >>> _apply(maps, {1: 2})
+    {1: 2, 0: -2}
     """
     out = defaultdict(int)
-    for t, c in chain.items():
-        for sign, face in faces:
-            out[face(t)] += sign * c
-    return {t: c for t, c in out.items() if c}
+    for x, c in chain.items():
+        for sign, image in maps:
+            out[image[x]] += sign * c
+    return {y: c for y, c in out.items() if c}
+
+
+def _compose(second, first):
+    """The compiled face list of `first`, then `second`: one term per pair,
+    with the product sign and the composite map.
+
+    >>> _compose([(1, [1, 0])], [(-1, [0, 0, 1, 1]), (1, [0, 1, 0, 1])])
+    [(-1, [1, 1, 0, 0]), (1, [1, 0, 1, 0])]
+    """
+    return [
+        (s * t, list(map(image.__getitem__, inner))) for s, inner in first for t, image in second
+    ]
 
 
 def _cohomology(coeffs, cocycles, constraints, coboundaries, dead=(), dead_below=()):
@@ -150,35 +177,101 @@ def _cohomology(coeffs, cocycles, constraints, coboundaries, dead=(), dead_below
     )
 
 
+def _index_map(face, n: int, k: int) -> list:
+    """The index map of a face on the k-tuples over n elements.
+
+    A face is a tuple (builder, *args).  Entry x of its map is the
+    lexicographic index of the image of tuple x, which has k - 1
+    coordinates for an action, a merge or a drop.
+    """
+    build, *args = face
+    return build(n, k, *args)
+
+
 def _act(dot, pos: int):
     """Coordinate pos acts by the dot operation on all the others."""
+    return (_act_map, dot, pos)
 
-    def face(t):
-        row = dot[t[pos]]
-        return tuple(row[x] for x in t[:pos] + t[pos + 1 :])
 
-    return face
+def _act_map(n: int, k: int, dot, pos: int) -> list:
+    """The map of `_act`: row a of dot, applied to every coordinate of the
+    (k-1)-tuples at once, is read on the tuples with a at pos.
+
+    >>> _act_map(2, 2, ((0, 1), (1, 0)), 0)
+    [0, 1, 1, 0]
+    >>> _act_map(2, 3, ((0, 1), (1, 0)), 1)
+    [0, 1, 3, 2, 2, 3, 1, 0]
+    """
+    low = n ** (k - 1 - pos)
+    acted = []  # acted[a][y] is the index of row a of dot applied to tuple y
+    for row in dot:
+        image = [0]
+        for _ in range(k - 1):
+            image = [x * n + y for x in image for y in row]
+        acted.append(image)
+    out = []
+    for h in range(0, n ** (k - 1), low):
+        for image in acted:
+            out += image[h : h + low]
+    return out
 
 
 def _merge(add, pos: int):
     """Coordinates pos-1 and pos merge into their sum."""
-    return lambda t: t[: pos - 1] + (add[t[pos - 1]][t[pos]],) + t[pos + 1 :]
+    return (_merge_map, add, pos)
+
+
+def _merge_map(n: int, k: int, add, pos: int) -> list:
+    """The map of `_merge`: the add table, spread over the coordinates
+    after pos and repeated over those before pos - 1.
+
+    >>> _merge_map(2, 2, ((0, 1), (1, 0)), 1)
+    [0, 1, 1, 0]
+    >>> _merge_map(2, 3, ((0, 1), (1, 0)), 2)
+    [0, 1, 1, 0, 2, 3, 3, 2]
+    """
+    low = n ** (k - 1 - pos)
+    block = [s * low + y for row in add for s in row for y in range(low)]
+    step = n * low
+    return [h + x for h in range(0, n ** (k - 1), step) for x in block]
 
 
 def _drop(pos: int):
-    return lambda t: t[:pos] + t[pos + 1 :]
+    return (_drop_map, pos)
+
+
+def _drop_map(n: int, k: int, pos: int) -> list:
+    """The map of `_drop`: each run of indices of the coordinates after
+    pos, repeated once per value of coordinate pos.
+
+    >>> _drop_map(2, 2, 1), _drop_map(2, 2, 0)
+    ([0, 0, 1, 1], [0, 1, 0, 1])
+    """
+    low = n ** (k - 1 - pos)
+    runs = (itertools.repeat(range(h, h + low), n) for h in range(0, n ** (k - 1), low))
+    return list(itertools.chain.from_iterable(itertools.chain.from_iterable(runs)))
 
 
 def _permute(perm):
-    """Position p of the image holds coordinate perm[p] of the source.
+    """Position p of the image holds coordinate perm[p] of the source."""
+    return (_permute_map, tuple(perm))
 
-    With one position itemgetter returns a bare entry, so that case is
-    composed by hand, as in `_composers`.
+
+def _permute_map(n: int, k: int, perm) -> list:
+    """The map of `_permute`: each source coordinate weighs its digit by
+    the place values of the image positions it fills.
+
+    >>> _permute_map(2, 2, (1, 0)), _permute_map(2, 2, (1,))
+    ([0, 2, 1, 3], [0, 1, 0, 1])
     """
-    if len(perm) == 1:
-        (q,) = perm
-        return lambda t: (t[q],)
-    return itemgetter(*perm)
+    weights = [0] * k
+    for p, q in enumerate(perm):
+        weights[q] += n ** (len(perm) - 1 - p)
+    out = [0]
+    for w in weights:
+        digits = [x * w for x in range(n)]
+        out = [y + d for y in out for d in digits]
+    return out
 
 
 def _horizontal_faces(structure: LinearCycleSet, i: int):
@@ -203,7 +296,7 @@ def reduced_boundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     check_power(n, k, f"the degree-{k} tuple basis")
     if k == 1:
         return IntegerMatrix.zeros(0, n)
-    return _face_matrix(n, k, [_horizontal_faces(structure, k - 1)], all_tuples(n, k - 1))
+    return _face_matrix(n, k, [_horizontal_faces(structure, k - 1)], n ** (k - 1))
 
 
 def linearity_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
@@ -217,7 +310,7 @@ def linearity_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     _check_degree(k)
     n = structure.order
     check_power(n, k, f"the degree-{k} tuple basis")
-    return _face_matrix(n, k + 1, [_linearity_faces(structure, k)], all_tuples(n, k)).transpose()
+    return _face_matrix(n, k + 1, [_linearity_faces(structure, k)], n**k).transpose()
 
 
 def _linearity_faces(structure: LinearCycleSet, k: int):
@@ -226,9 +319,11 @@ def _linearity_faces(structure: LinearCycleSet, k: int):
 
 
 def _linearity_span(structure: LinearCycleSet, k: int) -> _IntegerSpan:
-    """The integer span of the linearity relations among k-tuples."""
-    faces = _linearity_faces(structure, k)
-    return _IntegerSpan(_apply(faces, {t: 1}) for t in all_tuples(structure.order, k + 1))
+    """The integer span of the linearity relations among k-tuples, keyed
+    by tuple index."""
+    n = structure.order
+    maps = _index_maps(_linearity_faces(structure, k), n, k + 1)
+    return _IntegerSpan(_apply(maps, {x: 1}) for x in range(n ** (k + 1)))
 
 
 def degenerate_indices(structure: LinearCycleSet, k: int):
@@ -468,10 +563,10 @@ def reduced_cohomology(
     check_power(n, k, f"the degree-{k} tuple basis")
     check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
     faces = [_linearity_faces(structure, k), _horizontal_faces(structure, k)]
-    cocycles = _face_rows(n, k + 1, faces, all_tuples(n, k))
+    cocycles = _face_rows(n, k + 1, faces, n**k)
     constraints = coboundaries = dead = dead_below = ()
     if k >= 2:
-        below = list(all_tuples(n, k - 1))
+        below = n ** (k - 1)
         constraints = _face_rows(n, k, [_linearity_faces(structure, k - 1)], below)
         coboundaries = _face_rows(n, k, [_horizontal_faces(structure, k - 1)], below)
     if normalized:
@@ -506,7 +601,7 @@ def reduced_homology(
         # as the columns of their face rows
         faces = [_horizontal_faces(structure, d - 1), _linearity_faces(structure, d - 1)]
         vectors = [{} for _ in range(2 * n**d)]
-        for r, row in enumerate(_face_rows(n, d, faces, all_tuples(n, d - 1))):
+        for r, row in enumerate(_face_rows(n, d, faces, n ** (d - 1))):
             for c, x in row.items():
                 vectors[c][r] = x
         if normalized:
@@ -541,7 +636,7 @@ def cs_chain_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
     check_power(n, k, f"the degree-{k} tuple basis")
     if k == 1:
         return IntegerMatrix.zeros(0, n)
-    return _face_matrix(n, k, [_cs_faces(structure, k)], all_tuples(n, k - 1))
+    return _face_matrix(n, k, [_cs_faces(structure, k)], n ** (k - 1))
 
 
 def cs_coboundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
@@ -554,7 +649,7 @@ def _cs_cocycles(structure: LinearCycleSet, k: int):
     _check_degree(k)
     n = structure.order
     check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
-    return _face_rows(n, k + 1, [_cs_faces(structure, k + 1)], all_tuples(n, k))
+    return _face_rows(n, k + 1, [_cs_faces(structure, k + 1)], n**k)
 
 
 def cs_cocycle_group(structure: LinearCycleSet, coeffs: FiniteAbelianGroup, k: int):
@@ -566,8 +661,7 @@ def cs_cohomology(structure: LinearCycleSet, coeffs: FiniteAbelianGroup, k: int)
     """Invariant factors of the degree-k cohomology of the unconstrained complex."""
     cocycles = _cs_cocycles(structure, k)
     n = structure.order
-    below = all_tuples(n, k - 1) if k >= 2 else ()
-    coboundaries = _face_rows(n, k, [_cs_faces(structure, k)], below)
+    coboundaries = _face_rows(n, k, [_cs_faces(structure, k)], n ** (k - 1) if k >= 2 else 0)
     return _cohomology(coeffs, cocycles, [{}] * len(coboundaries), coboundaries)
 
 
@@ -599,7 +693,7 @@ def antisymmetrization_matrix(structure: LinearCycleSet, k: int) -> IntegerMatri
     _check_degree(k)
     n = structure.order
     check_power(n, k, f"the degree-{k} tuple basis")
-    return _face_matrix(n, k, [_antisymmetrization_faces(k)], all_tuples(n, k))
+    return _face_matrix(n, k, [_antisymmetrization_faces(k)], n**k)
 
 
 def antisymmetrization_is_chain_map(structure: LinearCycleSet, k: int) -> bool:
@@ -616,12 +710,10 @@ def antisymmetrization_is_chain_map(structure: LinearCycleSet, k: int) -> bool:
         return True
     n = structure.order
     check_power(n, k, f"the degree-{k} tuple basis")
-    boundary, cs = _horizontal_faces(structure, k - 1), _cs_faces(structure, k)
-    upper, lower = _antisymmetrization_faces(k), _antisymmetrization_faces(k - 1)
+    boundary = _index_maps(_horizontal_faces(structure, k - 1), n, k)
+    upper = _index_maps(_antisymmetrization_faces(k), n, k)
+    lower = _index_maps(_antisymmetrization_faces(k - 1), n, k - 1)
+    cs = _index_maps(_cs_faces(structure, k), n, k)
+    diff = _compose(boundary, upper) + [(-s, f) for s, f in _compose(lower, cs)]
     span = _linearity_span(structure, k - 1)
-    for t in all_tuples(n, k):
-        diff = Counter(_apply(boundary, _apply(upper, {t: 1})))
-        diff.subtract(_apply(lower, _apply(cs, {t: 1})))
-        if not span.contains(diff):
-            return False
-    return True
+    return all(span.contains(_apply(diff, {x: 1})) for x in range(n**k))

@@ -44,8 +44,9 @@ from .extensions import (
 from .linalg import _kernel_mod
 from .reduced import (
     _apply,
+    _compose,
     _horizontal_faces,
-    all_tuples,
+    _index_maps,
     antisymmetrization_is_chain_map,
     cs_coboundary_matrix,
     cs_cocycle_group,
@@ -278,9 +279,12 @@ def verify_paper(seed: int = 0):
     def boundaries_square_to_zero():
         # each (k+1)-tuple through the degree-(k+1) and degree-k face lists
         for s in _small_corpus():
+            n = s.order
             for k in range(2, 5):
-                outer, inner = _horizontal_faces(s, k - 1), _horizontal_faces(s, k)
-                if any(_apply(outer, _apply(inner, {t: 1})) for t in all_tuples(s.order, k + 1)):
+                outer = _index_maps(_horizontal_faces(s, k - 1), n, k)
+                inner = _index_maps(_horizontal_faces(s, k), n, k + 1)
+                composite = _compose(outer, inner)
+                if any(_apply(composite, {x: 1}) for x in range(n ** (k + 1))):
                     return False, f"nonzero composite at order {s.order}, degree {k}"
         return True
 
@@ -393,8 +397,12 @@ def verify_paper(seed: int = 0):
         draws = 500
         valid_seen = invalid_seen = 0
         for _ in range(draws):
-            coeffs = [rng.randrange(2) for _ in gens]
-            flat = [sum(c * gen.get(x, 0) for c, gen in zip(coeffs, gens)) % 2 for x in range(32)]
+            flat = [0] * 32  # the chosen generators, added into one list
+            for gen in gens:
+                if rng.randrange(2):
+                    for x, y in gen.items():
+                        flat[x] += y
+            flat = [v % 2 for v in flat]
             perturbed = flat[:]
             perturbed[rng.randrange(len(flat))] ^= 1
             for drawn, values in ((True, flat), (False, perturbed)):

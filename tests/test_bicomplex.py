@@ -218,8 +218,6 @@ def test_shuffle_checks_refuse_a_perturbed_image(monkeypatch):
     # the same image.  A span serves two checks, and a check that fails
     # reads no further image, so every image a span reads is perturbed.
     for s in (T3, Z4LCS):
-        n = s.order
-
         class OffByOne(_IntegerSpan):
             def __init__(self, rows=()):
                 self.rows = []
@@ -230,17 +228,17 @@ def test_shuffle_checks_refuse_a_perturbed_image(monkeypatch):
                 super().add(row)
 
             def contains(self, vec):
-                degree = len(next(t for row in self.rows for t in row))
-                key = (0,) * (degree - 1) + (1,)
+                # spans are keyed by tuple index: 1 is the tuple (0, ..., 0, 1)
                 vec = dict(vec)
-                vec[key] = vec.get(key, 0) + 1
-                generators = IntegerMatrix(len(self.rows), n**degree)
+                vec[1] = vec.get(1, 0) + 1
+                size = 1 + max(c for v in [*self.rows, vec] for c in v)
+                generators = IntegerMatrix(len(self.rows), size)
                 for r, row in enumerate(self.rows):
-                    for t, x in row.items():
-                        generators.data[r][tuple_index(t, n)] = x
-                dense = [0] * n**degree
-                for t, x in vec.items():
-                    dense[tuple_index(t, n)] = x
+                    for c, x in row.items():
+                        generators.data[r][c] = x
+                dense = [0] * size
+                for c, x in vec.items():
+                    dense[c] = x
                 assert not _oracle_contains_all(generators, [dense])
                 return super().contains(vec)
 

@@ -4,9 +4,13 @@ import time
 
 import pytest
 
+import lcscohom.reduced
+from lcscohom.abelian import parse_group_spec
+from lcscohom.bicomplex import bicomplex_identity_check, full_cohomology
 from lcscohom.budget import check_basis, check_power
 from lcscohom.corpus import builtin_structure
 from lcscohom.errors import BudgetError
+from lcscohom.reduced import reduced_cohomology
 
 
 def message(check, *args, **kwargs):
@@ -53,3 +57,32 @@ def test_trivial_orders_up_to_the_degree_one_basis():
     assert builtin_structure("trivial(141)").order == 141
     with pytest.raises(BudgetError, match="trivial\\(142\\) tables needs 40328"):
         builtin_structure("trivial(142)")
+
+
+Z4LCS = builtin_structure("z4-lcs")
+Z2 = parse_group_spec("Z/2")
+
+
+@pytest.mark.parametrize(
+    "run, over, under",
+    [
+        # 4**8 tuples, over 20000; 4**7 within it
+        (lambda d: reduced_cohomology(Z4LCS, Z2, d), 7, 6),
+        # 7 blocks of 4**7 tuples, over 3 * 20000; 6 blocks of 4**6 within it
+        (lambda d: full_cohomology(Z4LCS, Z2, d), 6, 5),
+        # 4**8 tuples at the top degree, over 20000; 4**7 within it
+        (lambda d: bicomplex_identity_check(Z4LCS, d), 8, 7),
+    ],
+    ids=["reduced_cohomology", "full_cohomology", "bicomplex_identity_check"],
+)
+def test_budgets_refuse_before_any_index_map(monkeypatch, run, over, under):
+    def refuse(*_args):
+        raise AssertionError("an index map was built")
+
+    monkeypatch.delenv("LCSCOHOM_BUDGET", raising=False)
+    monkeypatch.setattr(lcscohom.reduced, "_index_map", refuse)
+    with pytest.raises(BudgetError):
+        run(over)
+    # one degree below, every check passes and the first map is compiled
+    with pytest.raises(AssertionError, match="an index map was built"):
+        run(under)

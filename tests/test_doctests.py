@@ -42,6 +42,18 @@ def test_examples_are_collected():
     assert finder.find(linalg._kernel_mod)[0].examples
     reduced = importlib.import_module("lcscohom.reduced")
     assert len(finder.find(reduced._apply)[0].examples) >= 3
+    # every face's index-map builder shows its map on order 2
+    bicomplex = importlib.import_module("lcscohom.bicomplex")
+    builders = (
+        reduced._act_map,
+        reduced._merge_map,
+        reduced._drop_map,
+        reduced._permute_map,
+        bicomplex._into_map,
+        reduced._compose,
+    )
+    for builder in builders:
+        assert finder.find(builder)[0].examples, builder.__name__
     # the cached helper's doctest is collected through its cache wrapper
     extensions = importlib.import_module("lcscohom.extensions")
     names = {t.name for t in finder.find(extensions) if t.examples}
