@@ -20,7 +20,6 @@ before it.
 
 import argparse
 import functools
-import json
 import sys
 
 from .abelian import parse_group_spec, render_invariants
@@ -62,6 +61,7 @@ from .extensions import (
 from .reduced import cs_cohomology, reduced_cohomology, reduced_homology
 from .structures import (
     Brace,
+    _dump_json,
     _load_json,
     brace_to_lcs,
     lcs_to_brace,
@@ -93,7 +93,7 @@ _VERIFICATION_ERRORS = (
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dump_json(obj) + "\n")
 
 
 def _say(line: str) -> None:
@@ -390,7 +390,7 @@ def _fail(exc) -> None:
     report = getattr(exc, "report", None)
     if report is not None:
         out["report"] = report.to_dict()
-    sys.stderr.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
+    sys.stderr.write(_dump_json(out) + "\n")
 
 
 def main(argv=None) -> int:

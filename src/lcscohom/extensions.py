@@ -20,6 +20,7 @@ additive sections.
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -1215,9 +1216,10 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
 
     flavor "cycle-type" takes reduced cocycles Z modulo coboundaries B of
     additive 1-cochains; flavor "general" takes normalized full pairs
-    modulo coboundaries of normalized 1-cochains.  Work is done per cyclic
-    coefficient factor Z/m: the Howell form of B gives each coset of Z / B
-    its lexicographically least element, and a walk from 0 along the
+    modulo coboundaries of normalized 1-cochains.  Work is done once per
+    distinct cyclic coefficient factor Z/m and reused at each position of
+    Z/m in gamma: the Howell form of B gives each coset of Z / B its
+    lexicographically least element, and a walk from 0 along the
     generators of Z reaches every coset.  The class count |Z| / |B| is read
     off the pivots and budgeted before any triple is built.  Factors are
     assembled by products, so the class list is deterministic: per-factor
@@ -1230,19 +1232,18 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
     cocycles = _cochain_system(base, flavor, 2)
     constraints, coboundaries = _cochain_system(base, flavor, 1)
     width = len(cocycles)
-    factors = []
-    count = 1
-    for m in gamma.factors:
+    per_m = {}
+    for m in set(gamma.factors):
         z_gens = _kernel_mod(cocycles, [{x: 1} for x in range(width)], m)
         b_form = _IntegerSpan(_kernel_mod(constraints, coboundaries, m), m)
-        count *= _IntegerSpan(z_gens, m).order // b_form.order
-        factors.append((z_gens, b_form))
+        per_m[m] = (z_gens, b_form, _IntegerSpan(z_gens, m).order // b_form.order)
     check_basis(
-        count * (gamma.order * n) ** 2,
+        math.prod(per_m[m][2] for m in gamma.factors) * (gamma.order * n) ** 2,
         "the classification's total-structure tables",
         factor=_CLASS_TABLE_FACTOR,
     )
-    per_factor = [_class_representatives(z, b, width) for z, b in factors]
+    reps = {m: _class_representatives(z, b, width) for m, (z, b, _count) in per_m.items()}
+    per_factor = [reps[m] for m in gamma.factors]
     zero = _as_table(gamma, n, None, "zero")
     out = []
     for idx, combo in enumerate(itertools.product(*per_factor)):

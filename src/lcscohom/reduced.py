@@ -37,6 +37,7 @@ with the degree-1 boundary zero.  The unconstrained companion complex
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from .budget import check_power
@@ -172,9 +173,17 @@ def _cohomology(coeffs, cocycles, constraints, coboundaries, dead=(), dead_below
     below = [y for y in range(len(constraints)) if y not in dead_below]
     k_rows, k_tags = [cocycles[x] for x in live], [{x: 1} for x in live]
     b_rows, b_tags = [constraints[y] for y in below], [coboundaries[y] for y in below]
-    return merge_invariants(
-        *(_subquotient_mod(k_rows, k_tags, b_rows, b_tags, m) for m in coeffs.factors)
-    )
+    return _over_factors(coeffs, partial(_subquotient_mod, k_rows, k_tags, b_rows, b_tags))
+
+
+def _over_factors(coeffs, invariants):
+    """The merged `invariants(m)` over the cyclic factors Z/m of coeffs.
+
+    Each distinct m is computed once and reused at every position, so
+    Z/2+Z/2 eliminates its systems once, as Z/2 does.
+    """
+    per_m = {m: invariants(m) for m in set(coeffs.factors)}
+    return merge_invariants(*map(per_m.get, coeffs.factors))
 
 
 def _index_map(face, n: int, k: int) -> list:
@@ -613,9 +622,7 @@ def reduced_homology(
     rows = chains(k) if k >= 2 else [{}] * n**k
     tags = [{x: 1} for x in range(n**k)] + [{}] * (len(rows) - n**k)
     bound = chains(k + 1)
-    return merge_invariants(
-        *(_subquotient_mod(rows, tags, [{}] * len(bound), bound, m) for m in coeffs.factors)
-    )
+    return _over_factors(coeffs, partial(_subquotient_mod, rows, tags, [{}] * len(bound), bound))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ first violation and the witnesses are walked only when they are read.
 import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .errors import MalformedTableError, StructureValidationError
@@ -452,6 +453,56 @@ def _load_json(path):
         raise MalformedTableError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _dump_json(obj, pad="\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte.
+
+    An indent sends json to its pure-Python encoder, so the shapes this
+    package writes are joined here: a list or tuple of plain ints (type
+    int, not a subclass) in one join, any other list or tuple item by
+    item, and a dict with str keys key by key, sorted.  Plain ints and
+    strs are encoded as json encodes them, by `int.__repr__` and
+    `encode_basestring_ascii`.  Every other value (bool, None, float, an
+    int subclass, a dict with other keys) is encoded by json and
+    re-indented to `pad`; json escapes newlines inside strings, so each
+    newline it writes is a line break.  Each table row is one join:
+
+    >>> print(_dump_json({"order": 2, "add": [[0, 1], [1, 0]]}))
+    {
+      "add": [
+        [
+          0,
+          1
+        ],
+        [
+          1,
+          0
+        ]
+      ],
+      "order": 2
+    }
+    """
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_dump_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict and set(map(type, obj)) <= {str}:
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dump_json(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+
+
 def load_structure(path, normalize: bool = True):
     return structure_from_dict(_load_json(path), normalize=normalize)
 
@@ -466,6 +517,5 @@ def save_structure(structure, path):
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8") as fh:
-        json.dump(structure_to_dict(structure), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_dump_json(structure_to_dict(structure)) + "\n")
         fh.truncate()

@@ -61,3 +61,10 @@ def test_examples_are_collected():
     assert "lcscohom.extensions._cocycle_plan" in names
     assert "lcscohom.extensions._cochain_system" in names
     assert "lcscohom.extensions._class_representatives" in names
+    # the JSON writer shows a table's rows, and the enumeration its count
+    structures = importlib.import_module("lcscohom.structures")
+    wants = [ex.want for ex in finder.find(structures._dump_json)[0].examples]
+    assert any('"add": [\n    [\n      0,\n      1\n    ],' in want for want in wants)
+    corpus = importlib.import_module("lcscohom.corpus")
+    examples = finder.find(corpus.enumerate_lcs)[0].examples
+    assert any(ex.source == "len(enumerate_lcs(4))\n" and ex.want == "10\n" for ex in examples)

@@ -533,6 +533,30 @@ def test_classify_counts_match_cohomology():
             assert expected == ext8_counts[str(gamma)][flavor == "general"]
 
 
+@pytest.mark.parametrize("flavor", ["cycle-type", "general"])
+def test_classify_solves_each_distinct_factor_once(monkeypatch, flavor):
+    alone = classify_extensions(Z4LCS, Z2, flavor)
+    calls = []
+    original = lcscohom.extensions._kernel_mod
+
+    def counted(rows, tags, m):
+        calls.append(m)
+        return original(rows, tags, m)
+
+    monkeypatch.setattr(lcscohom.extensions, "_kernel_mod", counted)
+    classes = classify_extensions(Z4LCS, parse_group_spec("Z/2+Z/2"), flavor)
+    assert calls == [2, 2]  # the cocycles and the coboundaries, once each
+    # the classes are the pairs of Z/2 classes, the first factor slowest
+    assert len(classes) == len(alone) ** 2
+    tables = ("f",) if flavor == "cycle-type" else ("f", "g")
+    for c in classes:
+        first, second = divmod(c.class_index, len(alone))
+        for name in tables:
+            pair = zip(getattr(alone[first].cocycle, name), getattr(alone[second].cocycle, name))
+            expected = tuple(tuple(x + y for x, y in zip(*rows)) for rows in pair)
+            assert getattr(c.cocycle, name) == expected
+
+
 @pytest.mark.parametrize(
     "flavor,message",
     [

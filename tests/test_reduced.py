@@ -16,7 +16,8 @@ import pytest
 import lcscohom.reduced as reduced
 import lcscohom.verify as verify
 from lattice_oracle import LatticeTester
-from lcscohom.abelian import FiniteAbelianGroup
+from lcscohom.abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
+from lcscohom.bicomplex import full_cohomology
 from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.errors import DegreeError, LinearityError, MalformedTableError, ShapeError
 from lcscohom.linalg import IntegerMatrix, kernel_mod_m
@@ -261,6 +262,30 @@ def invariants_order(inv):
     for d in inv:
         out *= d
     return out
+
+
+@pytest.mark.parametrize("spec", ["Z/2+Z/2", "Z/2+Z/4+Z/2"])
+def test_each_distinct_factor_is_reduced_once(monkeypatch, spec):
+    coeffs = parse_group_spec(spec)
+    groups = [
+        lambda c: reduced_cohomology(Z4LCS, c, 3),
+        lambda c: full_cohomology(T2, c, 2),
+        lambda c: cs_cohomology(T2, c, 2),
+        lambda c: reduced_homology(Z4LCS, c, 2),
+    ]
+    calls = []
+    original = reduced._subquotient_mod
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(reduced, "_subquotient_mod", counted)
+    for group in groups:
+        alone = {m: group(FiniteAbelianGroup((m,))) for m in set(coeffs.factors)}
+        calls.clear()
+        assert group(coeffs) == merge_invariants(*(alone[m] for m in coeffs.factors))
+        assert sorted(calls) == sorted(set(coeffs.factors))
 
 
 @pytest.mark.parametrize("m", [2, 4])

@@ -4,9 +4,12 @@ Every axiom check is exercised with a table that breaks exactly that
 axiom, so the reported violation names stay honest.
 """
 
+import enum
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcscohom.corpus import (
     builtin_structure,
@@ -20,6 +23,7 @@ from lcscohom.errors import MalformedTableError, StructureValidationError
 from lcscohom.structures import (
     Brace,
     LinearCycleSet,
+    _dump_json,
     brace_to_lcs,
     lcs_to_brace,
     load_structure,
@@ -157,9 +161,33 @@ def test_serialization_roundtrip(tmp_path):
         s = builtin_structure(name)
         path = tmp_path / f"{name}.json"
         save_structure(s, path)
+        text = json.dumps(structure_to_dict(s), sort_keys=True, indent=2) + "\n"
+        assert path.read_text(encoding="utf-8") == text
         loaded = load_structure(path)
         assert type(loaded) is type(s)
         assert structure_to_dict(loaded) == structure_to_dict(s)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+# plain ints, strs, lists, tuples and str-keyed dicts are joined by the
+# writer; bools, None, floats, an int subclass and int-keyed dicts go to json
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.just(_Level.LOW),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner)
+    | st.dictionaries(st.integers(), inner),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=100, deadline=None)
+def test_json_writer_matches_indented_json(value):
+    assert _dump_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_loader_reindexes_neutral_to_front():

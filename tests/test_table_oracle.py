@@ -84,6 +84,37 @@ def test_every_enumeration_candidate(monkeypatch):
     assert seen == {"lcs": {True, False}, "brace": {True, False}}
 
 
+def _full_product(n):
+    """Every candidate of order n whose rows are all additive
+    automorphisms, row 0 included: (rows, the cycle set with those dot
+    rows, the brace with those lambda rows)."""
+    for add in corpus._abelian_tables(n):
+        for rows in itertools.product(corpus._automorphisms(add, n), repeat=n):
+            circle = [[add[rows[a][b]][a] for b in range(n)] for a in range(n)]
+            yield rows, LinearCycleSet(n, add, rows), Brace(n, add, circle)
+
+
+@pytest.mark.parametrize("n, rejected", [(1, 0), (2, 0), (3, 4), (4, 1104)])
+def test_enumerations_equal_the_filtered_full_product(n, rejected):
+    cycle_sets, braces, moved_zero = [], [], 0
+    for rows, lcs, brace in _full_product(n):
+        lcs_valid = oracle.validate_lcs(lcs).valid
+        brace_valid = oracle.validate_brace(brace).valid
+        if rows[0] != tuple(range(n)):
+            # the reject side of the pruning: no zero translation but the
+            # identity passes either validator
+            assert not (lcs_valid or brace_valid), rows
+            assert not (validate_lcs(lcs).valid or validate_brace(brace).valid), rows
+            moved_zero += 1
+        if lcs_valid:
+            cycle_sets.append(lcs)
+        if brace_valid:
+            braces.append(brace)
+    assert moved_zero == rejected
+    assert corpus.enumerate_lcs(n) == sorted(cycle_sets, key=lambda s: (s.add, s.dot))
+    assert corpus.enumerate_braces(n) == sorted(braces, key=lambda s: (s.add, s.circle))
+
+
 def test_every_table_pair_of_order_at_most_two():
     structures = []
     for n in (1, 2):
