@@ -1,11 +1,26 @@
 """The reduced chain and cochain complexes of a linear cycle set.
 
-Degree-k chains are formal sums over k-tuples of elements; the reduced
-complex imposes linearity in the last coordinate, realized here as
-explicit relations on the free module over A^k.  Cochains are
-value tables over the lexicographically ordered tuple basis, and the
-matrix of the degree-k coboundary is the transpose of the degree-(k+1)
-boundary matrix.
+Degree-k chains are formal sums over k-tuples of elements, linear in the
+last coordinate: (p, a + b) = (p, a) + (p, b).  Dually, reduced cochains
+are the value tables that are linear in their last argument.  The
+public matrices (`reduced_boundary_matrix`, `linearity_rows`) and the
+`Cochain` values are indexed by the lexicographically ordered tuple
+basis, and the matrix of the degree-k coboundary is the transpose of the
+degree-(k+1) boundary matrix.
+
+The groups are computed in presentation coordinates instead.
+`_presentation` picks generators s_0, ..., s_(r-1) of (A, +) with
+relative orders o_j, power relations o_j s_j = sum over i < j of
+r_ji s_i, and normal forms a = sum of c_i(a) s_i.  A degree-k coordinate
+is a pair (p, j) of a (k-1)-tuple p and a generator index j: the chain
+(p, s_j), or the value u_(p,j) = phi(p, s_j) of a last-linear cochain,
+which fixes phi(q, a) = sum of c_i(a) u_(q,i).  Each coordinate carries
+one relation, o_j (p, s_j) - sum of r_ji (p, s_i).  The coboundary of a
+last-linear cochain is again last-linear, so the cocycle conditions are
+needed only on the (k+1)-tuples (p', s_j), and each is the boundary of
+that generator read in degree-k coordinates (`_presented_boundary`).
+With normalization, the dead coordinates are the (p, j) whose prefix p
+holds the neutral element; the tuples with 0 last vanish by linearity.
 
 Degree-k bases grow as |A|^k, so everything checks the basis budget
 before materializing matrices.  Every boundary, linearity, shuffle and
@@ -15,10 +30,10 @@ coordinates).  A face is compiled, once per call, into an index map over
 the lexicographically ordered basis: entry x of the map is the index of
 the image of tuple x, built by whole-list arithmetic on the tables
 (`_index_map`).  `_face_rows` writes compiled face lists into the sparse
-rows that every (co)homology group is reduced from; their dense view
-gives the public matrices.  The chain-map and structural checks send
-formal sums of tuple indices through compiled face lists (`_apply`),
-without a matrix.
+rows that the unconstrained, full and extension systems are reduced
+from; their dense view gives the public matrices.  The chain-map and
+structural checks send formal sums of tuple indices through compiled
+face lists (`_apply`), without a matrix.
 
 The boundary of a tuple (a_1, ..., a_k) is
 
@@ -37,7 +52,7 @@ with the degree-1 boundary zero.  The unconstrained companion complex
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from .budget import check_power
@@ -554,6 +569,124 @@ def reduced_coboundary(f: Cochain, check: bool = True) -> Cochain:
     return Cochain(base, g, k + 1, values)
 
 
+@lru_cache(maxsize=8)
+def _presentation(add) -> tuple:
+    """A presentation of the abelian group with addition table `add`.
+
+    Generators are picked greedily: s_j is the first element of largest
+    order o_j relative to the subgroup of s_0, ..., s_(j-1), so a cyclic
+    group takes one generator.  Returns (gens, orders, powers, coords):
+    powers[j] holds the r_ji with o_j s_j = sum over i < j of r_ji s_i,
+    and coords[a] the unique c(a) with a = sum of c_i(a) s_i and
+    0 <= c_i(a) < o_i.  In Z/4 every element is a multiple of 1:
+
+    >>> _presentation(tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4)))
+    ((1,), (4,), ((),), ((0,), (1,), (2,), (3,)))
+
+    Z/4 + Z/2 listed from (1, 1), whose multiples come first, takes
+    s_0 = (1, 1) and s_1 = (1, 0) with 2 s_1 = 2 s_0:
+
+    >>> elems = [(0, 0), (1, 1), (2, 0), (3, 1), (1, 0), (2, 1), (3, 0), (0, 1)]
+    >>> add = tuple(
+    ...     tuple(elems.index(((a + c) % 4, (b + d) % 2)) for c, d in elems) for a, b in elems
+    ... )
+    >>> gens, orders, powers, coords = _presentation(add)
+    >>> gens, orders, powers
+    ((1, 4), (4, 2), ((), (2,)))
+    >>> coords
+    ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1))
+    """
+    n = len(add)
+    zero = next(a for a in range(n) if add[a][a] == a)
+    coords = {zero: ()}  # the subgroup found so far, in normal form
+    gens, orders, powers = [], [], []
+    while len(coords) < n:
+        best = None
+        for a in range(n):
+            order, x = 1, a
+            while x not in coords:
+                order, x = order + 1, add[x][a]
+            if best is None or order > best[0]:
+                best = (order, a, x)
+        order, s, x = best
+        gens.append(s)
+        orders.append(order)
+        powers.append(coords[x])
+        grown = {}
+        for h, c in coords.items():
+            for i in range(order):
+                grown[h] = c + (i,)
+                h = add[h][s]
+        coords = grown
+    return tuple(gens), tuple(orders), tuple(powers), tuple(coords[a] for a in range(n))
+
+
+def _presented_boundary(structure: LinearCycleSet, k: int):
+    """The degree-k boundary in presentation coordinates, as rows.
+
+    Row y is the degree-(k-1) coordinate y = (q, i), at index
+    index(q) * r + i; column x = (p, j), at index(p) * r + j, holds the
+    coefficient of (q, s_i) in the boundary of (p, s_j), whose face
+    targets (q, a) are read off the compiled face maps and expand to
+    sum of c_i(a) (q, s_i).  Row y is also the coboundary of the cochain
+    coordinate y, and column x the cocycle condition at (p, s_j).
+    """
+    n = structure.order
+    gens, _orders, _powers, coords = _presentation(structure.add)
+    r = len(gens)
+    terms = [[(i, c) for i, c in enumerate(coords[a]) if c] for a in range(n)]
+    rows = [{} for _ in range(n ** (k - 2) * r)]
+    maps = _index_maps(_horizontal_faces(structure, k - 1), n, k)
+    for j, s in enumerate(gens):
+        columns = range(j, n ** (k - 1) * r, r)
+        for sign, image in maps:
+            for x, target in zip(columns, image[s::n]):
+                q, a = divmod(target, n)
+                for i, c in terms[a]:
+                    row = rows[q * r + i]
+                    row[x] = row.get(x, 0) + sign * c
+    return rows
+
+
+def _presented_relations(structure: LinearCycleSet, k: int, start: int):
+    """The relations of degree k, as rows: row (p, i) holds, at column
+    start + index(p) * r + j, the coefficient of (p, s_i) in the relation
+    o_j (p, s_j) - sum of r_ji (p, s_i)."""
+    gens, orders, powers, _coords = _presentation(structure.add)
+    r = len(gens)
+    entries = [
+        [(i, orders[i])] + [(j, -powers[j][i]) for j in range(i + 1, r) if powers[j][i]]
+        for i in range(r)
+    ]
+    return [
+        {start + p * r + j: x for j, x in entries[i]}
+        for p in range(structure.order ** (k - 1))
+        for i in range(r)
+    ]
+
+
+def _presented_system(structure: LinearCycleSet, k: int):
+    """Rows of the degree-k coordinates: the degree-(k+1) boundary in its
+    columns, then the degree-k relations from column |A|^k r on.  Column
+    x of row y is the coefficient of cochain coordinate y in the cocycle
+    condition or relation x, and of chain coordinate y in the boundary or
+    relation x."""
+    r = len(_presentation(structure.add)[0])
+    rows = _presented_boundary(structure, k + 1)
+    for row, relations in zip(rows, _presented_relations(structure, k, structure.order**k * r)):
+        row.update(relations)
+    return rows
+
+
+def _dead(structure: LinearCycleSet, k: int):
+    """The degree-k coordinates (p, j) whose prefix p holds the neutral
+    element; none below degree 2."""
+    if k < 2:
+        return []
+    r = len(_presentation(structure.add)[0])
+    return [x * r + j for x in degenerate_indices(structure, k - 1) for j in range(r)]
+
+
 def reduced_cohomology(
     structure: LinearCycleSet,
     coeffs: FiniteAbelianGroup,
@@ -562,25 +695,28 @@ def reduced_cohomology(
 ):
     """Invariant factors of the degree-k reduced cohomology group.
 
-    Kernel of the degree-k coboundary within the last-linear cochains
-    (vanishing on degenerate tuples when normalized), modulo coboundaries
-    from degree k-1; degree 1 has no coboundaries below.
+    A last-linear cochain is given by its values u_(p,j) = phi(p, s_j) on
+    the generators s_j of `_presentation`, one per (k-1)-tuple p and
+    generator index j, subject to the relations
+    o_j u_(p,j) = sum over i < j of r_ji u_(p,i).  The cocycles are the
+    solutions that also meet the cocycle condition on every (k+1)-tuple
+    (p', s_j); the coboundaries are the coboundaries of the degree-(k-1)
+    solutions, read in the same coordinates.  When normalized, the
+    coordinates (p, j) whose prefix p holds the neutral element are zero,
+    in both degrees.  Degree 1 has no coboundaries below.
     """
     require_valid_lcs(structure)
     _check_degree(k)
     n = structure.order
     check_power(n, k, f"the degree-{k} tuple basis")
     check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
-    faces = [_linearity_faces(structure, k), _horizontal_faces(structure, k)]
-    cocycles = _face_rows(n, k + 1, faces, n**k)
+    cocycles = _presented_system(structure, k)
     constraints = coboundaries = dead = dead_below = ()
     if k >= 2:
-        below = n ** (k - 1)
-        constraints = _face_rows(n, k, [_linearity_faces(structure, k - 1)], below)
-        coboundaries = _face_rows(n, k, [_horizontal_faces(structure, k - 1)], below)
+        constraints = _presented_relations(structure, k - 1, 0)
+        coboundaries = _presented_boundary(structure, k)
     if normalized:
-        dead = set(degenerate_indices(structure, k))
-        dead_below = set(degenerate_indices(structure, k - 1)) if k >= 2 else ()
+        dead, dead_below = set(_dead(structure, k)), set(_dead(structure, k - 1))
     return _cohomology(coeffs, cocycles, constraints, coboundaries, dead, dead_below)
 
 
@@ -592,35 +728,39 @@ def reduced_homology(
 ):
     """Invariant factors of the degree-k reduced homology group.
 
-    Chains are presented as the free module on k-tuples modulo the
-    linearity relations (and degenerate generators when normalized); over
-    each cyclic factor Z/m the homology is (preimage of the relations
-    under the boundary) / (boundary image + relations), both taken mod m.
-    Degree 1 is the full degree-1 chain group modulo the image from
-    degree 2.
+    Degree-k chains are presented on the generators (p, s_j), one per
+    (k-1)-tuple p and generator s_j of `_presentation`, modulo the
+    relations o_j (p, s_j) - sum over i < j of r_ji (p, s_i) and, when
+    normalized, the dead generators (p, s_j) whose prefix p holds the
+    neutral element.  Over each cyclic factor Z/m the homology is
+    (preimage of the relations under the boundary) / (boundary image +
+    relations), both taken mod m.  Degree 1 is the full degree-1 chain
+    group modulo the image from degree 2.
     """
     require_valid_lcs(structure)
     _check_degree(k)
     n = structure.order
     check_power(n, k, f"the degree-{k} tuple basis")
     check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
+    r = len(_presentation(structure.add)[0])
 
     def chains(d):
-        # the boundaries of the d-tuples, then the relations of degree d - 1,
-        # as the columns of their face rows
-        faces = [_horizontal_faces(structure, d - 1), _linearity_faces(structure, d - 1)]
-        vectors = [{} for _ in range(2 * n**d)]
-        for r, row in enumerate(_face_rows(n, d, faces, n ** (d - 1))):
+        # the boundaries of the degree-d generators, then the relations of
+        # degree d - 1, as the columns of their rows
+        system = _presented_system(structure, d - 1)
+        vectors = [{} for _ in range(n ** (d - 1) * r + len(system))]
+        for y, row in enumerate(system):
             for c, x in row.items():
-                vectors[c][r] = x
+                vectors[c][y] = x
         if normalized:
-            vectors += [{i: 1} for i in degenerate_indices(structure, d - 1)]
+            vectors += [{y: 1} for y in _dead(structure, d - 1)]
         return vectors
 
     # cycles are the x whose boundary lies in the relations below; their
     # rows carry x as a tag, the relation rows carry nothing
-    rows = chains(k) if k >= 2 else [{}] * n**k
-    tags = [{x: 1} for x in range(n**k)] + [{}] * (len(rows) - n**k)
+    size = n ** (k - 1) * r
+    rows = chains(k) if k >= 2 else [{}] * size
+    tags = [{x: 1} for x in range(size)] + [{}] * (len(rows) - size)
     bound = chains(k + 1)
     return _over_factors(coeffs, partial(_subquotient_mod, rows, tags, [{}] * len(bound), bound))
 

@@ -149,6 +149,18 @@ def test_no_dense_matrix_on_the_route(monkeypatch):
             assert Counter(fn(Z4LCS, coeffs, k)) == FROZEN[fn.__name__, k], (fn.__name__, k)
 
 
+def test_no_linearity_block_on_the_reduced_route(monkeypatch):
+    # reduced cochains and chains are solved for on generators of (A, +),
+    # so the linearity relations over every tuple are never written
+    monkeypatch.setattr(lcscohom.reduced, "_linearity_faces", refuse)
+    coeffs = parse_group_spec("Z/2+Z/4")
+    for normalized in (False, True):
+        for k in (1, 2, 3):
+            for fn in (reduced_cohomology, reduced_homology):
+                got = fn(Z4LCS, coeffs, k, normalized)
+                assert Counter(got) == FROZEN[fn.__name__, k], (fn.__name__, k, normalized)
+
+
 def test_full_degree_four_stays_small():
     # The dense route peaked at 82 MiB here; the sparse rows take about 10.
     tracemalloc.start()

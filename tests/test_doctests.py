@@ -42,6 +42,8 @@ def test_examples_are_collected():
     assert finder.find(linalg._kernel_mod)[0].examples
     reduced = importlib.import_module("lcscohom.reduced")
     assert len(finder.find(reduced._apply)[0].examples) >= 3
+    names = {t.name for t in finder.find(reduced) if t.examples}
+    assert "lcscohom.reduced._presentation" in names
     # every face's index-map builder shows its map on order 2
     bicomplex = importlib.import_module("lcscohom.bicomplex")
     builders = (

@@ -26,6 +26,7 @@ from lcscohom.extensions import (
     extension_to_dict,
     extract_cocycle,
 )
+from lcscohom.structures import _dump_json
 
 STRUCTURES = [s for n in (1, 2, 3, 4) for s in enumerate_lcs(n)]
 FLAVORS = ("cycle-type", "general")
@@ -87,7 +88,7 @@ def digests(tmp, coeff: str, flavor: str):
         if (coeff, flavor, index) == HEAVY:
             continue
         classes = classify_extensions(s, parse_group_spec(coeff), flavor)
-        text = json.dumps([e.to_dict() for e in classes], sort_keys=True, indent=2) + "\n"
+        text = _dump_json([e.to_dict() for e in classes]) + "\n"
         classify.append(_sha(text))
         if coeff not in EQUIVALENT_COEFFS:
             continue

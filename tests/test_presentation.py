@@ -1,0 +1,162 @@
+"""Presentation coordinates of the reduced complex.
+
+`reduced._presentation` must present (A, +) exactly: its normal forms
+are a bijection onto the box of relative orders and add like the
+elements they stand for, once sums are carried through the power
+relations.  Reduced cohomology and homology computed on the values at
+generators must then agree with the linearity-block route of
+`linearity_oracle` on every small cycle set, and a perturbed
+presentation must make them disagree.
+"""
+
+import itertools
+
+import linearity_oracle as oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lcscohom.reduced as reduced
+from lcscohom.abelian import FiniteAbelianGroup, parse_group_spec
+from lcscohom.corpus import builtin_structure, enumerate_lcs, trivial_lcs
+from lcscohom.errors import LatticeError
+from lcscohom.extensions import classify_extensions
+from lcscohom.reduced import _presentation, reduced_cohomology, reduced_homology
+from lcscohom.structures import LinearCycleSet
+
+EXT8 = classify_extensions(builtin_structure("z4-lcs"), parse_group_spec("Z/2"), "cycle-type")[
+    1
+].triple.total
+
+
+def relabeled(s, perm):
+    """The cycle set s with element a renamed perm[a]."""
+    n, back = s.order, sorted(range(s.order), key=perm.__getitem__)
+
+    def table(t):
+        return [[perm[t[back[a]][back[b]]] for b in range(n)] for a in range(n)]
+
+    return LinearCycleSet(n, table(s.add), table(s.dot))
+
+
+# (name, structure, degrees).  Index-ordered tables give every generator
+# a power relation without right side; ext8 with 1 and 5 swapped picks
+# s_0 = 1 and then s_1 = 3, whose double is 2 s_0.
+STRUCTURES = [
+    (f"o{n}-{i}", s, (1, 2, 3)) for n in (1, 2, 3, 4) for i, s in enumerate(enumerate_lcs(n))
+]
+STRUCTURES.append(("ext8", EXT8, (1, 2, 3)))
+STRUCTURES.append(("ext8-relabeled", relabeled(EXT8, [0, 5, 2, 3, 4, 1, 6, 7]), (1, 2)))
+COEFFS = [parse_group_spec(spec) for spec in ("Z/6", "Z/8", "Z/9", "Z/2+Z/4")]
+ROUTES = [
+    (reduced_cohomology, oracle.reduced_cohomology),
+    (reduced_homology, oracle.reduced_homology),
+]
+
+
+def carried(c, orders, powers):
+    """The normal form of a coefficient vector, carrying o_j s_j into
+    sum of r_ji s_i from the last generator down."""
+    c = list(c)
+    for j in reversed(range(len(orders))):
+        q, c[j] = divmod(c[j], orders[j])
+        for i, x in enumerate(powers[j]):
+            c[i] += q * x
+    return tuple(c)
+
+
+def check_presentation(add):
+    n = len(add)
+    gens, orders, powers, coords = _presentation(add)
+    r = len(gens)
+    assert [len(p) for p in powers] == list(range(r))
+    assert sorted(coords) == list(itertools.product(*map(range, orders)))
+    for a, b in itertools.product(range(n), repeat=2):
+        total = [x + y for x, y in zip(coords[a], coords[b])]
+        assert carried(total, orders, powers) == coords[add[a][b]], (a, b)
+    zero = next(a for a in range(n) if add[a][a] == a)
+    orders_of = []
+    for a in range(n):
+        x, order = a, 1
+        while x != zero:
+            x, order = add[x][a], order + 1
+        orders_of.append(order)
+    if n in orders_of:  # cyclic: one generator, none for the trivial group
+        assert r == (1 if n > 1 else 0)
+    else:
+        assert r >= 2
+
+
+@st.composite
+def groups(draw):
+    """The addition table of a random group of order <= 64, relabeled."""
+    factors, order = [], 1
+    while order <= 32 and draw(st.booleans()):
+        m = draw(st.integers(2, 64 // order))
+        factors.append(m)
+        order *= m
+    s = trivial_lcs(FiniteAbelianGroup(factors))
+    return relabeled(s, draw(st.permutations(range(s.order)))).add
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups())
+def test_presentation_of_random_groups(add):
+    check_presentation(add)
+
+
+def test_presentation_of_every_small_cycle_set():
+    for _name, s, _degrees in STRUCTURES:
+        check_presentation(s.add)
+    assert _presentation(EXT8.add)[1] == (4, 2)
+    assert _presentation(STRUCTURES[-1][1].add)[2] == ((), (2,))
+
+
+def cases(structures):
+    for _name, s, degrees in structures:
+        for coeffs, k, normalized in itertools.product(COEFFS, degrees, (False, True)):
+            yield s, coeffs, k, normalized
+
+
+@pytest.mark.parametrize("case", STRUCTURES, ids=[name for name, _s, _d in STRUCTURES])
+def test_generator_values_match_the_linearity_block(case):
+    for s, coeffs, k, normalized in cases([case]):
+        for route, reference in ROUTES:
+            got = route(s, coeffs, k, normalized)
+            assert got == reference(s, coeffs, k, normalized), (route.__name__, coeffs, k)
+
+
+def _perturbed(kind):
+    """`_presentation` with one relation of the last generator s_j
+    changed: removed ("drop"), o_j doubled ("double"), or its right side
+    sum of r_ji s_i removed ("powers")."""
+    original = _presentation
+
+    def presentation(add):
+        gens, orders, powers, coords = original(add)
+        if gens:
+            j = len(gens) - 1
+            if kind == "drop":
+                orders = orders[:j] + (0,)
+            if kind == "double":
+                orders = orders[:j] + (2 * orders[j],)
+            if kind in ("drop", "powers"):
+                powers = powers[:j] + ((0,) * j,)
+        return gens, orders, powers, coords
+
+    return presentation
+
+
+def disagrees(route, reference, case) -> bool:
+    try:
+        return route(*case) != reference(*case)
+    except LatticeError:  # the coboundaries are not all cocycles
+        return True
+
+
+@pytest.mark.parametrize("kind", ["drop", "double", "powers"])
+def test_a_perturbed_presentation_is_refused(monkeypatch, kind):
+    monkeypatch.setattr(reduced, "_presentation", _perturbed(kind))
+    # the relabeled ext8 first: only its power relation has a right side
+    for route, reference in ROUTES:
+        assert any(disagrees(route, reference, case) for case in cases(STRUCTURES[::-1])), route
