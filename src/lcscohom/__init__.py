@@ -24,8 +24,6 @@ from .bicomplex import (
     full_cohomology,
     partial_shuffles,
     row_matches_reduced,
-    shuffle_rows,
-    total_chain_matrix,
 )
 from .corpus import builtin_structure, enumerate_braces, enumerate_lcs, trivial_lcs
 from .errors import (
@@ -71,11 +69,9 @@ from .extensions import (
 from .reduced import (
     Cochain,
     antisymmetrization_is_chain_map,
-    antisymmetrization_matrix,
     cochain_from_dict,
     cs_cohomology,
     cs_cocycle_group,
-    reduced_boundary_matrix,
     reduced_coboundary,
     reduced_cohomology,
     reduced_homology,

@@ -18,7 +18,8 @@ differential restricted to block (i, j) is dh + (-1)^i dv.
 Every operator is a signed face list on tuples, as in the reduced
 complex, compiled to index maps over the lexicographic basis; the
 structural checks apply compiled face lists to formal sums of tuple
-indices, without a matrix.
+indices, without a matrix.  Only `dh_matrix` and `dv_matrix` write a
+face list's rows out densely, for display.
 """
 
 import functools
@@ -28,13 +29,12 @@ from dataclasses import dataclass, field
 from .abelian import FiniteAbelianGroup
 from .budget import check_power
 from .errors import DegreeError, ParameterError
-from .linalg import IntegerMatrix, _IntegerSpan
+from .linalg import _IntegerSpan
 from .reduced import (
     _apply,
     _cohomology,
     _compose,
     _drop,
-    _face_matrix,
     _face_rows,
     _horizontal_faces,
     _index_map,
@@ -50,10 +50,8 @@ from .structures import LinearCycleSet, require_valid_lcs
 __all__ = [
     "shuffle_permutations",
     "partial_shuffles",
-    "shuffle_rows",
     "dh_matrix",
     "dv_matrix",
-    "total_chain_matrix",
     "total_blocks",
     "full_cohomology",
     "BicomplexReport",
@@ -121,26 +119,6 @@ def _shuffle_sums(n: int, i: int, j: int, r: int):
     return [_apply(maps, {x: 1}) for x in range(n ** (i + j))]
 
 
-def shuffle_rows(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
-    """All partial-shuffle sums at bidegree (i, j), linearized as matrix rows.
-
-    Rows double as the cochain-side constraints and, transposed, as
-    generators of the shuffle subgroup of the free chain module.  For
-    j < 2 there are no shuffles and the matrix has zero rows.
-    """
-    n = structure.order
-    check_power(n, i + j, f"the degree-{i + j} tuple basis")
-    size = n ** (i + j)
-    if j < 2:
-        return IntegerMatrix.zeros(0, size)
-    _check_shuffles(n, i, j, f"the shuffle sums at bidegree ({i}, {j})")
-    data = []  # one shuffle type at a time: no matrix and its transpose at full size
-    for r in range(1, j):
-        faces = _shuffle_faces(i, j, r)
-        data += _face_matrix(n, i + j, [faces], size).transpose().data
-    return IntegerMatrix(len(data), size, data)
-
-
 def _shuffle_faces(i: int, j: int, r: int):
     """The face list of the (r, j - r) shuffles of the last j coordinates."""
     return [
@@ -149,24 +127,34 @@ def _shuffle_faces(i: int, j: int, r: int):
     ]
 
 
-def dh_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
-    """Matrix of the horizontal differential at bidegree (i, j), i, j >= 1."""
+def dh_matrix(structure: LinearCycleSet, i: int, j: int) -> list:
+    """The horizontal differential at bidegree (i, j), i, j >= 1, as a
+    list of dense rows."""
     if i < 1 or j < 1:
         raise ParameterError(f"horizontal differential needs i, j >= 1, got ({i}, {j})")
     n = structure.order
     k = i + j
     check_power(n, k, f"the degree-{k} tuple basis")
-    return _face_matrix(n, k, [_horizontal_faces(structure, i)], n ** (k - 1))
+    return _dense(n, k, _horizontal_faces(structure, i))
 
 
-def dv_matrix(structure: LinearCycleSet, i: int, j: int) -> IntegerMatrix:
-    """Matrix of the vertical differential at bidegree (i, j), j >= 2."""
+def dv_matrix(structure: LinearCycleSet, i: int, j: int) -> list:
+    """The vertical differential at bidegree (i, j), j >= 2, as a list of
+    dense rows."""
     if i < 0 or j < 2:
         raise ParameterError(f"vertical differential needs i >= 0 and j >= 2, got ({i}, {j})")
     n = structure.order
     k = i + j
     check_power(n, k, f"the degree-{k} tuple basis")
-    return _face_matrix(n, k, [_vertical_faces(structure, i, j)], n ** (k - 1))
+    return _dense(n, k, _vertical_faces(structure, i, j))
+
+
+def _dense(n: int, k: int, faces) -> list:
+    """The face rows of one face list on k-tuples, written out densely:
+    row r holds the entries of the (k-1)-tuple r on every k-tuple, in
+    lexicographic order."""
+    rows = _face_rows(n, k, [faces], n ** (k - 1))
+    return [[row.get(x, 0) for x in range(n**k)] for row in rows]
 
 
 def _vertical_faces(structure: LinearCycleSet, i: int, j: int):
@@ -222,21 +210,6 @@ def _total_faces(structure: LinearCycleSet, n: int):
 def _total_size(order: int, n: int) -> int:
     """The number of coordinates of total degree n: n blocks of order**n."""
     return n * order**n
-
-
-def total_chain_matrix(structure: LinearCycleSet, n: int) -> IntegerMatrix:
-    """Matrix of the total-complex boundary in degree n.
-
-    Source blocks (descending i, size |A|^n each) map through dh into
-    (i-1, j) and through (-1)^i dv into (i, j-1); degree 1 boundary is
-    the zero map into nothing.
-    """
-    order = structure.order
-    _check_total_degree(n)
-    check_power(order, n, f"the total degree-{n} basis", factor=3, times=n)
-    if n == 1:
-        return IntegerMatrix.zeros(0, order)
-    return _face_matrix(order, n, _total_faces(structure, n), _total_size(order, n - 1))
 
 
 def full_cohomology(
@@ -438,7 +411,7 @@ def _reduced_boundary_oracle(structure, k):
             merged = t[: i - 1] + (add[t[i - 1]][t[i]],) + t[i + 1 :]
             data[tuple_index(merged, n)][col] += sign
         data[tuple_index(t[: k - 2] + (t[k - 1],), n)][col] -= sign
-    return IntegerMatrix(n ** (k - 1), n**k, data)
+    return data
 
 
 def _bar_matrix(structure, j):
@@ -454,7 +427,7 @@ def _bar_matrix(structure, j):
             merged = t[: pos - 1] + (add[t[pos - 1]][t[pos]],) + t[pos + 1 :]
             data[tuple_index(merged, n)][col] += sign
         data[tuple_index(t[: j - 1], n)][col] -= sign
-    return IntegerMatrix(n ** (j - 1), n**j, data)
+    return data
 
 
 def column_matches_trivial_reduced(structure: LinearCycleSet, j: int) -> bool:
@@ -474,7 +447,7 @@ def column_matches_trivial_reduced(structure: LinearCycleSet, j: int) -> bool:
         [list(row) for row in structure.add],
         [[b for b in range(n)] for _ in range(n)],
     )
-    if dv_matrix(structure, 0, j) != _bar_matrix(structure, j).scaled(-1):
+    if dv_matrix(structure, 0, j) != [[-x for x in row] for row in _bar_matrix(structure, j)]:
         return False
     faces = _vertical_faces(structure, 0, j) + _horizontal_faces(trivial, j - 1)
     maps = _index_maps(faces, n, j)

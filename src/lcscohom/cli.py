@@ -280,9 +280,9 @@ def cmd_bicomplex_check(args) -> int:
             ) from exc
         out = {"i": i, "j": j, "dh": None, "dv": None}
         if i >= 1 and j >= 1:
-            out["dh"] = dh_matrix(structure, i, j).data
+            out["dh"] = dh_matrix(structure, i, j)
         if i >= 0 and j >= 2:
-            out["dv"] = dv_matrix(structure, i, j).data
+            out["dv"] = dv_matrix(structure, i, j)
         if out["dh"] is None and out["dv"] is None:
             raise ParameterError(
                 f"no differentials leave bidegree ({i}, {j})"

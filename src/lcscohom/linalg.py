@@ -18,6 +18,10 @@ element of a coset: class representatives, equivalence witnesses and
 least solutions mod m (`_least_solution`).  Lexicographic order does not
 survive a split of Z/m into its prime powers, so `_kernel_mod` first
 glues the prime-power kernels into sparse generators over Z/m.
+
+There is no dense matrix type: every operator reaches both kernels as
+sparse rows, and kernels and solutions come back as sparse rows or plain
+lists.  The module has no public names.
 """
 
 import functools
@@ -25,130 +29,9 @@ import heapq
 from math import gcd, prod
 
 from .abelian import merge_invariants
-from .errors import BudgetError, InvalidModulusError, LatticeError, ShapeError
+from .errors import BudgetError, LatticeError
 
-__all__ = [
-    "IntegerMatrix",
-    "kernel_mod_m",
-]
-
-
-class IntegerMatrix:
-    """A dense matrix of Python ints, wrapped as a list of row lists."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data=None):
-        if rows < 0 or cols < 0:
-            raise ShapeError(f"negative matrix dimensions ({rows}, {cols})")
-        if data is None:
-            data = [[0] * cols for _ in range(rows)]
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-
-    @classmethod
-    def from_rows(cls, rows_list):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        data = []
-        for row in rows_list:
-            if len(row) != cols:
-                raise ShapeError("ragged rows in matrix literal")
-            data.append([int(x) for x in row])
-        return cls(rows, cols, data)
-
-    @classmethod
-    def from_columns(cls, nrows: int, cols_list):
-        data = [[col[i] for col in cols_list] for i in range(nrows)]
-        return cls(nrows, len(cols_list), data)
-
-    @classmethod
-    def identity(cls, n: int):
-        data = [[0] * n for _ in range(n)]
-        for i in range(n):
-            data[i][i] = 1
-        return cls(n, n, data)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int):
-        return cls(rows, cols)
-
-    def transpose(self):
-        if not self.rows:
-            return IntegerMatrix(self.cols, 0, [[] for _ in range(self.cols)])
-        return IntegerMatrix(self.cols, self.rows, [list(col) for col in zip(*self.data)])
-
-    def scaled(self, k: int):
-        return IntegerMatrix(self.rows, self.cols, [[k * x for x in row] for row in self.data])
-
-    def column(self, j: int):
-        return [row[j] for row in self.data]
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
-
-    def apply(self, vec):
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ShapeError(f"vector of length {len(vec)} against {self.cols} columns")
-        out = []
-        for row in self.data:
-            acc = 0
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc += a * x
-            out.append(acc)
-        return out
-
-    def __matmul__(self, other):
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        bdata = other.data
-        width = other.cols
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if not a:
-                    continue
-                brow = bdata[k]
-                if a == 1:
-                    for j in range(width):
-                        orow[j] += brow[j]
-                elif a == -1:
-                    for j in range(width):
-                        orow[j] -= brow[j]
-                else:
-                    for j in range(width):
-                        orow[j] += a * brow[j]
-        return IntegerMatrix(self.rows, other.cols, out)
-
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def to_lists(self):
-        return [row[:] for row in self.data]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntegerMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __repr__(self):
-        return f"IntegerMatrix({self.rows}x{self.cols})"
-
-
-def _check_modulus(m: int):
-    if not isinstance(m, int) or m < 2:
-        raise InvalidModulusError(f"modulus must be an integer >= 2, got {m!r}")
+__all__ = []
 
 
 # Trial division runs below this bound; a cofactor left over is split by
@@ -433,22 +316,6 @@ def _kernel_mod(rows, tags, m: int):
             for c, x in gen.items():  # x is nonzero mod q, so is the sum
                 glued[i][c] = (glued[i].get(c, 0) + lift * x) % m
     return glued
-
-
-def kernel_mod_m(mat: IntegerMatrix, m: int) -> IntegerMatrix:
-    """Generators of {x in (Z/m)^cols : mat @ x == 0 mod m}.
-
-    Columns of the result generate the kernel subgroup, entries in [0, m):
-    `_kernel_mod` of mat's columns, so zero columns give the identity.
-
-    >>> kernel_mod_m(IntegerMatrix.from_rows([[1, 1]]), 2).to_lists()
-    [[1], [1]]
-    """
-    _check_modulus(m)
-    n = mat.cols
-    cols = [{i: row[j] for i, row in enumerate(mat.data) if row[j]} for j in range(n)]
-    gens = _kernel_mod(cols, [{j: 1} for j in range(n)], m)
-    return IntegerMatrix(n, len(gens), [[gen.get(j, 0) for gen in gens] for j in range(n)])
 
 
 def _gcdex(a: int, b: int):

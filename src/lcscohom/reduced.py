@@ -2,11 +2,10 @@
 
 Degree-k chains are formal sums over k-tuples of elements, linear in the
 last coordinate: (p, a + b) = (p, a) + (p, b).  Dually, reduced cochains
-are the value tables that are linear in their last argument.  The
-public matrices (`reduced_boundary_matrix`, `linearity_rows`) and the
-`Cochain` values are indexed by the lexicographically ordered tuple
-basis, and the matrix of the degree-k coboundary is the transpose of the
-degree-(k+1) boundary matrix.
+are the value tables that are linear in their last argument.  Face
+rows and `Cochain` values are indexed by the lexicographically ordered
+tuple basis, and the degree-k coboundary is the transpose of the
+degree-(k+1) boundary.
 
 The groups are computed in presentation coordinates instead.
 `_presentation` picks generators s_0, ..., s_(r-1) of (A, +) with
@@ -23,7 +22,7 @@ With normalization, the dead coordinates are the (p, j) whose prefix p
 holds the neutral element; the tuples with 0 last vanish by linearity.
 
 Degree-k bases grow as |A|^k, so everything checks the basis budget
-before materializing matrices.  Every boundary, linearity, shuffle and
+before writing any rows.  Every boundary, linearity, shuffle and
 permutation operator here and in the bicomplex is a signed list of face
 maps on tuples (act by the dot operation, merge by +, drop or permute
 coordinates).  A face is compiled, once per call, into an index map over
@@ -31,7 +30,7 @@ the lexicographically ordered basis: entry x of the map is the index of
 the image of tuple x, built by whole-list arithmetic on the tables
 (`_index_map`).  `_face_rows` writes compiled face lists into the sparse
 rows that the unconstrained, full and extension systems are reduced
-from; their dense view gives the public matrices.  The chain-map and
+from; they are the one operator format of the package.  The chain-map and
 structural checks send formal sums of tuple indices through compiled
 face lists (`_apply`), without a matrix.
 
@@ -62,24 +61,19 @@ from .errors import (
     MalformedTableError,
     ShapeError,
 )
-from .linalg import IntegerMatrix, _IntegerSpan, _subquotient_mod
+from .linalg import _IntegerSpan, _subquotient_mod
 from .structures import LinearCycleSet, require_valid_lcs
 
 __all__ = [
     "Cochain",
     "tuple_index",
     "all_tuples",
-    "reduced_boundary_matrix",
-    "linearity_rows",
     "degenerate_indices",
     "reduced_coboundary",
     "reduced_cohomology",
     "reduced_homology",
-    "cs_chain_matrix",
-    "cs_coboundary_matrix",
     "cs_cocycle_group",
     "cs_cohomology",
-    "antisymmetrization_matrix",
     "antisymmetrization_is_chain_map",
     "cochain_from_dict",
 ]
@@ -99,16 +93,6 @@ def tuple_index(t, n: int) -> int:
 def _check_degree(k: int):
     if not isinstance(k, int) or k < 1:
         raise DegreeError(f"degree must be an integer >= 1, got {k!r}")
-
-
-def _face_matrix(n: int, k: int, blocks, size: int) -> IntegerMatrix:
-    """The dense view of `_face_rows`, for the public API."""
-    cols = len(blocks) * n**k
-    data = [[0] * cols for _ in range(size)]
-    for dense, row in zip(data, _face_rows(n, k, blocks, size)):
-        for c, x in row.items():
-            dense[c] = x
-    return IntegerMatrix(size, cols, data)
 
 
 def _face_rows(n: int, k: int, blocks, size: int, start: int = 0):
@@ -305,36 +289,6 @@ def _horizontal_faces(structure: LinearCycleSet, i: int):
     faces += [((-1) ** p, _merge(structure.add, p)) for p in range(1, i)]
     faces.append(((-1) ** i, _drop(i - 1)))
     return faces
-
-
-def reduced_boundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
-    """Matrix of the degree-k boundary on free modules, A^k -> A^(k-1).
-
-    Rows are indexed by (k-1)-tuples, columns by k-tuples, both in
-    lexicographic order; entries are the integer multiplicities gathered
-    from coinciding terms.  Degree 1 yields the zero map into nothing,
-    encoded as a matrix with 0 rows.
-    """
-    _check_degree(k)
-    n = structure.order
-    check_power(n, k, f"the degree-{k} tuple basis")
-    if k == 1:
-        return IntegerMatrix.zeros(0, n)
-    return _face_matrix(n, k, [_horizontal_faces(structure, k - 1)], n ** (k - 1))
-
-
-def linearity_rows(structure: LinearCycleSet, k: int) -> IntegerMatrix:
-    """Constraint rows expressing linearity in the last coordinate.
-
-    One row per (prefix, a, b): the value at (prefix, a + b) minus the
-    values at (prefix, a) and (prefix, b).  Kernel mod m = the group of
-    last-linear cochains; transposed columns = the linearity relations of
-    the chain-side presentation.
-    """
-    _check_degree(k)
-    n = structure.order
-    check_power(n, k, f"the degree-{k} tuple basis")
-    return _face_matrix(n, k + 1, [_linearity_faces(structure, k)], n**k).transpose()
 
 
 def _linearity_faces(structure: LinearCycleSet, k: int):
@@ -776,21 +730,6 @@ def _cs_faces(structure: LinearCycleSet, k: int):
     return faces
 
 
-def cs_chain_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
-    """Matrix of the degree-k boundary of the unconstrained complex."""
-    _check_degree(k)
-    n = structure.order
-    check_power(n, k, f"the degree-{k} tuple basis")
-    if k == 1:
-        return IntegerMatrix.zeros(0, n)
-    return _face_matrix(n, k, [_cs_faces(structure, k)], n ** (k - 1))
-
-
-def cs_coboundary_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
-    """Matrix of the degree-k coboundary: transpose of the degree-(k+1) boundary."""
-    return cs_chain_matrix(structure, k + 1).transpose()
-
-
 def _cs_cocycles(structure: LinearCycleSet, k: int):
     require_valid_lcs(structure)
     _check_degree(k)
@@ -829,18 +768,6 @@ def _antisymmetrization_faces(k: int):
     return [
         (_parity(p), _permute(p + (k - 1,))) for p in itertools.permutations(range(k - 1))
     ]
-
-
-def antisymmetrization_matrix(structure: LinearCycleSet, k: int) -> IntegerMatrix:
-    """Signed sum over permutations of the first k-1 coordinates.
-
-    Degree 1 and 2 give the identity; composed with the projection to the
-    reduced quotient this is a chain map from the unconstrained complex.
-    """
-    _check_degree(k)
-    n = structure.order
-    check_power(n, k, f"the degree-{k} tuple basis")
-    return _face_matrix(n, k, [_antisymmetrization_faces(k)], n**k)
 
 
 def antisymmetrization_is_chain_map(structure: LinearCycleSet, k: int) -> bool:

@@ -13,6 +13,7 @@ counts as failed.
 import itertools
 import math
 import random
+from collections import defaultdict
 
 from .abelian import FiniteAbelianGroup
 from .bicomplex import (
@@ -45,10 +46,10 @@ from .linalg import _kernel_mod
 from .reduced import (
     _apply,
     _compose,
+    _cs_cocycles,
     _horizontal_faces,
     _index_maps,
     antisymmetrization_is_chain_map,
-    cs_coboundary_matrix,
     cs_cocycle_group,
     cs_cohomology,
     reduced_cohomology,
@@ -324,11 +325,23 @@ def verify_paper(seed: int = 0):
     _run(results, "antisymmetrization is a chain map", chain_map)
 
     def family_satisfies_unconstrained():
-        mat = cs_coboundary_matrix(z4, 2)
-        for phi in COCYCLE_PHIS:
-            vec = [v for row in _phi_table(phi) for v in row]
-            if any(x % 2 for x in mat.apply(vec)):
-                return False
+        # row x of the face rows is the coboundary of the cochain e_x
+        rows = _cs_cocycles(z4, 2)
+
+        def satisfies(table):
+            coboundary = defaultdict(int)
+            for row, value in zip(rows, (v for line in table for v in line)):
+                for c, x in row.items():
+                    coboundary[c] += x * value
+            return not any(x % 2 for x in coboundary.values())
+
+        if not all(satisfies(_phi_table(phi)) for phi in COCYCLE_PHIS):
+            return False
+        # the reject direction: one entry flipped at an odd second argument
+        flipped = [list(line) for line in _phi_table(COCYCLE_PHIS[0])]
+        flipped[1][1] ^= 1
+        if satisfies(flipped):
+            return False, "a table flipped at (1, 1) passes too"
         return True
 
     _run(

@@ -7,18 +7,24 @@ lexicographic order, and every cocycle group and coboundary group is
 listed element by element.  They are exponential and serve only as the
 oracle the tests compare the library against.
 
-The cochain systems here are dense stacks of the public face-map
-matrices, as the library built them before it wrote sparse face rows, so
-the oracle shares no system builder with the library.
+The cochain systems here are dense stacks of the face-map matrices of
+`dense_views`, as the library built them before it wrote sparse face
+rows, so the oracle shares the face lists with the library but no system
+builder.
 """
 
 import itertools
 
-from lattice_oracle import hstack
-from lcscohom.bicomplex import shuffle_rows, total_chain_matrix
+from dense_views import (
+    kernel_mod_m,
+    linearity_rows,
+    reduced_boundary_matrix,
+    shuffle_rows,
+    total_chain_matrix,
+)
+from lattice_oracle import IntegerMatrix, hstack
 from lcscohom.extensions import ReducedTwoCocycle
-from lcscohom.linalg import IntegerMatrix, kernel_mod_m
-from lcscohom.reduced import degenerate_indices, linearity_rows, reduced_boundary_matrix
+from lcscohom.reduced import degenerate_indices
 
 
 def vstack(mats):
@@ -64,16 +70,6 @@ def theta_constraints(base, flavor: str, normalized: bool) -> IntegerMatrix:
     if normalized:
         return degenerate_rows(base, 1)
     return IntegerMatrix.zeros(0, base.order)
-
-
-def dense_view(rows, height: int) -> IntegerMatrix:
-    """The dense matrix with `height` rows whose column x is the sparse
-    {row: entry} dict rows[x]."""
-    data = [[0] * len(rows) for _ in range(height)]
-    for x, row in enumerate(rows):
-        for r, entry in row.items():
-            data[r][x] = entry
-    return IntegerMatrix(height, len(rows), data)
 
 
 def search_theta(c1, c2, normalized: bool = False):

@@ -4,16 +4,128 @@ This is the dense path the library used before its sparse elimination
 kernel: a subgroup of (Z/m)^N is modelled by the integer lattice spanned
 by its generators together with m*I, and quotients of nested full-rank
 lattices yield invariant factors through a change of basis plus one more
-Smith reduction.  The dense Smith normal form and the membership tester
-built on it live here too, so the oracle shares nothing with the library
-but the dense matrix type, and the property tests compare the two.
+Smith reduction.  The dense matrix type, the dense Smith normal form and
+the membership tester built on it live here too, so the oracle shares
+nothing with the library, and the property tests compare the two.
 """
 
 from dataclasses import dataclass
 from math import gcd
 
 from lcscohom.errors import LatticeError, ShapeError
-from lcscohom.linalg import IntegerMatrix
+
+
+class IntegerMatrix:
+    """A dense matrix of Python ints, wrapped as a list of row lists."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data=None):
+        if rows < 0 or cols < 0:
+            raise ShapeError(f"negative matrix dimensions ({rows}, {cols})")
+        if data is None:
+            data = [[0] * cols for _ in range(rows)]
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    @classmethod
+    def from_rows(cls, rows_list):
+        rows = len(rows_list)
+        cols = len(rows_list[0]) if rows else 0
+        data = []
+        for row in rows_list:
+            if len(row) != cols:
+                raise ShapeError("ragged rows in matrix literal")
+            data.append([int(x) for x in row])
+        return cls(rows, cols, data)
+
+    @classmethod
+    def from_columns(cls, nrows: int, cols_list):
+        data = [[col[i] for col in cols_list] for i in range(nrows)]
+        return cls(nrows, len(cols_list), data)
+
+    @classmethod
+    def identity(cls, n: int):
+        data = [[0] * n for _ in range(n)]
+        for i in range(n):
+            data[i][i] = 1
+        return cls(n, n, data)
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int):
+        return cls(rows, cols)
+
+    def transpose(self):
+        if not self.rows:
+            return IntegerMatrix(self.cols, 0, [[] for _ in range(self.cols)])
+        return IntegerMatrix(self.cols, self.rows, [list(col) for col in zip(*self.data)])
+
+    def scaled(self, k: int):
+        return IntegerMatrix(self.rows, self.cols, [[k * x for x in row] for row in self.data])
+
+    def column(self, j: int):
+        return [row[j] for row in self.data]
+
+    def is_zero(self) -> bool:
+        return all(not x for row in self.data for x in row)
+
+    def apply(self, vec):
+        """Matrix times column vector."""
+        if len(vec) != self.cols:
+            raise ShapeError(f"vector of length {len(vec)} against {self.cols} columns")
+        out = []
+        for row in self.data:
+            acc = 0
+            for a, x in zip(row, vec):
+                if a and x:
+                    acc += a * x
+            out.append(acc)
+        return out
+
+    def __matmul__(self, other):
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
+        out = [[0] * other.cols for _ in range(self.rows)]
+        bdata = other.data
+        width = other.cols
+        for i in range(self.rows):
+            arow = self.data[i]
+            orow = out[i]
+            for k in range(self.cols):
+                a = arow[k]
+                if not a:
+                    continue
+                brow = bdata[k]
+                if a == 1:
+                    for j in range(width):
+                        orow[j] += brow[j]
+                elif a == -1:
+                    for j in range(width):
+                        orow[j] -= brow[j]
+                else:
+                    for j in range(width):
+                        orow[j] += a * brow[j]
+        return IntegerMatrix(self.rows, other.cols, out)
+
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def to_lists(self):
+        return [row[:] for row in self.data]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, IntegerMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.data == other.data
+        )
+
+    def __repr__(self):
+        return f"IntegerMatrix({self.rows}x{self.cols})"
 
 
 def hstack(mats):

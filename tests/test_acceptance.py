@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from dense_views import reduced_boundary_matrix
 from lcscohom.abelian import FiniteAbelianGroup, parse_group_spec
 from lcscohom.bicomplex import bicomplex_identity_check, full_cohomology
 from lcscohom.corpus import builtin_structure, enumerate_braces, enumerate_lcs
@@ -35,7 +36,6 @@ from lcscohom.reduced import (
     antisymmetrization_is_chain_map,
     cs_cocycle_group,
     cs_cohomology,
-    reduced_boundary_matrix,
     reduced_cohomology,
 )
 from lcscohom.structures import brace_to_lcs, validate_lcs

@@ -7,33 +7,31 @@ shuffle sums are frozen by hand.
 import pytest
 
 import lcscohom.bicomplex as bicomplex
-from lattice_oracle import LatticeTester, hstack
+from dense_views import (
+    dh_matrix,
+    dv_matrix,
+    kernel_mod_m,
+    linearity_rows,
+    reduced_boundary_matrix,
+    shuffle_rows,
+    total_chain_matrix,
+)
+from lattice_oracle import IntegerMatrix, LatticeTester, hstack
 from lcscohom.abelian import FiniteAbelianGroup
 from lcscohom.cli import main
 from lcscohom.bicomplex import (
     bicomplex_identity_check,
     column_matches_trivial_reduced,
-    dh_matrix,
-    dv_matrix,
     full_cohomology,
     partial_shuffles,
     row_matches_reduced,
     shuffle_permutations,
-    shuffle_rows,
     total_blocks,
-    total_chain_matrix,
 )
 from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.errors import DegreeError, ParameterError
-from lcscohom.linalg import IntegerMatrix, _IntegerSpan, kernel_mod_m
-from lcscohom.reduced import (
-    _drop,
-    _merge,
-    all_tuples,
-    linearity_rows,
-    reduced_boundary_matrix,
-    tuple_index,
-)
+from lcscohom.linalg import _IntegerSpan
+from lcscohom.reduced import _merge, all_tuples, tuple_index
 from lcscohom.structures import LinearCycleSet
 
 Z2 = FiniteAbelianGroup((2,))

@@ -5,6 +5,7 @@ verified claims, 1 for failed verification, 2 for unusable input.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from lcscohom.abelian import FiniteAbelianGroup
-from lcscohom.bicomplex import dh_matrix
+from lcscohom.bicomplex import dh_matrix, dv_matrix
 from lcscohom.cli import main
 from lcscohom.corpus import builtin_structure
 from lcscohom.extensions import ReducedTwoCocycle, two_cocycle_to_dict
@@ -374,14 +375,26 @@ def test_bicomplex_check(capsys):
     assert all(c["ok"] for c in report["checks"])
 
 
+# SHA-256 of the stdout of `bicomplex-check builtin:z4-lcs --bidegree i,j`,
+# taken while the differentials were still dense matrices.
+BIDEGREE_DUMPS = {
+    "1,1": "694cc7e3e64a7e5d658684aff38812698866a6c0e4d337080a111a6aaa76ab6e",
+    "1,2": "e3bde959f2e96135708d2101cebcb8a517406e5f79bab6a9fab2d9f5024c1a38",
+    "0,2": "23cf71aabb0c17398bb239ac4078e045ca9e203e6e6fff401e3f288c2872e0d1",
+    "2,2": "c5f5fa361c37281e5ba6b04da9d968c82dc54d847733606d417e943fa99a22e2",
+    "0,3": "b4b7557d5217de9d276794f7cda6a49832e4d9391f391d23d77fb3d32c53e96f",
+}
+
+
 def test_bicomplex_dump(capsys):
-    code, out, _ = run(
-        capsys, "bicomplex-check", "builtin:z4-lcs", "--bidegree", "1,1"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["dv"] is None
-    assert payload["dh"] == dh_matrix(Z4LCS, 1, 1).data
+    for bidegree, digest in BIDEGREE_DUMPS.items():
+        code, out, _ = run(capsys, "bicomplex-check", "builtin:z4-lcs", "--bidegree", bidegree)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, bidegree
+        payload = json.loads(out)
+        i, j = map(int, bidegree.split(","))
+        assert payload["dh"] == (dh_matrix(Z4LCS, i, j) if i >= 1 else None)
+        assert payload["dv"] == (dv_matrix(Z4LCS, i, j) if j >= 2 else None)
 
 
 def test_bicomplex_dump_bad_bidegree(capsys):

@@ -6,19 +6,24 @@ bicomplex and chain-map checks apply face lists to formal sums, so no
 dense matrix, cochain generator set or matrix product is formed on the
 way.  The extension layer reads its class lists, equivalence verdicts
 and additive sections off the same kind of rows, and its Howell forms
-take sparse rows as well.  The guard tests make every dense
-path raise and still expect the invariants, reports and digests below,
-which were frozen from the dense generator-and-product routes these
-replaced; the memory tests bound what those routes cost.
+take sparse rows as well.  Sparse face rows are the only operator format
+of the package: no module binds a dense matrix type or a dense builder,
+and the one dense view left, `dh_matrix` and `dv_matrix` for the CLI's
+`--bidegree` dump, is made to raise while the routes still give the
+invariants, reports and digests below, which were frozen from the dense
+generator-and-product routes these replaced.  The memory tests bound
+what those routes cost.
 """
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import tracemalloc
 from collections import Counter
 
+import lcscohom
 import lcscohom.bicomplex
-import lcscohom.linalg
 import lcscohom.reduced
 from lcscohom.abelian import parse_group_spec
 from lcscohom.bicomplex import bicomplex_identity_check, full_cohomology
@@ -29,7 +34,6 @@ from lcscohom.extensions import (
     extensions_equivalent,
     validate_extension_triple,
 )
-from lcscohom.linalg import IntegerMatrix
 from lcscohom.reduced import (
     antisymmetrization_is_chain_map,
     cs_cocycle_group,
@@ -61,24 +65,22 @@ FROZEN = {
 # Normalization changes the full group from degree 4 on.
 FULL_FOUR = {False: {2: 20}, True: {2: 18}}
 
-DENSE = {
-    lcscohom.linalg: ("kernel_mod_m",),
-    lcscohom.reduced: (
-        "_face_matrix",
-        "reduced_boundary_matrix",
-        "linearity_rows",
-        "cs_chain_matrix",
-        "cs_coboundary_matrix",
-        "antisymmetrization_matrix",
-    ),
-    lcscohom.bicomplex: (
-        "_face_matrix",
-        "shuffle_rows",
-        "dh_matrix",
-        "dv_matrix",
-        "total_chain_matrix",
-    ),
-}
+# The dense matrix type and the dense builders that left the package.
+DELETED = (
+    "IntegerMatrix",
+    "kernel_mod_m",
+    "_check_modulus",
+    "_face_matrix",
+    "reduced_boundary_matrix",
+    "linearity_rows",
+    "cs_chain_matrix",
+    "cs_coboundary_matrix",
+    "antisymmetrization_matrix",
+    "shuffle_rows",
+    "total_chain_matrix",
+)
+# The dense view of the --bidegree dump, which no computing route reads.
+DENSE_VIEW = ("dh_matrix", "dv_matrix", "_dense")
 
 
 # SHA-256 of the sorted JSON of the class lists of z4-lcs over Z/2+Z/4
@@ -106,11 +108,22 @@ def refuse(*_args, **_kwargs):
 
 
 def refuse_dense(monkeypatch):
-    for module, names in DENSE.items():
-        for name in names:
-            monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(IntegerMatrix, "__init__", refuse)
-    monkeypatch.setattr(IntegerMatrix, "__matmul__", refuse)
+    for name in DENSE_VIEW:
+        monkeypatch.setattr(lcscohom.bicomplex, name, refuse)
+
+
+def test_no_module_binds_a_dense_matrix_or_builder():
+    # __main__ runs the command line on import
+    names = ["lcscohom"] + [
+        f"lcscohom.{info.name}"
+        for info in pkgutil.iter_modules(lcscohom.__path__)
+        if info.name != "__main__"
+    ]
+    assert len(names) >= 12
+    for name in names:
+        module = importlib.import_module(name)
+        bound = [attr for attr in DELETED if hasattr(module, attr)]
+        assert bound == [], (name, bound)
 
 
 def test_no_dense_matrix_in_the_structural_checks(monkeypatch):

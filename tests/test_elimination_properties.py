@@ -17,10 +17,17 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lattice_oracle import LatticeTester, constrained_lattice, hstack, solution_lattice_mod
+from dense_views import kernel_mod_m
+from lattice_oracle import (
+    IntegerMatrix,
+    LatticeTester,
+    constrained_lattice,
+    hstack,
+    solution_lattice_mod,
+)
 from lattice_oracle import subquotient_invariants as oracle_subquotient
 from lcscohom.errors import LatticeError
-from lcscohom.linalg import IntegerMatrix, _IntegerSpan, _least_solution, kernel_mod_m
+from lcscohom.linalg import _IntegerSpan, _least_solution
 from subquotient_route import subquotient_invariants
 
 MODULI = (2, 4, 8, 9, 12, 27)

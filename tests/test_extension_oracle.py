@@ -16,9 +16,9 @@ import itertools
 
 import pytest
 
+from dense_views import dense_view
 from extension_oracle import (
     class_cocycles,
-    dense_view,
     search_theta,
     theta_constraints,
     two_cocycle_system,

@@ -13,7 +13,9 @@ import random
 
 import pytest
 
+from dense_views import kernel_mod_m
 from lattice_oracle import (
+    IntegerMatrix,
     LatticeTester,
     hstack,
     integer_kernel,
@@ -21,14 +23,8 @@ from lattice_oracle import (
     smith_normal_form,
     solution_lattice_mod,
 )
-from lcscohom.errors import BudgetError, InvalidModulusError, LatticeError, ShapeError
-from lcscohom.linalg import (
-    IntegerMatrix,
-    _IntegerSpan,
-    _least_solution,
-    _prime_powers,
-    kernel_mod_m,
-)
+from lcscohom.errors import BudgetError, LatticeError, ShapeError
+from lcscohom.linalg import _IntegerSpan, _least_solution, _prime_powers
 from subquotient_route import subquotient_invariants
 
 
@@ -307,11 +303,6 @@ def test_stacking():
     assert hstack([a, IntegerMatrix(1, 0), b]).to_lists() == [[1, 2, 3, 4]]
     with pytest.raises(ShapeError):
         hstack([a, IntegerMatrix.identity(3)])
-
-
-def test_modulus_guard():
-    with pytest.raises(InvalidModulusError):
-        kernel_mod_m(IntegerMatrix.identity(2), 1)
 
 
 def _trial_division(m):

@@ -4,23 +4,27 @@ Each digest is the SHA-256 of one builder's matrices, shapes included,
 over every linear cycle set of orders 1 to 4 in enumeration order, so a
 change to any single entry of any of them fails the test.  The digests
 were taken from the hand-written per-matrix loops that the shared
-face-map builder replaced.
+face-map builder replaced; the builders are now the dense views of the
+library's face rows in `dense_views`.
 """
 
 import hashlib
 
 import pytest
 
-from lcscohom.bicomplex import dh_matrix, dv_matrix, shuffle_rows, total_chain_matrix
-from lcscohom.corpus import enumerate_lcs
-from extension_oracle import dense_view
-from lcscohom.extensions import _cochain_system
-from lcscohom.reduced import (
+from dense_views import (
     antisymmetrization_matrix,
     cs_chain_matrix,
+    dense_view,
+    dh_matrix,
+    dv_matrix,
     linearity_rows,
     reduced_boundary_matrix,
+    shuffle_rows,
+    total_chain_matrix,
 )
+from lcscohom.corpus import enumerate_lcs
+from lcscohom.extensions import _cochain_system
 
 STRUCTURES = [s for n in (1, 2, 3, 4) for s in enumerate_lcs(n)]
 

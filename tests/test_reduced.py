@@ -15,25 +15,26 @@ import pytest
 
 import lcscohom.reduced as reduced
 import lcscohom.verify as verify
-from lattice_oracle import LatticeTester
+from dense_views import (
+    antisymmetrization_matrix,
+    cs_chain_matrix,
+    kernel_mod_m,
+    linearity_rows,
+    reduced_boundary_matrix,
+)
+from lattice_oracle import IntegerMatrix, LatticeTester
 from lcscohom.abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from lcscohom.bicomplex import full_cohomology
 from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.errors import DegreeError, LinearityError, MalformedTableError, ShapeError
-from lcscohom.linalg import IntegerMatrix, kernel_mod_m
 from lcscohom.reduced import (
     Cochain,
     all_tuples,
     antisymmetrization_is_chain_map,
-    antisymmetrization_matrix,
     cochain_from_dict,
-    cs_chain_matrix,
-    cs_coboundary_matrix,
     cs_cocycle_group,
     cs_cohomology,
     degenerate_indices,
-    linearity_rows,
-    reduced_boundary_matrix,
     reduced_cohomology,
     reduced_coboundary,
     reduced_homology,
@@ -122,9 +123,21 @@ def test_verify_paper_refuses_a_perturbed_boundary(monkeypatch):
     }
 
 
+def test_verify_paper_refuses_rows_without_conditions(monkeypatch):
+    # With every unconstrained cocycle condition dropped, the table flipped
+    # at (1, 1) passes too, and the claim fails on its reject direction.
+    monkeypatch.setattr(verify, "_cs_cocycles", lambda s, k: [{} for _ in range(s.order**k)])
+    claims = {c["name"]: c for c in verify.verify_paper()}
+    assert claims["reduced cocycles satisfy the unconstrained cocycle condition"] == {
+        "name": "reduced cocycles satisfy the unconstrained cocycle condition",
+        "ok": False,
+        "detail": "a table flipped at (1, 1) passes too",
+    }
+
+
 def test_degree_guard():
     with pytest.raises(DegreeError):
-        reduced_boundary_matrix(T2, 0)
+        reduced_homology(T2, Z2, 0)
     with pytest.raises(DegreeError):
         reduced_cohomology(T2, Z2, 0)
 
