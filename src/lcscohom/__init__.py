@@ -22,7 +22,6 @@ from .bicomplex import (
     dh_matrix,
     dv_matrix,
     full_cohomology,
-    partial_shuffles,
     row_matches_reduced,
 )
 from .corpus import builtin_structure, enumerate_braces, enumerate_lcs, trivial_lcs

@@ -19,7 +19,9 @@ Every operator is a signed face list on tuples, as in the reduced
 complex, compiled to index maps over the lexicographic basis; the
 structural checks apply compiled face lists to formal sums of tuple
 indices, without a matrix.  Only `dh_matrix` and `dv_matrix` write a
-face list's rows out densely, for display.
+face list's rows out densely, for display.  `_full_system` is the one
+builder of the total complex's degree-n system: full cohomology, general
+classification and cohomologousness read it.
 """
 
 import functools
@@ -37,19 +39,19 @@ from .reduced import (
     _drop,
     _face_rows,
     _horizontal_faces,
+    _in_linearity_lattice,
     _index_map,
     _index_maps,
-    _linearity_span,
     _merge,
     _permute,
     all_tuples,
+    degenerate_indices,
     tuple_index,
 )
 from .structures import LinearCycleSet, require_valid_lcs
 
 __all__ = [
     "shuffle_permutations",
-    "partial_shuffles",
     "dh_matrix",
     "dv_matrix",
     "total_blocks",
@@ -65,12 +67,6 @@ __all__ = [
 # Under this factor every full cohomology group of order >= 2 that the
 # basis budget admits is still admitted, and so is trivial(1) to degree 21.
 _SHUFFLE_FACTOR = 8192
-
-
-def _check_shuffles(n: int, i: int, j: int, what: str) -> None:
-    """Budget fewer than 2**j shuffles of bidegree (i, j), whose basis
-    n**(i+j) has been checked already."""
-    check_power(2, j, what, _SHUFFLE_FACTOR, times=n ** (i + j) + i + j)
 
 
 def shuffle_permutations(r: int, j: int):
@@ -97,24 +93,12 @@ def shuffle_permutations(r: int, j: int):
     return out
 
 
-def partial_shuffles(structure: LinearCycleSet, i: int, j: int, r: int):
-    """One signed formal sum per (i+j)-tuple, as {tuple: coefficient} dicts.
-
-    The first i coordinates stay put; the last j are shuffled with the
-    (r, j-r) signs.  Coinciding terms accumulate, so sums over tuples
-    with repeated entries may cancel to empty dicts.
-    """
-    if i < 0 or j < 2:
-        raise ParameterError(f"partial shuffles need i >= 0 and j >= 2, got ({i}, {j})")
-    n = structure.order
-    check_power(n, i + j, f"the degree-{i + j} tuple basis")
-    _check_shuffles(n, i, j, f"the shuffle sums at bidegree ({i}, {j})")
-    tuples = list(all_tuples(n, i + j))
-    return [{tuples[y]: c for y, c in s.items()} for s in _shuffle_sums(n, i, j, r)]
-
-
 def _shuffle_sums(n: int, i: int, j: int, r: int):
-    """`partial_shuffles` keyed by tuple index, without its budget checks."""
+    """One signed formal sum per (i+j)-tuple, keyed by tuple index: the
+    first i coordinates stay put, and the last j are shuffled with the
+    (r, j-r) signs.  Coinciding terms accumulate, so sums over tuples with
+    repeated entries may cancel to empty dicts.  Budgets are the caller's.
+    """
     maps = _index_maps(_shuffle_faces(i, j, r), n, i + j)
     return [_apply(maps, {x: 1}) for x in range(n ** (i + j))]
 
@@ -207,24 +191,11 @@ def _total_faces(structure: LinearCycleSet, n: int):
     return out
 
 
-def _total_size(order: int, n: int) -> int:
-    """The number of coordinates of total degree n: n blocks of order**n."""
-    return n * order**n
-
-
-def full_cohomology(
-    structure: LinearCycleSet,
-    coeffs: FiniteAbelianGroup,
-    degree: int,
-    normalized: bool = False,
-):
-    """Invariant factors of the degree-n cohomology of the total complex.
-
-    The cochain group is the direct sum of the bidegree blocks (descending
-    i); kernels and coboundaries are taken within the shuffle-constrained
-    (and, when normalized, degenerate-vanishing) subgroups.
-    """
-    require_valid_lcs(structure)
+def _full_system(structure: LinearCycleSet, degree: int, normalized: bool = False):
+    """The degree-n system of the total complex, checked against the
+    budgets first, as `_tagged` reads it: cochains are the direct sum of
+    the bidegree blocks (descending i), cut down by the shuffle sums and,
+    when normalized, dead on the tuples holding the neutral element."""
     if not isinstance(degree, int) or degree < 1:
         raise DegreeError(f"degree must be an integer >= 1, got {degree!r}")
     n = structure.order
@@ -240,10 +211,10 @@ def full_cohomology(
 
     def degenerate(d):
         # the same tuples in each of the d blocks of total degree d
-        tuples = [x for x, t in enumerate(all_tuples(n, d)) if structure.zero in t]
+        tuples = degenerate_indices(structure, d)
         return {b * n**d + x for b in range(d) for x in tuples}
 
-    size = _total_size(n, degree)
+    size = degree * n**degree  # degree blocks of n**degree coordinates
     total = _total_faces(structure, degree + 1)
     cocycles = _face_rows(n, degree + 1, total, size)
     width = len(total) * n ** (degree + 1)
@@ -251,13 +222,25 @@ def full_cohomology(
         row.update(more)
     constraints = coboundaries = dead = dead_below = ()
     if degree >= 2:
-        below = _total_size(n, degree - 1)
+        below = (degree - 1) * n ** (degree - 1)
         constraints = _face_rows(n, degree - 1, shuffles(degree - 1), below)
         coboundaries = _face_rows(n, degree, _total_faces(structure, degree), below)
     if normalized:
         dead = degenerate(degree)
         dead_below = degenerate(degree - 1) if degree >= 2 else ()
-    return _cohomology(coeffs, cocycles, constraints, coboundaries, dead, dead_below)
+    return cocycles, constraints, coboundaries, dead, dead_below
+
+
+def full_cohomology(
+    structure: LinearCycleSet,
+    coeffs: FiniteAbelianGroup,
+    degree: int,
+    normalized: bool = False,
+):
+    """Invariant factors of the degree-n cohomology of the total complex,
+    on the constrained cochains of `_full_system`."""
+    require_valid_lcs(structure)
+    return _cohomology(coeffs, *_full_system(structure, degree, normalized))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +297,8 @@ def bicomplex_identity_check(structure: LinearCycleSet, max_degree: int) -> Bico
         raise DegreeError(f"max degree must be an integer >= 2, got {max_degree!r}")
     n = structure.order
     check_power(n, max_degree, f"the degree-{max_degree} tuple basis")
-    _check_shuffles(n, 0, max_degree, f"the shuffle sums of total degree {max_degree}")
+    what = f"the shuffle sums of total degree {max_degree}"
+    check_power(2, max_degree, what, _SHUFFLE_FACTOR, times=n**max_degree + max_degree)
     report = BicomplexReport(order=n, max_degree=max_degree)
     checks = report.checks
 
@@ -451,5 +435,4 @@ def column_matches_trivial_reduced(structure: LinearCycleSet, j: int) -> bool:
         return False
     faces = _vertical_faces(structure, 0, j) + _horizontal_faces(trivial, j - 1)
     maps = _index_maps(faces, n, j)
-    span = _linearity_span(structure, j - 1)
-    return all(span.contains(_apply(maps, {x: 1})) for x in range(n**j))
+    return all(_in_linearity_lattice(structure.add, _apply(maps, {x: 1})) for x in range(n**j))

@@ -12,9 +12,12 @@ cocycles, extracting cocycles from sections, deciding equivalence through
 translation isomorphisms (gamma_part + theta(base_part), base_part), and
 classifying all central extensions as cocycles modulo coboundaries, one
 cyclic coefficient factor at a time.  Equivalence and classification are
-linear algebra over Z/m on the sparse face rows of `_cochain_system`:
-tagged eliminations give cocycles and coboundaries, and Howell forms over
-Z/m (`linalg._IntegerSpan`) the least theta, class representatives and
+linear algebra over Z/m on the systems the cohomology groups are read
+from, `reduced._reduced_system` (cycle-type: the reduced H^2) and
+`bicomplex._full_system` (general: the normalized full H^2).  Tagged
+eliminations give cocycles and coboundaries, reduced ones read on every
+pair (`reduced._evaluated`), and Howell forms over Z/m
+(`linalg._IntegerSpan`) the class representatives, the least theta and
 additive sections.
 """
 
@@ -25,7 +28,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .abelian import FiniteAbelianGroup, parse_group_spec
-from .bicomplex import _check_shuffles, _into, _shuffle_faces, _total_faces, _total_size
+from .bicomplex import _full_system, _vertical_faces
 from .budget import check_basis, check_power
 from .errors import (
     CocycleError,
@@ -38,11 +41,13 @@ from .errors import (
 )
 from .linalg import _IntegerSpan, _kernel_mod, _least_solver
 from .reduced import (
+    _evaluated,
     _face_rows,
     _file_coeffs,
     _file_values,
-    _horizontal_faces,
-    _linearity_faces,
+    _presentation,
+    _reduced_system,
+    _tagged,
 )
 from .structures import (
     Brace,
@@ -814,7 +819,9 @@ def additive_section(triple: ExtensionTriple):
         for a in range(n)
         for b in range(n)
     ]
-    additive = _cochain_system(base, "cycle-type", 1)[0]
+    # the rows of dv(0, 2): (a, b) -> (a + b) - (a) - (b)
+    check_power(n, 2, "the degree-2 tuple basis")
+    additive = _face_rows(n, 2, [_vertical_faces(base, 0, 2)], n)
     tau = _least_theta(functools.partial(_least_solver, additive), g0, gamma)
     if tau is None:
         return None
@@ -993,45 +1000,6 @@ def validate_extension_triple(
     return report
 
 
-def _cochain_system(base: LinearCycleSet, flavor: str, degree: int, normalized: bool = True):
-    """A flavor's linear system on degree-1 or degree-2 cochains: sparse
-    face rows, one per cochain coordinate, each its column of the system.
-
-    Degree 2 gives the cocycle constraints: linearity, then minus the
-    degree-3 boundary (cycle-type); on pairs (f, g), the symmetry shuffles
-    of g, the total degree-3 boundary and g(0, 0) (general).  Degree 1
-    gives the constraints on theta (additivity; theta(0) = 0 when
-    normalized) and its coboundary.  Budgets are checked first.
-
-    >>> from lcscohom.corpus import builtin_structure
-    >>> additive, _ = _cochain_system(builtin_structure("trivial(2)"), "cycle-type", 1)
-    >>> [{c: x for c, x in row.items() if x} for row in additive]
-    [{0: -1, 1: -1, 2: -1, 3: 1}, {3: -2}]
-    """
-    n = base.order
-    if flavor == "cycle-type":
-        for k in (2, 3) if degree == 2 else (2, 1):
-            check_power(n, k, f"the degree-{k} tuple basis")
-        linear, horizontal = _linearity_faces(base, degree), _horizontal_faces(base, degree)
-        if degree == 2:
-            return _face_rows(n, 3, [linear, [(-s, f) for s, f in horizontal]], n * n)
-        return [_face_rows(n, 2, [faces], n) for faces in (linear, horizontal)]
-    if degree == 1:
-        check_power(n, 2, "the total degree-2 basis", factor=3, times=2)
-        constraints = [{0: 1} if normalized and a == base.zero else {} for a in range(n)]
-        return constraints, _face_rows(n, 2, _total_faces(base, 2), _total_size(n, 1))
-    check_power(n, 2, "the degree-2 tuple basis")
-    _check_shuffles(n, 0, 2, "the shuffle sums at bidegree (0, 2)")
-    check_power(n, 3, "the total degree-3 basis", factor=3, times=3)
-    size = _total_size(n, 2)
-    shuffles = [(s, _into((0, 2), face)) for s, face in _shuffle_faces(0, 2, 1)]
-    rows = _face_rows(n, 2, [shuffles], size)
-    for row, more in zip(rows, _face_rows(n, 3, _total_faces(base, 3), size, start=n * n)):
-        row.update(more)
-    rows[n * n + base.zero * (n + 1)][n * n + 3 * n**3] = 1
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Cohomologousness and equivalence
 
@@ -1047,21 +1015,17 @@ def _least_theta(solver, delta, gamma):
 @functools.lru_cache(maxsize=8)
 def _cohomologous_solver(base: LinearCycleSet, flavor: str, normalized: bool, m: int):
     """The `_least_solver` over Z/m of the degree-1 system that
-    `cocycles_cohomologous` solves, built once per (base, flavor,
-    normalized, m); only the right-hand side changes between calls.
-
-    Column a is the coboundary of theta's coordinate a, followed, past the
-    pairs' coordinates, by its constraint entries, where the right-hand
-    side reads 0.  The solver only reduces by its Howell form, and
-    `_IntegerSpan.reduce` never mutates the pivot rows, so one cached
-    solver serves every call.
-    """
-    constraints, coboundaries = _cochain_system(base, flavor, 1, normalized)
-    pairs = (1 if flavor == "cycle-type" else 2) * base.order**2
-    columns = [
-        {**b, **{pairs + c: x for c, x in r.items()}} for r, b in zip(constraints, coboundaries)
-    ]
-    return _least_solver(columns, m)
+    `cocycles_cohomologous` solves, cached per (base, flavor, normalized,
+    m): column y is theta's coordinate y in the flavor's degree-1 system,
+    its coboundary beside its constraints.  A reduced theta lives on the
+    generators of (A, +), so each column is tagged with its values on
+    every element, and the least theta is read off the tags."""
+    if flavor == "cycle-type":
+        rows, tags, _b_rows, _b_tags = _tagged(*_reduced_system(base, 1, normalized))
+        tags = [_evaluated(base.add, tag) for tag in tags]
+    else:
+        rows, tags, _b_rows, _b_tags = _tagged(*_full_system(base, 1, normalized))
+    return _least_solver(rows, m, tags, base.order)
 
 
 def _same_setting(c1, c2):
@@ -1086,15 +1050,18 @@ def cocycles_cohomologous(c1, c2, normalized: bool = False):
     base = c1.base
     gamma = c1.coeffs
     if isinstance(c1, ReducedTwoCocycle):
-        flavor, tables = "cycle-type", [(c1.f, c2.f)]
+        # the coboundary is last-linear: it is matched on the generators
+        gens = _presentation(base.add)[0]
+        flavor = "cycle-type"
+        delta = [gamma.sub(r2[s], r1[s]) for r1, r2 in zip(c1.f, c2.f) for s in gens]
     else:
         flavor, tables = "general", [(c1.f, c2.f), (c1.g, c2.g)]
-    delta = [
-        gamma.sub(y, x)
-        for t1, t2 in tables
-        for r1, r2 in zip(t1, t2)
-        for x, y in zip(r1, r2)
-    ]
+        delta = [
+            gamma.sub(y, x)
+            for t1, t2 in tables
+            for r1, r2 in zip(t1, t2)
+            for x, y in zip(r1, r2)
+        ]
     solver = functools.partial(_cohomologous_solver, base, flavor, normalized)
     theta = _least_theta(solver, delta, gamma)
     return theta is not None, theta
@@ -1229,13 +1196,19 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
         raise ParameterError(f"unknown classification flavor {flavor!r}")
     require_valid_lcs(base)
     n = base.order
-    cocycles = _cochain_system(base, flavor, 2)
-    constraints, coboundaries = _cochain_system(base, flavor, 1)
-    width = len(cocycles)
+    # Z and B of the theory's own degree-2 system; reduced cochains are
+    # solved for on generators of (A, +) and read on every pair
+    if flavor == "cycle-type":
+        system, width = _reduced_system(base, 2), n * n
+        table = functools.partial(_evaluated, base.add)
+    else:  # pairs (f, g) are kept on every pair already
+        system, width = _full_system(base, 2, normalized=True), 2 * n * n
+        table = dict
+    k_rows, k_tags, b_rows, b_tags = _tagged(*system)
     per_m = {}
     for m in set(gamma.factors):
-        z_gens = _kernel_mod(cocycles, [{x: 1} for x in range(width)], m)
-        b_form = _IntegerSpan(_kernel_mod(constraints, coboundaries, m), m)
+        z_gens = list(map(table, _kernel_mod(k_rows, k_tags, m)))
+        b_form = _IntegerSpan(map(table, _kernel_mod(b_rows, b_tags, m)), m)
         per_m[m] = (z_gens, b_form, _IntegerSpan(z_gens, m).order // b_form.order)
     check_basis(
         math.prod(per_m[m][2] for m in gamma.factors) * (gamma.order * n) ** 2,

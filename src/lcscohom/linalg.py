@@ -12,12 +12,13 @@ sparse rows, read off one tagged elimination, and K / B comes from the
 orders of p^i K + B.  No floating point is used anywhere.
 
 The other kernel, `_IntegerSpan`, merges sparse rows by extended gcds.
-Over Z it decides membership in the integer span of the face lists'
-relation rows.  Over Z/m it is the Howell form, which gives the least
-element of a coset: class representatives, equivalence witnesses and
-least solutions mod m (`_least_solution`).  Lexicographic order does not
-survive a split of Z/m into its prime powers, so `_kernel_mod` first
-glues the prime-power kernels into sparse generators over Z/m.
+Over Z it decides membership in the integer span of the shuffle sums,
+for the bicomplex checks.  Over Z/m it is the Howell form, which gives
+the least element of a coset: class representatives, equivalence
+witnesses and least solutions mod m (`_least_solver`), also read in
+other coordinates through tags.  Lexicographic order does not survive a
+split of Z/m into its prime powers, so `_kernel_mod` first glues the
+prime-power kernels into sparse generators over Z/m.
 
 There is no dense matrix type: every operator reaches both kernels as
 sparse rows, and kernels and solutions come back as sparse rows or plain
@@ -329,41 +330,38 @@ def _gcdex(a: int, b: int):
     return a, s0, t0
 
 
-def _least_solution(columns, rhs, m: int):
-    """The lexicographically least x in (Z/m)^n with sum_j x_j columns_j ==
-    rhs (mod m), or None when there is none.
+def _least_solver(columns, m: int, tags=None, size=None):
+    """The function from rhs to the lexicographically least x in (Z/m)^n
+    with sum_j x_j columns_j == rhs (mod m), or to None when there is none.
 
     The columns are sparse {row: entry} dicts, and rows past rhs read 0.
-    The Howell form of the rows {**columns_j, width + j: 1} reduces -rhs to
-    the least element of its coset, (sum_j x_j columns_j - rhs, x) over all
-    x, whose first block vanishes exactly when a solution exists, and whose
-    second block is then the least solution (Storjohann and Mulders, 1998).
-    `_least_solver` builds the form once for many right-hand sides.
+    The Howell form of the rows {**columns_j, width + j: 1}, built once,
+    reduces -rhs to the least element of its coset, (sum_j x_j columns_j -
+    rhs, x) over all x, whose first block vanishes exactly when a solution
+    exists, and whose second block is then the least solution (Storjohann
+    and Mulders, 1998).  `_IntegerSpan.reduce` never mutates the pivot
+    rows, so the function may be kept and called again.  Over Z/4,
+    2 x_0 + x_1 = 1 is solved least by (0, 1); neither 2 x_0 = 1 nor
+    x_0 = 1 with x_0 = 0 past the end of rhs has a solution:
 
-    Over Z/4, 2 x_0 + x_1 = 1 is solved least by (0, 1); neither 2 x_0 = 1
-    nor x_0 = 1 with x_0 = 0 past the end of rhs has a solution.
-
-    >>> _least_solution([{0: 2}, {0: 1}], [1], 4)
+    >>> _least_solver([{0: 2}, {0: 1}], 4)([1])
     [0, 1]
-    >>> _least_solution([{0: 2}], [1], 4) is None
-    True
-    >>> _least_solution([{0: 1, 1: 1}], [1], 4) is None
-    True
+    >>> _least_solver([{0: 2}], 4)([1]), _least_solver([{0: 1, 1: 1}], 4)([1])
+    (None, None)
+
+    With `tags`, row j carries the sparse tags[j] in place of e_j, and the
+    least sum_j x_j tags_j over the solutions comes back, as `size`
+    entries.  2 x = 2 is solved least by x = 1, but the tag (3, 1) reads
+    x = 3 as (1, 3), which is less than (3, 1):
+
+    >>> _least_solver([{0: 2}], 4, [{0: 3, 1: 1}], 2)([2])
+    [1, 3]
     """
-    return _least_solver(columns, m)(rhs)
-
-
-def _least_solver(columns, m: int):
-    """`_least_solution` for fixed columns: the function from rhs to the
-    least solution, or None, with the Howell form built once.
-
-    Rows of rhs that no column reaches must vanish mod m; the others are
-    reduced by the form.  `_IntegerSpan.reduce` never mutates the pivot
-    rows, so the function may be kept and called again.
-    """
+    if tags is None:
+        tags, size = [{j: 1} for j in range(len(columns))], len(columns)
     width = max([0] + [c + 1 for col in columns for c in col])
-    form = _IntegerSpan(({**col, width + j: 1} for j, col in enumerate(columns)), m)
-    count = len(columns)
+    rows = ({**col, **{width + t: x for t, x in tag.items()}} for col, tag in zip(columns, tags))
+    form = _IntegerSpan(rows, m)
 
     def solve(rhs):
         if any(x % m for x in rhs[width:]):
@@ -371,7 +369,7 @@ def _least_solver(columns, m: int):
         reduced = form.reduce({r: -x for r, x in enumerate(rhs[:width])})
         if any(c < width for c in reduced):
             return None
-        return [reduced.get(width + j, 0) for j in range(count)]
+        return [reduced.get(width + t, 0) for t in range(size)]
 
     return solve
 

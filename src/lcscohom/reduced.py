@@ -20,19 +20,22 @@ needed only on the (k+1)-tuples (p', s_j), and each is the boundary of
 that generator read in degree-k coordinates (`_presented_boundary`).
 With normalization, the dead coordinates are the (p, j) whose prefix p
 holds the neutral element; the tuples with 0 last vanish by linearity.
+`_reduced_system` is the one builder of these systems, and `_evaluated`
+reads their solutions on every tuple.  Membership modulo linearity is
+decided on normal forms (`_in_linearity_lattice`).
 
 Degree-k bases grow as |A|^k, so everything checks the basis budget
-before writing any rows.  Every boundary, linearity, shuffle and
-permutation operator here and in the bicomplex is a signed list of face
-maps on tuples (act by the dot operation, merge by +, drop or permute
+before writing any rows.  Every boundary, shuffle and permutation
+operator here and in the bicomplex is a signed list of face maps on
+tuples (act by the dot operation, merge by +, drop or permute
 coordinates).  A face is compiled, once per call, into an index map over
 the lexicographically ordered basis: entry x of the map is the index of
 the image of tuple x, built by whole-list arithmetic on the tables
 (`_index_map`).  `_face_rows` writes compiled face lists into the sparse
-rows that the unconstrained, full and extension systems are reduced
-from; they are the one operator format of the package.  The chain-map and
-structural checks send formal sums of tuple indices through compiled
-face lists (`_apply`), without a matrix.
+rows that the unconstrained and full systems and the additive sections
+are reduced from; they are the one operator format of the package.  The
+chain-map and structural checks send formal sums of tuple indices
+through compiled face lists (`_apply`), without a matrix.
 
 The boundary of a tuple (a_1, ..., a_k) is
 
@@ -61,7 +64,7 @@ from .errors import (
     MalformedTableError,
     ShapeError,
 )
-from .linalg import _IntegerSpan, _subquotient_mod
+from .linalg import _subquotient_mod
 from .structures import LinearCycleSet, require_valid_lcs
 
 __all__ = [
@@ -159,8 +162,8 @@ def _compose(second, first):
     ]
 
 
-def _cohomology(coeffs, cocycles, constraints, coboundaries, dead=(), dead_below=()):
-    """Invariant factors of ker delta_k / delta(C^(k-1)) on constrained cochains.
+def _tagged(cocycles, constraints, coboundaries, dead=(), dead_below=()):
+    """The tagged rows of a degree-k system, (k_rows, k_tags, b_rows, b_tags).
 
     `cocycles[x]` is column x of the constraints and delta_k side by side,
     so the identity tags of its kernel span the cocycles.  Column y of the
@@ -171,8 +174,13 @@ def _cohomology(coeffs, cocycles, constraints, coboundaries, dead=(), dead_below
     live = [x for x in range(len(cocycles)) if x not in dead]
     below = [y for y in range(len(constraints)) if y not in dead_below]
     k_rows, k_tags = [cocycles[x] for x in live], [{x: 1} for x in live]
-    b_rows, b_tags = [constraints[y] for y in below], [coboundaries[y] for y in below]
-    return _over_factors(coeffs, partial(_subquotient_mod, k_rows, k_tags, b_rows, b_tags))
+    return k_rows, k_tags, [constraints[y] for y in below], [coboundaries[y] for y in below]
+
+
+def _cohomology(coeffs, *system):
+    """Invariant factors of ker delta_k / delta(C^(k-1)) on the constrained
+    cochains of a system, as `_tagged` reads it."""
+    return _over_factors(coeffs, partial(_subquotient_mod, *_tagged(*system)))
 
 
 def _over_factors(coeffs, invariants):
@@ -289,19 +297,6 @@ def _horizontal_faces(structure: LinearCycleSet, i: int):
     faces += [((-1) ** p, _merge(structure.add, p)) for p in range(1, i)]
     faces.append(((-1) ** i, _drop(i - 1)))
     return faces
-
-
-def _linearity_faces(structure: LinearCycleSet, k: int):
-    """(prefix, a, b) -> (prefix, a + b) - (prefix, a) - (prefix, b)."""
-    return [(1, _merge(structure.add, k)), (-1, _drop(k)), (-1, _drop(k - 1))]
-
-
-def _linearity_span(structure: LinearCycleSet, k: int) -> _IntegerSpan:
-    """The integer span of the linearity relations among k-tuples, keyed
-    by tuple index."""
-    n = structure.order
-    maps = _index_maps(_linearity_faces(structure, k), n, k + 1)
-    return _IntegerSpan(_apply(maps, {x: 1}) for x in range(n ** (k + 1)))
 
 
 def degenerate_indices(structure: LinearCycleSet, k: int):
@@ -575,6 +570,62 @@ def _presentation(add) -> tuple:
     return tuple(gens), tuple(orders), tuple(powers), tuple(coords[a] for a in range(n))
 
 
+def _evaluated(add, vec) -> dict:
+    """A last-linear cochain given on generators, read on every tuple.
+
+    vec maps the coordinate (p, j), at index(p) * r + j, to u_(p,j) = phi(p,
+    s_j) for the generators of `_presentation`; the result maps the tuple
+    (p, a), at index(p) * n + a, to phi(p, a) = sum of c_j(a) u_(p,j),
+    nonzero entries only.  Over Z/4, with s_0 = 1, u = (1, 3) on the
+    prefixes 0 and 1 reads a and 3a:
+
+    >>> z4 = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
+    >>> _evaluated(z4, {0: 1, 1: 3})
+    {1: 1, 2: 2, 3: 3, 5: 3, 6: 6, 7: 9}
+    """
+    n = len(add)
+    coords = _presentation(add)[3]
+    out = defaultdict(int)
+    for x, u in vec.items():
+        p, j = divmod(x, len(coords[0]))
+        for a, c in enumerate(coords):
+            out[p * n + a] += c[j] * u
+    return {y: v for y, v in sorted(out.items()) if v}
+
+
+def _in_linearity_lattice(add, chain) -> bool:
+    """Whether a formal sum {tuple index: coefficient} of k-tuples lies in
+    the integer span of the linearity relations (p, a + b) - (p, a) - (p, b).
+
+    That span is the kernel of sum of c (p, a) -> sum of c a in (A, +),
+    prefix by prefix, so each prefix's sum is taken in normal form and
+    carried through the power relations o_j s_j = sum of r_ji s_i, from
+    the last generator down; it must leave no remainder.  On Z/4, (0, 1)
+    + (0, 3) and 4 (1, 1) vanish, (0, 1) + (1, 3) does not:
+
+    >>> z4 = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
+    >>> _in_linearity_lattice(z4, {1: 1, 3: 1}), _in_linearity_lattice(z4, {5: 4})
+    (True, True)
+    >>> _in_linearity_lattice(z4, {1: 1, 7: 1})
+    False
+    """
+    n = len(add)
+    _gens, orders, powers, coords = _presentation(add)
+    sums = defaultdict(lambda: [0] * len(orders))
+    for x, c in chain.items():
+        acc = sums[x // n]
+        for i, ci in enumerate(coords[x % n]):
+            acc[i] += c * ci
+    for acc in sums.values():
+        for j in reversed(range(len(orders))):
+            q, acc[j] = divmod(acc[j], orders[j])
+            if acc[j]:
+                return False
+            for i, x in enumerate(powers[j]):
+                acc[i] += q * x
+    return True
+
+
 def _presented_boundary(structure: LinearCycleSet, k: int):
     """The degree-k boundary in presentation coordinates, as rows.
 
@@ -619,19 +670,6 @@ def _presented_relations(structure: LinearCycleSet, k: int, start: int):
     ]
 
 
-def _presented_system(structure: LinearCycleSet, k: int):
-    """Rows of the degree-k coordinates: the degree-(k+1) boundary in its
-    columns, then the degree-k relations from column |A|^k r on.  Column
-    x of row y is the coefficient of cochain coordinate y in the cocycle
-    condition or relation x, and of chain coordinate y in the boundary or
-    relation x."""
-    r = len(_presentation(structure.add)[0])
-    rows = _presented_boundary(structure, k + 1)
-    for row, relations in zip(rows, _presented_relations(structure, k, structure.order**k * r)):
-        row.update(relations)
-    return rows
-
-
 def _dead(structure: LinearCycleSet, k: int):
     """The degree-k coordinates (p, j) whose prefix p holds the neutral
     element; none below degree 2."""
@@ -641,37 +679,47 @@ def _dead(structure: LinearCycleSet, k: int):
     return [x * r + j for x in degenerate_indices(structure, k - 1) for j in range(r)]
 
 
-def reduced_cohomology(
-    structure: LinearCycleSet,
-    coeffs: FiniteAbelianGroup,
-    k: int,
-    normalized: bool = False,
-):
-    """Invariant factors of the degree-k reduced cohomology group.
+def _reduced_system(structure: LinearCycleSet, k: int, normalized: bool = False):
+    """The degree-k reduced system, checked against the budgets first, as
+    `_tagged` reads it.
 
     A last-linear cochain is given by its values u_(p,j) = phi(p, s_j) on
-    the generators s_j of `_presentation`, one per (k-1)-tuple p and
-    generator index j, subject to the relations
-    o_j u_(p,j) = sum over i < j of r_ji u_(p,i).  The cocycles are the
-    solutions that also meet the cocycle condition on every (k+1)-tuple
-    (p', s_j); the coboundaries are the coboundaries of the degree-(k-1)
-    solutions, read in the same coordinates.  When normalized, the
-    coordinates (p, j) whose prefix p holds the neutral element are zero,
-    in both degrees.  Degree 1 has no coboundaries below.
+    the generators s_j of `_presentation`, subject to the relations
+    o_j u_(p,j) = sum over i < j of r_ji u_(p,i).  Row y of `cocycles`
+    holds the coefficients of coordinate y in the cocycle conditions at
+    the (k+1)-tuples (p', s_j), then from column |A|^k r on in the
+    relations; read by columns, the same rows are the boundaries of the
+    degree-(k+1) generators and the relations, as chains.  When
+    normalized, the coordinates (p, j) whose prefix p holds the neutral
+    element are dead, in both degrees.
     """
-    require_valid_lcs(structure)
     _check_degree(k)
     n = structure.order
     check_power(n, k, f"the degree-{k} tuple basis")
     check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
-    cocycles = _presented_system(structure, k)
+    r = len(_presentation(structure.add)[0])
+    cocycles = _presented_boundary(structure, k + 1)
+    for row, relations in zip(cocycles, _presented_relations(structure, k, n**k * r)):
+        row.update(relations)
     constraints = coboundaries = dead = dead_below = ()
     if k >= 2:
         constraints = _presented_relations(structure, k - 1, 0)
         coboundaries = _presented_boundary(structure, k)
     if normalized:
         dead, dead_below = set(_dead(structure, k)), set(_dead(structure, k - 1))
-    return _cohomology(coeffs, cocycles, constraints, coboundaries, dead, dead_below)
+    return cocycles, constraints, coboundaries, dead, dead_below
+
+
+def reduced_cohomology(
+    structure: LinearCycleSet,
+    coeffs: FiniteAbelianGroup,
+    k: int,
+    normalized: bool = False,
+):
+    """Invariant factors of the degree-k reduced cohomology group, on the
+    solutions of `_reduced_system`."""
+    require_valid_lcs(structure)
+    return _cohomology(coeffs, *_reduced_system(structure, k, normalized))
 
 
 def reduced_homology(
@@ -692,30 +740,23 @@ def reduced_homology(
     group modulo the image from degree 2.
     """
     require_valid_lcs(structure)
-    _check_degree(k)
-    n = structure.order
-    check_power(n, k, f"the degree-{k} tuple basis")
-    check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
-    r = len(_presentation(structure.add)[0])
+    cocycles, constraints, coboundaries, dead, dead_below = _reduced_system(structure, k, normalized)
 
-    def chains(d):
-        # the boundaries of the degree-d generators, then the relations of
-        # degree d - 1, as the columns of their rows
-        system = _presented_system(structure, d - 1)
-        vectors = [{} for _ in range(n ** (d - 1) * r + len(system))]
-        for y, row in enumerate(system):
+    def columns(rows, width):
+        vectors = [{} for _ in range(width)]
+        for y, row in enumerate(rows):
             for c, x in row.items():
                 vectors[c][y] = x
-        if normalized:
-            vectors += [{y: 1} for y in _dead(structure, d - 1)]
         return vectors
 
-    # cycles are the x whose boundary lies in the relations below; their
-    # rows carry x as a tag, the relation rows carry nothing
-    size = n ** (k - 1) * r
-    rows = chains(k) if k >= 2 else [{}] * size
+    # cycles are the x whose boundary lies in the relations and the dead
+    # generators below; their rows carry x as a tag, the others nothing
+    size = len(cocycles)
+    rows = columns(coboundaries, size) + columns(constraints, len(constraints))
+    rows += [{y: 1} for y in sorted(dead_below)]
     tags = [{x: 1} for x in range(size)] + [{}] * (len(rows) - size)
-    bound = chains(k + 1)
+    # boundaries of the generators above, relations and dead generators
+    bound = columns(cocycles, (structure.order + 1) * size) + [{y: 1} for y in sorted(dead)]
     return _over_factors(coeffs, partial(_subquotient_mod, rows, tags, [{}] * len(bound), bound))
 
 
@@ -789,5 +830,4 @@ def antisymmetrization_is_chain_map(structure: LinearCycleSet, k: int) -> bool:
     lower = _index_maps(_antisymmetrization_faces(k - 1), n, k - 1)
     cs = _index_maps(_cs_faces(structure, k), n, k)
     diff = _compose(boundary, upper) + [(-s, f) for s, f in _compose(lower, cs)]
-    span = _linearity_span(structure, k - 1)
-    return all(span.contains(_apply(diff, {x: 1})) for x in range(n**k))
+    return all(_in_linearity_lattice(structure.add, _apply(diff, {x: 1})) for x in range(n**k))

@@ -17,6 +17,7 @@ from collections import defaultdict
 
 from .abelian import FiniteAbelianGroup
 from .bicomplex import (
+    _full_system,
     bicomplex_identity_check,
     column_matches_trivial_reduced,
     full_cohomology,
@@ -26,7 +27,6 @@ from .corpus import builtin_structure, enumerate_braces, enumerate_lcs, trivial_
 from .extensions import (
     FullTwoCocycle,
     ReducedTwoCocycle,
-    _cochain_system,
     additive_section,
     build_brace_extension,
     build_extension_full,
@@ -49,6 +49,7 @@ from .reduced import (
     _cs_cocycles,
     _horizontal_faces,
     _index_maps,
+    _tagged,
     antisymmetrization_is_chain_map,
     cs_cocycle_group,
     cs_cohomology,
@@ -406,7 +407,8 @@ def verify_paper(seed: int = 0):
         # random elements of the normalized full 2-cocycle group, each also
         # perturbed in one entry, so both verdicts of the criterion occur
         rng = random.Random(seed)
-        gens = _kernel_mod(_cochain_system(z4, "general", 2), [{x: 1} for x in range(32)], 2)
+        rows, tags, _b_rows, _b_tags = _tagged(*_full_system(z4, 2, normalized=True))
+        gens = _kernel_mod(rows, tags, 2)
         draws = 500
         valid_seen = invalid_seen = 0
         for _ in range(draws):

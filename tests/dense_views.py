@@ -4,7 +4,9 @@ The library writes every differential and constraint as sparse face rows
 (`lcscohom.reduced._face_rows`) and lays out none of them densely but
 `dh_matrix` and `dv_matrix`.  Each builder here is the dense view of the
 face list the library reduces, looked up on the library's modules at
-each call, so that a patched face list reaches both.  Tests can then
+each call, so that a patched face list reaches both; `linearity_rows`
+views the linearity faces of `linearity_oracle`, which the library
+solves around on generators of (A, +) and no longer writes.  Tests can then
 multiply, transpose and compare whole matrices, and hand them to the
 Smith-form oracle of `lattice_oracle`.  `dh_matrix` and `dv_matrix` wrap the library's lists
 of rows in the same matrix type, and `kernel_mod_m` lays out the sparse kernel generators
@@ -12,6 +14,7 @@ of `lcscohom.linalg._kernel_mod` as matrix columns.
 """
 
 from lattice_oracle import IntegerMatrix
+from linearity_oracle import linearity_faces
 from lcscohom import bicomplex, reduced
 from lcscohom.linalg import _kernel_mod
 
@@ -63,7 +66,7 @@ def cs_coboundary_matrix(s, k: int) -> IntegerMatrix:
 
 def linearity_rows(s, k: int) -> IntegerMatrix:
     """One row per (prefix, a, b): (prefix, a + b) - (prefix, a) - (prefix, b)."""
-    return face_matrix(s.order, k + 1, [reduced._linearity_faces(s, k)], s.order**k).transpose()
+    return face_matrix(s.order, k + 1, [linearity_faces(s, k)], s.order**k).transpose()
 
 
 def antisymmetrization_matrix(s, k: int) -> IntegerMatrix:

@@ -23,7 +23,6 @@ from lcscohom.bicomplex import (
     bicomplex_identity_check,
     column_matches_trivial_reduced,
     full_cohomology,
-    partial_shuffles,
     row_matches_reduced,
     shuffle_permutations,
     total_blocks,
@@ -49,6 +48,15 @@ def test_shuffle_permutations_frozen():
         shuffle_permutations(0, 2)
     with pytest.raises(ParameterError):
         shuffle_permutations(2, 2)
+
+
+def partial_shuffles(s, i, j, r):
+    """The shuffle sums of bidegree (i, j) and type (r, j - r), keyed by tuple."""
+    tuples = list(all_tuples(s.order, i + j))
+    return [
+        {tuples[y]: c for y, c in sums.items()}
+        for sums in bicomplex._shuffle_sums(s.order, i, j, r)
+    ]
 
 
 def test_partial_shuffles_frozen():

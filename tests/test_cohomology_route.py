@@ -22,8 +22,11 @@ import pkgutil
 import tracemalloc
 from collections import Counter
 
+import pytest
+
 import lcscohom
 import lcscohom.bicomplex
+import lcscohom.extensions
 import lcscohom.reduced
 from lcscohom.abelian import parse_group_spec
 from lcscohom.bicomplex import bicomplex_identity_check, full_cohomology
@@ -65,7 +68,8 @@ FROZEN = {
 # Normalization changes the full group from degree 4 on.
 FULL_FOUR = {False: {2: 20}, True: {2: 18}}
 
-# The dense matrix type and the dense builders that left the package.
+# The dense matrix type and the dense builders that left the package, and
+# the names the one builder per degree-2 system replaced.
 DELETED = (
     "IntegerMatrix",
     "kernel_mod_m",
@@ -78,6 +82,11 @@ DELETED = (
     "antisymmetrization_matrix",
     "shuffle_rows",
     "total_chain_matrix",
+    # the second builders of the degree-2 systems and the linearity block
+    "_cochain_system",
+    "_linearity_faces",
+    "_linearity_span",
+    "partial_shuffles",
 )
 # The dense view of the --bidegree dump, which no computing route reads.
 DENSE_VIEW = ("dh_matrix", "dv_matrix", "_dense")
@@ -164,14 +173,53 @@ def test_no_dense_matrix_on_the_route(monkeypatch):
 
 def test_no_linearity_block_on_the_reduced_route(monkeypatch):
     # reduced cochains and chains are solved for on generators of (A, +),
-    # so the linearity relations over every tuple are never written
-    monkeypatch.setattr(lcscohom.reduced, "_linearity_faces", refuse)
+    # so no face row over every tuple is written: the linearity relations
+    # least of all
+    monkeypatch.setattr(lcscohom.reduced, "_face_rows", refuse)
     coeffs = parse_group_spec("Z/2+Z/4")
     for normalized in (False, True):
         for k in (1, 2, 3):
             for fn in (reduced_cohomology, reduced_homology):
                 got = fn(Z4LCS, coeffs, k, normalized)
                 assert Counter(got) == FROZEN[fn.__name__, k], (fn.__name__, k, normalized)
+
+
+class Stopped(Exception):
+    pass
+
+
+def test_one_builder_per_degree_two_system(monkeypatch):
+    # classification, cohomologousness and cohomology all read the reduced
+    # and the full systems from the one builder of each theory
+    gamma = parse_group_spec("Z/2")
+    classes = {f: classify_extensions(Z4LCS, gamma, f) for f in ("cycle-type", "general")}
+    builders = (
+        ("cycle-type", lcscohom.reduced, "_reduced_system", reduced_cohomology),
+        ("general", lcscohom.bicomplex, "_full_system", full_cohomology),
+    )
+    for flavor, module, name, cohomology in builders:
+        calls = []
+
+        def stop(structure, degree, normalized=False, calls=calls):
+            calls.append((degree, normalized))
+            raise Stopped
+
+        lcscohom.extensions._cohomologous_solver.cache_clear()
+        with monkeypatch.context() as patch:
+            for holder in (module, lcscohom.extensions):
+                patch.setattr(holder, name, stop)
+            first, second = classes[flavor][:2]
+            runs = (
+                lambda: classify_extensions(Z4LCS, gamma, flavor),
+                lambda: cocycles_cohomologous(first.cocycle, second.cocycle, True),
+                lambda: cohomology(Z4LCS, gamma, 2, True),
+            )
+            for run in runs:
+                with pytest.raises(Stopped):
+                    run()
+        normalized = flavor == "general"
+        assert calls == [(2, normalized), (1, True), (2, True)], flavor
+    lcscohom.extensions._cohomologous_solver.cache_clear()
 
 
 def test_full_degree_four_stays_small():

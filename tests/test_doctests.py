@@ -38,12 +38,18 @@ def test_examples_are_collected():
     sources = [ex.source for ex in finder.find(linalg._IntegerSpan)[0].examples]
     assert any(".contains(" in src for src in sources)
     assert any(".reduce(" in src for src in sources) and any(".order" in src for src in sources)
-    assert finder.find(linalg._least_solution)[0].examples
     assert finder.find(linalg._kernel_mod)[0].examples
     reduced = importlib.import_module("lcscohom.reduced")
     assert len(finder.find(reduced._apply)[0].examples) >= 3
     names = {t.name for t in finder.find(reduced) if t.examples}
     assert "lcscohom.reduced._presentation" in names
+    # reduced cochains are read on every tuple, and chains tested modulo
+    # linearity, through the presentation
+    assert "lcscohom.reduced._evaluated" in names
+    assert "lcscohom.reduced._in_linearity_lattice" in names
+    # the solver shows a least solution read in its tags' coordinates
+    sources = [ex.source for ex in finder.find(linalg._least_solver)[0].examples]
+    assert any("_least_solver(" in src and "}], " in src for src in sources)
     # every face's index-map builder shows its map on order 2
     bicomplex = importlib.import_module("lcscohom.bicomplex")
     builders = (
@@ -61,7 +67,6 @@ def test_examples_are_collected():
     names = {t.name for t in finder.find(extensions) if t.examples}
     assert "lcscohom.extensions._addition_index" in names
     assert "lcscohom.extensions._cocycle_plan" in names
-    assert "lcscohom.extensions._cochain_system" in names
     assert "lcscohom.extensions._class_representatives" in names
     # the JSON writer shows a table's rows, and the enumeration its count
     structures = importlib.import_module("lcscohom.structures")

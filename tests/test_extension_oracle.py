@@ -13,23 +13,25 @@ class cocycles must be refused both as cocycles and as built totals.
 """
 
 import itertools
+import math
 
 import pytest
 
-from dense_views import dense_view
+from dense_views import kernel_mod_m
 from extension_oracle import (
     class_cocycles,
     search_theta,
     theta_constraints,
     two_cocycle_system,
 )
+from test_presentation import relabeled
 from lcscohom import verify
 from lcscohom.abelian import parse_group_spec
+from lcscohom.bicomplex import _full_system, full_cohomology
 from lcscohom.corpus import builtin_structure, enumerate_lcs
 from lcscohom.extensions import (
     FullTwoCocycle,
     ReducedTwoCocycle,
-    _cochain_system,
     build_extension_full,
     build_extension_reduced,
     classify_extensions,
@@ -40,6 +42,8 @@ from lcscohom.extensions import (
     is_reduced_2cocycle,
     validate_extension_triple,
 )
+from lcscohom.linalg import _IntegerSpan, _kernel_mod
+from lcscohom.reduced import _evaluated, _reduced_system, _tagged, reduced_cohomology
 from lcscohom.structures import LinearCycleSet, validate_lcs
 
 STRUCTURES = [s for n in (1, 2, 3, 4) for s in enumerate_lcs(n)]
@@ -54,6 +58,9 @@ MAX_CLASSES = 64
 EXT8 = classify_extensions(
     builtin_structure("z4-lcs"), parse_group_spec("Z/2"), "cycle-type"
 )[1].triple.total
+# ext8 with 1 and 5 swapped presents (A, +) with a power relation
+# 2 s_1 = 2 s_0 (see test_presentation).
+EXT8_RELABELED = relabeled(EXT8, [0, 5, 2, 3, 4, 1, 6, 7])
 # Class representatives per base whose pairs are compared.
 PAIRS = 2
 
@@ -95,17 +102,52 @@ def _thetas(gamma, base, additive: bool):
     return out
 
 
+def _columns(mat):
+    return [{r: row[c] for r, row in enumerate(mat.data) if row[c]} for c in range(mat.cols)]
+
+
+def _same_subgroup(gens, others, m: int) -> bool:
+    """Whether two lists of sparse vectors generate one subgroup mod m."""
+    forms = _IntegerSpan(gens, m), _IntegerSpan(others, m)
+    return all(forms[1].reduce(g) == {} for g in gens) and all(
+        forms[0].reduce(g) == {} for g in others
+    )
+
+
 @pytest.mark.parametrize("flavor", ["cycle-type", "general"])
 def test_cochain_system_matches_the_dense_stacks(flavor):
-    # each sparse row is, entry for entry, a column of the oracle's stack
-    for s in STRUCTURES + [builtin_structure("z4-lcs"), EXT8]:
+    # Z and B from the theories' own degree-2 systems, the reduced ones
+    # evaluated on every pair, generate the subgroups mod m that the
+    # kernels of the oracle's dense stacks do
+    nontrivial = 0
+    for s in STRUCTURES + [builtin_structure("z4-lcs"), EXT8, EXT8_RELABELED]:
         constraints, cob = two_cocycle_system(s, flavor)
-        assert dense_view(_cochain_system(s, flavor, 2), constraints.rows) == constraints
-        for normalized in (False, True):
-            rows, coboundaries = _cochain_system(s, flavor, 1, normalized)
-            dense = theta_constraints(s, flavor, normalized)
-            assert dense_view(rows, dense.rows) == dense, (s, normalized)
-            assert dense_view(coboundaries, cob.rows) == cob, (s, normalized)
+        theta_rows = theta_constraints(s, flavor, normalized=True)
+        if flavor == "cycle-type":
+            system = _reduced_system(s, 2)
+        else:
+            system = _full_system(s, 2, normalized=True)
+        k_rows, k_tags, b_rows, b_tags = _tagged(*system)
+        for m in (2, 4, 6):
+            z, b = _kernel_mod(k_rows, k_tags, m), _kernel_mod(b_rows, b_tags, m)
+            if flavor == "cycle-type":
+                z, b = ([_evaluated(s.add, g) for g in gens] for gens in (z, b))
+            assert _same_subgroup(z, _columns(kernel_mod_m(constraints, m)), m), (s, m)
+            assert _same_subgroup(b, _columns(cob @ kernel_mod_m(theta_rows, m)), m), (s, m)
+            nontrivial += _IntegerSpan(z, m).order > _IntegerSpan(b, m).order
+    assert nontrivial
+
+
+@pytest.mark.parametrize("coeff", ("Z/2", "Z/4", "Z/6", "Z/2+Z/2"))
+def test_class_counts_are_the_orders_of_h2(coeff):
+    # the classification theorem: cycle-type classes are the reduced H^2,
+    # general ones the normalized full H^2
+    gamma = parse_group_spec(coeff)
+    for s in STRUCTURES + [EXT8, EXT8_RELABELED]:
+        reduced = math.prod(reduced_cohomology(s, gamma, 2))
+        full = math.prod(full_cohomology(s, gamma, 2, normalized=True))
+        assert len(classify_extensions(s, gamma, "cycle-type")) == reduced, s
+        assert len(classify_extensions(s, gamma, "general")) == full, s
 
 
 @pytest.mark.parametrize("coeff", COEFFS)

@@ -12,7 +12,9 @@ import random
 
 import pytest
 
+import lcscohom.bicomplex
 import lcscohom.extensions
+import lcscohom.reduced
 from lcscohom.abelian import FiniteAbelianGroup, parse_group_spec
 from lcscohom.bicomplex import full_cohomology
 from lcscohom.corpus import builtin_structure, trivial_lcs
@@ -569,7 +571,14 @@ def test_classify_budget_refuses_before_any_row(monkeypatch, flavor, message):
         raise AssertionError("a face row was written")
 
     monkeypatch.delenv("LCSCOHOM_BUDGET", raising=False)
-    monkeypatch.setattr(lcscohom.extensions, "_face_rows", refuse)
+    # the row writers of the reduced and full systems classification reads
+    for module, name in (
+        (lcscohom.reduced, "_face_rows"),
+        (lcscohom.reduced, "_presented_boundary"),
+        (lcscohom.reduced, "_presented_relations"),
+        (lcscohom.bicomplex, "_face_rows"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     limit = 20000 if flavor == "cycle-type" else 60000
     with pytest.raises(BudgetError) as info:
         classify_extensions(trivial_lcs(FiniteAbelianGroup((28,))), Z2, flavor)

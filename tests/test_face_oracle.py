@@ -12,6 +12,7 @@ elimination breaks pivot ties by that order.
 import pytest
 from face_oracle import face_rows as oracle_rows
 from face_oracle import total_keys, tuple_keys
+from linearity_oracle import linearity_faces
 
 from lcscohom.abelian import parse_group_spec
 from lcscohom.bicomplex import _into, _shuffle_faces, _total_faces, _vertical_faces, total_blocks
@@ -22,7 +23,6 @@ from lcscohom.reduced import (
     _cs_faces,
     _face_rows,
     _horizontal_faces,
-    _linearity_faces,
     _merge,
 )
 
@@ -38,10 +38,10 @@ def reduced_cases(s, d):
     below, same = tuple_keys(n, d), tuple_keys(n, k)
     cases = [
         ("horizontal", k, [_horizontal_faces(s, d)], below),
-        ("linearity", k, [_linearity_faces(s, d)], below),
+        ("linearity", k, [linearity_faces(s, d)], below),
         ("unconstrained", k, [_cs_faces(s, k)], below),
         ("antisymmetrization", k, [_antisymmetrization_faces(k)], same),
-        ("cocycle system", k, [_linearity_faces(s, d), _horizontal_faces(s, d)], below),
+        ("cocycle system", k, [linearity_faces(s, d), _horizontal_faces(s, d)], below),
     ]
     cases += [
         (f"vertical at ({i},{k - i})", k, [_vertical_faces(s, i, k - i)], below)

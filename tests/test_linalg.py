@@ -24,7 +24,7 @@ from lattice_oracle import (
     solution_lattice_mod,
 )
 from lcscohom.errors import BudgetError, LatticeError, ShapeError
-from lcscohom.linalg import _IntegerSpan, _least_solution, _prime_powers
+from lcscohom.linalg import _IntegerSpan, _least_solver, _prime_powers
 from subquotient_route import subquotient_invariants
 
 
@@ -180,17 +180,17 @@ def test_least_solution_roundtrip():
         )
         x0 = [rng.randrange(m) for _ in range(cols)]
         rhs = [v % m for v in mat.apply(x0)]
-        x = _least_solution([dict(enumerate(col)) for col in mat.transpose().data], rhs, m)
+        x = _least_solver([dict(enumerate(col)) for col in mat.transpose().data], m)(rhs)
         assert x is not None
         assert [v % m for v in mat.apply(x)] == rhs
 
 
 def test_least_solution_unsolvable():
-    assert _least_solution([{0: 2}], [1], 4) is None
-    assert _least_solution([{0: 2}], [0, 3], 4) is None
+    assert _least_solver([{0: 2}], 4)([1]) is None
+    assert _least_solver([{0: 2}], 4)([0, 3]) is None
     # a row past the end of rhs is an equation with right-hand side 0
-    assert _least_solution([{0: 1, 2: 1}], [1], 4) is None
-    assert _least_solution([{0: 1, 2: 1}, {2: 3}], [1], 4) == [1, 1]
+    assert _least_solver([{0: 1, 2: 1}], 4)([1]) is None
+    assert _least_solver([{0: 1, 2: 1}, {2: 3}], 4)([1]) == [1, 1]
 
 
 def test_lattice_quotient_frozen():

@@ -23,16 +23,20 @@ from dense_views import (
     shuffle_rows,
     total_chain_matrix,
 )
+from linearity_oracle import linearity_faces
 from lcscohom.corpus import enumerate_lcs
-from lcscohom.extensions import _cochain_system
+from lcscohom.reduced import _face_rows, _horizontal_faces
 
 STRUCTURES = [s for n in (1, 2, 3, 4) for s in enumerate_lcs(n)]
 
 
 def _cycle_type_stack(structure):
-    # linearity, then minus the degree-3 boundary: 2 n^3 constraints
-    rows = _cochain_system(structure, "cycle-type", 2)
-    return dense_view(rows, 2 * structure.order**3)
+    # linearity, then minus the degree-3 boundary: 2 n^3 constraints, the
+    # system cycle-type classification solved before it used generators
+    n = structure.order
+    horizontal = [(-s, f) for s, f in _horizontal_faces(structure, 2)]
+    rows = _face_rows(n, 3, [linearity_faces(structure, 2), horizontal], n * n)
+    return dense_view(rows, 2 * n**3)
 
 
 PINNED = {

@@ -6,9 +6,12 @@ elements they stand for, once sums are carried through the power
 relations.  Reduced cohomology and homology computed on the values at
 generators must then agree with the linearity-block route of
 `linearity_oracle` on every small cycle set, and a perturbed
-presentation must make them disagree.
+presentation must make them disagree.  Membership modulo linearity,
+decided on normal forms, must agree with the oracle's integer span of
+the linearity rows.
 """
 
+import functools
 import itertools
 
 import linearity_oracle as oracle
@@ -160,3 +163,48 @@ def test_a_perturbed_presentation_is_refused(monkeypatch, kind):
     # the relabeled ext8 first: only its power relation has a right side
     for route, reference in ROUTES:
         assert any(disagrees(route, reference, case) for case in cases(STRUCTURES[::-1])), route
+
+
+@functools.cache
+def linearity(index: int, k: int):
+    """The oracle's relation rows among the k-tuples of STRUCTURES[index],
+    and their integer span."""
+    s = STRUCTURES[index][1]
+    n = s.order
+    maps = reduced._index_maps(oracle.linearity_faces(s, k), n, k + 1)
+    rows = [reduced._apply(maps, {x: 1}) for x in range(n ** (k + 1))]
+    return rows, oracle.linearity_span(s, k)
+
+
+@st.composite
+def chains(draw):
+    """A corpus structure, a degree k and a chain on its k-tuples: an
+    integer combination of linearity relations plus up to two stray terms."""
+    index = draw(st.integers(0, len(STRUCTURES) - 1))
+    n = STRUCTURES[index][1].order
+    k = draw(st.integers(1, 3 if n <= 4 else 2))
+    rows, _span = linearity(index, k)
+    chain = {}
+    terms = [(draw(st.sampled_from(rows)), draw(st.integers(-3, 3))) for _ in range(4)]
+    stray = draw(st.lists(st.tuples(st.integers(0, n**k - 1), st.integers(-3, 3)), max_size=2))
+    terms += [({x: 1}, c) for x, c in stray]
+    for row, c in terms:
+        for x, y in row.items():
+            chain[x] = chain.get(x, 0) + c * y
+    return index, k, chain
+
+
+def test_membership_matches_the_linearity_span():
+    verdicts = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chains())
+    def check(case):
+        index, k, chain = case
+        s = STRUCTURES[index][1]
+        verdict = reduced._in_linearity_lattice(s.add, chain)
+        assert verdict == linearity(index, k)[1].contains(chain), (STRUCTURES[index][0], k)
+        verdicts.add(verdict)
+
+    check()
+    assert verdicts == {True, False}
