@@ -205,12 +205,15 @@ def _cocycle_plan(base: LinearCycleSet) -> dict:
 
 
 def _gatherer(indices):
-    """The map seq -> tuple(seq[i] for i in indices).  With one index
-    itemgetter returns a bare entry, so that case is composed by hand."""
-    if len(indices) == 1:
+    """The map seq -> tuple(seq[i] for i in indices).  With one index or
+    none itemgetter returns a bare entry or refuses, so those cases are
+    composed by hand."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    if indices:
         (only,) = indices
         return lambda seq: (seq[only],)
-    return operator.itemgetter(*indices)
+    return lambda seq: ()
 
 
 def _failing(m: int, plus, minus):
@@ -239,24 +242,38 @@ def _witnesses(n: int, names, keys):
         yield Violation(name, (a, b) if name == "addition-symmetry" else (a, b, c))
 
 
+def _columns(table):
+    """A normalized square table transposed once: one flat row-major
+    column of residues per cyclic factor, entry (a, b) at a * n + b."""
+    return list(zip(*itertools.chain.from_iterable(table)))
+
+
+def _rows(n: int, columns):
+    """The square table of coefficient elements whose per-factor residue
+    columns are given; the inverse of `_columns`."""
+    entries = tuple(zip(*columns)) or ((),) * (n * n)
+    return tuple(entries[i : i + n] for i in range(0, n * n, n))
+
+
 _REDUCED_IDENTITIES = ("second-argument-additivity", "translation-cocycle")
 
 
-def _reduced_report(structure: LinearCycleSet, coeffs, f) -> CocycleReport:
-    """is_reduced_2cocycle on a table that _as_table has normalized."""
+def _reduced_report(structure: LinearCycleSet, coeffs, f_cols) -> CocycleReport:
+    """is_reduced_2cocycle on the per-factor residue columns of f."""
     n = structure.order
     plan = _cocycle_plan(structure)
     keys = set()
-    for m, ft in zip(coeffs.factors, zip(*itertools.chain.from_iterable(f))):
+    for m, ft in zip(coeffs.factors, f_cols):
         ab, ac, a_bc, ab_c, dot = (
             plan[term](ft) for term in ("ab", "ac", "a_bc", "ab_c", "dot")
         )
         # f(a, b+c) - f(a, b) - f(a, c) and f(a+b, c) - f(a.b, a.c) - f(a, c)
         keys.update(2 * p for p in _failing(m, [a_bc], [ab, ac]))
         keys.update(2 * p + 1 for p in _failing(m, [ab_c], [dot, ac]))
-    z, zero = structure.zero, coeffs.zero
-    normalized = z is not None and all(
-        f[z][x] == zero and f[x][z] == zero for x in range(n)
+    z = structure.zero
+    # row z and column z of f vanish
+    normalized = z is not None and not any(
+        any(ft[z * n : z * n + n]) or any(ft[z::n]) for ft in f_cols
     )
     witnesses = _witnesses(n, _REDUCED_IDENTITIES, keys)
     return CocycleReport("reduced", n, normalized, witnesses)
@@ -273,7 +290,7 @@ def is_reduced_2cocycle(structure: LinearCycleSet, coeffs, f) -> CocycleReport:
     gathers are compared; the witnesses are listed when they are read.
     """
     f = _as_table(coeffs, structure.order, f, "cocycle")
-    return _reduced_report(structure, coeffs, f)
+    return _reduced_report(structure, coeffs, _columns(f))
 
 
 _FULL_IDENTITIES = (
@@ -284,16 +301,15 @@ _FULL_IDENTITIES = (
 )
 
 
-def _full_report(structure: LinearCycleSet, coeffs, f, g) -> CocycleReport:
-    """is_full_2cocycle on tables that _as_table has normalized."""
+def _full_report(structure: LinearCycleSet, coeffs, f_cols, g_cols) -> CocycleReport:
+    """is_full_2cocycle on the per-factor residue columns of f and g."""
     n = structure.order
     plan = _cocycle_plan(structure)
-    flat_g = tuple(itertools.chain.from_iterable(g))
-    # addition-symmetry is keyed at c = 0 of its row (a, b)
-    asymmetric = map(operator.ne, flat_g, plan["ba"](flat_g))
-    keys = {4 * n * p for p in itertools.compress(itertools.count(), asymmetric)}
-    columns = zip(coeffs.factors, zip(*itertools.chain.from_iterable(f)), zip(*flat_g))
-    for m, ft, gt in columns:
+    keys = set()
+    for m, ft, gt in zip(coeffs.factors, f_cols, g_cols):
+        # addition-symmetry is keyed at c = 0 of its row (a, b)
+        asymmetric = map(operator.ne, gt, plan["ba"](gt))
+        keys.update(4 * n * p for p in itertools.compress(itertools.count(), asymmetric))
         fab, fac, fa_bc, fab_c, fdot = (
             plan[term](ft) for term in ("ab", "ac", "a_bc", "ab_c", "dot")
         )
@@ -307,7 +323,7 @@ def _full_report(structure: LinearCycleSet, coeffs, f, g) -> CocycleReport:
         keys.update(4 * p + 2 for p in _failing(m, [fa_bc, gbc], [fab, fac, gdot]))
         keys.update(4 * p + 3 for p in _failing(m, [gab, gab_c], [gbc, ga_bc]))
     z = structure.zero
-    normalized = z is not None and g[z][z] == coeffs.zero
+    normalized = z is not None and not any(gt[z * n + z] for gt in g_cols)
     witnesses = _witnesses(n, _FULL_IDENTITIES, keys)
     return CocycleReport("full", n, normalized, witnesses)
 
@@ -325,12 +341,19 @@ def is_full_2cocycle(structure: LinearCycleSet, coeffs, f, g) -> CocycleReport:
     n = structure.order
     f = _as_table(coeffs, n, f, "dot cocycle")
     g = _as_table(coeffs, n, g, "addition cocycle")
-    return _full_report(structure, coeffs, f, g)
+    return _full_report(structure, coeffs, _columns(f), _columns(g))
 
 
 def _first_violation(report: CocycleReport) -> str:
     v = report.violations[0]
     return f"{v.axiom} fails at {v.witness}"
+
+
+def _require(report: CocycleReport):
+    if not report.valid:
+        raise CocycleError(
+            f"not a {report.flavor} 2-cocycle: {_first_violation(report)}", report
+        )
 
 
 @dataclass
@@ -341,11 +364,16 @@ class ReducedTwoCocycle:
 
     def __post_init__(self):
         self.f = _as_table(self.coeffs, self.base.order, self.f, "cocycle")
-        report = _reduced_report(self.base, self.coeffs, self.f)
-        if not report.valid:
-            raise CocycleError(
-                f"not a reduced 2-cocycle: {_first_violation(report)}", report
-            )
+        _require(_reduced_report(self.base, self.coeffs, _columns(self.f)))
+
+    @classmethod
+    def _from_columns(cls, base, coeffs, f_cols):
+        """The cocycle with the per-factor residue columns f_cols, checked
+        on them, so that its table is not normalized again."""
+        self = object.__new__(cls)
+        self.base, self.coeffs, self.f = base, coeffs, _rows(base.order, f_cols)
+        _require(_reduced_report(base, coeffs, f_cols))
+        return self
 
     @property
     def flavor(self) -> str:
@@ -366,11 +394,18 @@ class FullTwoCocycle:
     def __post_init__(self):
         self.f = _as_table(self.coeffs, self.base.order, self.f, "dot cocycle")
         self.g = _as_table(self.coeffs, self.base.order, self.g, "addition cocycle")
-        report = _full_report(self.base, self.coeffs, self.f, self.g)
-        if not report.valid:
-            raise CocycleError(
-                f"not a full 2-cocycle: {_first_violation(report)}", report
-            )
+        _require(_full_report(self.base, self.coeffs, _columns(self.f), _columns(self.g)))
+
+    @classmethod
+    def _from_columns(cls, base, coeffs, f_cols, g_cols):
+        """The pair with the per-factor residue columns f_cols and g_cols,
+        checked on them, so that its tables are not normalized again."""
+        self = object.__new__(cls)
+        n = base.order
+        self.base, self.coeffs = base, coeffs
+        self.f, self.g = _rows(n, f_cols), _rows(n, g_cols)
+        _require(_full_report(base, coeffs, f_cols, g_cols))
+        return self
 
     @property
     def flavor(self) -> str:
@@ -489,20 +524,36 @@ def _fiber_moves(gamma, n: int):
     return scaled, moved
 
 
+def _indices(gamma, table):
+    """A normalized square table of coefficient elements as one flat
+    row-major sequence of their indices."""
+    return tuple(map(_element_index(gamma).__getitem__, itertools.chain.from_iterable(table)))
+
+
+def _radix(gamma, columns):
+    """The coefficient indices of the entries whose per-factor residue
+    columns are given: mixed radix over the factors, as gamma.index reads
+    an element."""
+    index, *rest = columns
+    for m, column in zip(gamma.factors[1:], rest):
+        index = tuple(map(operator.add, map(operator.mul, index, itertools.repeat(m)), column))
+    return index
+
+
 def _deformed_table(gamma, n: int, base_op, deformation, carry: bool):
     """One operation table on gamma x base, element c * n + a for (c, a).
 
     (c1, a1), (c2, a2) goes to (c + deformation(a1, a2), base_op(a1, a2)),
-    where c is c1 + c2 when `carry` is set and c2 otherwise.  The rows
-    (0, a1) are read off gamma's addition index; every other row repeats
-    one of them, moved by c1 in the coefficient when `carry` is set.
-    Rows are tuples.
+    where c is c1 + c2 when `carry` is set and c2 otherwise; deformation
+    is a flat row-major sequence of coefficient indices, (a1, a2) at
+    a1 * n + a2.  The rows (0, a1) are read off gamma's addition index;
+    every other row repeats one of them, moved by c1 in the coefficient
+    when `carry` is set.  Rows are tuples.
     """
-    index = _element_index(gamma)
-    shift = [list(map(index.__getitem__, row)) for row in deformation]
     scaled, moved = _fiber_moves(gamma, n)
     first = []
-    for srow, brow in zip(shift, base_op):
+    for a1, brow in enumerate(base_op):
+        srow = deformation[a1 * n : a1 * n + n]
         row = []
         for starts in scaled:
             row += map(operator.add, map(starts.__getitem__, srow), brow)
@@ -516,6 +567,8 @@ def _deformed_table(gamma, n: int, base_op, deformation, carry: bool):
 
 
 def _deformed_tables(gamma, base, f, g):
+    """The addition and dot tables deformed by g and f, given as
+    coefficient indices."""
     n = base.order
     return (
         _deformed_table(gamma, n, base.add, g, carry=True),
@@ -531,8 +584,8 @@ def force_extension_full(gamma, base: LinearCycleSet, f, g) -> LinearCycleSet:
     neutral element is searched for, as an unchecked deformation may have
     none.
     """
-    f = _as_table(gamma, base.order, f, "dot deformation")
-    g = _as_table(gamma, base.order, g, "addition deformation")
+    f = _indices(gamma, _as_table(gamma, base.order, f, "dot deformation"))
+    g = _indices(gamma, _as_table(gamma, base.order, g, "addition deformation"))
     add, dot = _deformed_tables(gamma, base, f, g)
     order = gamma.order * base.order
     return LinearCycleSet._trusted(order, add, dot, _find_neutral(add, order))
@@ -556,7 +609,8 @@ def _canonical_triple(gamma, base, total):
 
 
 def _trusted_triple(gamma, base: LinearCycleSet, f, g) -> ExtensionTriple:
-    """The canonical triple of a normalized 2-cocycle (f, g) over a valid base.
+    """The canonical triple of a normalized 2-cocycle (f, g) over a valid
+    base, given as flat row-major coefficient indices.
 
     The caller has checked the cocycle, so by the construction lemma the
     total is a linear cycle set: its tables are not checked again, and its
@@ -565,7 +619,7 @@ def _trusted_triple(gamma, base: LinearCycleSet, f, g) -> ExtensionTriple:
     n = base.order
     z = base.zero
     add, dot = _deformed_tables(gamma, base, f, g)
-    zero_e = gamma.index(gamma.neg(g[z][z])) * n + z
+    zero_e = _addition_index(gamma)[g[z * n + z]].index(0) * n + z
     total = LinearCycleSet._trusted(gamma.order * n, add, dot, zero_e)
     return _canonical_triple(gamma, base, total)
 
@@ -594,7 +648,7 @@ def build_extension_reduced(gamma, base: LinearCycleSet, f) -> ExtensionTriple:
     if not isinstance(f, ReducedTwoCocycle):
         f = ReducedTwoCocycle(base, gamma, f)
     _in_setting(f, base, gamma)
-    return _checked_triple(gamma, base, f.f, _as_table(gamma, base.order, None, "zero"))
+    return _checked_triple(gamma, base, _indices(gamma, f.f), (0,) * base.order**2)
 
 
 def build_extension_full(gamma, base: LinearCycleSet, f, g) -> ExtensionTriple:
@@ -609,7 +663,7 @@ def build_extension_full(gamma, base: LinearCycleSet, f, g) -> ExtensionTriple:
     if not isinstance(f, FullTwoCocycle):
         f = FullTwoCocycle(base, gamma, f, g)
     _in_setting(f, base, gamma)
-    return _checked_triple(gamma, base, f.f, f.g)
+    return _checked_triple(gamma, base, _indices(gamma, f.f), _indices(gamma, f.g))
 
 
 def translate_to_lcs_pair(gamma, brace: Brace, f, g=None):
@@ -682,8 +736,8 @@ def build_brace_extension(
             report,
         )
     order = gamma.order * n
-    add = _deformed_table(gamma, n, brace.add, g, carry=True)
-    circle = _deformed_table(gamma, n, brace.circle, f, carry=True)
+    add = _deformed_table(gamma, n, brace.add, _indices(gamma, g), carry=True)
+    circle = _deformed_table(gamma, n, brace.circle, _indices(gamma, f), carry=True)
     total = Brace(order, add, circle)
     require_valid_brace(total)
     return _canonical_triple(gamma, brace, total)
@@ -728,26 +782,47 @@ def normalized_section(triple: ExtensionTriple) -> tuple:
     return tuple(sec)
 
 
-def _fiber_solve(triple: ExtensionTriple, target: int, base_point: int) -> int:
-    """The coefficient index c with iota(c) + base_point = target."""
-    add, _ = _structure_ops(triple.total)
-    for c in range(triple.gamma.order):
-        if add[triple.iota[c]][base_point] == target:
-            return c
-    raise MorphismError(
-        "difference does not lie in the kernel fiber; "
-        "the triple is not a central extension"
-    )
+def _fiber_table(triple: ExtensionTriple, section) -> list:
+    """For each base element a, the map from each sum t = iota(c) + s(a)
+    to the first coefficient index c that gives it.
 
-
-def extract_cocycle(triple: ExtensionTriple, flavor: str, section=None):
-    """Read a cocycle off a section of an extension triple.
-
-    The dot deformation at (a, b) is the kernel part of s(a).s(b) relative
-    to s(a.b); the full flavor reads the addition deformation the same way
-    from s(a) + s(b) against s(a+b).  A normalized section yields a
-    normalized cocycle.  The reduced flavor requires an additive section.
+    It costs |gamma| * |base| lookups.  A total element missing from row
+    a is not in the kernel fiber of s(a).  Where two c give one sum, the
+    first is kept, as a scan of c from 0 finds it.
     """
+    add = triple.total.add
+    lifted = [add[e] for e in triple.iota]
+    last = range(len(lifted) - 1, -1, -1)
+    # c runs down, so that the first c with a given sum is written last
+    return [dict(zip([row[s] for row in reversed(lifted)], last)) for s in section]
+
+
+_OFF_FIBER = (
+    "difference does not lie in the kernel fiber; the triple is not a central extension"
+)
+
+
+def _kernel_parts(fibers, section, base_op, total_op) -> list:
+    """Row-major over (a, b), the coefficient index c with iota(c) +
+    s(base_op(a, b)) = total_op(s(a), s(b)), read row a at a time off the
+    fiber table: one gather of the row of s(a) at the section."""
+    lift = _gatherer(section)
+    parts = []
+    for s, base_row in zip(section, base_op):
+        parts += map(dict.get, map(fibers.__getitem__, base_row), lift(total_op[s]))
+    if None in parts:
+        raise MorphismError(_OFF_FIBER)
+    return parts
+
+
+def _index_columns(gamma, indices) -> list:
+    """The per-factor residue columns of coefficient indices."""
+    elements = gamma.elements()
+    return _columns([map(elements.__getitem__, indices)])
+
+
+def _extraction(triple: ExtensionTriple, flavor: str, section):
+    """extract_cocycle, and the fiber table of the section it read."""
     if flavor not in ("reduced", "full"):
         raise ParameterError(f"unknown extraction flavor {flavor!r}")
     if isinstance(triple.total, Brace):
@@ -774,30 +849,24 @@ def extract_cocycle(triple: ExtensionTriple, flavor: str, section=None):
                         f"section is not additive at ({a}, {b}); "
                         "the reduced flavor needs an additive section"
                     )
-    f = []
-    g = []
-    for a in range(n):
-        frow = []
-        grow = []
-        for b in range(n):
-            df = _fiber_solve(
-                triple,
-                total.dot[section[a]][section[b]],
-                section[base.dot[a][b]],
-            )
-            frow.append(gamma.element(df))
-            if flavor == "full":
-                dg = _fiber_solve(
-                    triple,
-                    total.add[section[a]][section[b]],
-                    section[base.add[a][b]],
-                )
-                grow.append(gamma.element(dg))
-        f.append(tuple(frow))
-        g.append(tuple(grow))
+    fibers = _fiber_table(triple, section)
+    f = _index_columns(gamma, _kernel_parts(fibers, section, base.dot, total.dot))
     if flavor == "reduced":
-        return ReducedTwoCocycle(base, gamma, tuple(f))
-    return FullTwoCocycle(base, gamma, tuple(f), tuple(g))
+        return ReducedTwoCocycle._from_columns(base, gamma, f), fibers
+    g = _index_columns(gamma, _kernel_parts(fibers, section, base.add, total.add))
+    return FullTwoCocycle._from_columns(base, gamma, f, g), fibers
+
+
+def extract_cocycle(triple: ExtensionTriple, flavor: str, section=None):
+    """Read a cocycle off a section of an extension triple.
+
+    The dot deformation at (a, b) is the kernel part of s(a).s(b) relative
+    to s(a.b); the full flavor reads the addition deformation the same way
+    from s(a) + s(b) against s(a+b).  Kernel parts are read off one fiber
+    table of the section (`_fiber_table`).  A normalized section yields a
+    normalized cocycle.  The reduced flavor requires an additive section.
+    """
+    return _extraction(triple, flavor, section)[0]
 
 
 def additive_section(triple: ExtensionTriple):
@@ -814,15 +883,12 @@ def additive_section(triple: ExtensionTriple):
     gamma = triple.gamma
     n = base.order
     s0 = normalized_section(triple)
-    g0 = [
-        gamma.element(_fiber_solve(triple, total.add[s0[a]][s0[b]], s0[base.add[a][b]]))
-        for a in range(n)
-        for b in range(n)
-    ]
+    g0 = _kernel_parts(_fiber_table(triple, s0), s0, base.add, total.add)
     # the rows of dv(0, 2): (a, b) -> (a + b) - (a) - (b)
     check_power(n, 2, "the degree-2 tuple basis")
     additive = _face_rows(n, 2, [_vertical_faces(base, 0, 2)], n)
-    tau = _least_theta(functools.partial(_least_solver, additive), g0, gamma)
+    solver = functools.partial(_least_solver, additive)
+    tau = _least_theta(solver, _index_columns(gamma, g0), gamma)
     if tau is None:
         return None
     section = tuple(
@@ -938,6 +1004,13 @@ def validate_extension_triple(
                 return p
         return None
 
+    def first_by_rows(xs, ys, row_holds, holds):
+        # the pairs (x, y) in order; a row x is walked only if it fails
+        for x in xs:
+            if not row_holds(x):
+                return first(((x, y) for y in ys), holds)
+        return None
+
     def check(name, witness):
         checks.append(ExtensionCheck(name, witness is None, witness))
 
@@ -953,34 +1026,40 @@ def validate_extension_triple(
             == iota[gamma.index(gamma.add(gamma.element(x), gamma.element(y)))],
         ),
     )
+    fixed = tuple(range(ne))
     check(
         "kernel-trivial-translations",
-        first(
-            itertools.product(range(ng), range(ne)),
+        first_by_rows(
+            range(ng),
+            range(ne),
+            lambda x: total.dot[iota[x]] == fixed,
             lambda x, e: total.dot[iota[x]][e] == e,
         ),
     )
+    at_kernel = _gatherer(iota)
     check(
         "kernel-absorbed-by-translations",
-        first(
-            itertools.product(range(ne), range(ng)),
+        first_by_rows(
+            range(ne),
+            range(ng),
+            lambda e: at_kernel(total.dot[e]) == iota,
             lambda e, x: total.dot[e][iota[x]] == iota[x],
         ),
     )
-    check(
-        "projection-additive",
-        first(
-            itertools.product(range(ne), range(ne)),
-            lambda x, y: pi[total.add[x][y]] == base.add[pi[x]][pi[y]],
-        ),
-    )
-    check(
-        "projection-dot-morphism",
-        first(
-            itertools.product(range(ne), range(ne)),
-            lambda x, y: pi[total.dot[x][y]] == base.dot[pi[x]][pi[y]],
-        ),
-    )
+    project, projected = _gatherer(pi), pi.__getitem__
+    for name, op, base_op in (
+        ("projection-additive", total.add, base.add),
+        ("projection-dot-morphism", total.dot, base.dot),
+    ):
+        check(
+            name,
+            first_by_rows(
+                range(ne),
+                range(ne),
+                lambda x: tuple(map(projected, op[x])) == project(base_op[pi[x]]),
+                lambda x, y: pi[op[x][y]] == base_op[pi[x]][pi[y]],
+            ),
+        )
     check(
         "projection-surjective",
         None if set(pi) == set(range(n)) else "missed base elements",
@@ -1004,11 +1083,12 @@ def validate_extension_triple(
 # Cohomologousness and equivalence
 
 
-def _least_theta(solver, delta, gamma):
+def _least_theta(solver, rhs, gamma):
     """Per cyclic factor Z/m of gamma, the least x with sum_j x_j columns_j =
-    delta, from `solver(m)`, a `_least_solver` of the columns, as one
-    coefficient element per j; None if none."""
-    parts = [solver(m)(rhs) for m, rhs in zip(gamma.factors, zip(*delta))]
+    rhs_m, from `solver(m)`, a `_least_solver` of the columns, given one
+    residue column rhs_m per factor; as one coefficient element per j, or
+    None if some factor has none."""
+    parts = [solver(m)(column) for m, column in zip(gamma.factors, rhs)]
     return None if None in parts else tuple(zip(*parts))
 
 
@@ -1051,17 +1131,21 @@ def cocycles_cohomologous(c1, c2, normalized: bool = False):
     gamma = c1.coeffs
     if isinstance(c1, ReducedTwoCocycle):
         # the coboundary is last-linear: it is matched on the generators
+        n = base.order
         gens = _presentation(base.add)[0]
+        at_gens = _gatherer([a * n + s for a in range(n) for s in gens])
         flavor = "cycle-type"
-        delta = [gamma.sub(r2[s], r1[s]) for r1, r2 in zip(c1.f, c2.f) for s in gens]
+        pairs = zip(map(at_gens, _columns(c1.f)), map(at_gens, _columns(c2.f)))
     else:
-        flavor, tables = "general", [(c1.f, c2.f), (c1.g, c2.g)]
-        delta = [
-            gamma.sub(y, x)
-            for t1, t2 in tables
-            for r1, r2 in zip(t1, t2)
-            for x, y in zip(r1, r2)
-        ]
+        flavor = "general"
+        pairs = zip(
+            map(operator.add, _columns(c1.f), _columns(c1.g)),
+            map(operator.add, _columns(c2.f), _columns(c2.g)),
+        )
+    delta = [
+        tuple(map(operator.mod, map(operator.sub, y, x), itertools.repeat(m)))
+        for m, (x, y) in zip(gamma.factors, pairs)
+    ]
     solver = functools.partial(_cohomologous_solver, base, flavor, normalized)
     theta = _least_theta(solver, delta, gamma)
     return theta is not None, theta
@@ -1084,34 +1168,44 @@ def extensions_equivalent(t1: ExtensionTriple, t2: ExtensionTriple):
         raise ParameterError("extensions have different base structures")
     s1 = normalized_section(t1)
     s2 = normalized_section(t2)
-    c1 = extract_cocycle(t1, "full", s1)
-    c2 = extract_cocycle(t2, "full", s2)
+    c1, fibers = _extraction(t1, "full", s1)
+    c2 = _extraction(t2, "full", s2)[0]
     ok, theta = cocycles_cohomologous(c1, c2, normalized=True)
     if not ok:
         return False, None
     gamma = t1.gamma
-    base = t1.base
     ne = t1.total.order
-    phi = [0] * ne
-    for x in range(ne):
-        a = t1.pi[x]
-        delta = gamma.element(_fiber_solve(t1, x, s1[a]))
-        shifted = gamma.index(gamma.add(delta, theta[a]))
-        phi[x] = t2.total.add[t2.iota[shifted]][s2[a]]
+    plus = _addition_index(gamma)
+    # row a of `shift` adds theta(a) to a coefficient index
+    shift = [plus[gamma.index(t)] for t in theta]
+    add2, iota2 = t2.total.add, t2.iota
+    phi = []
+    for x, a in enumerate(t1.pi):
+        delta = fibers[a].get(x)
+        if delta is None:
+            raise MorphismError(_OFF_FIBER)
+        phi.append(add2[iota2[shift[a][delta]]][s2[a]])
     if len(set(phi)) != ne:
         raise MorphismError("equivalence witness is not a bijection")
-    for x in range(ne):
+    # x's rows, moved by phi, against phi(x)'s rows read at phi; only a
+    # failing row is walked for its first failing y
+    add1, dot1, dot2 = t1.total.add, t1.total.dot, t2.total.dot
+    at_phi, moved = _gatherer(phi), phi.__getitem__
+    for x, px in enumerate(phi):
+        if (
+            tuple(map(moved, add1[x])) == at_phi(add2[px])
+            and tuple(map(moved, dot1[x])) == at_phi(dot2[px])
+        ):
+            continue
         for y in range(ne):
-            if phi[t1.total.add[x][y]] != t2.total.add[phi[x]][phi[y]]:
+            if phi[add1[x][y]] != add2[px][phi[y]]:
                 raise MorphismError("equivalence witness breaks the addition")
-            if phi[t1.total.dot[x][y]] != t2.total.dot[phi[x]][phi[y]]:
+            if phi[dot1[x][y]] != dot2[px][phi[y]]:
                 raise MorphismError("equivalence witness breaks the dot operation")
-    for c in range(gamma.order):
-        if phi[t1.iota[c]] != t2.iota[c]:
-            raise MorphismError("equivalence witness moves the kernel")
-    for x in range(ne):
-        if t2.pi[phi[x]] != t1.pi[x]:
-            raise MorphismError("equivalence witness breaks the projection")
+    if tuple(map(moved, t1.iota)) != iota2:
+        raise MorphismError("equivalence witness moves the kernel")
+    if tuple(map(t2.pi.__getitem__, phi)) != t1.pi:
+        raise MorphismError("equivalence witness breaks the projection")
     return True, {"theta": theta, "map": tuple(phi)}
 
 
@@ -1217,21 +1311,23 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
     )
     reps = {m: _class_representatives(z, b, width) for m, (z, b, _count) in per_m.items()}
     per_factor = [reps[m] for m in gamma.factors]
-    zero = _as_table(gamma, n, None, "zero")
+    nn = n * n
+    zero = (0,) * nn
     out = []
     for idx, combo in enumerate(itertools.product(*per_factor)):
-        entries = tuple(zip(*combo))  # one element per cochain coordinate
-        rows = [entries[i : i + n] for i in range(0, width, n)]
-        f = tuple(rows[:n])
-        # The base was validated above, and the cocycle constructors check
-        # each class's cocycle identities in full, once; the total is then
-        # a linear cycle set by the construction lemma.
+        # combo holds one residue column per factor: f, then g if general.
+        # The base was validated above, and the cocycle is checked on its
+        # columns in full, once; the total is then a linear cycle set by
+        # the construction lemma.
+        f = [column[:nn] for column in combo]
         if flavor == "cycle-type":
-            cocycle = ReducedTwoCocycle(base, gamma, f)
-            triple = _trusted_triple(gamma, base, cocycle.f, zero)
+            cocycle = ReducedTwoCocycle._from_columns(base, gamma, f)
+            g = zero
         else:
-            cocycle = FullTwoCocycle(base, gamma, f, tuple(rows[n:]))
-            triple = _trusted_triple(gamma, base, cocycle.f, cocycle.g)
+            g = [column[nn:] for column in combo]
+            cocycle = FullTwoCocycle._from_columns(base, gamma, f, g)
+            g = _radix(gamma, g)
+        triple = _trusted_triple(gamma, base, _radix(gamma, f), g)
         out.append(ClassifiedExtension(idx, cocycle, triple))
     return out
 

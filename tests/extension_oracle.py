@@ -11,8 +11,15 @@ The cochain systems here are dense stacks of the face-map matrices of
 `dense_views`, as the library built them before it wrote sparse face
 rows, so the oracle shares the face lists with the library but no system
 builder.
+
+Extraction, additive sections and the equivalence witness are read here
+by `fiber_solve`, a scan of the coefficient group for each table entry,
+as the library read them before it built one fiber table per section.
+They share the solvers of the library, not its fiber tables, cocycle
+columns or row checks.
 """
 
+import functools
 import itertools
 
 from dense_views import (
@@ -23,8 +30,19 @@ from dense_views import (
     total_chain_matrix,
 )
 from lattice_oracle import IntegerMatrix, hstack
-from lcscohom.extensions import ReducedTwoCocycle
-from lcscohom.reduced import degenerate_indices
+from lcscohom.bicomplex import _vertical_faces
+from lcscohom.errors import LinearityError, MorphismError, ParameterError, SectionError
+from lcscohom.extensions import (
+    FullTwoCocycle,
+    ReducedTwoCocycle,
+    _as_lcs_triple,
+    _least_theta,
+    cocycles_cohomologous,
+    normalized_section,
+)
+from lcscohom.linalg import _least_solver
+from lcscohom.reduced import _face_rows, degenerate_indices
+from lcscohom.structures import Brace
 
 
 def vstack(mats):
@@ -154,3 +172,131 @@ def class_cocycles(base, gamma, flavor: str):
 
         out.append(table(0) if flavor == "cycle-type" else (table(0), table(n * n)))
     return out
+
+
+def fiber_solve(triple, target: int, base_point: int) -> int:
+    """The first coefficient index c with iota(c) + base_point = target."""
+    add = triple.total.add
+    for c in range(triple.gamma.order):
+        if add[triple.iota[c]][base_point] == target:
+            return c
+    raise MorphismError(
+        "difference does not lie in the kernel fiber; "
+        "the triple is not a central extension"
+    )
+
+
+def extract_cocycle(triple, flavor: str, section=None):
+    """`extensions.extract_cocycle`, one fiber scan per table entry."""
+    if flavor not in ("reduced", "full"):
+        raise ParameterError(f"unknown extraction flavor {flavor!r}")
+    if isinstance(triple.total, Brace):
+        raise ParameterError(
+            "extraction works on cycle-set triples; convert the brace first"
+        )
+    if section is None:
+        section = triple.section if triple.section is not None else normalized_section(triple)
+    section = tuple(section)
+    base = triple.base
+    n = base.order
+    if len(section) != n:
+        raise SectionError(f"section must list {n} total elements")
+    for a in range(n):
+        if triple.pi[section[a]] != a:
+            raise SectionError(f"not a section: projection of s({a}) is not {a}")
+    total = triple.total
+    gamma = triple.gamma
+    if flavor == "reduced":
+        for a in range(n):
+            for b in range(n):
+                if total.add[section[a]][section[b]] != section[base.add[a][b]]:
+                    raise LinearityError(
+                        f"section is not additive at ({a}, {b}); "
+                        "the reduced flavor needs an additive section"
+                    )
+    f = []
+    g = []
+    for a in range(n):
+        frow = []
+        grow = []
+        for b in range(n):
+            s_ab = section[base.dot[a][b]]
+            frow.append(gamma.element(fiber_solve(triple, total.dot[section[a]][section[b]], s_ab)))
+            if flavor == "full":
+                s_ab = section[base.add[a][b]]
+                target = total.add[section[a]][section[b]]
+                grow.append(gamma.element(fiber_solve(triple, target, s_ab)))
+        f.append(tuple(frow))
+        g.append(tuple(grow))
+    if flavor == "reduced":
+        return ReducedTwoCocycle(base, gamma, tuple(f))
+    return FullTwoCocycle(base, gamma, tuple(f), tuple(g))
+
+
+def additive_section(triple):
+    """`extensions.additive_section`, one fiber scan per entry of g0."""
+    total = triple.total
+    if isinstance(total, Brace):
+        raise ParameterError("additive sections are decided on cycle-set triples")
+    base = triple.base
+    gamma = triple.gamma
+    n = base.order
+    s0 = normalized_section(triple)
+    g0 = [
+        gamma.element(fiber_solve(triple, total.add[s0[a]][s0[b]], s0[base.add[a][b]]))
+        for a in range(n)
+        for b in range(n)
+    ]
+    additive = _face_rows(n, 2, [_vertical_faces(base, 0, 2)], n)
+    tau = _least_theta(functools.partial(_least_solver, additive), list(zip(*g0)), gamma)
+    if tau is None:
+        return None
+    section = tuple(total.add[s0[a]][triple.iota[gamma.index(tau[a])]] for a in range(n))
+    for a in range(n):
+        if triple.pi[section[a]] != a:
+            return None
+        for b in range(n):
+            if total.add[section[a]][section[b]] != section[base.add[a][b]]:
+                return None
+    return section
+
+
+def extensions_equivalent(t1, t2):
+    """`extensions.extensions_equivalent`, with the witness read by fiber
+    scans and checked pair by pair."""
+    t1 = _as_lcs_triple(t1)
+    t2 = _as_lcs_triple(t2)
+    if t1.gamma != t2.gamma:
+        raise ParameterError("extensions have different coefficient groups")
+    if t1.base != t2.base:
+        raise ParameterError("extensions have different base structures")
+    s1 = normalized_section(t1)
+    s2 = normalized_section(t2)
+    c1 = extract_cocycle(t1, "full", s1)
+    c2 = extract_cocycle(t2, "full", s2)
+    ok, theta = cocycles_cohomologous(c1, c2, normalized=True)
+    if not ok:
+        return False, None
+    gamma = t1.gamma
+    ne = t1.total.order
+    phi = [0] * ne
+    for x in range(ne):
+        a = t1.pi[x]
+        delta = gamma.element(fiber_solve(t1, x, s1[a]))
+        shifted = gamma.index(gamma.add(delta, theta[a]))
+        phi[x] = t2.total.add[t2.iota[shifted]][s2[a]]
+    if len(set(phi)) != ne:
+        raise MorphismError("equivalence witness is not a bijection")
+    for x in range(ne):
+        for y in range(ne):
+            if phi[t1.total.add[x][y]] != t2.total.add[phi[x]][phi[y]]:
+                raise MorphismError("equivalence witness breaks the addition")
+            if phi[t1.total.dot[x][y]] != t2.total.dot[phi[x]][phi[y]]:
+                raise MorphismError("equivalence witness breaks the dot operation")
+    for c in range(gamma.order):
+        if phi[t1.iota[c]] != t2.iota[c]:
+            raise MorphismError("equivalence witness moves the kernel")
+    for x in range(ne):
+        if t2.pi[phi[x]] != t1.pi[x]:
+            raise MorphismError("equivalence witness breaks the projection")
+    return True, {"theta": theta, "map": tuple(phi)}

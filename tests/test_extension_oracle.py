@@ -10,32 +10,45 @@ including Z/6, which the linear algebra treats as one ring, not by parts.
 `classify_extensions` checks each class's cocycle and builds its total
 without validating it; the totals are validated here, and perturbed
 class cocycles must be refused both as cocycles and as built totals.
+
+Extraction, additive sections and equivalence read kernel parts off one
+fiber table per section; on the class triples of the small bases, and on
+each with one total-table entry moved, they must return what the fiber
+scans of the oracle return, or raise the same error with the same
+message.
 """
 
 import itertools
 import math
+import random
 
+import extension_oracle as oracle
 import pytest
 
 from dense_views import kernel_mod_m
+from ext8 import EXT8, EXT8_RELABELED
 from extension_oracle import (
     class_cocycles,
     search_theta,
     theta_constraints,
     two_cocycle_system,
 )
-from test_presentation import relabeled
 from lcscohom import verify
 from lcscohom.abelian import parse_group_spec
 from lcscohom.bicomplex import _full_system, full_cohomology
 from lcscohom.corpus import builtin_structure, enumerate_lcs
+from lcscohom.errors import LcsError
 from lcscohom.extensions import (
+    ExtensionTriple,
     FullTwoCocycle,
     ReducedTwoCocycle,
+    additive_section,
     build_extension_full,
     build_extension_reduced,
     classify_extensions,
     cocycles_cohomologous,
+    extensions_equivalent,
+    extract_cocycle,
     force_extension_full,
     force_extension_reduced,
     is_full_2cocycle,
@@ -54,13 +67,6 @@ COEFFS = ("Z/2", "Z/3", "Z/4", "Z/6", "Z/2+Z/2", "Z/2+Z/4")
 # 4,096 classes of the trivial structure on Z/2+Z/2 over Z/2+Z/2 take
 # about 0.7 s).
 MAX_CLASSES = 64
-# The second cycle-type class of z4-lcs over Z/2, an order-8 base.
-EXT8 = classify_extensions(
-    builtin_structure("z4-lcs"), parse_group_spec("Z/2"), "cycle-type"
-)[1].triple.total
-# ext8 with 1 and 5 swapped presents (A, +) with a power relation
-# 2 s_1 = 2 s_0 (see test_presentation).
-EXT8_RELABELED = relabeled(EXT8, [0, 5, 2, 3, 4, 1, 6, 7])
 # Class representatives per base whose pairs are compared.
 PAIRS = 2
 
@@ -261,7 +267,9 @@ def test_cohomologous_matches_oracle(coeff, flavor):
                 return ReducedTwoCocycle(s, gamma, f)
             return FullTwoCocycle(s, gamma, f, g)
 
-        pairs = []
+        # a class against itself: theta = 0, one entry per base element,
+        # also over the order-1 base, whose (A, +) has no generator
+        pairs = [(cocycle(*reps[0]), cocycle(*reps[0]))]
         for i, (f, g) in enumerate(reps[:PAIRS]):
             c1 = cocycle(f, g)
             pairs += [(c1, cocycle(*_shift(gamma, s, f, g, t))) for t in shifts]
@@ -273,3 +281,93 @@ def test_cohomologous_matches_oracle(coeff, flavor):
                 assert got == search_theta(c1, c2, normalized=normalized), (s, normalized)
                 verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+def _outcome(fn, *args):
+    """("returned", fn(*args)), or the name and message of the library
+    error it raised."""
+    try:
+        return "returned", fn(*args)
+    except LcsError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _moved(triple, theta):
+    """The triple with its total relabeled by x -> iota(theta(pi(x))) + x,
+    an equivalence whenever theta(0) = 0."""
+    total, n = triple.total, triple.total.order
+    psi = [total.add[triple.iota[theta[triple.pi[x]]]][x] for x in range(n)]
+    back = sorted(range(n), key=psi.__getitem__)
+
+    def table(t):
+        return [[psi[t[back[x]][back[y]]] for y in range(n)] for x in range(n)]
+
+    moved = LinearCycleSet(n, table(total.add), table(total.dot))
+    return ExtensionTriple(moved, triple.gamma, triple.base, triple.iota, triple.pi)
+
+
+def _perturbed(triple, rng):
+    """The triple with one entry of its total's addition or dot table
+    moved to another element."""
+    total, n = triple.total, triple.total.order
+    tables = {"add": [list(r) for r in total.add], "dot": [list(r) for r in total.dot]}
+    row = tables[rng.choice(("add", "dot"))][rng.randrange(n)]
+    y = rng.randrange(n)
+    row[y] = (row[y] + rng.randrange(1, n)) % n
+    moved = LinearCycleSet(n, tables["add"], tables["dot"])
+    return ExtensionTriple(moved, triple.gamma, triple.base, triple.iota, triple.pi)
+
+
+def _class_triples():
+    """The class triples of the order <= 4 bases over Z/2, Z/4 and
+    Z/2+Z/2, and of ext8 over Z/4, both flavors.  A class list longer
+    than MAX_CLASSES (only the trivial structure on Z/2+Z/2 over Z/2+Z/2,
+    with 256 and 4,096 classes) is taken at MAX_CLASSES evenly spaced
+    classes, the first and the last among them."""
+    cases = [(s, spec) for s in STRUCTURES for spec in ("Z/2", "Z/4", "Z/2+Z/2")]
+    cases.append((EXT8, "Z/4"))
+    for s, spec in cases:
+        for flavor in ("cycle-type", "general"):
+            triples = [c.triple for c in classify_extensions(s, parse_group_spec(spec), flavor)]
+            k = len(triples)
+            if k > MAX_CLASSES:
+                triples = [triples[i * (k - 1) // (MAX_CLASSES - 1)] for i in range(MAX_CLASSES)]
+            yield triples
+
+
+def test_extraction_matches_the_fiber_scans():
+    rng = random.Random(20)
+    seen = {"extract": set(), "split": set(), "equivalent": set()}
+    for triples in _class_triples():
+        for i, triple in enumerate(triples):
+            theta = [rng.randrange(triple.gamma.order) for _ in range(triple.base.order)]
+            theta[triple.base.zero] = 0
+            broken = _perturbed(triple, rng)
+            for t in (triple, broken):
+                for flavor in ("reduced", "full"):
+                    got = _outcome(extract_cocycle, t, flavor)
+                    assert got == _outcome(oracle.extract_cocycle, t, flavor), (t, flavor)
+                    seen["extract"].add(got[0])
+                got = _outcome(additive_section, t)
+                assert got == _outcome(oracle.additive_section, t)
+                seen["split"].add(got[0] if got[0] != "returned" else got[1] is not None)
+            pairs = [(triple, triples[(i + 1) % len(triples)]), (triple, _moved(triple, theta))]
+            for t1, t2 in pairs + [(broken, triple), (triple, broken)]:
+                got = _outcome(extensions_equivalent, t1, t2)
+                assert got == _outcome(oracle.extensions_equivalent, t1, t2)
+                verdict = got[1][0] if got[0] == "returned" else got[1].split(";")[0]
+                seen["equivalent"].add((got[0], verdict))
+    # every outcome occurs: both verdicts, every extraction error, and the
+    # equivalence witness refused for each reason a moved entry gives
+    assert seen["extract"] == {
+        "returned", "SectionError", "LinearityError", "MorphismError", "CocycleError"
+    }
+    assert seen["split"] == {True, False, "SectionError", "MorphismError"}
+    assert {
+        ("returned", True),
+        ("returned", False),
+        ("MorphismError", "difference does not lie in the kernel fiber"),
+        ("MorphismError", "equivalence witness is not a bijection"),
+        ("MorphismError", "equivalence witness breaks the addition"),
+        ("MorphismError", "equivalence witness breaks the dot operation"),
+    } <= seen["equivalent"]

@@ -11,6 +11,7 @@ import json
 import random
 
 import pytest
+from ext8 import EXT8
 
 import lcscohom.bicomplex
 import lcscohom.extensions
@@ -23,11 +24,13 @@ from lcscohom.errors import (
     CocycleError,
     LinearityError,
     MalformedTableError,
+    MorphismError,
     ParameterError,
     SectionError,
     ShapeError,
 )
 from lcscohom.extensions import (
+    ExtensionTriple,
     FullTwoCocycle,
     ReducedTwoCocycle,
     _as_table,
@@ -61,8 +64,6 @@ Z4 = FiniteAbelianGroup((4,))
 T2 = builtin_structure("trivial(2)")
 T3 = builtin_structure("trivial(3)")
 Z4LCS = builtin_structure("z4-lcs")
-# The second cycle-type class of z4-lcs over Z/2, an order-8 base.
-EXT8 = classify_extensions(Z4LCS, Z2, "cycle-type")[1].triple.total
 Z4BRACE = builtin_structure("z4-brace")
 
 PHIS = [(0, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1)]
@@ -348,6 +349,29 @@ def test_extraction_errors():
         extract_cocycle(twisted, "reduced")
 
 
+def _off_fiber(triple, a, b):
+    """The triple with s(a).s(b) moved to the next total element, which
+    lies over another base element."""
+    total, s = triple.total, triple.section
+    dot = [list(row) for row in total.dot]
+    dot[s[a]][s[b]] = (dot[s[a]][s[b]] + 1) % total.order
+    moved = LinearCycleSet(total.order, total.add, dot)
+    return ExtensionTriple(moved, triple.gamma, triple.base, triple.iota, triple.pi, s)
+
+
+def test_extraction_refuses_an_entry_off_its_fiber():
+    cocycle = ReducedTwoCocycle(Z4LCS, Z2, phi_table(PHIS[1]))
+    good = build_extension_reduced(Z2, Z4LCS, cocycle)
+    for a, b in itertools.product(range(4), repeat=2):
+        broken = _off_fiber(good, a, b)
+        for flavor in ("reduced", "full"):
+            with pytest.raises(MorphismError, match="does not lie in the kernel fiber"):
+                extract_cocycle(broken, flavor)
+        with pytest.raises(MorphismError, match="does not lie in the kernel fiber"):
+            extensions_equivalent(broken, good)
+    assert extract_cocycle(good, "reduced") == cocycle
+
+
 def test_extract_rejects_braces():
     triple = build_brace_extension(Z2, Z4BRACE, None, None)
     with pytest.raises(ParameterError):
@@ -394,6 +418,45 @@ def test_validate_triple_tampered():
         c.name for c in validate_extension_triple(moved).checks if not c.ok
     }
     assert "exactness" in failing
+
+    # The pair checks walk a row only when it fails; their witnesses are
+    # the first failing pairs of the plain loops, on every kernel
+    # embedding and on random projections.
+    total, base, ne = good.total, Z4LCS, good.total.order
+    pair_loops = {
+        "kernel-trivial-translations": lambda iota, pi: (
+            (x, e) for x in range(len(iota)) for e in range(ne) if total.dot[iota[x]][e] != e
+        ),
+        "kernel-absorbed-by-translations": lambda iota, pi: (
+            (e, x)
+            for e in range(ne)
+            for x in range(len(iota))
+            if total.dot[e][iota[x]] != iota[x]
+        ),
+        "projection-additive": lambda iota, pi: (
+            (x, y)
+            for x in range(ne)
+            for y in range(ne)
+            if pi[total.add[x][y]] != base.add[pi[x]][pi[y]]
+        ),
+        "projection-dot-morphism": lambda iota, pi: (
+            (x, y)
+            for x in range(ne)
+            for y in range(ne)
+            if pi[total.dot[x][y]] != base.dot[pi[x]][pi[y]]
+        ),
+    }
+    rng = random.Random(5)
+    embeddings = list(itertools.product(range(ne), repeat=2))
+    projections = [good.pi] + [tuple(rng.randrange(4) for _ in range(ne)) for _ in range(64)]
+    failed = dict.fromkeys(pair_loops, 0)
+    for iota, pi in [(i, good.pi) for i in embeddings] + [(good.iota, p) for p in projections]:
+        checks = validate_extension_triple(ExtensionTriple(total, Z2, Z4LCS, iota, pi)).checks
+        for check in checks:
+            if check.name in pair_loops:
+                assert check.witness == next(pair_loops[check.name](iota, pi), None), (iota, pi)
+                failed[check.name] += not check.ok
+    assert all(failed.values()), failed
 
 
 def test_validate_triple_rejects_bad_flavor():
@@ -454,6 +517,36 @@ def test_equivalence_self_with_witness():
     assert sorted(witness["map"]) == list(range(8))
 
 
+def test_equivalence_refuses_a_wrong_theta(monkeypatch):
+    cocycle = ReducedTwoCocycle(Z4LCS, Z2, phi_table(PHIS[1]))
+    triple = build_extension_reduced(Z2, Z4LCS, cocycle)
+    ok, witness = extensions_equivalent(triple, triple)
+    assert ok and witness["theta"] == ((0,),) * 4
+    real = lcscohom.extensions._least_theta
+
+    def wrong(solver, rhs, gamma):
+        # theta(0) = 0 still, but theta is no longer the least solution
+        theta = real(solver, rhs, gamma)
+        return theta and (theta[0],) + tuple(gamma.add(t, (1,)) for t in theta[1:])
+
+    monkeypatch.setattr(lcscohom.extensions, "_least_theta", wrong)
+    with pytest.raises(MorphismError, match="equivalence witness breaks the (addition|dot)"):
+        extensions_equivalent(triple, triple)
+
+
+def test_equivalence_refuses_a_moved_projection():
+    # two elements off the section and the kernel swap base labels: the
+    # cocycles agree, and the witness preserves both operations but not pi
+    triple = build_extension_reduced(Z2, Z4LCS, ReducedTwoCocycle(Z4LCS, Z2, phi_table(PHIS[1])))
+    fixed = set(triple.section) | set(triple.iota)
+    x, y = [e for e in range(8) if e not in fixed and triple.pi[e] in (1, 2)]
+    pi = list(triple.pi)
+    pi[x], pi[y] = pi[y], pi[x]
+    swapped = ExtensionTriple(triple.total, Z2, Z4LCS, triple.iota, pi, triple.section)
+    with pytest.raises(MorphismError, match="equivalence witness breaks the projection"):
+        extensions_equivalent(triple, swapped)
+
+
 def test_equivalence_rejects_mismatched_pairs():
     a = build_extension_reduced(Z2, Z4LCS, ReducedTwoCocycle(Z4LCS, Z2, phi_table(PHIS[0])))
     b = build_extension_reduced(Z4, Z4LCS, [[0] * 4 for _ in range(4)])
@@ -505,6 +598,14 @@ def test_classify_budgets_class_count_first():
     base = trivial_lcs(FiniteAbelianGroup((2, 2)))
     with pytest.raises(BudgetError, match="16777216"):
         classify_extensions(base, FiniteAbelianGroup((4, 4)), "general")
+
+
+def test_frozen_ext8_is_a_class_total():
+    # the frozen ext8 that other modules import is the second cycle-type
+    # class total of z4-lcs over Z/2
+    classes = classify_extensions(Z4LCS, Z2, "cycle-type")
+    assert classes[1].triple.total == EXT8
+    assert classes[1].triple.total.zero == EXT8.zero
 
 
 def test_classify_counts_match_cohomology():

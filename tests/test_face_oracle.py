@@ -10,14 +10,13 @@ elimination breaks pivot ties by that order.
 """
 
 import pytest
+from ext8 import EXT8
 from face_oracle import face_rows as oracle_rows
 from face_oracle import total_keys, tuple_keys
 from linearity_oracle import linearity_faces
 
-from lcscohom.abelian import parse_group_spec
 from lcscohom.bicomplex import _into, _shuffle_faces, _total_faces, _vertical_faces, total_blocks
-from lcscohom.corpus import builtin_structure, standard_corpus
-from lcscohom.extensions import classify_extensions
+from lcscohom.corpus import standard_corpus
 from lcscohom.reduced import (
     _antisymmetrization_faces,
     _cs_faces,
@@ -26,9 +25,6 @@ from lcscohom.reduced import (
     _merge,
 )
 
-EXT8 = classify_extensions(builtin_structure("z4-lcs"), parse_group_spec("Z/2"), "cycle-type")[
-    1
-].triple.total
 STRUCTURES = standard_corpus() + [("ext8", EXT8)]
 
 

@@ -16,31 +16,15 @@ import itertools
 
 import linearity_oracle as oracle
 import pytest
+from ext8 import EXT8, EXT8_RELABELED, relabeled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcscohom.reduced as reduced
 from lcscohom.abelian import FiniteAbelianGroup, parse_group_spec
-from lcscohom.corpus import builtin_structure, enumerate_lcs, trivial_lcs
+from lcscohom.corpus import enumerate_lcs, trivial_lcs
 from lcscohom.errors import LatticeError
-from lcscohom.extensions import classify_extensions
 from lcscohom.reduced import _presentation, reduced_cohomology, reduced_homology
-from lcscohom.structures import LinearCycleSet
-
-EXT8 = classify_extensions(builtin_structure("z4-lcs"), parse_group_spec("Z/2"), "cycle-type")[
-    1
-].triple.total
-
-
-def relabeled(s, perm):
-    """The cycle set s with element a renamed perm[a]."""
-    n, back = s.order, sorted(range(s.order), key=perm.__getitem__)
-
-    def table(t):
-        return [[perm[t[back[a]][back[b]]] for b in range(n)] for a in range(n)]
-
-    return LinearCycleSet(n, table(s.add), table(s.dot))
-
 
 # (name, structure, degrees).  Index-ordered tables give every generator
 # a power relation without right side; ext8 with 1 and 5 swapped picks
@@ -49,7 +33,7 @@ STRUCTURES = [
     (f"o{n}-{i}", s, (1, 2, 3)) for n in (1, 2, 3, 4) for i, s in enumerate(enumerate_lcs(n))
 ]
 STRUCTURES.append(("ext8", EXT8, (1, 2, 3)))
-STRUCTURES.append(("ext8-relabeled", relabeled(EXT8, [0, 5, 2, 3, 4, 1, 6, 7]), (1, 2)))
+STRUCTURES.append(("ext8-relabeled", EXT8_RELABELED, (1, 2)))
 COEFFS = [parse_group_spec(spec) for spec in ("Z/6", "Z/8", "Z/9", "Z/2+Z/4")]
 ROUTES = [
     (reduced_cohomology, oracle.reduced_cohomology),
