@@ -367,12 +367,14 @@ class ReducedTwoCocycle:
         _require(_reduced_report(self.base, self.coeffs, _columns(self.f)))
 
     @classmethod
-    def _from_columns(cls, base, coeffs, f_cols):
+    def _from_columns(cls, base, coeffs, f_cols, proven=False):
         """The cocycle with the per-factor residue columns f_cols, checked
-        on them, so that its table is not normalized again."""
+        on them unless they are proven a cocycle already, so that its
+        table is not normalized again."""
         self = object.__new__(cls)
         self.base, self.coeffs, self.f = base, coeffs, _rows(base.order, f_cols)
-        _require(_reduced_report(base, coeffs, f_cols))
+        if not proven:
+            _require(_reduced_report(base, coeffs, f_cols))
         return self
 
     @property
@@ -397,14 +399,16 @@ class FullTwoCocycle:
         _require(_full_report(self.base, self.coeffs, _columns(self.f), _columns(self.g)))
 
     @classmethod
-    def _from_columns(cls, base, coeffs, f_cols, g_cols):
+    def _from_columns(cls, base, coeffs, f_cols, g_cols, proven=False):
         """The pair with the per-factor residue columns f_cols and g_cols,
-        checked on them, so that its tables are not normalized again."""
+        checked on them unless they are proven a cocycle already, so that
+        its tables are not normalized again."""
         self = object.__new__(cls)
         n = base.order
         self.base, self.coeffs = base, coeffs
         self.f, self.g = _rows(n, f_cols), _rows(n, g_cols)
-        _require(_full_report(base, coeffs, f_cols, g_cols))
+        if not proven:
+            _require(_full_report(base, coeffs, f_cols, g_cols))
         return self
 
     @property
@@ -468,6 +472,15 @@ class ExtensionTriple:
 
     iota maps coefficient-group indices into the total structure, pi maps
     total indices onto base indices, section is a right inverse of pi.
+
+    A triple that the library built from a 2-cocycle it had checked
+    (`_trusted_triple`) records that cocycle as (base, gamma, f, g), flat
+    row-major coefficient indices, g all zero for a cycle-type one.  By
+    the construction lemma the canonical section reads that pair back,
+    so extraction trusts a pair equal to the record over an equal base
+    and gamma, and checks every other pair.  The record takes no part in
+    construction, comparison or repr, and a triple built directly has
+    none.
     """
 
     total: object
@@ -476,6 +489,7 @@ class ExtensionTriple:
     iota: tuple
     pi: tuple
     section: tuple = None
+    _cocycle: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ne = self.total.order
@@ -614,14 +628,17 @@ def _trusted_triple(gamma, base: LinearCycleSet, f, g) -> ExtensionTriple:
 
     The caller has checked the cocycle, so by the construction lemma the
     total is a linear cycle set: its tables are not checked again, and its
-    zero is (-g(0,0), 0) rather than searched for.
+    zero is (-g(0,0), 0) rather than searched for.  The triple records
+    the proven pair, which `_extraction` then need not check again.
     """
     n = base.order
     z = base.zero
     add, dot = _deformed_tables(gamma, base, f, g)
     zero_e = _addition_index(gamma)[g[z * n + z]].index(0) * n + z
     total = LinearCycleSet._trusted(gamma.order * n, add, dot, zero_e)
-    return _canonical_triple(gamma, base, total)
+    triple = _canonical_triple(gamma, base, total)
+    triple._cocycle = (base, gamma, tuple(f), tuple(g))
+    return triple
 
 
 def _checked_triple(gamma, base: LinearCycleSet, f, g) -> ExtensionTriple:
@@ -802,7 +819,7 @@ _OFF_FIBER = (
 )
 
 
-def _kernel_parts(fibers, section, base_op, total_op) -> list:
+def _kernel_parts(fibers, section, base_op, total_op) -> tuple:
     """Row-major over (a, b), the coefficient index c with iota(c) +
     s(base_op(a, b)) = total_op(s(a), s(b)), read row a at a time off the
     fiber table: one gather of the row of s(a) at the section."""
@@ -812,7 +829,7 @@ def _kernel_parts(fibers, section, base_op, total_op) -> list:
         parts += map(dict.get, map(fibers.__getitem__, base_row), lift(total_op[s]))
     if None in parts:
         raise MorphismError(_OFF_FIBER)
-    return parts
+    return tuple(parts)
 
 
 def _index_columns(gamma, indices) -> list:
@@ -822,7 +839,13 @@ def _index_columns(gamma, indices) -> list:
 
 
 def _extraction(triple: ExtensionTriple, flavor: str, section):
-    """extract_cocycle, and the fiber table of the section it read."""
+    """extract_cocycle, and the fiber table of the section it read.
+
+    The kernel parts are checked as a cocycle unless they equal the pair
+    the triple records as proven (`ExtensionTriple`) over an equal base
+    and gamma, the reduced flavor's with g all zero.  The check reads
+    nothing but (base, gamma, parts), so a proven equal pair passes it.
+    """
     if flavor not in ("reduced", "full"):
         raise ParameterError(f"unknown extraction flavor {flavor!r}")
     if isinstance(triple.total, Brace):
@@ -850,11 +873,17 @@ def _extraction(triple: ExtensionTriple, flavor: str, section):
                         "the reduced flavor needs an additive section"
                     )
     fibers = _fiber_table(triple, section)
-    f = _index_columns(gamma, _kernel_parts(fibers, section, base.dot, total.dot))
+    f = _kernel_parts(fibers, section, base.dot, total.dot)
     if flavor == "reduced":
-        return ReducedTwoCocycle._from_columns(base, gamma, f), fibers
-    g = _index_columns(gamma, _kernel_parts(fibers, section, base.add, total.add))
-    return FullTwoCocycle._from_columns(base, gamma, f, g), fibers
+        g = (0,) * (n * n)
+    else:
+        g = _kernel_parts(fibers, section, base.add, total.add)
+    proven = triple._cocycle == (base, gamma, f, g)
+    f = _index_columns(gamma, f)
+    if flavor == "reduced":
+        return ReducedTwoCocycle._from_columns(base, gamma, f, proven), fibers
+    g = _index_columns(gamma, g)
+    return FullTwoCocycle._from_columns(base, gamma, f, g, proven), fibers
 
 
 def extract_cocycle(triple: ExtensionTriple, flavor: str, section=None):
@@ -865,8 +894,20 @@ def extract_cocycle(triple: ExtensionTriple, flavor: str, section=None):
     from s(a) + s(b) against s(a+b).  Kernel parts are read off one fiber
     table of the section (`_fiber_table`).  A normalized section yields a
     normalized cocycle.  The reduced flavor requires an additive section.
+    A pair read off a triple the library built from a checked cocycle is
+    that cocycle, by the construction lemma, and is not checked again;
+    every other pair is (`_extraction`).
     """
     return _extraction(triple, flavor, section)[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _additive_solver(base: LinearCycleSet, m: int):
+    """The `_least_solver` over Z/m of the rows of dv(0, 2), (a, b) ->
+    (a + b) - (a) - (b), cached per (base, m) as `_cohomologous_solver`
+    is."""
+    n = base.order
+    return _least_solver(_face_rows(n, 2, [_vertical_faces(base, 0, 2)], n), m)
 
 
 def additive_section(triple: ExtensionTriple):
@@ -874,7 +915,8 @@ def additive_section(triple: ExtensionTriple):
 
     Starting from a normalized section with addition defect g0, an additive
     correction tau must satisfy tau(a+b) - tau(a) - tau(b) = g0(a, b).  The
-    section comes from the lexicographically least such tau (`_least_theta`).
+    section comes from the lexicographically least such tau (`_least_theta`),
+    solved by the base's `_additive_solver`.
     """
     total = triple.total
     if isinstance(total, Brace):
@@ -884,10 +926,8 @@ def additive_section(triple: ExtensionTriple):
     n = base.order
     s0 = normalized_section(triple)
     g0 = _kernel_parts(_fiber_table(triple, s0), s0, base.add, total.add)
-    # the rows of dv(0, 2): (a, b) -> (a + b) - (a) - (b)
     check_power(n, 2, "the degree-2 tuple basis")
-    additive = _face_rows(n, 2, [_vertical_faces(base, 0, 2)], n)
-    solver = functools.partial(_least_solver, additive)
+    solver = functools.partial(_additive_solver, base)
     tau = _least_theta(solver, _index_columns(gamma, g0), gamma)
     if tau is None:
         return None
@@ -1159,6 +1199,14 @@ def extensions_equivalent(t1: ExtensionTriple, t2: ExtensionTriple):
     the cohomologousness of the extracted pairs under normalized 1-cochains.
     The witness is the least such theta; the isomorphism it gives is built
     and verified before it is returned.
+
+    An extracted pair is checked as a cocycle unless it is the one its
+    triple records as proven: a triple built by `classify_extensions`,
+    `build_extension_reduced` or `build_extension_full` from a checked,
+    normalized cocycle gives that cocycle back on its canonical section
+    (the construction lemma).  Triples built directly, read from files,
+    converted from braces or changed since they were built are checked,
+    unless their pair equals the record.
     """
     t1 = _as_lcs_triple(t1)
     t2 = _as_lcs_triple(t2)

@@ -151,9 +151,11 @@ def coset_representatives(cocycles, coboundaries, m: int):
     return sorted(reps)
 
 
+@functools.lru_cache(maxsize=None)
 def class_cocycles(base, gamma, flavor: str):
     """The cocycle tables of the classes, in classification order: f for
-    "cycle-type", (f, g) for "general"."""
+    "cycle-type", (f, g) for "general".  The listing is exponential, so
+    it is made once per (base, gamma, flavor) and kept as a tuple."""
     n = base.order
     constraints, cob = two_cocycle_system(base, flavor)
     theta_rows = theta_constraints(base, flavor, normalized=True)
@@ -171,7 +173,7 @@ def class_cocycles(base, gamma, flavor: str):
             )
 
         out.append(table(0) if flavor == "cycle-type" else (table(0), table(n * n)))
-    return out
+    return tuple(out)
 
 
 def fiber_solve(triple, target: int, base_point: int) -> int:

@@ -15,10 +15,16 @@ Extraction, additive sections and equivalence read kernel parts off one
 fiber table per section; on the class triples of the small bases, and on
 each with one total-table entry moved, they must return what the fiber
 scans of the oracle return, or raise the same error with the same
-message.
+message.  A class triple records the cocycle it was built from, and
+extraction trusts a pair equal to that record: it must read as a plain
+copy of its tables does, and once its total is moved it is checked
+again.
 """
 
+import copy
+import functools
 import itertools
+import json
 import math
 import random
 
@@ -53,6 +59,7 @@ from lcscohom.extensions import (
     force_extension_reduced,
     is_full_2cocycle,
     is_reduced_2cocycle,
+    two_cocycle_to_dict,
     validate_extension_triple,
 )
 from lcscohom.linalg import _IntegerSpan, _kernel_mod
@@ -165,10 +172,10 @@ def test_classes_match_oracle(coeff, flavor):
         expected = class_cocycles(s, gamma, flavor)
         if len(expected) > MAX_CLASSES:
             continue
-        got = [
+        got = tuple(
             c.cocycle.f if flavor == "cycle-type" else (c.cocycle.f, c.cocycle.g)
             for c in classify_extensions(s, gamma, flavor)
-        ]
+        )
         assert got == expected, s
         compared += len(expected) > 1
     assert compared
@@ -318,21 +325,26 @@ def _perturbed(triple, rng):
     return ExtensionTriple(moved, triple.gamma, triple.base, triple.iota, triple.pi)
 
 
+@functools.lru_cache(maxsize=None)
 def _class_triples():
     """The class triples of the order <= 4 bases over Z/2, Z/4 and
-    Z/2+Z/2, and of ext8 over Z/4, both flavors.  A class list longer
-    than MAX_CLASSES (only the trivial structure on Z/2+Z/2 over Z/2+Z/2,
-    with 256 and 4,096 classes) is taken at MAX_CLASSES evenly spaced
-    classes, the first and the last among them."""
+    Z/2+Z/2, and of ext8 over Z/4, both flavors, one tuple per class
+    list, classified once for the session; tests change none of them.
+    A class list longer than MAX_CLASSES (only the trivial structure on
+    Z/2+Z/2 over Z/2+Z/2, with 256 and 4,096 classes) is taken at
+    MAX_CLASSES evenly spaced classes, the first and the last among
+    them."""
     cases = [(s, spec) for s in STRUCTURES for spec in ("Z/2", "Z/4", "Z/2+Z/2")]
     cases.append((EXT8, "Z/4"))
+    out = []
     for s, spec in cases:
         for flavor in ("cycle-type", "general"):
             triples = [c.triple for c in classify_extensions(s, parse_group_spec(spec), flavor)]
             k = len(triples)
             if k > MAX_CLASSES:
                 triples = [triples[i * (k - 1) // (MAX_CLASSES - 1)] for i in range(MAX_CLASSES)]
-            yield triples
+            out.append(tuple(triples))
+    return tuple(out)
 
 
 def test_extraction_matches_the_fiber_scans():
@@ -371,3 +383,58 @@ def test_extraction_matches_the_fiber_scans():
         ("MorphismError", "equivalence witness breaks the addition"),
         ("MorphismError", "equivalence witness breaks the dot operation"),
     } <= seen["equivalent"]
+
+
+def _unproven(triple):
+    """The triple's tables as a triple built directly, which records no
+    cocycle."""
+    return ExtensionTriple(
+        triple.total, triple.gamma, triple.base, triple.iota, triple.pi, triple.section
+    )
+
+
+def _as_bytes(outcome):
+    """An extraction outcome with a returned cocycle written out as its
+    file."""
+    kind, value = outcome
+    if kind != "returned":
+        return outcome
+    return kind, json.dumps(two_cocycle_to_dict(value), sort_keys=True)
+
+
+def test_proven_triples_read_as_their_plain_copies():
+    # A class triple records the cocycle it was built from, and extraction
+    # and equivalence trust a pair equal to that record; its tables as a
+    # plain triple are checked.  Both must give equal cocycles, the same
+    # bytes and the same verdicts and witnesses.
+    for triples in _class_triples():
+        plain = [_unproven(t) for t in triples]
+        for i, (triple, twin) in enumerate(zip(triples, plain)):
+            assert triple._cocycle is not None and twin._cocycle is None
+            for flavor in ("reduced", "full"):
+                got = _outcome(extract_cocycle, triple, flavor)
+                want = _outcome(extract_cocycle, twin, flavor)
+                assert got == want and _as_bytes(got) == _as_bytes(want), (twin, flavor)
+            j = (i + 1) % len(triples)
+            got = _outcome(extensions_equivalent, triple, triples[j])
+            assert got == _outcome(extensions_equivalent, twin, plain[j]), twin
+
+
+def test_a_proven_triple_with_a_moved_total_is_checked():
+    # A proven triple keeps its record when its total is replaced in
+    # place; extraction and equivalence then read the new total and give
+    # the oracle's outcome, the cocycle check's refusal among them.
+    rng = random.Random(21)
+    seen = set()
+    for triples in _class_triples():
+        for triple in triples:
+            moved = copy.copy(triple)
+            moved.total = _perturbed(triple, rng).total
+            assert moved._cocycle == triple._cocycle
+            for flavor in ("reduced", "full"):
+                got = _outcome(extract_cocycle, moved, flavor)
+                assert got == _outcome(oracle.extract_cocycle, moved, flavor), (moved, flavor)
+                seen.add(got[0])
+            got = _outcome(extensions_equivalent, moved, triple)
+            assert got == _outcome(oracle.extensions_equivalent, moved, triple), moved
+    assert {"returned", "MorphismError", "CocycleError"} <= seen

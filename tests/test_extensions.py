@@ -547,6 +547,45 @@ def test_equivalence_refuses_a_moved_projection():
         extensions_equivalent(triple, swapped)
 
 
+def test_equivalence_trusts_only_the_pairs_it_built(monkeypatch):
+    # A triple built from a checked cocycle records it, and equivalence
+    # reads that cocycle back without checking it again; the same tables
+    # given as a plain triple are checked, once per side.
+    classes = classify_extensions(Z4LCS, Z4, "general")
+    phi = ReducedTwoCocycle(Z4LCS, Z2, phi_table(PHIS[1]))
+    built = [
+        build_extension_reduced(Z2, Z4LCS, phi),
+        build_extension_full(Z4, Z4LCS, classes[1].cocycle.f, classes[1].cocycle.g),
+    ]
+    calls = []
+    for name in ("_full_report", "_reduced_report"):
+        real = getattr(lcscohom.extensions, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(lcscohom.extensions, name, counted)
+
+    def plain(t):
+        return ExtensionTriple(t.total, t.gamma, t.base, t.iota, t.pi, t.section)
+
+    t1, t2 = classes[0].triple, classes[1].triple
+    verdicts = []
+    for p, q in [(t1, t2), (built[0], built[0]), (built[1], t2)]:
+        verdicts.append(extensions_equivalent(p, q))
+        assert calls == []
+        assert extensions_equivalent(plain(p), plain(q)) == verdicts[-1]
+        assert calls == ["_full_report"] * 2
+        calls.clear()
+    assert [v[0] for v in verdicts] == [False, True, True]
+    # the reduced flavor trusts a cycle-type record, whose g is zero
+    assert extract_cocycle(built[0], "reduced") == phi
+    assert calls == []
+    assert extract_cocycle(plain(built[0]), "reduced") == phi
+    assert calls == ["_reduced_report"]
+
+
 def test_equivalence_rejects_mismatched_pairs():
     a = build_extension_reduced(Z2, Z4LCS, ReducedTwoCocycle(Z4LCS, Z2, phi_table(PHIS[0])))
     b = build_extension_reduced(Z4, Z4LCS, [[0] * 4 for _ in range(4)])
