@@ -96,31 +96,38 @@ def search_theta(c1, c2, normalized: bool = False):
     Reduced flavor: theta additive with theta(a.b) - theta(b) equal to the
     difference of the dot deformations.  Full flavor: theta arbitrary
     (normalized: theta(0) = 0), matching both deformations.  Returns
-    (verdict, theta-or-None).
+    (verdict, theta-or-None).  Candidates are tuples of element indices,
+    which run in the lexicographic order of the elements, and gamma's
+    addition and subtraction are read off index tables made once per call.
     """
     base = c1.base
     gamma = c1.coeffs
     n = base.order
     add, dot = base.add, base.dot
     reduced = isinstance(c1, ReducedTwoCocycle)
-    df = [[gamma.sub(c2.f[a][b], c1.f[a][b]) for b in range(n)] for a in range(n)]
+    elements = gamma.elements()
+    index = gamma.index
+    plus = [[index(gamma.add(x, y)) for y in elements] for x in elements]
+    minus = [[index(gamma.sub(x, y)) for y in elements] for x in elements]
+    df = [[index(gamma.sub(c2.f[a][b], c1.f[a][b])) for b in range(n)] for a in range(n)]
     if not reduced:
-        dg = [[gamma.sub(c2.g[a][b], c1.g[a][b]) for b in range(n)] for a in range(n)]
+        dg = [[index(gamma.sub(c2.g[a][b], c1.g[a][b])) for b in range(n)] for a in range(n)]
+    zero = index(gamma.zero)
     pairs = list(itertools.product(range(n), repeat=2))
-    for theta in itertools.product(gamma.elements(), repeat=n):
+    for theta in itertools.product(range(len(elements)), repeat=n):
         if reduced:
-            if any(theta[add[a][b]] != gamma.add(theta[a], theta[b]) for a, b in pairs):
+            if any(theta[add[a][b]] != plus[theta[a]][theta[b]] for a, b in pairs):
                 continue
-        elif normalized and theta[base.zero] != gamma.zero:
+        elif normalized and theta[base.zero] != zero:
             continue
-        if any(df[a][b] != gamma.sub(theta[dot[a][b]], theta[b]) for a, b in pairs):
+        if any(df[a][b] != minus[theta[dot[a][b]]][theta[b]] for a, b in pairs):
             continue
         if not reduced and any(
-            dg[a][b] != gamma.sub(gamma.sub(theta[add[a][b]], theta[a]), theta[b])
+            dg[a][b] != minus[minus[theta[add[a][b]]][theta[a]]][theta[b]]
             for a, b in pairs
         ):
             continue
-        return True, theta
+        return True, tuple(map(elements.__getitem__, theta))
     return False, None
 
 
@@ -235,6 +242,14 @@ def extract_cocycle(triple, flavor: str, section=None):
     return FullTwoCocycle(base, gamma, tuple(f), tuple(g))
 
 
+@functools.lru_cache(maxsize=None)
+def additive_solver(base, m: int):
+    """The `_least_solver` over Z/m of the rows of dv(0, 2), made once
+    per (base, m) for the session."""
+    n = base.order
+    return _least_solver(_face_rows(n, 2, [_vertical_faces(base, 0, 2)], n), m)
+
+
 def additive_section(triple):
     """`extensions.additive_section`, one fiber scan per entry of g0."""
     total = triple.total
@@ -249,8 +264,8 @@ def additive_section(triple):
         for a in range(n)
         for b in range(n)
     ]
-    additive = _face_rows(n, 2, [_vertical_faces(base, 0, 2)], n)
-    tau = _least_theta(functools.partial(_least_solver, additive), list(zip(*g0)), gamma)
+    solver = functools.partial(additive_solver, base)
+    tau = _least_theta(solver, list(zip(*g0)), gamma)
     if tau is None:
         return None
     section = tuple(total.add[s0[a]][triple.iota[gamma.index(tau[a])]] for a in range(n))

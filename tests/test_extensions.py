@@ -547,6 +547,17 @@ def test_equivalence_refuses_a_moved_projection():
         extensions_equivalent(triple, swapped)
 
 
+def test_equivalence_refuses_a_witness_that_moves_the_kernel():
+    # the base itself as a "total" with both kernel elements at its zero:
+    # the witness is an injective morphism into the split extension that
+    # keeps the projection, but sends both kernel elements to one point
+    split = build_extension_reduced(Z2, Z4LCS, [[0] * 4 for _ in range(4)])
+    collapsed = ExtensionTriple(Z4LCS, Z2, Z4LCS, (0, 0), range(4), range(4))
+    assert not validate_extension_triple(collapsed).valid
+    with pytest.raises(MorphismError, match="equivalence witness moves the kernel"):
+        extensions_equivalent(collapsed, split)
+
+
 def test_equivalence_trusts_only_the_pairs_it_built(monkeypatch):
     # A triple built from a checked cocycle records it, and equivalence
     # reads that cocycle back without checking it again; the same tables
@@ -697,6 +708,69 @@ def test_classify_solves_each_distinct_factor_once(monkeypatch, flavor):
             pair = zip(getattr(alone[first].cocycle, name), getattr(alone[second].cocycle, name))
             expected = tuple(tuple(x + y for x, y in zip(*rows)) for rows in pair)
             assert getattr(c.cocycle, name) == expected
+
+
+@pytest.mark.parametrize("flavor", ["cycle-type", "general"])
+def test_classify_checks_and_builds_each_distinct_piece_once(monkeypatch, flavor):
+    alone = classify_extensions(Z4LCS, Z2, flavor)
+    calls, tables = [], []
+    for name in ("_full_report", "_reduced_report"):
+        real = getattr(lcscohom.extensions, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(lcscohom.extensions, name, counted)
+    real_table = lcscohom.extensions._deformed_table
+
+    def counted_table(gamma, n, base_op, deformation, carry):
+        tables.append((carry, deformation))
+        return real_table(gamma, n, base_op, deformation, carry)
+
+    monkeypatch.setattr(lcscohom.extensions, "_deformed_table", counted_table)
+    classes = classify_extensions(Z4LCS, parse_group_spec("Z/2+Z/2"), flavor)
+    # one check per factor column, not one per combination of columns
+    report = "_reduced_report" if flavor == "cycle-type" else "_full_report"
+    assert calls == [report] * len(alone)
+    assert len(classes) == len(alone) ** 2
+    # one dot table per distinct f and one addition table per distinct g,
+    # shared by every class with that deformation
+    fs = {c.cocycle.f for c in classes}
+    gs = {c.cocycle.g for c in classes} if flavor == "general" else {None}
+    assert len(tables) == len(set(tables)) == len(fs) + len(gs) < 2 * len(classes)
+    assert len({id(c.triple.total.dot) for c in classes}) == len(fs)
+    assert len({id(c.triple.total.add) for c in classes}) == len(gs)
+
+
+@pytest.mark.parametrize("spec", ["Z/2", "Z/2+Z/2", "Z/2+Z/4"])
+@pytest.mark.parametrize("flavor", ["cycle-type", "general"])
+def test_classify_refuses_a_representative_that_is_no_cocycle(monkeypatch, flavor, spec):
+    # f = 1 everywhere is not additive in its second argument.  Over
+    # Z/2+Z/4 only the Z/4 list holds it, behind the zero cocycle, so the
+    # first class that is not a cocycle is (0, 1).
+    nn = Z4LCS.order**2
+    width = nn if flavor == "cycle-type" else 2 * nn
+    zero, bad = (0,) * width, (1,) * nn + (0,) * (width - nn)
+
+    def listed(_z_gens, b_form, _width):
+        if spec != "Z/2+Z/4":
+            return [bad]
+        return [zero, bad] if b_form.m == 4 else [zero]
+
+    monkeypatch.setattr(lcscohom.extensions, "_class_representatives", listed)
+    gamma = parse_group_spec(spec)
+    column = [1] * nn
+    f = [column] * len(gamma.factors) if spec != "Z/2+Z/4" else [[0] * nn, column]
+    with pytest.raises(CocycleError) as expected:
+        if flavor == "cycle-type":
+            ReducedTwoCocycle._from_columns(Z4LCS, gamma, f)
+        else:
+            FullTwoCocycle._from_columns(Z4LCS, gamma, f, [[0] * nn] * len(f))
+    with pytest.raises(CocycleError) as info:
+        classify_extensions(Z4LCS, gamma, flavor)
+    assert str(info.value) == str(expected.value)
+    assert info.value.report.to_dict() == expected.value.report.to_dict()
 
 
 @pytest.mark.parametrize(
