@@ -29,7 +29,6 @@ from .errors import (
     BudgetError,
     CocycleError,
     DegreeError,
-    InvalidModulusError,
     LatticeError,
     LcsError,
     LinearityError,

@@ -34,7 +34,6 @@ from .errors import (
     BudgetError,
     CocycleError,
     DegreeError,
-    InvalidModulusError,
     LatticeError,
     LinearityError,
     MalformedTableError,
@@ -75,7 +74,6 @@ from .verify import verify_paper
 _USAGE_ERRORS = (
     BudgetError,
     DegreeError,
-    InvalidModulusError,
     LatticeError,
     MalformedTableError,
     ParameterError,

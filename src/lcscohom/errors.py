@@ -22,10 +22,6 @@ class UnsupportedCoefficientsError(LcsError):
     """Coefficient group spec is malformed, infinite, or has a modulus < 2."""
 
 
-class InvalidModulusError(LcsError):
-    """A modular computation was requested with modulus < 2."""
-
-
 class ShapeError(LcsError):
     """Matrix or table dimensions are incompatible."""
 

@@ -11,7 +11,11 @@ The module covers both directions: building extension triples from
 cocycles, extracting cocycles from sections, deciding equivalence through
 translation isomorphisms (gamma_part + theta(base_part), base_part), and
 classifying all central extensions as cocycles modulo coboundaries, one
-cyclic coefficient factor at a time.  Equivalence and classification are
+cyclic coefficient factor at a time.  A 2-cocycle of either flavor is a
+degree-2 cochain of the bicomplex's total complex killed by its degree-3
+total boundary: the identities checked are the source blocks of
+`bicomplex._total_faces`, read on one flat column per cyclic factor, f
+and then g (`_cocycle_plan`).  Equivalence and classification are
 linear algebra over Z/m on the systems the cohomology groups are read
 from, `reduced._reduced_system` (cycle-type: the reduced H^2) and
 `bicomplex._full_system` (general: the normalized full H^2).  Tagged
@@ -28,7 +32,13 @@ import operator
 from dataclasses import dataclass, field
 
 from .abelian import FiniteAbelianGroup, parse_group_spec
-from .bicomplex import _full_system, _vertical_faces
+from .bicomplex import (
+    _full_system,
+    _shuffle_faces,
+    _total_faces,
+    _vertical_faces,
+    total_blocks,
+)
 from .budget import check_basis, check_power
 from .errors import (
     CocycleError,
@@ -45,6 +55,7 @@ from .reduced import (
     _face_rows,
     _file_coeffs,
     _file_values,
+    _index_map,
     _presentation,
     _reduced_system,
     _tagged,
@@ -168,40 +179,77 @@ class CocycleReport(_DrawnViolations):
         }
 
 
+# Each flavor's identities in witness order at (a, b, c), by the block of
+# `_cocycle_plan` they sum; block (0, 2) is the shuffle constraint, keyed
+# at c = 0.  A reduced cochain has no g: its block (1, 2) keeps only the
+# faces into f's block (1, 1), additivity in the second argument.
+_IDENTITIES = {
+    "reduced": (((1, 2), "second-argument-additivity"), ((2, 1), "translation-cocycle")),
+    "full": (
+        ((0, 2), "addition-symmetry"),
+        ((2, 1), "translation-cocycle"),
+        ((1, 2), "mixed-compatibility"),
+        ((0, 3), "addition-cocycle"),
+    ),
+}
+# the tables of each flavor, in the order of its flat column
+_TABLES = {"reduced": ("f",), "full": ("f", "g")}
+
+
 @functools.lru_cache(maxsize=4)
-def _cocycle_plan(base: LinearCycleSet) -> dict:
-    """The terms of the 2-cocycle identities over base, as gathers.
+def _cocycle_plan(base: LinearCycleSet) -> tuple:
+    """The 2-cocycle identities over base, compiled from the bicomplex.
 
-    A table over the order-n base is flattened row-major, entry (x, y) at
-    x * n + y.  Each term reads one entry per (a, b, c) in lexicographic
-    order: "ab" reads (a, b), "ac" (a, c), "bc" (b, c), "a_bc" (a, b+c),
-    "ab_c" (a+b, c) and "dot" (a.b, a.c).  "ba" reads (b, a) once per
-    pair (a, b).  For the trivial structure on Z/2:
+    A 2-cochain is read as one flat column of residues per cyclic factor,
+    in the degree-2 coordinates of the total complex: f at a * n + b
+    (block (1, 1)), then g at n * n + a * n + b (block (0, 2)).  Each face
+    of a source block of the degree-3 total boundary (`_total_faces`) is
+    an inner face on 3-tuples landing in f's half (0) or in g's (1);
+    block (0, 2) holds the shuffle faces on pairs.  The plan is (gathers,
+    flavors): one gatherer per distinct face, and per flavor the (half,
+    gatherer) pairs it reads, with, per identity, the key stride of its
+    positions and getters of its plus and minus terms among those reads.
+    Over the trivial structure on Z/2, the reduced translation identity is
+    (a.b, a.c) + (a, c) - (a+b, c) on f, and (a+b, c) is gatherer 1:
 
-    >>> plan = _cocycle_plan(LinearCycleSet(2, [[0, 1], [1, 0]], [[0, 1], [0, 1]]))
-    >>> plan["a_bc"](range(4))
-    (0, 1, 1, 0, 2, 3, 3, 2)
-    >>> plan["ba"]("wxyz")
-    ('w', 'y', 'x', 'z')
+    >>> gathers, flavors = _cocycle_plan(LinearCycleSet(2, [[0, 1], [1, 0]], [[0, 1], [0, 1]]))
+    >>> reads, sums = flavors["reduced"]
+    >>> _stride, plus, minus = sums[1]
+    >>> [reads[i] for i in plus(range(5))], [reads[i] for i in minus(range(5))]
+    ([(0, 0), (0, 2)], [(0, 1)])
+    >>> gathers[1](range(4))
+    (0, 1, 2, 3, 2, 3, 0, 1)
 
-    Each of the six (a, b, c) terms holds n^3 indices: a plan over a base
-    of order 32 holds about 1.6 MB.
+    The six distinct inner faces hold n^3 indices each: a plan over a
+    base of order 32 holds about 1.6 MB.
     """
     n = base.order
-    add, dot = base.add, base.dot
-    # cell[x][y] is the position x * n + y; every term shares these ints
-    cell = [list(range(x * n, x * n + n)) for x in range(n)]
-    triples = list(itertools.product(range(n), repeat=3))
+    numbers, gathers = {}, []
+
+    def gather(face, k):
+        # faces hold whole tables: hashed here, once per base, not in a report
+        number = numbers.setdefault((face, k), len(numbers))
+        if number == len(gathers):
+            gathers.append(_gatherer(_index_map(face, n, k)))
+        return number
+
     terms = {
-        "ab": [cell[a][b] for a, b, _ in triples],
-        "ac": [cell[a][c] for a, _, c in triples],
-        "bc": [cell[b][c] for _, b, c in triples],
-        "a_bc": [cell[a][add[b][c]] for a, b, c in triples],
-        "ab_c": [cell[add[a][b]][c] for a, b, c in triples],
-        "dot": [cell[dot[a][b]][dot[a][c]] for a, b, c in triples],
-        "ba": [cell[b][a] for a in range(n) for b in range(n)],
+        block: [(sign, j - 1, gather(inner, 3)) for sign, (_map, (_i, j), inner) in faces]
+        for block, faces in zip(total_blocks(3), _total_faces(base, 3))
     }
-    return {name: _gatherer(indices) for name, indices in terms.items()}
+    terms[0, 2] = [(sign, 1, gather(face, 2)) for sign, face in _shuffle_faces(0, 2, 1)]
+    flavors = {}
+    for flavor, identities in _IDENTITIES.items():
+        reads, sums = {}, []  # reads: each (half, gatherer) read, numbered
+        for block, _name in identities:
+            signed = ([], [])
+            for sign, half, face in terms[block]:
+                if half < len(_TABLES[flavor]):  # a reduced cochain has no g
+                    signed[sign < 0].append(reads.setdefault((half, face), len(reads)))
+            stride = len(identities) * (n if block == (0, 2) else 1)
+            sums.append((stride, *map(_gatherer, signed)))
+        flavors[flavor] = list(reads), sums
+    return gathers, flavors
 
 
 def _gatherer(indices):
@@ -228,17 +276,18 @@ def _failing(m: int, plus, minus):
     return itertools.compress(itertools.count(), residues)
 
 
-def _witnesses(n: int, names, keys):
-    """Violations for keys position * len(names) + identity, in key order.
+def _witnesses(n: int, identities, keys):
+    """Violations for keys position * len(identities) + identity, in key
+    order, named as in `_IDENTITIES`.
 
     Position (a * n + b) * n + c names the witness (a, b, c); the pair
     identity addition-symmetry is keyed at c = 0 and names (a, b).
     """
     for key in sorted(keys):
-        position, identity = divmod(key, len(names))
+        position, identity = divmod(key, len(identities))
         ab, c = divmod(position, n)
         a, b = divmod(ab, n)
-        name = names[identity]
+        name = identities[identity][1]
         yield Violation(name, (a, b) if name == "addition-symmetry" else (a, b, c))
 
 
@@ -255,28 +304,30 @@ def _rows(n: int, columns):
     return tuple(entries[i : i + n] for i in range(0, n * n, n))
 
 
-_REDUCED_IDENTITIES = ("second-argument-additivity", "translation-cocycle")
-
-
-def _reduced_report(structure: LinearCycleSet, coeffs, f_cols) -> CocycleReport:
-    """is_reduced_2cocycle on the per-factor residue columns of f."""
+def _cocycle_report(structure: LinearCycleSet, coeffs, columns, flavor: str) -> CocycleReport:
+    """The report of a flavor's identities on the flat per-factor columns
+    of a cochain (`_cocycle_plan`): each face the flavor reads is gathered
+    once per column, and each identity sums its terms."""
     n = structure.order
-    plan = _cocycle_plan(structure)
+    nn = n * n
+    gathers, flavors = _cocycle_plan(structure)
+    reads, sums = flavors[flavor]
     keys = set()
-    for m, ft in zip(coeffs.factors, f_cols):
-        ab, ac, a_bc, ab_c, dot = (
-            plan[term](ft) for term in ("ab", "ac", "a_bc", "ab_c", "dot")
-        )
-        # f(a, b+c) - f(a, b) - f(a, c) and f(a+b, c) - f(a.b, a.c) - f(a, c)
-        keys.update(2 * p for p in _failing(m, [a_bc], [ab, ac]))
-        keys.update(2 * p + 1 for p in _failing(m, [ab_c], [dot, ac]))
+    for m, column in zip(coeffs.factors, columns):
+        # f's indices are below n * n, so f is gathered off the column
+        halves = (column, column[nn:])
+        read = [gathers[face](halves[half]) for half, face in reads]
+        for t, (stride, plus, minus) in enumerate(sums):
+            keys.update(stride * p + t for p in _failing(m, plus(read), minus(read)))
     z = structure.zero
-    # row z and column z of f vanish
-    normalized = z is not None and not any(
-        any(ft[z * n : z * n + n]) or any(ft[z::n]) for ft in f_cols
-    )
-    witnesses = _witnesses(n, _REDUCED_IDENTITIES, keys)
-    return CocycleReport("reduced", n, normalized, witnesses)
+    if flavor == "reduced":  # row z and column z of f vanish
+        normalized = z is not None and not any(
+            any(c[z * n : z * n + n]) or any(c[z:nn:n]) for c in columns
+        )
+    else:  # g(z, z) = 0
+        normalized = z is not None and not any(c[nn + z * n + z] for c in columns)
+    witnesses = _witnesses(n, _IDENTITIES[flavor], keys)
+    return CocycleReport(flavor, n, normalized, witnesses)
 
 
 def is_reduced_2cocycle(structure: LinearCycleSet, coeffs, f) -> CocycleReport:
@@ -284,48 +335,15 @@ def is_reduced_2cocycle(structure: LinearCycleSet, coeffs, f) -> CocycleReport:
 
     Identities: additivity in the second argument, f(a, b+c) = f(a,b) +
     f(a,c), and the translation condition f(a+b, c) = f(a.b, a.c) + f(a,c).
-    Both are linear, so they are checked one cyclic factor Z/m at a time
-    on plain residues: each term is one gather over all (a, b, c) through
-    the base's cached `_cocycle_plan`.  The verdict is known once the
-    gathers are compared; the witnesses are listed when they are read.
+    They are the faces into f's block (1, 1) of the source blocks (1, 2)
+    and (2, 1) of the bicomplex's degree-3 total boundary, with g = 0
+    (`_cocycle_plan`).  Both are linear, so they are checked one cyclic
+    factor Z/m at a time on plain residues: each term is one gather over
+    all (a, b, c).  The verdict is known once the gathers are compared;
+    the witnesses are listed when they are read.
     """
     f = _as_table(coeffs, structure.order, f, "cocycle")
-    return _reduced_report(structure, coeffs, _columns(f))
-
-
-_FULL_IDENTITIES = (
-    "addition-symmetry",
-    "translation-cocycle",
-    "mixed-compatibility",
-    "addition-cocycle",
-)
-
-
-def _full_report(structure: LinearCycleSet, coeffs, f_cols, g_cols) -> CocycleReport:
-    """is_full_2cocycle on the per-factor residue columns of f and g."""
-    n = structure.order
-    plan = _cocycle_plan(structure)
-    keys = set()
-    for m, ft, gt in zip(coeffs.factors, f_cols, g_cols):
-        # addition-symmetry is keyed at c = 0 of its row (a, b)
-        asymmetric = map(operator.ne, gt, plan["ba"](gt))
-        keys.update(4 * n * p for p in itertools.compress(itertools.count(), asymmetric))
-        fab, fac, fa_bc, fab_c, fdot = (
-            plan[term](ft) for term in ("ab", "ac", "a_bc", "ab_c", "dot")
-        )
-        gab, gbc, ga_bc, gab_c, gdot = (
-            plan[term](gt) for term in ("ab", "bc", "a_bc", "ab_c", "dot")
-        )
-        # f(a+b, c) - f(a.b, a.c) - f(a, c),
-        # f(a, b+c) + g(b, c) - f(a, b) - f(a, c) - g(a.b, a.c) and
-        # g(a, b) + g(a+b, c) - g(b, c) - g(a, b+c).
-        keys.update(4 * p + 1 for p in _failing(m, [fab_c], [fdot, fac]))
-        keys.update(4 * p + 2 for p in _failing(m, [fa_bc, gbc], [fab, fac, gdot]))
-        keys.update(4 * p + 3 for p in _failing(m, [gab, gab_c], [gbc, ga_bc]))
-    z = structure.zero
-    normalized = z is not None and not any(gt[z * n + z] for gt in g_cols)
-    witnesses = _witnesses(n, _FULL_IDENTITIES, keys)
-    return CocycleReport("full", n, normalized, witnesses)
+    return _cocycle_report(structure, coeffs, _columns(f), "reduced")
 
 
 def is_full_2cocycle(structure: LinearCycleSet, coeffs, f, g) -> CocycleReport:
@@ -334,14 +352,16 @@ def is_full_2cocycle(structure: LinearCycleSet, coeffs, f, g) -> CocycleReport:
     g must be symmetric and a cocycle for the addition; f must satisfy the
     translation condition and the mixed condition tying its additivity
     defect in the second argument to g.  Normalized means g(0,0) = 0.
-    Symmetry is one comparison of g with its transpose; the three linear
-    identities are checked per cyclic factor through gathers, as in
-    is_reduced_2cocycle.
+    (f, g) is a degree-2 cochain of the bicomplex's total complex:
+    symmetry is its shuffle constraint in block (0, 2), and the other
+    three identities are the source blocks (2, 1), (1, 2) and (0, 3) of
+    the degree-3 total boundary (`_cocycle_plan`), checked per cyclic
+    factor through gathers, as in is_reduced_2cocycle.
     """
     n = structure.order
     f = _as_table(coeffs, n, f, "dot cocycle")
     g = _as_table(coeffs, n, g, "addition cocycle")
-    return _full_report(structure, coeffs, _columns(f), _columns(g))
+    return _cocycle_report(structure, coeffs, _columns(f + g), "full")
 
 
 def _first_violation(report: CocycleReport) -> str:
@@ -356,6 +376,31 @@ def _require(report: CocycleReport):
         )
 
 
+def _flat_rows(cocycle):
+    """The rows of f, then those of g for a pair: the layout of the flat
+    column (`_cocycle_plan`)."""
+    return itertools.chain.from_iterable(getattr(cocycle, name) for name in _TABLES[cocycle.flavor])
+
+
+def _check(cocycle):
+    columns = _columns(_flat_rows(cocycle))
+    _require(_cocycle_report(cocycle.base, cocycle.coeffs, columns, cocycle.flavor))
+
+
+def _from_columns(base, coeffs, columns, flavor: str, proven=False):
+    """The cocycle of the flavor with the flat per-factor columns given,
+    checked on them unless they are proven a cocycle already; its tables
+    are cut from the columns and not normalized again."""
+    cocycle = object.__new__(ReducedTwoCocycle if flavor == "reduced" else FullTwoCocycle)
+    cocycle.base, cocycle.coeffs = base, coeffs
+    n = base.order
+    for start, name in zip(range(0, 2 * n * n, n * n), _TABLES[flavor]):
+        setattr(cocycle, name, _rows(n, [c[start : start + n * n] for c in columns]))
+    if not proven:
+        _require(_cocycle_report(base, coeffs, columns, flavor))
+    return cocycle
+
+
 @dataclass
 class ReducedTwoCocycle:
     base: LinearCycleSet
@@ -364,18 +409,7 @@ class ReducedTwoCocycle:
 
     def __post_init__(self):
         self.f = _as_table(self.coeffs, self.base.order, self.f, "cocycle")
-        _require(_reduced_report(self.base, self.coeffs, _columns(self.f)))
-
-    @classmethod
-    def _from_columns(cls, base, coeffs, f_cols, proven=False):
-        """The cocycle with the per-factor residue columns f_cols, checked
-        on them unless they are proven a cocycle already, so that its
-        table is not normalized again."""
-        self = object.__new__(cls)
-        self.base, self.coeffs, self.f = base, coeffs, _rows(base.order, f_cols)
-        if not proven:
-            _require(_reduced_report(base, coeffs, f_cols))
-        return self
+        _check(self)
 
     @property
     def flavor(self) -> str:
@@ -396,20 +430,7 @@ class FullTwoCocycle:
     def __post_init__(self):
         self.f = _as_table(self.coeffs, self.base.order, self.f, "dot cocycle")
         self.g = _as_table(self.coeffs, self.base.order, self.g, "addition cocycle")
-        _require(_full_report(self.base, self.coeffs, _columns(self.f), _columns(self.g)))
-
-    @classmethod
-    def _from_columns(cls, base, coeffs, f_cols, g_cols, proven=False):
-        """The pair with the per-factor residue columns f_cols and g_cols,
-        checked on them unless they are proven a cocycle already, so that
-        its tables are not normalized again."""
-        self = object.__new__(cls)
-        n = base.order
-        self.base, self.coeffs = base, coeffs
-        self.f, self.g = _rows(n, f_cols), _rows(n, g_cols)
-        if not proven:
-            _require(_full_report(base, coeffs, f_cols, g_cols))
-        return self
+        _check(self)
 
     @property
     def flavor(self) -> str:
@@ -425,40 +446,30 @@ def two_cocycle_from_dict(data, base: LinearCycleSet, coeffs=None, flavor="reduc
     """Parse a degree-2 cochain file into a validated cocycle.
 
     Reduced files carry |A|^2 values (the dot deformation); full files
-    carry 2|A|^2 values, dot deformation first, addition deformation after.
+    carry 2|A|^2 values, dot deformation first, addition deformation
+    after: the flat column layout of `_cocycle_plan`.
     """
-    if flavor not in ("reduced", "full"):
+    if flavor not in _TABLES:
         raise ParameterError(f"unknown cocycle flavor {flavor!r}")
     coeffs = _file_coeffs(data, coeffs, "cocycle")
     if data.get("degree") != 2:
         raise MalformedTableError("cocycle files must have degree 2")
     n = base.order
-    blocks = 1 if flavor == "reduced" else 2
+    size = len(_TABLES[flavor]) * n * n
     raw = data.get("values")
-    if not isinstance(raw, list) or len(raw) != blocks * n * n:
+    if not isinstance(raw, list) or len(raw) != size:
         raise MalformedTableError(
-            f"a {flavor} cocycle over an order-{n} structure needs "
-            f"{blocks * n * n} values"
+            f"a {flavor} cocycle over an order-{n} structure needs {size} values"
         )
-    flat = _file_values(raw, coeffs, "cocycle")
-    def table(block):
-        off = block * n * n
-        return tuple(
-            tuple(flat[off + a * n + b] for b in range(n)) for a in range(n)
-        )
-    if flavor == "reduced":
-        return ReducedTwoCocycle(base, coeffs, table(0))
-    return FullTwoCocycle(base, coeffs, table(0), table(1))
+    values = zip(*_file_values(raw, coeffs, "cocycle"))
+    columns = [tuple(x % m for x in column) for m, column in zip(coeffs.factors, values)]
+    return _from_columns(base, coeffs, columns, flavor)
 
 
 def two_cocycle_to_dict(cocycle) -> dict:
     coeffs = cocycle.coeffs
     single = len(coeffs.factors) == 1
-    tables = [cocycle.f] if cocycle.flavor == "reduced" else [cocycle.f, cocycle.g]
-    values = []
-    for t in tables:
-        for row in t:
-            values.extend(v[0] if single else list(v) for v in row)
+    values = [v[0] if single else list(v) for row in _flat_rows(cocycle) for v in row]
     return {"degree": 2, "coeff": str(coeffs), "values": values}
 
 
@@ -897,15 +908,12 @@ def _extraction(triple: ExtensionTriple, flavor: str, section):
     fibers = _fiber_table(triple, section)
     f = _kernel_parts(fibers, section, base.dot, total.dot)
     if flavor == "reduced":
-        g = (0,) * (n * n)
+        g, parts = (0,) * (n * n), f
     else:
         g = _kernel_parts(fibers, section, base.add, total.add)
+        parts = f + g
     proven = triple._cocycle == (base, gamma, f, g)
-    f = _index_columns(gamma, f)
-    if flavor == "reduced":
-        return ReducedTwoCocycle._from_columns(base, gamma, f, proven), fibers
-    g = _index_columns(gamma, g)
-    return FullTwoCocycle._from_columns(base, gamma, f, g, proven), fibers
+    return _from_columns(base, gamma, _index_columns(gamma, parts), flavor, proven), fibers
 
 
 def extract_cocycle(triple: ExtensionTriple, flavor: str, section=None):
@@ -1191,19 +1199,16 @@ def cocycles_cohomologous(c1, c2, normalized: bool = False):
     _same_setting(c1, c2)
     base = c1.base
     gamma = c1.coeffs
+    pairs = zip(_columns(_flat_rows(c1)), _columns(_flat_rows(c2)))
     if isinstance(c1, ReducedTwoCocycle):
         # the coboundary is last-linear: it is matched on the generators
         n = base.order
         gens = _presentation(base.add)[0]
         at_gens = _gatherer([a * n + s for a in range(n) for s in gens])
         flavor = "cycle-type"
-        pairs = zip(map(at_gens, _columns(c1.f)), map(at_gens, _columns(c2.f)))
+        pairs = (map(at_gens, pair) for pair in pairs)
     else:
         flavor = "general"
-        pairs = zip(
-            map(operator.add, _columns(c1.f), _columns(c1.g)),
-            map(operator.add, _columns(c2.f), _columns(c2.g)),
-        )
     delta = [
         tuple(map(operator.mod, map(operator.sub, y, x), itertools.repeat(m)))
         for m, (x, y) in zip(gamma.factors, pairs)
@@ -1382,40 +1387,30 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
         factor=_CLASS_TABLE_FACTOR,
     )
     nn = n * n
-
-    def valid(m, column):
-        zm = FiniteAbelianGroup((m,))
-        if flavor == "cycle-type":
-            return _reduced_report(base, zm, [column[:nn]]).valid
-        return _full_report(base, zm, [column[:nn]], [column[nn:]]).valid
-
+    kind = "reduced" if flavor == "cycle-type" else "full"
     # The reports check factor by factor, so a class is a cocycle exactly
     # when each of its columns is one over its own Z/m: each column is
     # checked once, with its verdict beside it.
     checked = {}
     for m, (z_gens, b_form, _count) in per_m.items():
-        columns = _class_representatives(z_gens, b_form, width)
-        checked[m] = [(column, valid(m, column)) for column in columns]
+        zm = FiniteAbelianGroup((m,))
+        checked[m] = [
+            (column, _cocycle_report(base, zm, [column], kind).valid)
+            for column in _class_representatives(z_gens, b_form, width)
+        ]
     per_factor = [checked[m] for m in gamma.factors]
     zero = (0,) * nn
     built = {}  # the deformed tables and canonical maps of this call
     out = []
     for idx, combo in enumerate(itertools.product(*per_factor)):
-        # one residue column per factor: f, then g if general.  The base
-        # was validated above; a class holding a failing column is checked
-        # in full, which raises.  The total is then a linear cycle set by
-        # the construction lemma.
+        # one flat column per factor.  The base was validated above; a
+        # class holding a failing column is checked in full, which
+        # raises.  The total is then a linear cycle set by the
+        # construction lemma.
         combo, verdicts = zip(*combo)
-        proven = all(verdicts)
-        f = [column[:nn] for column in combo]
-        if flavor == "cycle-type":
-            cocycle = ReducedTwoCocycle._from_columns(base, gamma, f, proven)
-            g = zero
-        else:
-            g = [column[nn:] for column in combo]
-            cocycle = FullTwoCocycle._from_columns(base, gamma, f, g, proven)
-            g = _radix(gamma, g)
-        triple = _trusted_triple(gamma, base, _radix(gamma, f), g, built)
+        cocycle = _from_columns(base, gamma, combo, kind, all(verdicts))
+        indices = _radix(gamma, combo)
+        triple = _trusted_triple(gamma, base, indices[:nn], indices[nn:] or zero, built)
         out.append(ClassifiedExtension(idx, cocycle, triple))
     return out
 

@@ -151,10 +151,18 @@ def span_mod(gens: IntegerMatrix, m: int):
 
 
 def coset_representatives(cocycles, coboundaries, m: int):
-    """The lexicographically least element of every coset, sorted."""
-    reps = set()
+    """The lexicographically least element of every coset, sorted.
+
+    Each coset z + B is built once, from the first listed cocycle in it;
+    the cocycles it holds are skipped after that.
+    """
+    seen, reps = set(), []
     for z in cocycles:
-        reps.add(min(tuple((x + y) % m for x, y in zip(z, b)) for b in coboundaries))
+        if z in seen:
+            continue
+        coset = [tuple((x + y) % m for x, y in zip(z, b)) for b in coboundaries]
+        seen.update(coset)
+        reps.append(min(coset))
     return sorted(reps)
 
 

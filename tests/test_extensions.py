@@ -11,6 +11,7 @@ import json
 import random
 
 import pytest
+import table_oracle
 from ext8 import EXT8
 
 import lcscohom.bicomplex
@@ -34,6 +35,8 @@ from lcscohom.extensions import (
     FullTwoCocycle,
     ReducedTwoCocycle,
     _as_table,
+    _cocycle_plan,
+    _from_columns,
     additive_section,
     build_brace_extension,
     build_extension_full,
@@ -260,6 +263,63 @@ def test_valid_pairs_vanish_against_zero():
         for x in range(2):
             assert f[0][x] == 0 and f[x][0] == 0
             assert g[0][x] == g[0][0] and g[x][0] == g[0][0]
+
+
+# The faces of the degree-3 total boundary that land in f's block (1, 1):
+# both flavors read them.
+F_FACES = [
+    (b, i)
+    for b, block in enumerate(lcscohom.bicomplex._total_faces(Z4LCS, 3))
+    for i, (_sign, (_into, target, _inner)) in enumerate(block)
+    if target == (1, 1)
+]
+
+
+@pytest.mark.parametrize("block,face", F_FACES)
+def test_cocycle_identities_are_read_off_the_total_boundary(monkeypatch, block, face):
+    # Flipping the sign of one face of the total boundary reaches both
+    # reports through the plan, so they part from the triple loops of
+    # table_oracle on some class cocycle, and agree again once the face is
+    # restored.  A flipped sign is invisible mod 2, so the classes are
+    # over Z/4; a cycle-type class is a general one with g = 0.
+    real = lcscohom.bicomplex._total_faces
+    reduced = [c.cocycle.f for c in classify_extensions(Z4LCS, Z4, "cycle-type")]
+    zero = [[0] * 4 for _ in range(4)]
+    full = [(f, zero) for f in reduced]
+    full += [(c.cocycle.f, c.cocycle.g) for c in classify_extensions(Z4LCS, Z4, "general")]
+
+    def flipped(structure, n):
+        blocks = real(structure, n)
+        sign, f = blocks[block][face]
+        blocks[block][face] = (-sign, f)
+        return blocks
+
+    def agreeing():
+        return (
+            [
+                is_reduced_2cocycle(Z4LCS, Z4, f).to_dict()
+                == table_oracle.is_reduced_2cocycle(Z4LCS, Z4, f).to_dict()
+                for f in reduced
+            ],
+            [
+                is_full_2cocycle(Z4LCS, Z4, f, g).to_dict()
+                == table_oracle.is_full_2cocycle(Z4LCS, Z4, f, g).to_dict()
+                for f, g in full
+            ],
+        )
+
+    try:
+        monkeypatch.setattr(lcscohom.extensions, "_total_faces", flipped)
+        _cocycle_plan.cache_clear()
+        mutated = agreeing()
+        monkeypatch.undo()
+        _cocycle_plan.cache_clear()
+        restored = agreeing()
+    finally:
+        monkeypatch.undo()
+        _cocycle_plan.cache_clear()
+    assert not all(mutated[0]) and not all(mutated[1])
+    assert all(restored[0]) and all(restored[1])
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +628,7 @@ def test_equivalence_trusts_only_the_pairs_it_built(monkeypatch):
         build_extension_reduced(Z2, Z4LCS, phi),
         build_extension_full(Z4, Z4LCS, classes[1].cocycle.f, classes[1].cocycle.g),
     ]
-    calls = []
-    for name in ("_full_report", "_reduced_report"):
-        real = getattr(lcscohom.extensions, name)
-
-        def counted(*args, real=real, name=name):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(lcscohom.extensions, name, counted)
+    calls = _count_reports(monkeypatch)
 
     def plain(t):
         return ExtensionTriple(t.total, t.gamma, t.base, t.iota, t.pi, t.section)
@@ -587,14 +639,27 @@ def test_equivalence_trusts_only_the_pairs_it_built(monkeypatch):
         verdicts.append(extensions_equivalent(p, q))
         assert calls == []
         assert extensions_equivalent(plain(p), plain(q)) == verdicts[-1]
-        assert calls == ["_full_report"] * 2
+        assert calls == ["full"] * 2
         calls.clear()
     assert [v[0] for v in verdicts] == [False, True, True]
     # the reduced flavor trusts a cycle-type record, whose g is zero
     assert extract_cocycle(built[0], "reduced") == phi
     assert calls == []
     assert extract_cocycle(plain(built[0]), "reduced") == phi
-    assert calls == ["_reduced_report"]
+    assert calls == ["reduced"]
+
+
+def _count_reports(monkeypatch) -> list:
+    """The flavor of every cocycle report made from here on, in order."""
+    calls = []
+    real = lcscohom.extensions._cocycle_report
+
+    def counted(structure, coeffs, columns, flavor):
+        calls.append(flavor)
+        return real(structure, coeffs, columns, flavor)
+
+    monkeypatch.setattr(lcscohom.extensions, "_cocycle_report", counted)
+    return calls
 
 
 def test_equivalence_rejects_mismatched_pairs():
@@ -713,15 +778,7 @@ def test_classify_solves_each_distinct_factor_once(monkeypatch, flavor):
 @pytest.mark.parametrize("flavor", ["cycle-type", "general"])
 def test_classify_checks_and_builds_each_distinct_piece_once(monkeypatch, flavor):
     alone = classify_extensions(Z4LCS, Z2, flavor)
-    calls, tables = [], []
-    for name in ("_full_report", "_reduced_report"):
-        real = getattr(lcscohom.extensions, name)
-
-        def counted(*args, real=real, name=name):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(lcscohom.extensions, name, counted)
+    calls, tables = _count_reports(monkeypatch), []
     real_table = lcscohom.extensions._deformed_table
 
     def counted_table(gamma, n, base_op, deformation, carry):
@@ -731,7 +788,7 @@ def test_classify_checks_and_builds_each_distinct_piece_once(monkeypatch, flavor
     monkeypatch.setattr(lcscohom.extensions, "_deformed_table", counted_table)
     classes = classify_extensions(Z4LCS, parse_group_spec("Z/2+Z/2"), flavor)
     # one check per factor column, not one per combination of columns
-    report = "_reduced_report" if flavor == "cycle-type" else "_full_report"
+    report = "reduced" if flavor == "cycle-type" else "full"
     assert calls == [report] * len(alone)
     assert len(classes) == len(alone) ** 2
     # one dot table per distinct f and one addition table per distinct g,
@@ -760,13 +817,10 @@ def test_classify_refuses_a_representative_that_is_no_cocycle(monkeypatch, flavo
 
     monkeypatch.setattr(lcscohom.extensions, "_class_representatives", listed)
     gamma = parse_group_spec(spec)
-    column = [1] * nn
-    f = [column] * len(gamma.factors) if spec != "Z/2+Z/4" else [[0] * nn, column]
+    columns = [bad] * len(gamma.factors) if spec != "Z/2+Z/4" else [zero, bad]
+    kind = "reduced" if flavor == "cycle-type" else "full"
     with pytest.raises(CocycleError) as expected:
-        if flavor == "cycle-type":
-            ReducedTwoCocycle._from_columns(Z4LCS, gamma, f)
-        else:
-            FullTwoCocycle._from_columns(Z4LCS, gamma, f, [[0] * nn] * len(f))
+        _from_columns(Z4LCS, gamma, columns, kind)
     with pytest.raises(CocycleError) as info:
         classify_extensions(Z4LCS, gamma, flavor)
     assert str(info.value) == str(expected.value)
