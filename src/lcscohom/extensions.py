@@ -246,6 +246,8 @@ def _cocycle_plan(base: LinearCycleSet) -> tuple:
             for sign, half, face in terms[block]:
                 if half < len(_TABLES[flavor]):  # a reduced cochain has no g
                     signed[sign < 0].append(reads.setdefault((half, face), len(reads)))
+            if not signed[0]:  # no plus term: read negated, same zero set
+                signed = signed[::-1]
             stride = len(identities) * (n if block == (0, 2) else 1)
             sums.append((stride, *map(_gatherer, signed)))
         flavors[flavor] = list(reads), sums
@@ -369,7 +371,10 @@ def _first_violation(report: CocycleReport) -> str:
     return f"{v.axiom} fails at {v.witness}"
 
 
-def _require(report: CocycleReport):
+def _require(base, coeffs, columns, flavor: str):
+    """Refuse flat per-factor columns (`_cocycle_plan`) that are no
+    cocycle of the flavor."""
+    report = _cocycle_report(base, coeffs, columns, flavor)
     if not report.valid:
         raise CocycleError(
             f"not a {report.flavor} 2-cocycle: {_first_violation(report)}", report
@@ -379,12 +384,8 @@ def _require(report: CocycleReport):
 def _flat_rows(cocycle):
     """The rows of f, then those of g for a pair: the layout of the flat
     column (`_cocycle_plan`)."""
-    return itertools.chain.from_iterable(getattr(cocycle, name) for name in _TABLES[cocycle.flavor])
-
-
-def _check(cocycle):
-    columns = _columns(_flat_rows(cocycle))
-    _require(_cocycle_report(cocycle.base, cocycle.coeffs, columns, cocycle.flavor))
+    tables = (getattr(cocycle, name) for name in _TABLES[cocycle.flavor])
+    return itertools.chain.from_iterable(tables)
 
 
 def _from_columns(base, coeffs, columns, flavor: str, proven=False):
@@ -397,7 +398,7 @@ def _from_columns(base, coeffs, columns, flavor: str, proven=False):
     for start, name in zip(range(0, 2 * n * n, n * n), _TABLES[flavor]):
         setattr(cocycle, name, _rows(n, [c[start : start + n * n] for c in columns]))
     if not proven:
-        _require(_cocycle_report(base, coeffs, columns, flavor))
+        _require(base, coeffs, columns, flavor)
     return cocycle
 
 
@@ -409,7 +410,7 @@ class ReducedTwoCocycle:
 
     def __post_init__(self):
         self.f = _as_table(self.coeffs, self.base.order, self.f, "cocycle")
-        _check(self)
+        _require(self.base, self.coeffs, _columns(_flat_rows(self)), self.flavor)
 
     @property
     def flavor(self) -> str:
@@ -430,7 +431,7 @@ class FullTwoCocycle:
     def __post_init__(self):
         self.f = _as_table(self.coeffs, self.base.order, self.f, "dot cocycle")
         self.g = _as_table(self.coeffs, self.base.order, self.g, "addition cocycle")
-        _check(self)
+        _require(self.base, self.coeffs, _columns(_flat_rows(self)), self.flavor)
 
     @property
     def flavor(self) -> str:

@@ -249,8 +249,6 @@ def _merge_map(n: int, k: int, add, pos: int) -> list:
     low = n ** (k - 1 - pos)
     block = [s * low + y for row in add for s in row for y in range(low)]
     step = n * low
-    if step == n ** (k - 1):  # no coordinates before pos - 1
-        return block
     return [h + x for h in range(0, n ** (k - 1), step) for x in block]
 
 
@@ -266,12 +264,8 @@ def _drop_map(n: int, k: int, pos: int) -> list:
     ([0, 0, 1, 1], [0, 1, 0, 1])
     """
     low = n ** (k - 1 - pos)
-    if low == 1:  # each index n times: zip reads n iterators of one range
-        return list(itertools.chain.from_iterable(zip(*[range(n ** (k - 1))] * n)))
-    out = []
-    for h in range(0, n ** (k - 1), low):
-        out += list(range(h, h + low)) * n
-    return out
+    runs = (itertools.repeat(range(h, h + low), n) for h in range(0, n ** (k - 1), low))
+    return list(itertools.chain.from_iterable(itertools.chain.from_iterable(runs)))
 
 
 def _permute(perm):

@@ -265,51 +265,57 @@ def test_valid_pairs_vanish_against_zero():
             assert g[0][x] == g[0][0] and g[x][0] == g[0][0]
 
 
-# The faces of the degree-3 total boundary that land in f's block (1, 1):
-# both flavors read them.
-F_FACES = [
-    (b, i)
+# Every face that `_cocycle_plan` reads, as (source, block, face, table):
+# face `face` of block `block` of the degree-3 total boundary, or of the
+# (0, 2) shuffle constraint (block None), landing in the table of f (block
+# (1, 1)) or of g (block (0, 2)).  Both flavors read the faces into f; only
+# the full flavor reads those into g.
+PLAN_FACES = [
+    ("_total_faces", b, i, "f" if target == (1, 1) else "g")
     for b, block in enumerate(lcscohom.bicomplex._total_faces(Z4LCS, 3))
     for i, (_sign, (_into, target, _inner)) in enumerate(block)
-    if target == (1, 1)
-]
+] + [("_shuffle_faces", None, i, "g") for i in range(2)]
 
 
-@pytest.mark.parametrize("block,face", F_FACES)
-def test_cocycle_identities_are_read_off_the_total_boundary(monkeypatch, block, face):
-    # Flipping the sign of one face of the total boundary reaches both
-    # reports through the plan, so they part from the triple loops of
+@pytest.mark.parametrize("source,block,face,table", PLAN_FACES)
+def test_cocycle_identities_are_read_off_the_total_boundary(
+    monkeypatch, source, block, face, table
+):
+    # Flipping the sign of one face that the plan reads reaches the reports
+    # of the flavors that read it, so they part from the triple loops of
     # table_oracle on some class cocycle, and agree again once the face is
-    # restored.  A flipped sign is invisible mod 2, so the classes are
-    # over Z/4; a cycle-type class is a general one with g = 0.
-    real = lcscohom.bicomplex._total_faces
+    # restored; a flavor that does not read the face agrees throughout.  A
+    # flipped sign is invisible mod 2, so the classes are over Z/4; a
+    # cycle-type class is a general one with g = 0.
+    real = getattr(lcscohom.extensions, source)
     reduced = [c.cocycle.f for c in classify_extensions(Z4LCS, Z4, "cycle-type")]
     zero = [[0] * 4 for _ in range(4)]
     full = [(f, zero) for f in reduced]
     full += [(c.cocycle.f, c.cocycle.g) for c in classify_extensions(Z4LCS, Z4, "general")]
 
-    def flipped(structure, n):
-        blocks = real(structure, n)
-        sign, f = blocks[block][face]
-        blocks[block][face] = (-sign, f)
-        return blocks
+    def flipped(*args):
+        faces = real(*args)
+        listed = faces if block is None else faces[block]
+        sign, f = listed[face]
+        listed[face] = (-sign, f)
+        return faces
 
     def agreeing():
         return (
-            [
+            all(
                 is_reduced_2cocycle(Z4LCS, Z4, f).to_dict()
                 == table_oracle.is_reduced_2cocycle(Z4LCS, Z4, f).to_dict()
                 for f in reduced
-            ],
-            [
+            ),
+            all(
                 is_full_2cocycle(Z4LCS, Z4, f, g).to_dict()
                 == table_oracle.is_full_2cocycle(Z4LCS, Z4, f, g).to_dict()
                 for f, g in full
-            ],
+            ),
         )
 
     try:
-        monkeypatch.setattr(lcscohom.extensions, "_total_faces", flipped)
+        monkeypatch.setattr(lcscohom.extensions, source, flipped)
         _cocycle_plan.cache_clear()
         mutated = agreeing()
         monkeypatch.undo()
@@ -318,8 +324,8 @@ def test_cocycle_identities_are_read_off_the_total_boundary(monkeypatch, block, 
     finally:
         monkeypatch.undo()
         _cocycle_plan.cache_clear()
-    assert not all(mutated[0]) and not all(mutated[1])
-    assert all(restored[0]) and all(restored[1])
+    assert mutated == (table == "g", False)
+    assert restored == (True, True)
 
 
 # ---------------------------------------------------------------------------
