@@ -46,14 +46,14 @@ from .errors import (
     UnsupportedCoefficientsError,
 )
 from .extensions import (
+    _file_columns,
+    _require,
     build_extension_full,
     build_extension_reduced,
     classify_extensions,
     extension_from_dict,
     extension_to_dict,
     extensions_equivalent,
-    is_full_2cocycle,
-    is_reduced_2cocycle,
     two_cocycle_from_dict,
     validate_extension_triple,
 )
@@ -188,21 +188,16 @@ def _optional_coeffs(args):
 def cmd_cocycle_check(args) -> int:
     structure = _as_cycle_set(_load_structure_arg(args.file))
     data = _load_json(args.cocycle)
+    coeffs, columns = _file_columns(data, structure, _optional_coeffs(args), args.flavor)
     try:
-        cocycle = two_cocycle_from_dict(
-            data, structure, _optional_coeffs(args), args.flavor
-        )
+        # the one check of the file, whose report is also the output
+        report = _require(structure, coeffs, columns, args.flavor)
     except CocycleError as exc:
-        report = exc.report
         if args.text:
             _say(f"invalid {args.flavor} 2-cocycle: {exc}")
         else:
-            _emit(report.to_dict())
+            _emit(exc.report.to_dict())
         return 1
-    if args.flavor == "reduced":
-        report = is_reduced_2cocycle(structure, cocycle.coeffs, cocycle.f)
-    else:
-        report = is_full_2cocycle(structure, cocycle.coeffs, cocycle.f, cocycle.g)
     if args.text:
         tail = "normalized" if report.normalized else "not normalized"
         _say(f"valid {args.flavor} 2-cocycle ({tail})")

@@ -55,6 +55,7 @@ from .reduced import (
     _face_rows,
     _file_coeffs,
     _file_values,
+    _gatherer,
     _index_map,
     _presentation,
     _reduced_system,
@@ -254,18 +255,6 @@ def _cocycle_plan(base: LinearCycleSet) -> tuple:
     return gathers, flavors
 
 
-def _gatherer(indices):
-    """The map seq -> tuple(seq[i] for i in indices).  With one index or
-    none itemgetter returns a bare entry or refuses, so those cases are
-    composed by hand."""
-    if len(indices) > 1:
-        return operator.itemgetter(*indices)
-    if indices:
-        (only,) = indices
-        return lambda seq: (seq[only],)
-    return lambda seq: ()
-
-
 def _failing(m: int, plus, minus):
     """The positions at which the plus terms minus the minus terms are
     nonzero mod m."""
@@ -371,14 +360,15 @@ def _first_violation(report: CocycleReport) -> str:
     return f"{v.axiom} fails at {v.witness}"
 
 
-def _require(base, coeffs, columns, flavor: str):
-    """Refuse flat per-factor columns (`_cocycle_plan`) that are no
-    cocycle of the flavor."""
+def _require(base, coeffs, columns, flavor: str) -> CocycleReport:
+    """The report of flat per-factor columns (`_cocycle_plan`), refusing
+    columns that are no cocycle of the flavor."""
     report = _cocycle_report(base, coeffs, columns, flavor)
     if not report.valid:
         raise CocycleError(
             f"not a {report.flavor} 2-cocycle: {_first_violation(report)}", report
         )
+    return report
 
 
 def _flat_rows(cocycle):
@@ -388,15 +378,18 @@ def _flat_rows(cocycle):
     return itertools.chain.from_iterable(tables)
 
 
-def _from_columns(base, coeffs, columns, flavor: str, proven=False):
+def _from_columns(base, coeffs, columns, flavor: str, proven=False, built=None):
     """The cocycle of the flavor with the flat per-factor columns given,
     checked on them unless they are proven a cocycle already; its tables
-    are cut from the columns and not normalized again."""
+    are cut from the columns and not normalized again.  `built` shares
+    each table between the cocycles of one call with equal columns
+    (`_shared`)."""
     cocycle = object.__new__(ReducedTwoCocycle if flavor == "reduced" else FullTwoCocycle)
     cocycle.base, cocycle.coeffs = base, coeffs
-    n = base.order
-    for start, name in zip(range(0, 2 * n * n, n * n), _TABLES[flavor]):
-        setattr(cocycle, name, _rows(n, [c[start : start + n * n] for c in columns]))
+    nn = base.order ** 2
+    for start, name in zip(range(0, 2 * nn, nn), _TABLES[flavor]):
+        part = tuple(c[start : start + nn] for c in columns)
+        setattr(cocycle, name, _shared(built, ("rows", part), _rows, base.order, part))
     if not proven:
         _require(base, coeffs, columns, flavor)
     return cocycle
@@ -450,6 +443,12 @@ def two_cocycle_from_dict(data, base: LinearCycleSet, coeffs=None, flavor="reduc
     carry 2|A|^2 values, dot deformation first, addition deformation
     after: the flat column layout of `_cocycle_plan`.
     """
+    return _from_columns(base, *_file_columns(data, base, coeffs, flavor), flavor)
+
+
+def _file_columns(data, base: LinearCycleSet, coeffs, flavor: str):
+    """The coefficient group and flat per-factor columns of a degree-2
+    cochain file, reduced but not checked."""
     if flavor not in _TABLES:
         raise ParameterError(f"unknown cocycle flavor {flavor!r}")
     coeffs = _file_coeffs(data, coeffs, "cocycle")
@@ -463,8 +462,7 @@ def two_cocycle_from_dict(data, base: LinearCycleSet, coeffs=None, flavor="reduc
             f"a {flavor} cocycle over an order-{n} structure needs {size} values"
         )
     values = zip(*_file_values(raw, coeffs, "cocycle"))
-    columns = [tuple(x % m for x in column) for m, column in zip(coeffs.factors, values)]
-    return _from_columns(base, coeffs, columns, flavor)
+    return coeffs, [tuple(x % m for x in column) for m, column in zip(coeffs.factors, values)]
 
 
 def two_cocycle_to_dict(cocycle) -> dict:
@@ -519,6 +517,16 @@ class ExtensionTriple:
             self.section = tuple(self.section)
         self.iota = tuple(self.iota)
         self.pi = tuple(self.pi)
+
+    @classmethod
+    def _trusted(cls, total, gamma, base, iota, pi, section):
+        """A triple whose caller has checked its maps, given as tuples,
+        against these orders; nothing is checked or copied."""
+        self = object.__new__(cls)
+        self.total, self.gamma, self.base = total, gamma, base
+        self.iota, self.pi, self.section = iota, pi, section
+        self._cocycle = None
+        return self
 
 
 @functools.lru_cache(maxsize=8)
@@ -649,9 +657,16 @@ def _canonical_maps(gamma, n: int, zero_e: int):
 
 def _canonical_triple(gamma, base, total, built=None):
     """The triple of total with its canonical maps (`_canonical_maps`),
-    shared through `built` between the triples of one call with one zero."""
-    maps = _shared(built, ("maps", total.zero), _canonical_maps, gamma, base.order, total.zero)
-    return ExtensionTriple(total, gamma, base, *maps)
+    shared through `built` between the triples of one call with one zero.
+    Shared maps are checked with the first triple that holds them; the
+    later triples of the call, of the same orders, take them unchecked."""
+    key = ("maps", total.zero)
+    if built is not None and key in built:
+        return ExtensionTriple._trusted(total, gamma, base, *built[key])
+    triple = ExtensionTriple(total, gamma, base, *_canonical_maps(gamma, base.order, total.zero))
+    if built is not None:
+        built[key] = triple.iota, triple.pi, triple.section
+    return triple
 
 
 def _trusted_triple(gamma, base: LinearCycleSet, f, g, built=None) -> ExtensionTriple:
@@ -1401,7 +1416,7 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
         ]
     per_factor = [checked[m] for m in gamma.factors]
     zero = (0,) * nn
-    built = {}  # the deformed tables and canonical maps of this call
+    built = {}  # the cocycle and deformed tables and canonical maps of this call
     out = []
     for idx, combo in enumerate(itertools.product(*per_factor)):
         # one flat column per factor.  The base was validated above; a
@@ -1409,7 +1424,7 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
         # raises.  The total is then a linear cycle set by the
         # construction lemma.
         combo, verdicts = zip(*combo)
-        cocycle = _from_columns(base, gamma, combo, kind, all(verdicts))
+        cocycle = _from_columns(base, gamma, combo, kind, all(verdicts), built)
         indices = _radix(gamma, combo)
         triple = _trusted_triple(gamma, base, indices[:nn], indices[nn:] or zero, built)
         out.append(ClassifiedExtension(idx, cocycle, triple))

@@ -30,12 +30,14 @@ operator here and in the bicomplex is a signed list of face maps on
 tuples (act by the dot operation, merge by +, drop or permute
 coordinates).  A face is compiled, once per call, into an index map over
 the lexicographically ordered basis: entry x of the map is the index of
-the image of tuple x, built by whole-list arithmetic on the tables
-(`_index_map`).  `_face_rows` writes compiled face lists into the sparse
-rows that the unconstrained and full systems and the additive sections
-are reduced from; they are the one operator format of the package.  The
-chain-map and structural checks send formal sums of tuple indices
-through compiled face lists (`_apply`), without a matrix.
+the image of tuple x, built from whole runs of indices, cut, repeated
+and gathered, or by whole-list arithmetic on the tables (`_index_map`).
+`_presented_boundary` compiles its faces on the prefixes of the tuples
+it reads, not on every tuple.  `_face_rows` writes compiled face lists
+into the sparse rows that the unconstrained and full systems and the
+additive sections are reduced from; they are the one operator format of
+the package.  The chain-map and structural checks send formal sums of
+tuple indices through compiled face lists (`_apply`), without a matrix.
 
 The boundary of a tuple (a_1, ..., a_k) is
 
@@ -52,6 +54,7 @@ with the degree-1 boundary zero.  The unconstrained companion complex
 """
 
 import itertools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -238,18 +241,23 @@ def _merge(add, pos: int):
 
 
 def _merge_map(n: int, k: int, add, pos: int) -> list:
-    """The map of `_merge`: the add table, spread over the coordinates
-    after pos and repeated over those before pos - 1.
+    """The map of `_merge`: within each run of the indices that share the
+    coordinates before pos - 1, the sum of coordinates pos-1 and pos picks
+    the block of indices of its value, and the coordinates after pos run
+    along.
 
     >>> _merge_map(2, 2, ((0, 1), (1, 0)), 1)
     [0, 1, 1, 0]
     >>> _merge_map(2, 3, ((0, 1), (1, 0)), 2)
     [0, 1, 1, 0, 2, 3, 3, 2]
+    >>> _merge_map(2, 3, ((0, 1), (1, 0)), 1)
+    [0, 1, 2, 3, 2, 3, 0, 1]
     """
     low = n ** (k - 1 - pos)
-    block = [s * low + y for row in add for s in row for y in range(low)]
-    step = n * low
-    return [h + x for h in range(0, n ** (k - 1), step) for x in block]
+    blocks = list(_runs(range(n * low), low))  # one block per value of the sum
+    sums = itertools.chain.from_iterable(add)
+    pick = _gatherer(tuple(itertools.chain.from_iterable(map(blocks.__getitem__, sums))))
+    return list(itertools.chain.from_iterable(map(pick, _runs(range(n ** (k - 1)), n * low))))
 
 
 def _drop(pos: int):
@@ -262,10 +270,36 @@ def _drop_map(n: int, k: int, pos: int) -> list:
 
     >>> _drop_map(2, 2, 1), _drop_map(2, 2, 0)
     ([0, 0, 1, 1], [0, 1, 0, 1])
+    >>> _drop_map(2, 3, 1)
+    [0, 1, 0, 1, 2, 3, 2, 3]
     """
-    low = n ** (k - 1 - pos)
-    runs = (itertools.repeat(range(h, h + low), n) for h in range(0, n ** (k - 1), low))
-    return list(itertools.chain.from_iterable(itertools.chain.from_iterable(runs)))
+    runs = _runs(range(n ** (k - 1)), n ** (k - 1 - pos))
+    return list(itertools.chain.from_iterable(map(operator.mul, runs, itertools.repeat(n))))
+
+
+def _runs(seq, size: int):
+    """seq cut into consecutive tuples of `size` entries.
+
+    >>> list(_runs(range(6), 3))
+    [(0, 1, 2), (3, 4, 5)]
+    """
+    return zip(*[iter(seq)] * size)
+
+
+def _gatherer(indices):
+    """The map seq -> tuple(seq[i] for i in indices).  With one index or
+    none itemgetter returns a bare entry or refuses, so those cases are
+    composed by hand.
+
+    >>> _gatherer([2, 0])("abc"), _gatherer([1])("abc"), _gatherer([])("abc")
+    (('c', 'a'), ('b',), ())
+    """
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    if indices:
+        (only,) = indices
+        return lambda seq: (seq[only],)
+    return lambda seq: ()
 
 
 def _permute(perm):
@@ -632,24 +666,48 @@ def _presented_boundary(structure: LinearCycleSet, k: int):
     Row y is the degree-(k-1) coordinate y = (q, i), at index
     index(q) * r + i; column x = (p, j), at index(p) * r + j, holds the
     coefficient of (q, s_i) in the boundary of (p, s_j), whose face
-    targets (q, a) are read off the compiled face maps and expand to
-    sum of c_i(a) (q, s_i).  Row y is also the coboundary of the cochain
-    coordinate y, and column x the cocycle condition at (p, s_j).
+    targets (q, a) expand to sum of c_i(a) (q, s_i).  Row y is also the
+    coboundary of the cochain coordinate y, and column x the cocycle
+    condition at (p, s_j).
+
+    The faces are compiled on the (k-1)-tuples p alone: no face moves
+    the last coordinate, so the target of (p, s_j) is (q, a) with q the
+    image of p.  The action reads a = p_0 . s_j, and the merges and the
+    drop of coordinate k-2 keep a = s_j.  Columns enter each row
+    generator by generator and face by face, so its keys are not in
+    column order.  Over Z/2 with the trivial dot, the degree-2 boundary
+    of (a, s_0) is (s_0) - (s_0), and that of (a, b, s_0) is (b, s_0) -
+    (a + b, s_0) + (a, s_0):
+
+    >>> z2 = LinearCycleSet(2, [[0, 1], [1, 0]], [[0, 1], [0, 1]])
+    >>> _presented_boundary(z2, 2)
+    [{0: 0, 1: 0}]
+    >>> _presented_boundary(z2, 3)
+    [{0: 1, 2: 1, 3: -1, 1: 1}, {1: 0, 3: 2, 2: 0}]
     """
     n = structure.order
     gens, _orders, _powers, coords = _presentation(structure.add)
     r = len(gens)
     terms = [[(i, c) for i, c in enumerate(coords[a]) if c] for a in range(n)]
     rows = [{} for _ in range(n ** (k - 2) * r)]
-    maps = _index_maps(_horizontal_faces(structure, k - 1), n, k)
+    by_i = [rows[i::r] for i in range(r)]  # by_i[i][q] is row (q, i)
+
+    def write(columns, image, a, sign):
+        # column x gains sign times the expansion of (q, a), q its entry in image
+        for i, c in terms[a]:
+            entry = sign * c
+            for x, row in zip(columns, map(by_i[i].__getitem__, image)):
+                row[x] = row.get(x, 0) + entry
+
+    (act_sign, act), *rest = _index_maps(_horizontal_faces(structure, k - 1), n, k - 1)
+    low = n ** (k - 2)  # the prefixes with one first coordinate p_0
     for j, s in enumerate(gens):
         columns = range(j, n ** (k - 1) * r, r)
-        for sign, image in maps:
-            for x, target in zip(columns, image[s::n]):
-                q, a = divmod(target, n)
-                for i, c in terms[a]:
-                    row = rows[q * r + i]
-                    row[x] = row.get(x, 0) + sign * c
+        # the action's a = p_0 . s_j is one value on each run of p_0
+        for h, head in zip(range(0, len(act), low), structure.dot):
+            write(columns[h : h + low], act[h : h + low], head[s], act_sign)
+        for sign, image in rest:
+            write(columns, image, s, sign)
     return rows
 
 

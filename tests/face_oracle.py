@@ -6,6 +6,10 @@ and writes face rows from those maps.  The writer here reads each face's
 description instead, turns it into a closure on tuples, calls it once per
 tuple and finds the image's row in a key dict, as the library did before
 it compiled faces.  It shares no map arithmetic with the library.
+
+`presented_boundary` is the presented boundary as the library built it
+before it compiled faces on prefixes: every face is compiled on all
+n^k tuples, and the tuples (p, s_j) are read off the whole maps.
 """
 
 from operator import itemgetter
@@ -79,4 +83,26 @@ def face_rows(n: int, k: int, blocks, targets, start: int = 0):
                 row = rows[index[face(t)]]
                 row[col] = row.get(col, 0) + sign
             col += 1
+    return rows
+
+
+def presented_boundary(structure, k: int, maps=None):
+    """The rows of `lcscohom.reduced._presented_boundary`, read off the
+    horizontal face maps on every k-tuple, or off `maps`, a compiled face
+    list on the k-tuples given in their place."""
+    n = structure.order
+    gens, _orders, _powers, coords = reduced._presentation(structure.add)
+    r = len(gens)
+    terms = [[(i, c) for i, c in enumerate(coords[a]) if c] for a in range(n)]
+    rows = [{} for _ in range(n ** (k - 2) * r)]
+    if maps is None:
+        maps = reduced._index_maps(reduced._horizontal_faces(structure, k - 1), n, k)
+    for j, s in enumerate(gens):
+        columns = range(j, n ** (k - 1) * r, r)
+        for sign, image in maps:
+            for x, target in zip(columns, image[s::n]):
+                q, a = divmod(target, n)
+                for i, c in terms[a]:
+                    row = rows[q * r + i]
+                    row[x] = row.get(x, 0) + sign * c
     return rows

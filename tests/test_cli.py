@@ -264,6 +264,28 @@ def test_cocycle_check_invalid(capsys, tmp_path):
     assert "second-argument-additivity" in axioms
 
 
+@pytest.mark.parametrize("flavor", ["reduced", "full"])
+def test_cocycle_check_runs_one_report(capsys, tmp_path, monkeypatch, flavor):
+    # the file is parsed and checked once, and that report is the output
+    from lcscohom import extensions
+
+    calls = []
+    real = extensions._cocycle_report
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    values = phi_cocycle_dict(PHI_A)["values"] + ([0] * 16 if flavor == "full" else [])
+    path = write_json(tmp_path, "phi.json", {"degree": 2, "coeff": "Z/2", "values": values})
+    monkeypatch.setattr(extensions, "_cocycle_report", counted)
+    argv = ["cocycle-check", "builtin:z4-lcs", "--cocycle", path, "--flavor", flavor]
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["valid"], calls) == (0, True, [flavor])
+    code, out, _ = run(capsys, "--text", *argv)
+    assert (code, out, calls) == (0, f"valid {flavor} 2-cocycle (normalized)\n", [flavor] * 2)
+
+
 def test_cocycle_check_coeff_mismatch(capsys, tmp_path):
     path = write_json(tmp_path, "phi.json", phi_cocycle_dict(PHI_A))
     code, _, err = run(

@@ -62,6 +62,12 @@ def test_examples_are_collected():
     )
     for builder in builders:
         assert finder.find(builder)[0].examples, builder.__name__
+    # the maps are cut into runs and gathered, and the presented boundary
+    # shows its rows, keys in face order, as compiled on prefixes
+    for helper in (reduced._runs, reduced._gatherer, reduced._presented_boundary):
+        assert finder.find(helper)[0].examples, helper.__name__
+    sources = [ex.source for ex in finder.find(reduced._presented_boundary)[0].examples]
+    assert any(src.startswith("_presented_boundary(") for src in sources)
     # the cached helper's doctest is collected through its cache wrapper
     extensions = importlib.import_module("lcscohom.extensions")
     names = {t.name for t in finder.find(extensions) if t.examples}

@@ -806,6 +806,46 @@ def test_classify_checks_and_builds_each_distinct_piece_once(monkeypatch, flavor
     assert len({id(c.triple.total.add) for c in classes}) == len(gs)
 
 
+@pytest.mark.parametrize(
+    "base,spec,flavor",
+    [
+        (Z4LCS, "Z/2+Z/2", "cycle-type"),
+        (trivial_lcs(FiniteAbelianGroup((2, 2))), "Z/2+Z/4", "general"),
+    ],
+    ids=["z4-lcs", "trivial(Z/2+Z/2)"],
+)
+def test_classify_builds_each_cocycle_table_and_checks_the_maps_once(
+    monkeypatch, base, spec, flavor
+):
+    built, checked = [], []
+    real_rows = lcscohom.extensions._rows
+    real_check = ExtensionTriple.__post_init__
+
+    def counted_rows(n, columns):
+        built.append(columns)
+        return real_rows(n, columns)
+
+    def counted_check(self):
+        checked.append(self.total.zero)
+        real_check(self)
+
+    monkeypatch.setattr(lcscohom.extensions, "_rows", counted_rows)
+    monkeypatch.setattr(ExtensionTriple, "__post_init__", counted_check)
+    classes = classify_extensions(base, parse_group_spec(spec), flavor)
+    # one table per distinct tuple of factor columns, of f or of g, shared
+    # by the cocycles that have it, and one check per distinct total zero,
+    # whose canonical maps the triples share
+    names = ("f",) if flavor == "cycle-type" else ("f", "g")
+    tables = [getattr(c.cocycle, name) for c in classes for name in names]
+    assert len(built) == len(set(built)) == len(set(tables)) == len(set(map(id, tables)))
+    assert sorted(checked) == sorted({k.triple.total.zero for k in classes})
+    assert len(classes) > 4 * len(checked)
+    # a triple built directly is still checked in full
+    triple = classes[-1].triple
+    with pytest.raises(ShapeError):
+        ExtensionTriple(triple.total, triple.gamma, triple.base, triple.iota[:-1], triple.pi)
+
+
 @pytest.mark.parametrize("spec", ["Z/2", "Z/2+Z/2", "Z/2+Z/4"])
 @pytest.mark.parametrize("flavor", ["cycle-type", "general"])
 def test_classify_refuses_a_representative_that_is_no_cocycle(monkeypatch, flavor, spec):

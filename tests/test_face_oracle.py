@@ -6,26 +6,36 @@ antisymmetrization faces of reduced degrees 1-4, and the total boundary
 and shuffle sums of full degrees 1-3, over the order <= 4 corpus and the
 order-8 cycle set ext8 (whose 5-tuples get the reduced cocycle system
 only).  Rows must hold the same entries in the same key order, because
-elimination breaks pivot ties by that order.
+elimination breaks pivot ties by that order.  The presented boundary,
+compiled on prefixes, is compared with its n^k-tuple route over every
+cycle set of order <= 4, ext8 (also relabeled) and trivial(Z/2+Z/4).
 """
 
 import pytest
-from ext8 import EXT8
+from ext8 import EXT8, EXT8_RELABELED
 from face_oracle import face_rows as oracle_rows
-from face_oracle import total_keys, tuple_keys
+from face_oracle import presented_boundary, total_keys, tuple_keys
 from linearity_oracle import linearity_faces
 
+from lcscohom.abelian import FiniteAbelianGroup
 from lcscohom.bicomplex import _into, _shuffle_faces, _total_faces, _vertical_faces, total_blocks
-from lcscohom.corpus import standard_corpus
+from lcscohom.corpus import enumerate_lcs, standard_corpus, trivial_lcs
 from lcscohom.reduced import (
     _antisymmetrization_faces,
     _cs_faces,
+    _drop,
     _face_rows,
     _horizontal_faces,
+    _index_maps,
     _merge,
+    _presented_boundary,
 )
 
 STRUCTURES = standard_corpus() + [("ext8", EXT8)]
+# every cycle set of order <= 4, and three of order 8 on two generators:
+# ext8, ext8 relabeled so that 2 s_1 = 2 s_0, and trivial(Z/2+Z/4)
+PRESENTED = [s for n in range(1, 5) for s in enumerate_lcs(n)]
+PRESENTED += [EXT8, EXT8_RELABELED, trivial_lcs(FiniteAbelianGroup((2, 4)))]
 
 
 def reduced_cases(s, d):
@@ -91,3 +101,35 @@ def test_the_comparison_refuses_a_flipped_sign_or_an_extra_merge():
                 got = _face_rows(n, d + 1, [wrong], len(targets))
                 want = oracle_rows(n, d + 1, [faces], targets)
                 assert [list(r.items()) for r in got] != [list(r.items()) for r in want]
+
+
+def _items(rows):
+    return [list(row.items()) for row in rows]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_presented_boundary_matches_the_tuple_route(k):
+    for s in PRESENTED:
+        assert _items(_presented_boundary(s, k)) == _items(presented_boundary(s, k)), (s.order, k)
+
+
+def _wrong_maps(s, k):
+    """The horizontal face maps on k-tuples, once with the action's last
+    slot left undotted and once with coordinate k - 1 dropped for k - 2."""
+    n = s.order
+    (sign, act), *rest = maps = _index_maps(_horizontal_faces(s, k - 1), n, k)
+    undotted = [(sign, [y - y % n + x % n for x, y in enumerate(act)])] + rest
+    late_drop = maps[:-1] + _index_maps([(maps[-1][0], _drop(k - 1))], n, k)
+    return undotted, late_drop
+
+
+def test_the_comparison_refuses_a_wrong_action_or_drop():
+    # reading s_j for p_0 . s_j, or dropping the wrong coordinate, changes
+    # some row of some case
+    cases = [(s, k) for s in PRESENTED for k in (2, 3, 4)]
+    for wrong in range(2):
+        assert any(
+            _items(_presented_boundary(s, k))
+            != _items(presented_boundary(s, k, _wrong_maps(s, k)[wrong]))
+            for s, k in cases
+        ), wrong
