@@ -18,11 +18,12 @@ total boundary: the identities checked are the source blocks of
 and then g (`_cocycle_plan`).  Equivalence and classification are
 linear algebra over Z/m on the systems the cohomology groups are read
 from, `reduced._reduced_system` (cycle-type: the reduced H^2) and
-`bicomplex._full_system` (general: the normalized full H^2).  Tagged
-eliminations give cocycles and coboundaries, reduced ones read on every
-pair (`reduced._evaluated`), and Howell forms over Z/m
-(`linalg._IntegerSpan`) the class representatives, the least theta and
-additive sections.
+`bicomplex._full_system` (general: the normalized full H^2).  Both solve
+for values on generators, of (A, +) and of the shuffle quotients, so
+tagged eliminations give cocycles and coboundaries that are read on
+every pair (`reduced._evaluated` and the full system's reader), and
+Howell forms over Z/m (`linalg._IntegerSpan`) the class representatives,
+the least theta and additive sections.
 """
 
 import functools
@@ -1182,16 +1183,25 @@ def _least_theta(solver, rhs, gamma):
 def _cohomologous_solver(base: LinearCycleSet, flavor: str, normalized: bool, m: int):
     """The `_least_solver` over Z/m of the degree-1 system that
     `cocycles_cohomologous` solves, cached per (base, flavor, normalized,
-    m): column y is theta's coordinate y in the flavor's degree-1 system,
-    its coboundary beside its constraints.  A reduced theta lives on the
-    generators of (A, +), so each column is tagged with its values on
-    every element, and the least theta is read off the tags."""
+    m), taking the difference of the two cocycles on every pair.  Column
+    y is theta's coordinate y in the flavor's degree-1 system, its
+    coboundary beside its constraints, so the difference is gathered at
+    the pairs whose conditions the system writes: (a, s) for the
+    generators s of (A, +) when reduced, and the pairs of the full
+    system's targets otherwise.  theta lives on generators, so each
+    column is tagged with its values on every element, and the least
+    theta is read off the tags."""
     if flavor == "cycle-type":
-        rows, tags, _b_rows, _b_tags = _tagged(*_reduced_system(base, 1, normalized))
-        tags = [_evaluated(base.add, tag) for tag in tags]
+        system, read = _reduced_system(base, 1, normalized), functools.partial(_evaluated, base.add)
+        n = base.order
+        targets = [a * n + s for a in range(n) for s in _presentation(base.add)[0]]
     else:
-        rows, tags, _b_rows, _b_tags = _tagged(*_full_system(base, 1, normalized))
-    return _least_solver(rows, m, tags, base.order)
+        system, read, targets = _full_system(base, 1, normalized)(m)
+        targets = targets()
+    rows, tags, _b_rows, _b_tags = _tagged(*system)
+    solve = _least_solver(rows, m, list(map(read, tags)), base.order)
+    at_targets = _gatherer(targets)
+    return lambda delta: solve(at_targets(delta))
 
 
 def _same_setting(c1, c2):
@@ -1216,15 +1226,7 @@ def cocycles_cohomologous(c1, c2, normalized: bool = False):
     base = c1.base
     gamma = c1.coeffs
     pairs = zip(_columns(_flat_rows(c1)), _columns(_flat_rows(c2)))
-    if isinstance(c1, ReducedTwoCocycle):
-        # the coboundary is last-linear: it is matched on the generators
-        n = base.order
-        gens = _presentation(base.add)[0]
-        at_gens = _gatherer([a * n + s for a in range(n) for s in gens])
-        flavor = "cycle-type"
-        pairs = (map(at_gens, pair) for pair in pairs)
-    else:
-        flavor = "general"
+    flavor = "cycle-type" if isinstance(c1, ReducedTwoCocycle) else "general"
     delta = [
         tuple(map(operator.mod, map(operator.sub, y, x), itertools.repeat(m)))
         for m, (x, y) in zip(gamma.factors, pairs)
@@ -1383,17 +1385,19 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
         raise ParameterError(f"unknown classification flavor {flavor!r}")
     require_valid_lcs(base)
     n = base.order
-    # Z and B of the theory's own degree-2 system; reduced cochains are
-    # solved for on generators of (A, +) and read on every pair
+    # Z and B of the theory's own degree-2 system, solved for on generators
+    # and read on every pair: reduced cochains on generators of (A, +),
+    # pairs (f, g) on the generators of the shuffle quotients over Z/m
     if flavor == "cycle-type":
         system, width = _reduced_system(base, 2), n * n
         table = functools.partial(_evaluated, base.add)
-    else:  # pairs (f, g) are kept on every pair already
-        system, width = _full_system(base, 2, normalized=True), 2 * n * n
-        table = dict
-    k_rows, k_tags, b_rows, b_tags = _tagged(*system)
+        over = lambda m: (system, table, None)  # noqa: E731
+    else:
+        over, width = _full_system(base, 2, normalized=True), 2 * n * n
     per_m = {}
     for m in set(gamma.factors):
+        system, table, _targets = over(m)
+        k_rows, k_tags, b_rows, b_tags = _tagged(*system)
         z_gens = list(map(table, _kernel_mod(k_rows, k_tags, m)))
         b_form = _IntegerSpan(map(table, _kernel_mod(b_rows, b_tags, m)), m)
         per_m[m] = (z_gens, b_form, _IntegerSpan(z_gens, m).order // b_form.order)

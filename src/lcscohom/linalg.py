@@ -158,18 +158,18 @@ def _eliminate(rows, p: int, e: int, tags=None):
     still active, so it clears its column from all the other rows.  Each
     tag follows its row through the same combinations.
 
-    Returns (pivots, zero_tags): pivots as (row, valuation, tag) in pivot
-    order, each pivot column absent from every later pivot row, and the
-    tags of the rows that reduced to zero.  The rows span a group of
-    order p^(sum of e - valuation).  With rows A^T and tags the identity,
+    Returns (pivots, zero_tags): pivots as (row, valuation, tag, column)
+    in pivot order, each pivot column absent from every later pivot row,
+    and the tags of the rows that reduced to zero.  The rows span a group
+    of order p^(sum of e - valuation).  With rows A^T and tags the identity,
     the zero tags and p^(e - v) times the pivot tags generate ker A.
 
     The rows of A^T for A = [[2, 4], [1, 2]] over Z/8: the unit pivot 1
     clears the second row, whose tag (6, 1) then spans ker A.
 
     >>> pivots, zeros = _eliminate([{0: 2, 1: 1}, {0: 4, 1: 2}], 2, 3, [{0: 1}, {1: 1}])
-    >>> [(row, v) for row, v, _tag in pivots], zeros == [{0: 6, 1: 1}]
-    ([({0: 2, 1: 1}, 0)], True)
+    >>> [(row, v, col) for row, v, _tag, col in pivots], zeros == [{0: 6, 1: 1}]
+    ([({0: 2, 1: 1}, 0, 1)], True)
     """
     q = p**e
     if tags is None:
@@ -221,7 +221,7 @@ def _eliminate(rows, p: int, e: int, tags=None):
                         else:
                             t.pop(c, None)
                 heapq.heappush(heap, (len(other), j))
-            pivots.append((row, v, tag))
+            pivots.append((row, v, tag, col))
     return pivots, [tags[i] for i in sorted(active)]
 
 
@@ -230,7 +230,7 @@ def _kernel_tags(rows, tags, p: int, e: int):
     q = p**e
     pivots, zeros = _eliminate([_mod(r, q) for r in rows], p, e, [_mod(t, q) for t in tags])
     out = [t for t in zeros if t]
-    for _row, v, tag in pivots:
+    for _row, v, tag, _col in pivots:
         if v:
             t = _scaled(tag, p ** (e - v), q)
             if t:
@@ -242,7 +242,7 @@ def _log_order(rows, p: int, e: int):
     """log_p of the order of the span of rows over Z/p^e, and an echelon
     basis of that span."""
     pivots, _ = _eliminate([dict(r) for r in rows], p, e)
-    return sum(e - v for _row, v, _tag in pivots), [row for row, _v, _tag in pivots]
+    return sum(e - v for _row, v, _tag, _col in pivots), [pivot[0] for pivot in pivots]
 
 
 def _quotient_invariants(k_gens, b_gens, p: int, e: int):

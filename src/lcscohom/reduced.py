@@ -33,11 +33,13 @@ the lexicographically ordered basis: entry x of the map is the index of
 the image of tuple x, built from whole runs of indices, cut, repeated
 and gathered, or by whole-list arithmetic on the tables (`_index_map`).
 `_presented_boundary` compiles its faces on the prefixes of the tuples
-it reads, not on every tuple.  `_face_rows` writes compiled face lists
-into the sparse rows that the unconstrained and full systems and the
-additive sections are reduced from; they are the one operator format of
-the package.  The chain-map and structural checks send formal sums of
-tuple indices through compiled face lists (`_apply`), without a matrix.
+it reads, not on every tuple, and writes each expanded face target with
+`_accumulate`, the one write of both presented systems, this one and the
+full theory's.  `_face_rows` writes compiled face lists into the sparse
+rows that the unconstrained system and the additive sections are reduced
+from; sparse rows are the one operator format of the package.  The
+chain-map and structural checks send formal sums of tuple indices
+through compiled face lists (`_apply`), without a matrix.
 
 The boundary of a tuple (a_1, ..., a_k) is
 
@@ -183,7 +185,13 @@ def _tagged(cocycles, constraints, coboundaries, dead=(), dead_below=()):
 def _cohomology(coeffs, *system):
     """Invariant factors of ker delta_k / delta(C^(k-1)) on the constrained
     cochains of a system, as `_tagged` reads it."""
-    return _over_factors(coeffs, partial(_subquotient_mod, *_tagged(*system)))
+    return _over_factors(coeffs, partial(_invariants, system))
+
+
+def _invariants(system, m: int):
+    """Invariant factors over Z/m of the cohomology of a system, as
+    `_tagged` reads it."""
+    return _subquotient_mod(*_tagged(*system), m)
 
 
 def _over_factors(coeffs, invariants):
@@ -222,17 +230,28 @@ def _act_map(n: int, k: int, dot, pos: int) -> list:
     [0, 1, 3, 2, 2, 3, 1, 0]
     """
     low = n ** (k - 1 - pos)
-    acted = []  # acted[a][y] is the index of row a of dot applied to tuple y
-    for row in dot:
-        image = [0]
-        for _ in range(k - 1):
-            image = [x * n + y for x in image for y in row]
-        acted.append(image)
+    acted = _acted(dot, k - 1)
     out = []
     for h in range(0, n ** (k - 1), low):
         for image in acted:
             out += image[h : h + low]
     return out
+
+
+def _acted(dot, k: int) -> list:
+    """acted[a][y] is the index of the k-tuple y with row a of dot applied
+    to every coordinate.
+
+    >>> _acted(((0, 1), (1, 0)), 2)
+    [[0, 1, 2, 3], [3, 2, 1, 0]]
+    """
+    acted = []
+    for row in dot:
+        image = [0]
+        for _ in range(k):
+            image = [x * len(row) + y for x in image for y in row]
+        acted.append(image)
+    return acted
 
 
 def _merge(add, pos: int):
@@ -691,24 +710,33 @@ def _presented_boundary(structure: LinearCycleSet, k: int):
     terms = [[(i, c) for i, c in enumerate(coords[a]) if c] for a in range(n)]
     rows = [{} for _ in range(n ** (k - 2) * r)]
     by_i = [rows[i::r] for i in range(r)]  # by_i[i][q] is row (q, i)
-
-    def write(columns, image, a, sign):
-        # column x gains sign times the expansion of (q, a), q its entry in image
-        for i, c in terms[a]:
-            entry = sign * c
-            for x, row in zip(columns, map(by_i[i].__getitem__, image)):
-                row[x] = row.get(x, 0) + entry
-
     (act_sign, act), *rest = _index_maps(_horizontal_faces(structure, k - 1), n, k - 1)
     low = n ** (k - 2)  # the prefixes with one first coordinate p_0
     for j, s in enumerate(gens):
         columns = range(j, n ** (k - 1) * r, r)
         # the action's a = p_0 . s_j is one value on each run of p_0
         for h, head in zip(range(0, len(act), low), structure.dot):
-            write(columns[h : h + low], act[h : h + low], head[s], act_sign)
+            run, image = columns[h : h + low], act[h : h + low]
+            for i, c in terms[head[s]]:
+                _accumulate(by_i[i], run, image, itertools.repeat(act_sign * c))
         for sign, image in rest:
-            write(columns, image, s, sign)
+            for i, c in terms[s]:
+                _accumulate(by_i[i], columns, image, itertools.repeat(sign * c))
     return rows
+
+
+def _accumulate(rows, columns, targets, entries) -> None:
+    """Column x gains c at rows[y], for x, y and c of `columns`, `targets`
+    and `entries` in step: the one write of both presented systems, once
+    each face target is expanded through its normal form.
+
+    >>> rows = [{}, {}]
+    >>> _accumulate(rows, [0, 1, 1], [1, 1, 1], [2, -1, 1])
+    >>> rows
+    [{}, {0: 2, 1: 0}]
+    """
+    for x, row, c in zip(columns, map(rows.__getitem__, targets), entries):
+        row[x] = row.get(x, 0) + c
 
 
 def _presented_relations(structure: LinearCycleSet, k: int, start: int):

@@ -407,8 +407,9 @@ def verify_paper(seed: int = 0):
         # random elements of the normalized full 2-cocycle group, each also
         # perturbed in one entry, so both verdicts of the criterion occur
         rng = random.Random(seed)
-        rows, tags, _b_rows, _b_tags = _tagged(*_full_system(z4, 2, normalized=True))
-        gens = _kernel_mod(rows, tags, 2)
+        system, read, _targets = _full_system(z4, 2, normalized=True)(2)
+        rows, tags, _b_rows, _b_tags = _tagged(*system)
+        gens = list(map(read, _kernel_mod(rows, tags, 2)))  # on every pair
         draws = 500
         valid_seen = invalid_seen = 0
         for _ in range(draws):

@@ -68,6 +68,11 @@ def test_examples_are_collected():
         assert finder.find(helper)[0].examples, helper.__name__
     sources = [ex.source for ex in finder.find(reduced._presented_boundary)[0].examples]
     assert any(src.startswith("_presented_boundary(") for src in sources)
+    # the shuffle quotient's presentation shows its generators: pairs over
+    # two elements up to order, three of them
+    examples = finder.find(bicomplex._harrison)[0].examples
+    assert any(ex.source.startswith("gens, relations, forms, _layers = _harrison(2, 2,") for ex in examples)
+    assert any(ex.want.startswith("([0, 2, 3], ") for ex in examples)
     # the cached helper's doctest is collected through its cache wrapper
     extensions = importlib.import_module("lcscohom.extensions")
     names = {t.name for t in finder.find(extensions) if t.examples}

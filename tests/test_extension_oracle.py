@@ -129,22 +129,23 @@ def _same_subgroup(gens, others, m: int) -> bool:
 
 @pytest.mark.parametrize("flavor", ["cycle-type", "general"])
 def test_cochain_system_matches_the_dense_stacks(flavor):
-    # Z and B from the theories' own degree-2 systems, the reduced ones
-    # evaluated on every pair, generate the subgroups mod m that the
-    # kernels of the oracle's dense stacks do
+    # Z and B from the theories' own degree-2 systems, both solved for on
+    # generators and read on every pair, generate the subgroups mod m that
+    # the kernels of the oracle's dense stacks do
     nontrivial = 0
     for s in STRUCTURES + [builtin_structure("z4-lcs"), EXT8, EXT8_RELABELED]:
         constraints, cob = two_cocycle_system(s, flavor)
         theta_rows = theta_constraints(s, flavor, normalized=True)
         if flavor == "cycle-type":
-            system = _reduced_system(s, 2)
+            system, read = _reduced_system(s, 2), functools.partial(_evaluated, s.add)
         else:
-            system = _full_system(s, 2, normalized=True)
-        k_rows, k_tags, b_rows, b_tags = _tagged(*system)
+            over = _full_system(s, 2, normalized=True)
         for m in (2, 4, 6):
+            if flavor == "general":
+                system, read, _targets = over(m)
+            k_rows, k_tags, b_rows, b_tags = _tagged(*system)
             z, b = _kernel_mod(k_rows, k_tags, m), _kernel_mod(b_rows, b_tags, m)
-            if flavor == "cycle-type":
-                z, b = ([_evaluated(s.add, g) for g in gens] for gens in (z, b))
+            z, b = ([read(g) for g in gens] for gens in (z, b))
             assert _same_subgroup(z, _columns(kernel_mod_m(constraints, m)), m), (s, m)
             assert _same_subgroup(b, _columns(cob @ kernel_mod_m(theta_rows, m)), m), (s, m)
             nontrivial += _IntegerSpan(z, m).order > _IntegerSpan(b, m).order

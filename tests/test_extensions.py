@@ -891,6 +891,7 @@ def test_classify_budget_refuses_before_any_row(monkeypatch, flavor, message):
         (lcscohom.reduced, "_presented_boundary"),
         (lcscohom.reduced, "_presented_relations"),
         (lcscohom.bicomplex, "_face_rows"),
+        (lcscohom.bicomplex, "_accumulate"),
     ):
         monkeypatch.setattr(module, name, refuse)
     limit = 20000 if flavor == "cycle-type" else 60000
