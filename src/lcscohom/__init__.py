@@ -65,12 +65,9 @@ from .extensions import (
     validate_extension_triple,
 )
 from .reduced import (
-    Cochain,
     antisymmetrization_is_chain_map,
-    cochain_from_dict,
     cs_cohomology,
     cs_cocycle_group,
-    reduced_coboundary,
     reduced_cohomology,
     reduced_homology,
 )

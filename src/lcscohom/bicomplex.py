@@ -26,20 +26,17 @@ The groups are computed in Harrison coordinates.  The cochains of block
 the shuffle quotient K_j of the j-tuples, the vertical direction being
 Harrison's complex of (A, +) (Harrison, Trans. AMS 104, 1962).  Over each
 Z/p^e, `_harrison` presents K_j from its shuffle sums: generators,
-relations where K_j has torsion, and normal forms.  A cochain is given by
-its values on (p, g), an i-tuple p and a generator g, and every face
-target (q, t) is read as the normal form of t at q, one layer of forms
-at a time (`_layers`); the faces of dh move only the prefix but for the
-action, those of dv only the suffix, so each face is compiled on
-prefixes or on suffixes once per call.  `_full_system` is the one
-builder of the total complex's degree-n system: full cohomology, general
-classification and cohomologousness read it, and read its solutions on
-every tuple.
+relations where K_j has torsion, and normal forms.  `_full_system` hands
+the presentations of K_1, ..., K_n, and tuples that span K_(n+1), to the
+one presented writer, `reduced._presented_system`, which writes the
+reduced theory's systems too: those are the block (k - 1, 1) alone, over
+the presentation of (A, +), the first Harrison homology.  Full
+cohomology, general classification and cohomologousness read
+`_full_system`, and read its solutions on every tuple.
 """
 
 import functools
 import itertools
-import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -48,20 +45,23 @@ from .budget import check_power
 from .errors import DegreeError, ParameterError
 from .linalg import _eliminate, _IntegerSpan, _mod, _prime_powers
 from .reduced import (
-    _acted,
+    _accumulate,
     _apply,
     _compose,
     _drop,
-    _accumulate,
     _face_rows,
+    _holding_zero,
     _horizontal_faces,
     _in_linearity_lattice,
     _index_map,
     _index_maps,
     _invariants,
-    _merge,
+    _layers,
     _over_factors,
     _permute,
+    _presented_system,
+    _tables,
+    _vertical_faces,
     all_tuples,
     tuple_index,
 )
@@ -159,13 +159,6 @@ def _dense(n: int, k: int, faces) -> list:
     lexicographic order."""
     rows = _face_rows(n, k, [faces], n ** (k - 1))
     return [[row.get(x, 0) for x in range(n**k)] for row in rows]
-
-
-def _vertical_faces(structure: LinearCycleSet, i: int, j: int):
-    faces = [(-1, _drop(i))]
-    faces += [((-1) ** (offset + 1), _merge(structure.add, i + offset)) for offset in range(1, j)]
-    faces.append(((-1) ** (j - 1), _drop(i + j - 1)))
-    return faces
 
 
 def total_blocks(n: int):
@@ -310,176 +303,25 @@ def _spanning(n: int, j: int):
     return gens, [], None, None
 
 
-def _holding_zero(structure: LinearCycleSet, k: int) -> list:
-    """Per k-tuple, in lexicographic order, whether it holds the neutral
-    element; the empty tuple does not."""
-    zero = structure.zero
-    return [zero in t for t in all_tuples(structure.order, k)]
-
-
-def _unknowns(structure: LinearCycleSet, d: int, pres, normalized: bool, tables):
-    """Empty rows for the degree-d coordinates of the presented total
-    complex, the rows of each block, and the dead coordinates.
-
-    Block (i, j), in `total_blocks` order, holds the coordinate (p, g) of
-    an i-tuple p and a generator g of pres[j] at its offset plus index(p)
-    * r + g, r the number of generators, and blocks[i, j][index(p) * r +
-    g] is that row.  When normalized, the coordinates whose tuple (p, g)
-    holds the neutral element are dead: in `blocks` they read one scrap
-    row, so nothing is ever written to them.
-    """
-    n = structure.order
-    rows, blocks, dead = [], {}, set()
-    scrap = {}
-    for i, j in total_blocks(d):
-        gens = pres[j][0]
-        r, start = len(gens), len(rows)
-        rows += [{} for _ in range(n**i * r)]
-        blocks[i, j] = block = rows[start:]
-        if normalized:
-            suffixes = tables("zero", j)
-            for p, held in enumerate(tables("zero", i)):
-                for g, t in enumerate(gens):
-                    if held or suffixes[t]:
-                        block[p * r + g] = scrap
-                        dead.add(start + p * r + g)
-    return rows, blocks, dead
-
-
-def _write_boundary(structure: LinearCycleSet, k: int, pres, blocks, normalized: bool, tables):
-    """Write the degree-k total boundary in presented coordinates into the
-    degree-(k-1) rows of `blocks`, and return its column count.
-
-    Column x is the degree-k coordinate (p', g') of block (i', j'), laid
-    out as in `_unknowns`, and the row of (p, g) gains the coefficient of
-    (p, g) in the boundary of the tuple (p', g').  The faces of dh move
-    the prefix alone, except the action, whose suffix is p'_0 . g' on each
-    run of p'_0; the faces of dv move the suffix alone.  So each face is
-    compiled once per call, by `tables`, on prefixes or on suffixes; its
-    suffix targets are expanded through one layer of normal forms at a
-    time for the generators (`_layers`), and the rows of all prefixes are
-    then indexed at once.  When normalized, targets holding the neutral
-    element are skipped: their boundaries hold it too.
-    """
-    n = structure.order
-    col = 0
-    for i, j in total_blocks(k):
-        gens, _relations, _forms, layers = pres[j]
-        r = len(gens)
-        prefixes, gs, ts = range(n**i), range(r), gens
-        if normalized:
-            prefixes = [p for p, held in enumerate(tables("zero", i)) if not held]
-            held = tables("zero", j)
-            gs = [g for g, t in enumerate(gens) if not held[t]]
-            ts = [gens[g] for g in gs]
-        columns = [col + p * r + g for p in prefixes for g in gs]
-        if i >= 1:
-            below = blocks[i - 1, j]
-            (act_sign, act), *rest = tables("dh", i)
-            for sign, image in rest:  # the suffix stays a generator
-                targets = [image[p] * r + g for p in prefixes for g in gs]
-                _accumulate(below, columns, targets, itertools.repeat(sign))
-            low = n ** (i - 1)  # the prefixes with one first coordinate p'_0
-            heads = tables("act", j)
-            for generator, coefficient in layers:
-                # per head p'_0, the layer's term of the form of p'_0 . g'
-                moved = [[generator[acted[t]] for t in ts] for acted in heads]
-                scaled = [[act_sign * coefficient[acted[t]] for t in ts] for acted in heads]
-                targets = [act[p] * r + g for p in prefixes for g in moved[p // low]]
-                entries = [c for p in prefixes for c in scaled[p // low]]
-                _write_nonzero(below, columns, targets, entries)
-        if j >= 2:
-            rb = len(pres[j - 1][0])
-            for sign, image in tables("dv", j):
-                sign *= (-1) ** i
-                images = [image[t] for t in ts]
-                for generator, coefficient in pres[j - 1][3]:
-                    entries = [sign * coefficient[t] for t in images] * len(prefixes)
-                    targets = [p * rb + generator[t] for p in prefixes for t in images]
-                    _write_nonzero(blocks[i, j - 1], columns, targets, entries)
-        col += n**i * r
-    return col
-
-
-def _write_nonzero(rows, columns, targets, entries) -> None:
-    """`_accumulate` on the nonzero entries alone: a layer of normal forms
-    reads 0 past the end of a shorter form."""
-    if not all(entries):
-        kept = (list(itertools.compress(x, entries)) for x in (columns, targets, entries))
-        columns, targets, entries = kept
-    _accumulate(rows, columns, targets, entries)
-
-
-def _layers(forms) -> list:
-    """Normal forms in layers: layer k lists, per tuple, the generator and
-    the coefficient of the k-th term of its form, or (0, 0) past its end.
-
-    >>> _layers([[(0, 1)], [(0, 2), (1, 1)], []])
-    [([0, 0, 0], [1, 2, 0]), ([0, 1, 0], [0, 1, 0])]
-    """
-    depth = max(map(len, forms), default=0)
-    layers = [zip(*[f[k] if k < len(f) else (0, 0) for f in forms]) for k in range(depth)]
-    return [tuple(map(list, layer)) for layer in layers]
-
-
-def _write_relations(structure: LinearCycleSet, d: int, pres, blocks, start: int) -> None:
-    """Write the relations of the degree-d coordinates as columns from
-    `start` on: one per block (i, j), i-tuple p and relation of pres[j],
-    holding its coefficient at each (p, g)."""
-    col = start
-    for i, j in total_blocks(d):
-        gens, relations, _forms, _layers = pres[j]
-        block, r = blocks[i, j], len(gens)
-        for p in range(structure.order**i):
-            for relation in relations:
-                for g, x in relation.items():
-                    block[p * r + g][col] = x
-                col += 1
-
-
-def _tables(structure: LinearCycleSet):
-    """tables(kind, k): the index tables of the presented total complex,
-    built on first use: the faces of dh compiled on k-prefixes ("dh") and
-    of dv on k-suffixes ("dv"), the action of each element on k-suffixes
-    ("act", `_acted`), and the k-tuples holding the neutral element
-    ("zero", `_holding_zero`)."""
-    n = structure.order
-
-    @functools.cache
-    def tables(kind, k):
-        if kind == "zero":
-            return _holding_zero(structure, k)
-        if kind == "dh":
-            return _index_maps(_horizontal_faces(structure, k), n, k)
-        if kind == "dv":
-            return _index_maps(_vertical_faces(structure, 0, k), n, k)
-        return _acted(structure.dot, k)
-
-    return tables
-
-
 def _full_system(structure: LinearCycleSet, degree: int, normalized: bool = False):
     """The degree-n system of the total complex in Harrison coordinates,
     checked against the budgets first.
 
-    Returns over(m), which gives (system, read, targets) over Z/m: the
-    system as `_tagged` reads it, a function reading a vector of its
-    coordinates on every tuple, and one listing the tuple each cocycle
-    condition checks (`_targets`).  The cochains of block (i, j) that
-    vanish on shuffles are the maps on i-tuples into the dual of the
-    shuffle quotient K_j, so a degree-n cochain is given by its values on
-    (p, g), p an i-tuple and g a generator of the presentation of K_j over
-    Z/m (`_harrison`), subject to its relations; each K_j, j <= n, is
-    presented once per call of over.  The coboundary of such a cochain vanishes on shuffles
-    again, so the cocycle conditions are needed only on the generators of
-    each target block, and on the top block (0, n + 1) on tuples that
-    span K_(n+1) (`_spanning`), which spares presenting it.  Row y of
-    `cocycles` holds the coefficients of coordinate y in those
-    conditions, then in the relations; row y of `coboundaries` holds the
-    coboundary of coordinate y of degree n - 1, and `constraints` its
-    relations.  When normalized, the coordinates holding the neutral
-    element are dead and never written.  On every tuple, block (i, j)
-    takes n^(i+j) coordinates from (j - 1) n^(i+j) on, as in `_into_map`.
+    Returns over(m), which gives (system, read, targets) over Z/m as the
+    presented writer `_presented_system` writes them: the system as
+    `_tagged` reads it, a function reading a vector of its coordinates on
+    every tuple, and one listing the tuple each cocycle condition checks.
+    The cochains of block (i, j) that vanish on shuffles are the maps on
+    i-tuples into the dual of the shuffle quotient K_j, so a degree-n
+    cochain is given by its values on (p, g), p an i-tuple and g a
+    generator of the presentation of K_j over Z/m (`_harrison`), subject
+    to its relations; each K_j, j <= n, is presented once per call of
+    over.  The coboundary of such a cochain vanishes on shuffles again, so
+    the cocycle conditions are needed only on the generators of each
+    target block, and on the top block (0, n + 1) on tuples that span
+    K_(n+1) (`_spanning`), which spares presenting it.  On every tuple,
+    block (i, j) takes n^(i+j) coordinates from (j - 1) n^(i+j) on, as in
+    `_into_map`.
     """
     if not isinstance(degree, int) or degree < 1:
         raise DegreeError(f"degree must be an integer >= 1, got {degree!r}")
@@ -494,64 +336,9 @@ def _full_system(structure: LinearCycleSet, degree: int, normalized: bool = Fals
     def over(m):
         pres = {j: _harrison(n, j, m) for j in range(1, degree + 1)}
         pres[degree + 1] = _spanning(n, degree + 1)
-        cocycles, blocks, dead = _unknowns(structure, degree, pres, normalized, tables)
-        width = _write_boundary(structure, degree + 1, pres, blocks, normalized, tables)
-        _write_relations(structure, degree, pres, blocks, width)
-        constraints = coboundaries = dead_below = ()
-        if degree >= 2:
-            below = (structure, degree - 1, pres, normalized, tables)
-            constraints, blocks, dead_below = _unknowns(*below)
-            _write_relations(structure, degree - 1, pres, blocks, 0)
-            coboundaries, blocks, _dead = _unknowns(*below)
-            _write_boundary(structure, degree, pres, blocks, normalized, tables)
-        system = cocycles, constraints, coboundaries, dead, dead_below
-        return system, _reader(n, degree, pres), functools.partial(_targets, n, degree + 1, pres)
+        return _presented_system(structure, degree, pres, normalized, tables)
 
     return over
-
-
-def _targets(n: int, k: int, pres) -> list:
-    """The tuple, as its total index, that each degree-k column of
-    `_write_boundary` writes the boundary of, in column order."""
-    return [
-        (j - 1) * n**k + p * n**j + t
-        for i, j in total_blocks(k)
-        for p in range(n**i)
-        for t in pres[j][0]
-    ]
-
-
-def _reader(n: int, degree: int, pres):
-    """The function reading a degree-n cochain, given in the coordinates
-    of `_full_system`, on every tuple: {total index: value}, nonzero
-    entries only.  The value at (p, t) of block (i, j) is the sum over the
-    normal form of t of c times the value at (p, g)."""
-
-    @functools.cache
-    def spreads():
-        # per block, last first: its first coordinate, its offset on tuples,
-        # and per generator g the tuples whose forms hold g
-        blocks, start = [], 0
-        for i, j in total_blocks(degree):
-            gens, _relations, forms, _layers = pres[j]
-            spread = [[] for _ in gens]
-            for t, terms in enumerate(forms):
-                for g, c in terms:
-                    spread[g].append((t, c))
-            blocks.append((start, (j - 1) * n**degree, n**j, spread))
-            start += n**i * len(gens)
-        return blocks[::-1]
-
-    def read(vec):
-        out = defaultdict(int)
-        for x, u in vec.items():
-            start, offset, width, spread = next(b for b in spreads() if b[0] <= x)
-            p, g = divmod(x - start, len(spread))
-            for t, c in spread[g]:
-                out[offset + p * width + t] += c * u
-        return {y: v for y, v in sorted(out.items()) if v}
-
-    return read
 
 
 def full_cohomology(

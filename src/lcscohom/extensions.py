@@ -18,12 +18,14 @@ total boundary: the identities checked are the source blocks of
 and then g (`_cocycle_plan`).  Equivalence and classification are
 linear algebra over Z/m on the systems the cohomology groups are read
 from, `reduced._reduced_system` (cycle-type: the reduced H^2) and
-`bicomplex._full_system` (general: the normalized full H^2).  Both solve
-for values on generators, of (A, +) and of the shuffle quotients, so
-tagged eliminations give cocycles and coboundaries that are read on
-every pair (`reduced._evaluated` and the full system's reader), and
-Howell forms over Z/m (`linalg._IntegerSpan`) the class representatives,
-the least theta and additive sections.
+`bicomplex._full_system` (general: the normalized full H^2).  The one
+presented writer, `reduced._presented_system`, writes both, for values
+on generators of (A, +) or of the shuffle quotients, and both give
+over(m) -> (system, read, targets).  So tagged eliminations give
+cocycles and coboundaries that the system's own reader reads on every
+pair, whatever the flavor, and Howell forms over Z/m
+(`linalg._IntegerSpan`) the class representatives, the least theta and
+additive sections.
 """
 
 import functools
@@ -52,13 +54,11 @@ from .errors import (
 )
 from .linalg import _IntegerSpan, _kernel_mod, _least_solver
 from .reduced import (
-    _evaluated,
     _face_rows,
     _file_coeffs,
     _file_values,
     _gatherer,
     _index_map,
-    _presentation,
     _reduced_system,
     _tagged,
 )
@@ -1186,21 +1186,15 @@ def _cohomologous_solver(base: LinearCycleSet, flavor: str, normalized: bool, m:
     m), taking the difference of the two cocycles on every pair.  Column
     y is theta's coordinate y in the flavor's degree-1 system, its
     coboundary beside its constraints, so the difference is gathered at
-    the pairs whose conditions the system writes: (a, s) for the
-    generators s of (A, +) when reduced, and the pairs of the full
-    system's targets otherwise.  theta lives on generators, so each
-    column is tagged with its values on every element, and the least
-    theta is read off the tags."""
-    if flavor == "cycle-type":
-        system, read = _reduced_system(base, 1, normalized), functools.partial(_evaluated, base.add)
-        n = base.order
-        targets = [a * n + s for a in range(n) for s in _presentation(base.add)[0]]
-    else:
-        system, read, targets = _full_system(base, 1, normalized)(m)
-        targets = targets()
+    the pairs whose conditions the system writes, its targets: (a, s) for
+    the generators s of (A, +) when reduced.  theta lives on generators,
+    so each column is tagged with its values on every element, and the
+    least theta is read off the tags."""
+    build = _reduced_system if flavor == "cycle-type" else _full_system
+    system, read, targets = build(base, 1, normalized)(m)
     rows, tags, _b_rows, _b_tags = _tagged(*system)
     solve = _least_solver(rows, m, list(map(read, tags)), base.order)
-    at_targets = _gatherer(targets)
+    at_targets = _gatherer(targets())
     return lambda delta: solve(at_targets(delta))
 
 
@@ -1389,9 +1383,7 @@ def classify_extensions(base: LinearCycleSet, gamma, flavor: str):
     # and read on every pair: reduced cochains on generators of (A, +),
     # pairs (f, g) on the generators of the shuffle quotients over Z/m
     if flavor == "cycle-type":
-        system, width = _reduced_system(base, 2), n * n
-        table = functools.partial(_evaluated, base.add)
-        over = lambda m: (system, table, None)  # noqa: E731
+        over, width = _reduced_system(base, 2), n * n
     else:
         over, width = _full_system(base, 2, normalized=True), 2 * n * n
     per_m = {}

@@ -1,27 +1,37 @@
-"""The reduced chain and cochain complexes of a linear cycle set.
+"""The reduced chain and cochain complexes of a linear cycle set, and
+the one presented writer of both theories' systems.
 
 Degree-k chains are formal sums over k-tuples of elements, linear in the
 last coordinate: (p, a + b) = (p, a) + (p, b).  Dually, reduced cochains
-are the value tables that are linear in their last argument.  Face
-rows and `Cochain` values are indexed by the lexicographically ordered
-tuple basis, and the degree-k coboundary is the transpose of the
-degree-(k+1) boundary.
+are the value tables that are linear in their last argument.  Face rows
+are indexed by the lexicographically ordered tuple basis, and the
+degree-k coboundary is the transpose of the degree-(k+1) boundary.
 
-The groups are computed in presentation coordinates instead.
-`_presentation` picks generators s_0, ..., s_(r-1) of (A, +) with
-relative orders o_j, power relations o_j s_j = sum over i < j of
-r_ji s_i, and normal forms a = sum of c_i(a) s_i.  A degree-k coordinate
-is a pair (p, j) of a (k-1)-tuple p and a generator index j: the chain
-(p, s_j), or the value u_(p,j) = phi(p, s_j) of a last-linear cochain,
-which fixes phi(q, a) = sum of c_i(a) u_(q,i).  Each coordinate carries
-one relation, o_j (p, s_j) - sum of r_ji (p, s_i).  The coboundary of a
-last-linear cochain is again last-linear, so the cocycle conditions are
-needed only on the (k+1)-tuples (p', s_j), and each is the boundary of
-that generator read in degree-k coordinates (`_presented_boundary`).
-With normalization, the dead coordinates are the (p, j) whose prefix p
-holds the neutral element; the tuples with 0 last vanish by linearity.
-`_reduced_system` is the one builder of these systems, and `_evaluated`
-reads their solutions on every tuple.  Membership modulo linearity is
+The reduced complex is the j = 1 row of the brace bicomplex
+(`bicomplex`), whose vertical, Harrison, direction collapses there to
+its first homology, (A, +) itself (Harrison, Trans. AMS 104, 1962).  So
+one writer builds the systems of both theories, in presentation
+coordinates.  A presentation of a quotient K_j of the j-tuples has
+generators, relations and normal forms.  A coordinate (p, g) of block
+(i, j) is an i-tuple p and a generator g of K_j: the chain (p, g), or
+the value u_(p,g) of a cochain, which fixes its value at (p, t) as the
+normal form of t read at p.  `_presented_system` writes the degree-d
+system over the presentations pres[j], on the blocks (d - j, j) whose j
+is presented.  The coboundary of a presented cochain is again one, so
+the cocycle conditions are needed only at the generators of each target
+block, and each is the boundary of that generator read in presented
+coordinates (`_write_boundary`); every relation holds at every prefix
+(`_write_relations`).  With normalization, the coordinates whose tuple
+holds the neutral element are dead and never written.  `_reader` reads
+a solution on every tuple.
+
+The full theory presents every K_j by its shuffle sums
+(`bicomplex._full_system`).  The reduced theory presents K_1 alone, as
+(A, +) (`_presentation`): generators s_0, ..., s_(r-1) with relative
+orders o_j, power relations o_j s_j = sum over i < j of r_ji s_i, and
+normal forms a = sum of c_i(a) s_i.  Its degree-k system is block
+(k - 1, 1), whose coordinates (p, j) are the values phi(p, s_j) of a
+last-linear cochain (`_reduced_system`).  Membership modulo linearity is
 decided on normal forms (`_in_linearity_lattice`).
 
 Degree-k bases grow as |A|^k, so everything checks the basis budget
@@ -32,14 +42,13 @@ coordinates).  A face is compiled, once per call, into an index map over
 the lexicographically ordered basis: entry x of the map is the index of
 the image of tuple x, built from whole runs of indices, cut, repeated
 and gathered, or by whole-list arithmetic on the tables (`_index_map`).
-`_presented_boundary` compiles its faces on the prefixes of the tuples
-it reads, not on every tuple, and writes each expanded face target with
-`_accumulate`, the one write of both presented systems, this one and the
-full theory's.  `_face_rows` writes compiled face lists into the sparse
-rows that the unconstrained system and the additive sections are reduced
-from; sparse rows are the one operator format of the package.  The
-chain-map and structural checks send formal sums of tuple indices
-through compiled face lists (`_apply`), without a matrix.
+The presented writer compiles its faces on the prefixes or the suffixes
+of the tuples it reads, not on every tuple, and writes each expanded
+face target with `_accumulate`.  `_face_rows` writes compiled face lists
+into the sparse rows that the unconstrained system and the additive
+sections are reduced from; sparse rows are the one operator format of
+the package.  The chain-map and structural checks send formal sums of
+tuple indices through compiled face lists (`_apply`), without a matrix.
 
 The boundary of a tuple (a_1, ..., a_k) is
 
@@ -55,35 +64,27 @@ with the degree-1 boundary zero.  The unconstrained companion complex
           - (a_1, .., a_{i-1}, a_{i+1}, .., a_k) ].
 """
 
+import bisect
 import itertools
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from .budget import check_power
-from .errors import (
-    DegreeError,
-    LinearityError,
-    MalformedTableError,
-    ShapeError,
-)
+from .errors import DegreeError, MalformedTableError
 from .linalg import _subquotient_mod
 from .structures import LinearCycleSet, require_valid_lcs
 
 __all__ = [
-    "Cochain",
     "tuple_index",
     "all_tuples",
     "degenerate_indices",
-    "reduced_coboundary",
     "reduced_cohomology",
     "reduced_homology",
     "cs_cocycle_group",
     "cs_cohomology",
     "antisymmetrization_is_chain_map",
-    "cochain_from_dict",
 ]
 
 
@@ -245,12 +246,10 @@ def _acted(dot, k: int) -> list:
     >>> _acted(((0, 1), (1, 0)), 2)
     [[0, 1, 2, 3], [3, 2, 1, 0]]
     """
-    acted = []
-    for row in dot:
-        image = [0]
-        for _ in range(k):
-            image = [x * len(row) + y for x in image for y in row]
-        acted.append(image)
+    n = len(dot)
+    acted = [list(row) for row in dot] if k else [[0] for _row in dot]
+    for _ in range(k - 1):
+        acted = [[x * n + y for x in image for y in row] for image, row in zip(acted, dot)]
     return acted
 
 
@@ -352,126 +351,21 @@ def _horizontal_faces(structure: LinearCycleSet, i: int):
     return faces
 
 
+def _vertical_faces(structure: LinearCycleSet, i: int, j: int):
+    """The face list of the vertical differential dv at bidegree (i, j),
+    j >= 2, as `bicomplex` defines it."""
+    faces = [(-1, _drop(i))]
+    faces += [((-1) ** (offset + 1), _merge(structure.add, i + offset)) for offset in range(1, j)]
+    faces.append(((-1) ** (j - 1), _drop(i + j - 1)))
+    return faces
+
+
 def degenerate_indices(structure: LinearCycleSet, k: int):
     """Indices of tuples containing the additive neutral element."""
     _check_degree(k)
     n = structure.order
     zero = structure.zero
     return [i for i, t in enumerate(all_tuples(n, k)) if zero in t]
-
-
-@dataclass
-class Cochain:
-    """A degree-k cochain: one coefficient-group element per k-tuple.
-
-    Values are stored flat in lexicographic tuple order.  The class does
-    not itself require linearity; membership tests are explicit so that
-    raw value tables can be inspected and reported on.
-    """
-
-    base: LinearCycleSet
-    coeffs: FiniteAbelianGroup
-    degree: int
-    values: tuple
-
-    def __post_init__(self):
-        _check_degree(self.degree)
-        expected = self.base.order**self.degree
-        if len(self.values) != expected:
-            raise ShapeError(
-                f"degree-{self.degree} cochain needs {expected} values, got {len(self.values)}"
-            )
-        width = len(self.coeffs.factors)
-        for v in self.values:
-            if len(v) != width:
-                raise ShapeError(
-                    f"cochain value {v!r} does not match the {width}-factor coefficient group"
-                )
-        self.values = tuple(self.coeffs.reduce(v) for v in self.values)
-
-    @classmethod
-    def zero(cls, base, coeffs, degree):
-        return cls(base, coeffs, degree, (coeffs.zero,) * base.order**degree)
-
-    @classmethod
-    def from_callable(cls, base, coeffs, degree, fn):
-        values = tuple(fn(*t) for t in all_tuples(base.order, degree))
-        return cls(base, coeffs, degree, values)
-
-    def value(self, t):
-        return self.values[tuple_index(t, self.base.order)]
-
-    def __call__(self, *args):
-        return self.value(args)
-
-    def linearity_violation(self):
-        """A witness (prefix, a, b) where last-coordinate linearity fails."""
-        n = self.base.order
-        add = self.base.add
-        g = self.coeffs
-        for prefix in all_tuples(n, self.degree - 1):
-            base = tuple_index(prefix, n) * n
-            vals = self.values
-            for a in range(n):
-                for b in range(n):
-                    lhs = vals[base + add[a][b]]
-                    rhs = g.add(vals[base + a], vals[base + b])
-                    if lhs != rhs:
-                        return (prefix, a, b)
-        return None
-
-    def degenerate_violation(self):
-        """A degenerate tuple on which the cochain is nonzero, if any."""
-        n = self.base.order
-        zero = self.coeffs.zero
-        for i, t in enumerate(all_tuples(n, self.degree)):
-            if self.base.zero in t and self.values[i] != zero:
-                return t
-        return None
-
-    def is_linear_in_last(self) -> bool:
-        return self.linearity_violation() is None
-
-    def is_normalized(self) -> bool:
-        return self.is_linear_in_last() and self.degenerate_violation() is None
-
-    def __add__(self, other):
-        self._match(other)
-        g = self.coeffs
-        return Cochain(
-            self.base,
-            g,
-            self.degree,
-            tuple(g.add(a, b) for a, b in zip(self.values, other.values)),
-        )
-
-    def __sub__(self, other):
-        self._match(other)
-        g = self.coeffs
-        return Cochain(
-            self.base,
-            g,
-            self.degree,
-            tuple(g.sub(a, b) for a, b in zip(self.values, other.values)),
-        )
-
-    def __neg__(self):
-        g = self.coeffs
-        return Cochain(self.base, g, self.degree, tuple(g.neg(a) for a in self.values))
-
-    def _match(self, other):
-        if (
-            not isinstance(other, Cochain)
-            or other.base != self.base
-            or other.coeffs != self.coeffs
-            or other.degree != self.degree
-        ):
-            raise ShapeError("cochains live on different complexes")
-
-    def to_dict(self) -> dict:
-        single = len(self.coeffs.factors) == 1
-        values = [v[0] if single else list(v) for v in self.values]
-        return {"degree": self.degree, "coeff": str(self.coeffs), "values": values}
 
 
 def _file_coeffs(data, coeffs, what: str) -> FiniteAbelianGroup:
@@ -518,72 +412,22 @@ def _file_values(raw, coeffs: FiniteAbelianGroup, what: str):
     return tuple(values)
 
 
-def cochain_from_dict(
-    data, base: LinearCycleSet, coeffs: FiniteAbelianGroup = None
-) -> Cochain:
-    """Parse a cochain file dict against a structure.
-
-    The coefficient group comes from the optional "coeff" key or from the
-    caller; when both are given they must agree.
-    """
-    coeffs = _file_coeffs(data, coeffs, "cochain")
-    degree = data.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise MalformedTableError(f"cochain degree must be an integer >= 1, got {degree!r}")
-    raw = data.get("values")
-    expected = base.order**degree
-    if not isinstance(raw, list) or len(raw) != expected:
-        raise MalformedTableError(f"cochain of degree {degree} needs exactly {expected} values")
-    return Cochain(base, coeffs, degree, _file_values(raw, coeffs, "cochain"))
-
-
-def reduced_coboundary(f: Cochain, check: bool = True) -> Cochain:
-    """The degree-(k+1) coboundary of a degree-k cochain, evaluated directly.
-
-    With check=True the input must be linear in its last coordinate (the
-    membership condition of the reduced complex); a violation raises
-    LinearityError with a witness.
-    """
-    if check:
-        witness = f.linearity_violation()
-        if witness is not None:
-            raise LinearityError(
-                f"cochain is not linear in its last coordinate at {witness}"
-            )
-    base, g, k = f.base, f.coeffs, f.degree
-    n = base.order
-    check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
-    add, dot = base.add, base.dot
-
-    def value(t):
-        head = dot[t[0]]
-        acc = f.value(tuple(head[x] for x in t[1:]))
-        sign = 1
-        for i in range(1, k):
-            sign = -sign
-            merged = t[: i - 1] + (add[t[i - 1]][t[i]],) + t[i + 1 :]
-            acc = g.add(acc, g.scale(sign, f.value(merged)))
-        sign = -sign
-        acc = g.add(acc, g.scale(sign, f.value(t[: k - 1] + (t[k],))))
-        return acc
-
-    values = tuple(value(t) for t in all_tuples(n, k + 1))
-    return Cochain(base, g, k + 1, values)
-
-
 @lru_cache(maxsize=8)
 def _presentation(add) -> tuple:
-    """A presentation of the abelian group with addition table `add`.
+    """A presentation of the abelian group with addition table `add`, in
+    the shape of the shuffle quotients' (`bicomplex._harrison`).
 
     Generators are picked greedily: s_j is the first element of largest
     order o_j relative to the subgroup of s_0, ..., s_(j-1), so a cyclic
-    group takes one generator.  Returns (gens, orders, powers, coords):
-    powers[j] holds the r_ji with o_j s_j = sum over i < j of r_ji s_i,
-    and coords[a] the unique c(a) with a = sum of c_i(a) s_i and
-    0 <= c_i(a) < o_i.  In Z/4 every element is a multiple of 1:
+    group takes one generator.  Returns (gens, relations, forms, layers):
+    the elements s_j; one relation per generator, o_j s_j = sum over i < j
+    of r_ji s_i, as the row {j: o_j, i: -r_ji}; per element a the normal
+    form c(a), the unique one with a = sum of c_i(a) s_i and 0 <= c_i(a)
+    < o_i, as its pairs (i, c_i(a)) with c_i(a) nonzero; and the same
+    forms in `_layers`.  In Z/4 every element is a multiple of 1:
 
-    >>> _presentation(tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4)))
-    ((1,), (4,), ((),), ((0,), (1,), (2,), (3,)))
+    >>> _presentation(tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4)))[:3]
+    ((1,), ({0: 4},), ((), ((0, 1),), ((0, 2),), ((0, 3),)))
 
     Z/4 + Z/2 listed from (1, 1), whose multiples come first, takes
     s_0 = (1, 1) and s_1 = (1, 0) with 2 s_1 = 2 s_0:
@@ -592,16 +436,16 @@ def _presentation(add) -> tuple:
     >>> add = tuple(
     ...     tuple(elems.index(((a + c) % 4, (b + d) % 2)) for c, d in elems) for a, b in elems
     ... )
-    >>> gens, orders, powers, coords = _presentation(add)
-    >>> gens, orders, powers
-    ((1, 4), (4, 2), ((), (2,)))
-    >>> coords
-    ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1))
+    >>> gens, relations, forms, _layers = _presentation(add)
+    >>> gens, relations
+    ((1, 4), ({0: 4}, {1: 2, 0: -2}))
+    >>> forms[4], forms[5]
+    (((1, 1),), ((0, 1), (1, 1)))
     """
     n = len(add)
     zero = next(a for a in range(n) if add[a][a] == a)
     coords = {zero: ()}  # the subgroup found so far, in normal form
-    gens, orders, powers = [], [], []
+    gens, relations = [], []
     while len(coords) < n:
         best = None
         for a in range(n):
@@ -611,39 +455,16 @@ def _presentation(add) -> tuple:
             if best is None or order > best[0]:
                 best = (order, a, x)
         order, s, x = best
+        relations.append({len(gens): order, **{i: -c for i, c in enumerate(coords[x]) if c}})
         gens.append(s)
-        orders.append(order)
-        powers.append(coords[x])
         grown = {}
         for h, c in coords.items():
             for i in range(order):
                 grown[h] = c + (i,)
                 h = add[h][s]
         coords = grown
-    return tuple(gens), tuple(orders), tuple(powers), tuple(coords[a] for a in range(n))
-
-
-def _evaluated(add, vec) -> dict:
-    """A last-linear cochain given on generators, read on every tuple.
-
-    vec maps the coordinate (p, j), at index(p) * r + j, to u_(p,j) = phi(p,
-    s_j) for the generators of `_presentation`; the result maps the tuple
-    (p, a), at index(p) * n + a, to phi(p, a) = sum of c_j(a) u_(p,j),
-    nonzero entries only.  Over Z/4, with s_0 = 1, u = (1, 3) on the
-    prefixes 0 and 1 reads a and 3a:
-
-    >>> z4 = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
-    >>> _evaluated(z4, {0: 1, 1: 3})
-    {1: 1, 2: 2, 3: 3, 5: 3, 6: 6, 7: 9}
-    """
-    n = len(add)
-    coords = _presentation(add)[3]
-    out = defaultdict(int)
-    for x, u in vec.items():
-        p, j = divmod(x, len(coords[0]))
-        for a, c in enumerate(coords):
-            out[p * n + a] += c[j] * u
-    return {y: v for y, v in sorted(out.items()) if v}
+    forms = tuple(tuple((i, c) for i, c in enumerate(coords[a]) if c) for a in range(n))
+    return tuple(gens), tuple(relations), forms, _layers(forms)
 
 
 def _in_linearity_lattice(add, chain) -> bool:
@@ -652,8 +473,8 @@ def _in_linearity_lattice(add, chain) -> bool:
 
     That span is the kernel of sum of c (p, a) -> sum of c a in (A, +),
     prefix by prefix, so each prefix's sum is taken in normal form and
-    carried through the power relations o_j s_j = sum of r_ji s_i, from
-    the last generator down; it must leave no remainder.  On Z/4, (0, 1)
+    carried through the relations o_j s_j = sum of r_ji s_i, from the
+    last generator down; it must leave no remainder.  On Z/4, (0, 1)
     + (0, 3) and 4 (1, 1) vanish, (0, 1) + (1, 3) does not:
 
     >>> z4 = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
@@ -663,71 +484,213 @@ def _in_linearity_lattice(add, chain) -> bool:
     False
     """
     n = len(add)
-    _gens, orders, powers, coords = _presentation(add)
-    sums = defaultdict(lambda: [0] * len(orders))
+    _gens, relations, forms, _layers = _presentation(add)
+    sums = defaultdict(lambda: [0] * len(relations))
     for x, c in chain.items():
         acc = sums[x // n]
-        for i, ci in enumerate(coords[x % n]):
+        for i, ci in forms[x % n]:
             acc[i] += c * ci
     for acc in sums.values():
-        for j in reversed(range(len(orders))):
-            q, acc[j] = divmod(acc[j], orders[j])
+        for j in reversed(range(len(relations))):
+            q = acc[j] // relations[j][j]
+            for i, x in relations[j].items():
+                acc[i] -= q * x
             if acc[j]:
                 return False
-            for i, x in enumerate(powers[j]):
-                acc[i] += q * x
     return True
 
 
-def _presented_boundary(structure: LinearCycleSet, k: int):
-    """The degree-k boundary in presentation coordinates, as rows.
+# ---------------------------------------------------------------------------
+# The presented writer of both theories' systems
 
-    Row y is the degree-(k-1) coordinate y = (q, i), at index
-    index(q) * r + i; column x = (p, j), at index(p) * r + j, holds the
-    coefficient of (q, s_i) in the boundary of (p, s_j), whose face
-    targets (q, a) expand to sum of c_i(a) (q, s_i).  Row y is also the
-    coboundary of the cochain coordinate y, and column x the cocycle
-    condition at (p, s_j).
 
-    The faces are compiled on the (k-1)-tuples p alone: no face moves
-    the last coordinate, so the target of (p, s_j) is (q, a) with q the
-    image of p.  The action reads a = p_0 . s_j, and the merges and the
-    drop of coordinate k-2 keep a = s_j.  Columns enter each row
-    generator by generator and face by face, so its keys are not in
-    column order.  Over Z/2 with the trivial dot, the degree-2 boundary
-    of (a, s_0) is (s_0) - (s_0), and that of (a, b, s_0) is (b, s_0) -
-    (a + b, s_0) + (a, s_0):
+def _holding_zero(structure: LinearCycleSet, k: int) -> list:
+    """Per k-tuple, in lexicographic order, whether it holds the neutral
+    element; the empty tuple does not."""
+    zero = structure.zero
+    return [zero in t for t in all_tuples(structure.order, k)]
 
-    >>> z2 = LinearCycleSet(2, [[0, 1], [1, 0]], [[0, 1], [0, 1]])
-    >>> _presented_boundary(z2, 2)
-    [{0: 0, 1: 0}]
-    >>> _presented_boundary(z2, 3)
-    [{0: 1, 2: 1, 3: -1, 1: 1}, {1: 0, 3: 2, 2: 0}]
+
+def _layers(forms) -> list:
+    """Normal forms in layers: layer k lists, per tuple, the generator and
+    the coefficient of the k-th term of its form, or (0, 0) past its end.
+
+    >>> _layers([[(0, 1)], [(0, 2), (1, 1)], []])
+    [([0, 0, 0], [1, 2, 0]), ([0, 1, 0], [0, 1, 0])]
+    """
+    depth = max(map(len, forms), default=0)
+    layers = [zip(*[f[k] if k < len(f) else (0, 0) for f in forms]) for k in range(depth)]
+    return [tuple(map(list, layer)) for layer in layers]
+
+
+def _tables(structure: LinearCycleSet):
+    """tables(kind, k): the index tables of the presented writer, built on
+    first use: the faces of dh compiled on k-prefixes ("dh") and of dv on
+    k-suffixes ("dv"), the action of each element on k-suffixes ("act",
+    `_acted`), and the k-tuples holding the neutral element ("zero",
+    `_holding_zero`)."""
+    n = structure.order
+    built = {}
+
+    def tables(kind, k):
+        if (kind, k) not in built:
+            if kind == "zero":
+                built[kind, k] = _holding_zero(structure, k)
+            elif kind == "dh":
+                built[kind, k] = _index_maps(_horizontal_faces(structure, k), n, k)
+            elif kind == "dv":
+                built[kind, k] = _index_maps(_vertical_faces(structure, 0, k), n, k)
+            else:
+                built[kind, k] = _acted(structure.dot, k)
+        return built[kind, k]
+
+    return tables
+
+
+def _blocks(d: int, pres) -> list:
+    """The blocks (d - j, j) of total degree d whose j is presented, in
+    the order of pres, which lists its j ascending: the order of
+    `bicomplex.total_blocks`."""
+    return [(d - j, j) for j in pres if j <= d]
+
+
+def _unknowns(structure: LinearCycleSet, d: int, pres, normalized: bool, tables):
+    """Empty rows for the degree-d coordinates of the presented total
+    complex, the rows of each block, and the dead coordinates.
+
+    Block (i, j), in `_blocks` order, holds the coordinate (p, g) of an
+    i-tuple p and a generator g of pres[j] at its offset plus index(p) *
+    r + g, r the number of generators, and blocks[i, j][index(p) * r + g]
+    is that row.  When normalized, the coordinates whose tuple (p, g)
+    holds the neutral element are dead: in `blocks` they read one scrap
+    row, so nothing is ever written to them.
     """
     n = structure.order
-    gens, _orders, _powers, coords = _presentation(structure.add)
-    r = len(gens)
-    terms = [[(i, c) for i, c in enumerate(coords[a]) if c] for a in range(n)]
-    rows = [{} for _ in range(n ** (k - 2) * r)]
-    by_i = [rows[i::r] for i in range(r)]  # by_i[i][q] is row (q, i)
-    (act_sign, act), *rest = _index_maps(_horizontal_faces(structure, k - 1), n, k - 1)
-    low = n ** (k - 2)  # the prefixes with one first coordinate p_0
-    for j, s in enumerate(gens):
-        columns = range(j, n ** (k - 1) * r, r)
-        # the action's a = p_0 . s_j is one value on each run of p_0
-        for h, head in zip(range(0, len(act), low), structure.dot):
-            run, image = columns[h : h + low], act[h : h + low]
-            for i, c in terms[head[s]]:
-                _accumulate(by_i[i], run, image, itertools.repeat(act_sign * c))
-        for sign, image in rest:
-            for i, c in terms[s]:
-                _accumulate(by_i[i], columns, image, itertools.repeat(sign * c))
-    return rows
+    rows, blocks, dead = [], {}, set()
+    scrap = {}
+    for i, j in _blocks(d, pres):
+        gens = pres[j][0]
+        r, start = len(gens), len(rows)
+        rows += [{} for _ in range(n**i * r)]
+        blocks[i, j] = block = rows[start:]
+        if normalized:
+            suffixes = tables("zero", j)
+            for p, held in enumerate(tables("zero", i)):
+                for g, t in enumerate(gens):
+                    if held or suffixes[t]:
+                        block[p * r + g] = scrap
+                        dead.add(start + p * r + g)
+    return rows, blocks, dead
+
+
+def _write_boundary(structure: LinearCycleSet, k: int, pres, blocks, normalized: bool, tables):
+    """Write the degree-k total boundary in presented coordinates into the
+    degree-(k-1) rows of `blocks`, and return its column count.
+
+    Column x is the degree-k coordinate (p', g') of block (i', j'), laid
+    out as in `_unknowns`, and the row of (p, g) gains the coefficient of
+    (p, g) in the boundary of the tuple (p', g').  The faces of dh move
+    the prefix alone, except the action, whose suffix is p'_0 . g' on each
+    run of p'_0; the faces of dv move the suffix alone.  So each face is
+    compiled once per call, by `tables`, on prefixes or on suffixes, and
+    the suffix targets are expanded through one layer of normal forms at a
+    time (`_layers`).  A face of dh is written along the longer of the two
+    axes of a block: when a run of p'_0 holds at least as many prefixes as
+    there are generators, as in the reduced theory whenever i' >= 2, one
+    write per generator fills its rows, strided through the block below,
+    for a run or for every prefix at once; otherwise one write per face,
+    or per layer of the action, fills every pair.  Both write each row's
+    keys in the same order.  When normalized, targets holding the neutral
+    element are skipped: their boundaries hold it too.
+    """
+    n = structure.order
+    col = 0
+    for i, j in _blocks(k, pres):
+        gens, _relations, _forms, layers = pres[j]
+        r = len(gens)
+        # the live prefixes and generators, the columns of the pairs, and
+        # the entries of an index map at the live prefixes
+        prefixes, gs, ts = range(n**i), range(r), gens
+        columns, live = range(col, col + n**i * r), _identity
+        if normalized:
+            prefixes = [p for p, held in enumerate(tables("zero", i)) if not held]
+            held = tables("zero", j)
+            gs = [g for g, t in enumerate(gens) if not held[t]]
+            ts = [gens[g] for g in gs]
+            columns = [col + p * r + g for p in prefixes for g in gs]
+            live = _gatherer(prefixes)
+        if i >= 1:
+            below, width = blocks[i - 1, j], len(gs)
+            (act_sign, act), *rest = tables("dh", i)
+            heads, low = tables("act", j), n ** (i - 1)
+            if low < width:
+                # runs shorter than the generators: one write per face, or
+                # per layer of the action, of every pair at once
+                for sign, image in rest:  # the suffix stays a generator
+                    targets = [image[p] * r + g for p in prefixes for g in gs]
+                    _accumulate(below, columns, targets, itertools.repeat(sign))
+                for generator, coefficient in layers:
+                    moved = [[generator[head[t]] for t in ts] for head in heads]
+                    scaled = [[act_sign * coefficient[head[t]] for t in ts] for head in heads]
+                    targets = [act[p] * r + g for p in prefixes for g in moved[p // low]]
+                    entries = [c for p in prefixes for c in scaled[p // low]]
+                    _write_nonzero(below, columns, targets, entries)
+            else:
+                # one write per generator, of its rows strided through the
+                # block below: rows_of[g][q] is the row of (q, g)
+                rows_of = [below[g::r] for g in range(r)]
+                for sign, image in rest:
+                    targets = live(image)
+                    for x, g in enumerate(gs):
+                        _accumulate(rows_of[g], columns[x::width], targets, itertools.repeat(sign))
+                # the action on each run of the prefixes with first
+                # coordinate h, prefixes[cut[h]:cut[h + 1]], for the live
+                # generators x whose suffix h . t has a term a in the layer
+                cut, acted = range(0, n**i + 1, low), live(act)
+                if normalized:
+                    cut = list(map(bisect.bisect_left, itertools.repeat(prefixes), cut))
+                for generator, coefficient in layers:
+                    terms = [
+                        (h, x, head[t])
+                        for h, head in enumerate(heads)
+                        for x, t in enumerate(ts)
+                        if coefficient[head[t]]
+                    ]
+                    for h, x, a in terms:
+                        lo, hi = cut[h], cut[h + 1]
+                        run = columns[lo * width + x : hi * width : width]
+                        repeat = itertools.repeat(act_sign * coefficient[a])
+                        _accumulate(rows_of[generator[a]], run, acted[lo:hi], repeat)
+        if j >= 2:
+            rb = len(pres[j - 1][0])
+            for sign, image in tables("dv", j):
+                sign *= (-1) ** i
+                images = [image[t] for t in ts]
+                for generator, coefficient in pres[j - 1][3]:
+                    entries = [sign * coefficient[t] for t in images] * len(prefixes)
+                    targets = [p * rb + generator[t] for p in prefixes for t in images]
+                    _write_nonzero(blocks[i, j - 1], columns, targets, entries)
+        col += n**i * r
+    return col
+
+
+def _identity(seq):
+    """The whole sequence: an index map's entries at every prefix."""
+    return seq
+
+
+def _write_nonzero(rows, columns, targets, entries) -> None:
+    """`_accumulate` on the nonzero entries alone: a layer of normal forms
+    reads 0 past the end of a shorter form."""
+    if not all(entries):
+        kept = (list(itertools.compress(x, entries)) for x in (columns, targets, entries))
+        columns, targets, entries = kept
+    _accumulate(rows, columns, targets, entries)
 
 
 def _accumulate(rows, columns, targets, entries) -> None:
     """Column x gains c at rows[y], for x, y and c of `columns`, `targets`
-    and `entries` in step: the one write of both presented systems, once
+    and `entries` in step: the one write of the presented writer, once
     each face target is expanded through its normal form.
 
     >>> rows = [{}, {}]
@@ -739,61 +702,128 @@ def _accumulate(rows, columns, targets, entries) -> None:
         row[x] = row.get(x, 0) + c
 
 
-def _presented_relations(structure: LinearCycleSet, k: int, start: int):
-    """The relations of degree k, as rows: row (p, i) holds, at column
-    start + index(p) * r + j, the coefficient of (p, s_i) in the relation
-    o_j (p, s_j) - sum of r_ji (p, s_i)."""
-    gens, orders, powers, _coords = _presentation(structure.add)
-    r = len(gens)
-    entries = [
-        [(i, orders[i])] + [(j, -powers[j][i]) for j in range(i + 1, r) if powers[j][i]]
-        for i in range(r)
-    ]
+def _write_relations(structure: LinearCycleSet, d: int, pres, blocks, start: int) -> None:
+    """Write the relations of the degree-d coordinates as columns from
+    `start` on: one per block (i, j), i-tuple p and relation of pres[j],
+    holding its coefficient at each (p, g)."""
+    col = start
+    for i, j in _blocks(d, pres):
+        gens, relations, _forms, _layers = pres[j]
+        block, r = blocks[i, j], len(gens)
+        for p in range(structure.order**i):
+            for relation in relations:
+                for g, x in relation.items():
+                    block[p * r + g][col] = x
+                col += 1
+
+
+def _presented_system(structure: LinearCycleSet, d: int, pres, normalized: bool, tables):
+    """The degree-d system of the total complex over the presentations
+    pres[j] of the quotients K_j, on the blocks (d - j, j) whose j is
+    presented: (system, read, targets).
+
+    The system is as `_tagged` reads it.  Row y of `cocycles` holds the
+    coefficients of coordinate y in the cocycle conditions, one per
+    generator of a block of degree d + 1 (`_write_boundary`), then in the
+    relations; row y of `coboundaries` holds the coboundary of coordinate
+    y of degree d - 1, and `constraints` its relations.  `read` reads a
+    vector of degree-d coordinates on every tuple (`_reader`), and
+    `targets()` lists the tuple each cocycle condition checks
+    (`_targets`).  With pres = {1: the presentation of (A, +)} this is
+    the reduced system, block (d - 1, 1) alone.  Over Z/2 with the
+    trivial dot, the conditions at (a, s_0) read u - u = 0, and those at
+    (a, b, s_0) read u_b - u_(a+b) + u_a; each coordinate carries the
+    relation 2 u = 0:
+
+    >>> z2 = LinearCycleSet(2, [[0, 1], [1, 0]], [[0, 1], [0, 1]])
+    >>> pres = {1: _presentation(z2.add)}
+    >>> _presented_system(z2, 1, pres, False, _tables(z2))[0][0]
+    [{0: 0, 1: 0, 2: 2}]
+    >>> _presented_system(z2, 2, pres, False, _tables(z2))[0][0]
+    [{0: 1, 3: -1, 1: 1, 2: 1, 4: 2}, {1: 0, 2: 0, 3: 2, 5: 2}]
+    """
+    cocycles, blocks, dead = _unknowns(structure, d, pres, normalized, tables)
+    width = _write_boundary(structure, d + 1, pres, blocks, normalized, tables)
+    _write_relations(structure, d, pres, blocks, width)
+    constraints = coboundaries = dead_below = ()
+    if d >= 2:
+        below = (structure, d - 1, pres, normalized, tables)
+        constraints, blocks, dead_below = _unknowns(*below)
+        _write_relations(structure, d - 1, pres, blocks, 0)
+        coboundaries, blocks, _dead = _unknowns(*below)
+        _write_boundary(structure, d, pres, blocks, normalized, tables)
+    system = cocycles, constraints, coboundaries, dead, dead_below
+    n = structure.order
+    return system, _reader(n, d, pres), partial(_targets, n, d + 1, pres)
+
+
+def _targets(n: int, k: int, pres) -> list:
+    """The tuple, as its total index, that each degree-k column of
+    `_write_boundary` writes the boundary of, in column order."""
     return [
-        {start + p * r + j: x for j, x in entries[i]}
-        for p in range(structure.order ** (k - 1))
-        for i in range(r)
+        (j - 1) * n**k + p * n**j + t
+        for i, j in _blocks(k, pres)
+        for p in range(n**i)
+        for t in pres[j][0]
     ]
 
 
-def _dead(structure: LinearCycleSet, k: int):
-    """The degree-k coordinates (p, j) whose prefix p holds the neutral
-    element; none below degree 2."""
-    if k < 2:
-        return []
-    r = len(_presentation(structure.add)[0])
-    return [x * r + j for x in degenerate_indices(structure, k - 1) for j in range(r)]
+def _reader(n: int, degree: int, pres):
+    """The function reading a cochain of the given degree, in the
+    coordinates of `_presented_system`, on every tuple: {total index:
+    value}, nonzero entries only.  The value at (p, t) of block (i, j) is
+    the sum over the normal form of t of c times the value at (p, g).
+    Over Z/4, with s_0 = 1, the reduced values u = (1, 3) on the prefixes
+    0 and 1 read a and 3a:
+
+    >>> z4 = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
+    >>> _reader(4, 2, {1: _presentation(z4)})({0: 1, 1: 3})
+    {1: 1, 2: 2, 3: 3, 5: 3, 6: 6, 7: 9}
+    """
+    spreads = []  # built on the first read
+
+    def read(vec):
+        if not spreads:
+            # per block, last first: its first coordinate, its offset on
+            # tuples, and per generator g the tuples whose forms hold g
+            start = 0
+            for i, j in _blocks(degree, pres):
+                gens, _relations, forms, _layers = pres[j]
+                spread = [[] for _ in gens]
+                for t, terms in enumerate(forms):
+                    for g, c in terms:
+                        spread[g].append((t, c))
+                spreads.insert(0, (start, (j - 1) * n**degree, n**j, spread))
+                start += n**i * len(gens)
+        out = defaultdict(int)
+        for x, u in vec.items():
+            start, offset, width, spread = next(b for b in spreads if b[0] <= x)
+            p, g = divmod(x - start, len(spread))
+            for t, c in spread[g]:
+                out[offset + p * width + t] += c * u
+        return {y: v for y, v in sorted(out.items()) if v}
+
+    return read
 
 
 def _reduced_system(structure: LinearCycleSet, k: int, normalized: bool = False):
-    """The degree-k reduced system, checked against the budgets first, as
-    `_tagged` reads it.
+    """The degree-k reduced system, checked against the budgets first:
+    block (k - 1, 1) of the total complex over the presentation of (A, +),
+    as `_presented_system` writes it.
 
     A last-linear cochain is given by its values u_(p,j) = phi(p, s_j) on
     the generators s_j of `_presentation`, subject to the relations
-    o_j u_(p,j) = sum over i < j of r_ji u_(p,i).  Row y of `cocycles`
-    holds the coefficients of coordinate y in the cocycle conditions at
-    the (k+1)-tuples (p', s_j), then from column |A|^k r on in the
-    relations; read by columns, the same rows are the boundaries of the
-    degree-(k+1) generators and the relations, as chains.  When
-    normalized, the coordinates (p, j) whose prefix p holds the neutral
-    element are dead, in both degrees.
+    o_j u_(p,j) = sum over i < j of r_ji u_(p,i).  Returns over(m), giving
+    (system, read, targets) as `bicomplex._full_system` does; the system
+    does not depend on m, so it is written once.
     """
     _check_degree(k)
     n = structure.order
     check_power(n, k, f"the degree-{k} tuple basis")
     check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
-    r = len(_presentation(structure.add)[0])
-    cocycles = _presented_boundary(structure, k + 1)
-    for row, relations in zip(cocycles, _presented_relations(structure, k, n**k * r)):
-        row.update(relations)
-    constraints = coboundaries = dead = dead_below = ()
-    if k >= 2:
-        constraints = _presented_relations(structure, k - 1, 0)
-        coboundaries = _presented_boundary(structure, k)
-    if normalized:
-        dead, dead_below = set(_dead(structure, k)), set(_dead(structure, k - 1))
-    return cocycles, constraints, coboundaries, dead, dead_below
+    pres = {1: _presentation(structure.add)}
+    built = _presented_system(structure, k, pres, normalized, _tables(structure))
+    return lambda m: built
 
 
 def reduced_cohomology(
@@ -805,7 +835,19 @@ def reduced_cohomology(
     """Invariant factors of the degree-k reduced cohomology group, on the
     solutions of `_reduced_system`."""
     require_valid_lcs(structure)
-    return _cohomology(coeffs, *_reduced_system(structure, k, normalized))
+    over = _reduced_system(structure, k, normalized)
+    return _over_factors(coeffs, lambda m: _invariants(over(m)[0], m))
+
+
+def _columns(rows, width: int = 0) -> list:
+    """The columns of sparse rows as sparse {row: entry} vectors: `width`
+    of them, or more if a row holds an entry further on."""
+    width = max(width, 1 + max(map(max, filter(None, rows)), default=-1))
+    columns = [{} for _ in range(width)]
+    for y, row in enumerate(rows):
+        for x, c in row.items():
+            columns[x][y] = c
+    return columns
 
 
 def reduced_homology(
@@ -820,30 +862,29 @@ def reduced_homology(
     (k-1)-tuple p and generator s_j of `_presentation`, modulo the
     relations o_j (p, s_j) - sum over i < j of r_ji (p, s_i) and, when
     normalized, the dead generators (p, s_j) whose prefix p holds the
-    neutral element.  Over each cyclic factor Z/m the homology is
-    (preimage of the relations under the boundary) / (boundary image +
-    relations), both taken mod m.  Degree 1 is the full degree-1 chain
-    group modulo the image from degree 2.
+    neutral element.  Read by columns, the rows of `_reduced_system` are
+    the boundaries of the generators and the relations, as chains.  Over
+    each cyclic factor Z/m the homology is (preimage of the relations
+    under the boundary) / (boundary image + relations), both taken mod m.
+    Degree 1 is the full degree-1 chain group modulo the image from
+    degree 2.
     """
     require_valid_lcs(structure)
-    cocycles, constraints, coboundaries, dead, dead_below = _reduced_system(structure, k, normalized)
+    over = _reduced_system(structure, k, normalized)
 
-    def columns(rows, width):
-        vectors = [{} for _ in range(width)]
-        for y, row in enumerate(rows):
-            for c, x in row.items():
-                vectors[c][y] = x
-        return vectors
+    def homology(m):
+        cocycles, constraints, coboundaries, dead, dead_below = over(m)[0]
+        # cycles are the x whose boundary lies in the relations and the dead
+        # generators below; their rows carry x as a tag, the others nothing
+        size = len(cocycles)
+        rows = _columns(coboundaries, size) + _columns(constraints)
+        rows += [{y: 1} for y in sorted(dead_below)]
+        tags = [{x: 1} for x in range(size)] + [{}] * (len(rows) - size)
+        # boundaries of the generators above, relations and dead generators
+        bound = _columns(cocycles) + [{y: 1} for y in sorted(dead)]
+        return _subquotient_mod(rows, tags, [{}] * len(bound), bound, m)
 
-    # cycles are the x whose boundary lies in the relations and the dead
-    # generators below; their rows carry x as a tag, the others nothing
-    size = len(cocycles)
-    rows = columns(coboundaries, size) + columns(constraints, len(constraints))
-    rows += [{y: 1} for y in sorted(dead_below)]
-    tags = [{x: 1} for x in range(size)] + [{}] * (len(rows) - size)
-    # boundaries of the generators above, relations and dead generators
-    bound = columns(cocycles, (structure.order + 1) * size) + [{y: 1} for y in sorted(dead)]
-    return _over_factors(coeffs, partial(_subquotient_mod, rows, tags, [{}] * len(bound), bound))
+    return _over_factors(coeffs, homology)
 
 
 # ---------------------------------------------------------------------------

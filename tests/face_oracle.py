@@ -87,13 +87,15 @@ def face_rows(n: int, k: int, blocks, targets, start: int = 0):
 
 
 def presented_boundary(structure, k: int, maps=None):
-    """The rows of `lcscohom.reduced._presented_boundary`, read off the
-    horizontal face maps on every k-tuple, or off `maps`, a compiled face
-    list on the k-tuples given in their place."""
+    """The reduced degree-k boundary in presentation coordinates, the rows
+    that the presented writer `lcscohom.reduced._write_boundary` writes
+    into block (k - 2, 1), read off the horizontal face maps on every
+    k-tuple, or off `maps`, a compiled face list on the k-tuples given in
+    their place.  Row (q, i) is at index(q) * r + i and column (p, j) at
+    index(p) * r + j, for the generators of `_presentation`."""
     n = structure.order
-    gens, _orders, _powers, coords = reduced._presentation(structure.add)
+    gens, _relations, terms, _layers = reduced._presentation(structure.add)
     r = len(gens)
-    terms = [[(i, c) for i, c in enumerate(coords[a]) if c] for a in range(n)]
     rows = [{} for _ in range(n ** (k - 2) * r)]
     if maps is None:
         maps = reduced._index_maps(reduced._horizontal_faces(structure, k - 1), n, k)

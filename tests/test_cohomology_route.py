@@ -222,6 +222,41 @@ def test_one_builder_per_degree_two_system(monkeypatch):
     lcscohom.extensions._cohomologous_solver.cache_clear()
 
 
+def test_one_presented_writer_serves_both_theories(monkeypatch):
+    # every route that reads a system of either theory reaches the one
+    # presented writer of reduced.py, and the theories differ only in the
+    # quotients they present: K_1 alone, as (A, +), or every K_j
+    gamma = parse_group_spec("Z/2")
+    routes = {
+        ("reduced cohomology", (1,)): lambda: reduced_cohomology(Z4LCS, gamma, 2),
+        ("reduced homology", (1,)): lambda: reduced_homology(Z4LCS, gamma, 2),
+        ("full cohomology", (1, 2, 3)): lambda: full_cohomology(Z4LCS, gamma, 2),
+    }
+    # the degree-2 systems of classification, the degree-1 ones of
+    # cohomologousness: the full theory presents K_1 to K_(n+1)
+    for flavor, two, one in (("cycle-type", (1,), (1,)), ("general", (1, 2, 3), (1, 2))):
+        first, second = classify_extensions(Z4LCS, gamma, flavor)[:2]
+        routes[f"{flavor} classification", two] = (
+            lambda flavor=flavor: classify_extensions(Z4LCS, gamma, flavor)
+        )
+        routes[f"{flavor} cohomologous", one] = (
+            lambda first=first, second=second: cocycles_cohomologous(first.cocycle, second.cocycle)
+        )
+    reached = []
+
+    def stop(structure, k, pres, *_args):
+        reached.append(tuple(pres))
+        raise Stopped
+
+    lcscohom.extensions._cohomologous_solver.cache_clear()
+    monkeypatch.setattr(lcscohom.reduced, "_write_boundary", stop)
+    for (name, presented), run in routes.items():
+        with pytest.raises(Stopped):
+            run()
+        assert reached.pop() == presented, name
+    lcscohom.extensions._cohomologous_solver.cache_clear()
+
+
 def test_full_degree_four_stays_small():
     # The dense route peaked at 82 MiB here; the sparse rows take about 10.
     tracemalloc.start()

@@ -43,9 +43,9 @@ def test_examples_are_collected():
     assert len(finder.find(reduced._apply)[0].examples) >= 3
     names = {t.name for t in finder.find(reduced) if t.examples}
     assert "lcscohom.reduced._presentation" in names
-    # reduced cochains are read on every tuple, and chains tested modulo
+    # presented cochains are read on every tuple, and chains tested modulo
     # linearity, through the presentation
-    assert "lcscohom.reduced._evaluated" in names
+    assert "lcscohom.reduced._reader" in names
     assert "lcscohom.reduced._in_linearity_lattice" in names
     # the solver shows a least solution read in its tags' coordinates
     sources = [ex.source for ex in finder.find(linalg._least_solver)[0].examples]
@@ -62,12 +62,13 @@ def test_examples_are_collected():
     )
     for builder in builders:
         assert finder.find(builder)[0].examples, builder.__name__
-    # the maps are cut into runs and gathered, and the presented boundary
-    # shows its rows, keys in face order, as compiled on prefixes
-    for helper in (reduced._runs, reduced._gatherer, reduced._presented_boundary):
+    # the maps are cut into runs and gathered, and the one presented writer
+    # shows the reduced rows of Z/2, keys in write order, relations last
+    for helper in (reduced._runs, reduced._gatherer, reduced._presented_system):
         assert finder.find(helper)[0].examples, helper.__name__
-    sources = [ex.source for ex in finder.find(reduced._presented_boundary)[0].examples]
-    assert any(src.startswith("_presented_boundary(") for src in sources)
+    examples = finder.find(reduced._presented_system)[0].examples
+    assert any(ex.source.startswith("_presented_system(z2, 2, pres,") for ex in examples)
+    assert any(ex.want == "[{0: 1, 3: -1, 1: 1, 2: 1, 4: 2}, {1: 0, 2: 0, 3: 2, 5: 2}]\n" for ex in examples)
     # the shuffle quotient's presentation shows its generators: pairs over
     # two elements up to order, three of them
     examples = finder.find(bicomplex._harrison)[0].examples

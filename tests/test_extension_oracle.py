@@ -63,10 +63,12 @@ from lcscohom.extensions import (
     validate_extension_triple,
 )
 from lcscohom.linalg import _IntegerSpan, _kernel_mod
-from lcscohom.reduced import _evaluated, _reduced_system, _tagged, reduced_cohomology
+from lcscohom.reduced import _reduced_system, _tagged, reduced_cohomology
 from lcscohom.structures import LinearCycleSet, validate_lcs
 
 STRUCTURES = [s for n in (1, 2, 3, 4) for s in enumerate_lcs(n)]
+# each flavor's degree-2 system: the plain reduced one, the normalized full one
+BUILDERS = {"cycle-type": (_reduced_system, False), "general": (_full_system, True)}
 COEFFS = ("Z/2", "Z/3", "Z/4", "Z/6", "Z/2+Z/2", "Z/2+Z/4")
 # Bases with more classes than this are left out of the per-class
 # comparisons: the oracle lists every cocycle, and each total checked
@@ -136,13 +138,10 @@ def test_cochain_system_matches_the_dense_stacks(flavor):
     for s in STRUCTURES + [builtin_structure("z4-lcs"), EXT8, EXT8_RELABELED]:
         constraints, cob = two_cocycle_system(s, flavor)
         theta_rows = theta_constraints(s, flavor, normalized=True)
-        if flavor == "cycle-type":
-            system, read = _reduced_system(s, 2), functools.partial(_evaluated, s.add)
-        else:
-            over = _full_system(s, 2, normalized=True)
+        build, normalized = BUILDERS[flavor]
+        over = build(s, 2, normalized)
         for m in (2, 4, 6):
-            if flavor == "general":
-                system, read, _targets = over(m)
+            system, read, _targets = over(m)
             k_rows, k_tags, b_rows, b_tags = _tagged(*system)
             z, b = _kernel_mod(k_rows, k_tags, m), _kernel_mod(b_rows, b_tags, m)
             z, b = ([read(g) for g in gens] for gens in (z, b))

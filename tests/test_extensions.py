@@ -885,11 +885,13 @@ def test_classify_budget_refuses_before_any_row(monkeypatch, flavor, message):
         raise AssertionError("a face row was written")
 
     monkeypatch.delenv("LCSCOHOM_BUDGET", raising=False)
-    # the row writers of the reduced and full systems classification reads
+    # the row writers of the systems classification reads: the one
+    # presented writer of both theories, and the shuffle sums and face
+    # rows besides
     for module, name in (
         (lcscohom.reduced, "_face_rows"),
-        (lcscohom.reduced, "_presented_boundary"),
-        (lcscohom.reduced, "_presented_relations"),
+        (lcscohom.reduced, "_accumulate"),
+        (lcscohom.reduced, "_write_relations"),
         (lcscohom.bicomplex, "_face_rows"),
         (lcscohom.bicomplex, "_accumulate"),
     ):

@@ -6,9 +6,12 @@ antisymmetrization faces of reduced degrees 1-4, and the total boundary
 and shuffle sums of full degrees 1-3, over the order <= 4 corpus and the
 order-8 cycle set ext8 (whose 5-tuples get the reduced cocycle system
 only).  Rows must hold the same entries in the same key order, because
-elimination breaks pivot ties by that order.  The presented boundary,
-compiled on prefixes, is compared with its n^k-tuple route over every
-cycle set of order <= 4, ext8 (also relabeled) and trivial(Z/2+Z/4).
+elimination breaks pivot ties by that order.  The reduced boundary in
+presentation coordinates, as the one presented writer compiles it on
+prefixes, is compared entry for entry with its n^k-tuple route over
+every cycle set of order <= 4, ext8 (also relabeled) and
+trivial(Z/2+Z/4); its key order is the writer's own, so rows are
+compared as sorted items.
 """
 
 import pytest
@@ -28,7 +31,10 @@ from lcscohom.reduced import (
     _horizontal_faces,
     _index_maps,
     _merge,
-    _presented_boundary,
+    _presentation,
+    _tables,
+    _unknowns,
+    _write_boundary,
 )
 
 STRUCTURES = standard_corpus() + [("ext8", EXT8)]
@@ -104,7 +110,17 @@ def test_the_comparison_refuses_a_flipped_sign_or_an_extra_merge():
 
 
 def _items(rows):
-    return [list(row.items()) for row in rows]
+    return [sorted(row.items()) for row in rows]
+
+
+def _presented_boundary(s, k):
+    """The reduced degree-k boundary as the presented writer writes it:
+    block (k - 1, 1) of the total complex over the presentation of (A, +),
+    into the rows of block (k - 2, 1)."""
+    pres, tables = {1: _presentation(s.add)}, _tables(s)
+    rows, blocks, _dead = _unknowns(s, k - 1, pres, False, tables)
+    _write_boundary(s, k, pres, blocks, False, tables)
+    return rows
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -52,9 +52,27 @@ def carried(c, orders, powers):
     return tuple(c)
 
 
+def unpacked(add):
+    """(gens, orders, powers, coords) of `_presentation`: the relative
+    orders o_j, the right sides r_ji of the power relations as tuples over
+    i < j, and every normal form as a full coefficient tuple."""
+    gens, relations, forms, layers = _presentation(add)
+    r = len(gens)
+    for j, rel in enumerate(relations):  # o_j s_j on earlier generators
+        assert rel[j] > 1 and all(i < j and c for i, c in rel.items() if i != j)
+    assert layers == reduced._layers(forms)
+    orders = tuple(rel[j] for j, rel in enumerate(relations))
+    powers = tuple(tuple(-rel.get(i, 0) for i in range(j)) for j, rel in enumerate(relations))
+    coords = []
+    for form in forms:
+        assert all(c for _i, c in form) and [i for i, _c in form] == sorted(dict(form))
+        coords.append(tuple(dict(form).get(i, 0) for i in range(r)))
+    return gens, orders, powers, tuple(coords)
+
+
 def check_presentation(add):
     n = len(add)
-    gens, orders, powers, coords = _presentation(add)
+    gens, orders, powers, coords = unpacked(add)
     r = len(gens)
     assert [len(p) for p in powers] == list(range(r))
     assert sorted(coords) == list(itertools.product(*map(range, orders)))
@@ -95,8 +113,8 @@ def test_presentation_of_random_groups(add):
 def test_presentation_of_every_small_cycle_set():
     for _name, s, _degrees in STRUCTURES:
         check_presentation(s.add)
-    assert _presentation(EXT8.add)[1] == (4, 2)
-    assert _presentation(STRUCTURES[-1][1].add)[2] == ((), (2,))
+    assert _presentation(EXT8.add)[1] == ({0: 4}, {1: 2})
+    assert _presentation(STRUCTURES[-1][1].add)[1] == ({0: 4}, {1: 2, 0: -2})
 
 
 def cases(structures):
@@ -120,16 +138,16 @@ def _perturbed(kind):
     original = _presentation
 
     def presentation(add):
-        gens, orders, powers, coords = original(add)
+        gens, relations, forms, layers = original(add)
         if gens:
             j = len(gens) - 1
+            last = {j: relations[j][j]}  # without its right side
             if kind == "drop":
-                orders = orders[:j] + (0,)
+                last = {j: 0}
             if kind == "double":
-                orders = orders[:j] + (2 * orders[j],)
-            if kind in ("drop", "powers"):
-                powers = powers[:j] + ((0,) * j,)
-        return gens, orders, powers, coords
+                last = {**relations[j], j: 2 * relations[j][j]}
+            relations = relations[:j] + (last,)
+        return gens, relations, forms, layers
 
     return presentation
 

@@ -15,6 +15,7 @@ import pytest
 
 import lcscohom.reduced as reduced
 import lcscohom.verify as verify
+from cochain_oracle import Cochain, cochain_from_dict, reduced_coboundary
 from dense_views import (
     antisymmetrization_matrix,
     cs_chain_matrix,
@@ -28,15 +29,12 @@ from lcscohom.bicomplex import full_cohomology
 from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.errors import DegreeError, LinearityError, MalformedTableError, ShapeError
 from lcscohom.reduced import (
-    Cochain,
     all_tuples,
     antisymmetrization_is_chain_map,
-    cochain_from_dict,
     cs_cocycle_group,
     cs_cohomology,
     degenerate_indices,
     reduced_cohomology,
-    reduced_coboundary,
     reduced_homology,
     tuple_index,
 )
