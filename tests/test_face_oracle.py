@@ -113,7 +113,7 @@ def _items(rows):
     return [sorted(row.items()) for row in rows]
 
 
-def _presented_boundary(s, k):
+def _written_boundary(s, k):
     """The reduced degree-k boundary as the presented writer writes it:
     block (k - 1, 1) of the total complex over the presentation of (A, +),
     into the rows of block (k - 2, 1)."""
@@ -126,7 +126,7 @@ def _presented_boundary(s, k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_presented_boundary_matches_the_tuple_route(k):
     for s in PRESENTED:
-        assert _items(_presented_boundary(s, k)) == _items(presented_boundary(s, k)), (s.order, k)
+        assert _items(_written_boundary(s, k)) == _items(presented_boundary(s, k)), (s.order, k)
 
 
 def _wrong_maps(s, k):
@@ -145,7 +145,7 @@ def test_the_comparison_refuses_a_wrong_action_or_drop():
     cases = [(s, k) for s in PRESENTED for k in (2, 3, 4)]
     for wrong in range(2):
         assert any(
-            _items(_presented_boundary(s, k))
+            _items(_written_boundary(s, k))
             != _items(presented_boundary(s, k, _wrong_maps(s, k)[wrong]))
             for s, k in cases
         ), wrong
