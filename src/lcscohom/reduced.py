@@ -64,11 +64,11 @@ with the degree-1 boundary zero.  The unconstrained companion complex
           - (a_1, .., a_{i-1}, a_{i+1}, .., a_k) ].
 """
 
-import bisect
 import itertools
 import operator
 from collections import defaultdict
 from functools import lru_cache, partial
+from types import MappingProxyType
 
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from .budget import check_power
@@ -424,10 +424,14 @@ def _presentation(add) -> tuple:
     of r_ji s_i, as the row {j: o_j, i: -r_ji}; per element a the normal
     form c(a), the unique one with a = sum of c_i(a) s_i and 0 <= c_i(a)
     < o_i, as its pairs (i, c_i(a)) with c_i(a) nonzero; and the same
-    forms in `_layers`.  In Z/4 every element is a multiple of 1:
+    forms in `_layers`.  Every caller shares the cached result, so it is
+    read-only throughout: tuples, and relation rows as mapping proxies.
+    In Z/4 every element is a multiple of 1:
 
-    >>> _presentation(tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4)))[:3]
-    ((1,), ({0: 4},), ((), ((0, 1),), ((0, 2),), ((0, 3),)))
+    >>> z4 = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
+    >>> gens, relations, forms, _layers = _presentation(z4)
+    >>> gens, [dict(relation) for relation in relations], forms
+    ((1,), [{0: 4}], ((), ((0, 1),), ((0, 2),), ((0, 3),)))
 
     Z/4 + Z/2 listed from (1, 1), whose multiples come first, takes
     s_0 = (1, 1) and s_1 = (1, 0) with 2 s_1 = 2 s_0:
@@ -437,8 +441,8 @@ def _presentation(add) -> tuple:
     ...     tuple(elems.index(((a + c) % 4, (b + d) % 2)) for c, d in elems) for a, b in elems
     ... )
     >>> gens, relations, forms, _layers = _presentation(add)
-    >>> gens, relations
-    ((1, 4), ({0: 4}, {1: 2, 0: -2}))
+    >>> gens, [dict(relation) for relation in relations]
+    ((1, 4), [{0: 4}, {1: 2, 0: -2}])
     >>> forms[4], forms[5]
     (((1, 1),), ((0, 1), (1, 1)))
     """
@@ -455,7 +459,8 @@ def _presentation(add) -> tuple:
             if best is None or order > best[0]:
                 best = (order, a, x)
         order, s, x = best
-        relations.append({len(gens): order, **{i: -c for i, c in enumerate(coords[x]) if c}})
+        relation = {len(gens): order, **{i: -c for i, c in enumerate(coords[x]) if c}}
+        relations.append(MappingProxyType(relation))
         gens.append(s)
         grown = {}
         for h, c in coords.items():
@@ -511,16 +516,17 @@ def _holding_zero(structure: LinearCycleSet, k: int) -> list:
     return [zero in t for t in all_tuples(structure.order, k)]
 
 
-def _layers(forms) -> list:
+def _layers(forms) -> tuple:
     """Normal forms in layers: layer k lists, per tuple, the generator and
     the coefficient of the k-th term of its form, or (0, 0) past its end.
 
     >>> _layers([[(0, 1)], [(0, 2), (1, 1)], []])
-    [([0, 0, 0], [1, 2, 0]), ([0, 1, 0], [0, 1, 0])]
+    (((0, 0, 0), (1, 2, 0)), ((0, 1, 0), (0, 1, 0)))
     """
     depth = max(map(len, forms), default=0)
-    layers = [zip(*[f[k] if k < len(f) else (0, 0) for f in forms]) for k in range(depth)]
-    return [tuple(map(list, layer)) for layer in layers]
+    return tuple(
+        tuple(zip(*[f[k] if k < len(f) else (0, 0) for f in forms])) for k in range(depth)
+    )
 
 
 def _tables(structure: LinearCycleSet):
@@ -592,15 +598,10 @@ def _write_boundary(structure: LinearCycleSet, k: int, pres, blocks, normalized:
     (p, g) in the boundary of the tuple (p', g').  The faces of dh move
     the prefix alone, except the action, whose suffix is p'_0 . g' on each
     run of p'_0; the faces of dv move the suffix alone.  So each face is
-    compiled once per call, by `tables`, on prefixes or on suffixes, and
-    the suffix targets are expanded through one layer of normal forms at a
-    time (`_layers`).  A face of dh is written along the longer of the two
-    axes of a block: when a run of p'_0 holds at least as many prefixes as
-    there are generators, as in the reduced theory whenever i' >= 2, one
-    write per generator fills its rows, strided through the block below,
-    for a run or for every prefix at once; otherwise one write per face,
-    or per layer of the action, fills every pair.  Both write each row's
-    keys in the same order.  When normalized, targets holding the neutral
+    compiled once per call, by `tables`, on prefixes or on suffixes; its
+    suffix targets are expanded through one layer of normal forms at a
+    time for the generators (`_layers`), and the rows of all prefixes are
+    then indexed at once.  When normalized, targets holding the neutral
     element are skipped: their boundaries hold it too.
     """
     n = structure.order
@@ -608,59 +609,29 @@ def _write_boundary(structure: LinearCycleSet, k: int, pres, blocks, normalized:
     for i, j in _blocks(k, pres):
         gens, _relations, _forms, layers = pres[j]
         r = len(gens)
-        # the live prefixes and generators, the columns of the pairs, and
-        # the entries of an index map at the live prefixes
         prefixes, gs, ts = range(n**i), range(r), gens
-        columns, live = range(col, col + n**i * r), _identity
+        columns = range(col, col + n**i * r)
         if normalized:
             prefixes = [p for p, held in enumerate(tables("zero", i)) if not held]
             held = tables("zero", j)
             gs = [g for g, t in enumerate(gens) if not held[t]]
             ts = [gens[g] for g in gs]
             columns = [col + p * r + g for p in prefixes for g in gs]
-            live = _gatherer(prefixes)
         if i >= 1:
-            below, width = blocks[i - 1, j], len(gs)
+            below = blocks[i - 1, j]
             (act_sign, act), *rest = tables("dh", i)
-            heads, low = tables("act", j), n ** (i - 1)
-            if low < width:
-                # runs shorter than the generators: one write per face, or
-                # per layer of the action, of every pair at once
-                for sign, image in rest:  # the suffix stays a generator
-                    targets = [image[p] * r + g for p in prefixes for g in gs]
-                    _accumulate(below, columns, targets, itertools.repeat(sign))
-                for generator, coefficient in layers:
-                    moved = [[generator[head[t]] for t in ts] for head in heads]
-                    scaled = [[act_sign * coefficient[head[t]] for t in ts] for head in heads]
-                    targets = [act[p] * r + g for p in prefixes for g in moved[p // low]]
-                    entries = [c for p in prefixes for c in scaled[p // low]]
-                    _write_nonzero(below, columns, targets, entries)
-            else:
-                # one write per generator, of its rows strided through the
-                # block below: rows_of[g][q] is the row of (q, g)
-                rows_of = [below[g::r] for g in range(r)]
-                for sign, image in rest:
-                    targets = live(image)
-                    for x, g in enumerate(gs):
-                        _accumulate(rows_of[g], columns[x::width], targets, itertools.repeat(sign))
-                # the action on each run of the prefixes with first
-                # coordinate h, prefixes[cut[h]:cut[h + 1]], for the live
-                # generators x whose suffix h . t has a term a in the layer
-                cut, acted = range(0, n**i + 1, low), live(act)
-                if normalized:
-                    cut = list(map(bisect.bisect_left, itertools.repeat(prefixes), cut))
-                for generator, coefficient in layers:
-                    terms = [
-                        (h, x, head[t])
-                        for h, head in enumerate(heads)
-                        for x, t in enumerate(ts)
-                        if coefficient[head[t]]
-                    ]
-                    for h, x, a in terms:
-                        lo, hi = cut[h], cut[h + 1]
-                        run = columns[lo * width + x : hi * width : width]
-                        repeat = itertools.repeat(act_sign * coefficient[a])
-                        _accumulate(rows_of[generator[a]], run, acted[lo:hi], repeat)
+            for sign, image in rest:  # the suffix stays a generator
+                targets = [image[p] * r + g for p in prefixes for g in gs]
+                _accumulate(below, columns, targets, itertools.repeat(sign))
+            low = n ** (i - 1)  # the prefixes with one first coordinate p'_0
+            heads = tables("act", j)
+            for generator, coefficient in layers:
+                # per head p'_0, the layer's term of the form of p'_0 . g'
+                moved = [[generator[head[t]] for t in ts] for head in heads]
+                scaled = [[act_sign * coefficient[head[t]] for t in ts] for head in heads]
+                targets = [act[p] * r + g for p in prefixes for g in moved[p // low]]
+                entries = [c for p in prefixes for c in scaled[p // low]]
+                _write_nonzero(below, columns, targets, entries)
         if j >= 2:
             rb = len(pres[j - 1][0])
             for sign, image in tables("dv", j):
@@ -672,11 +643,6 @@ def _write_boundary(structure: LinearCycleSet, k: int, pres, blocks, normalized:
                     _write_nonzero(blocks[i, j - 1], columns, targets, entries)
         col += n**i * r
     return col
-
-
-def _identity(seq):
-    """The whole sequence: an index map's entries at every prefix."""
-    return seq
 
 
 def _write_nonzero(rows, columns, targets, entries) -> None:
