@@ -1,13 +1,16 @@
-"""Entry-for-entry pins of the full theory's presented systems.
+"""Entry-for-entry pins of the presented systems of both theories.
 
-Each digest is the SHA-256 of one `_full_system(s, d, normalized)(m)`: the
-items of every row of its cocycle, constraint and coboundary rows, in
-insertion order, its dead coordinates, the tuple of each cocycle
-condition, and the reading of each unit coordinate on every tuple.  Key
-order steers the pivot tie-breaks of the elimination, so the rows must
-be written in the same order, not only with the same entries.  The
-digests were taken from the writer that served the full theory alone,
-before the reduced theory was written by it too.
+Each digest is the SHA-256 of one system, `_full_system(s, d,
+normalized)(m)` or `_reduced_system(s, d, normalized)(m)`: the items of
+every row of its cocycle, constraint and coboundary rows, in insertion
+order, its dead coordinates, the tuple of each cocycle condition, and the
+reading of each unit coordinate on every tuple.  Key order steers the
+pivot tie-breaks of the elimination, so the rows must be written in the
+same order, not only with the same entries.  The full digests were taken
+from the writer that served the full theory alone, before the reduced
+theory was written by it too; the reduced digests were taken from that
+one writer, and pin its key order.  The reduced system does not depend
+on m, so it is pinned over Z/2 alone.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ from ext8 import EXT8
 from lcscohom.abelian import FiniteAbelianGroup
 from lcscohom.bicomplex import _full_system
 from lcscohom.corpus import builtin_structure, trivial_lcs
+from lcscohom.reduced import _reduced_system
 
 STRUCTURES = {
     "z4-lcs": (builtin_structure("z4-lcs"), (1, 2, 3)),
@@ -77,8 +81,28 @@ PINNED = {
 }
 
 
-def _digest(structure, degree, normalized, m):
-    system, read, targets = _full_system(structure, degree, normalized)(m)
+REDUCED = {
+    ("z4-lcs", 1, False, 2): "93ceaec445d045d07c7720d7473b171c33264c1f2e6334d905f84835ec4e05c7",
+    ("z4-lcs", 1, True, 2): "740bbf72148ce2488788e9d5c1071aa9e7e2cf98c79dc0cdad4abb22a021e0c9",
+    ("z4-lcs", 2, False, 2): "c64dae0e3dcbda15c42ccba56ef62f016e3e1749bfd58ecff3c6becf42dc50b1",
+    ("z4-lcs", 2, True, 2): "3bf381861fb8909594d3f001dcff582b997ddac3b655bf6fa987b4f6a59fa55d",
+    ("z4-lcs", 3, False, 2): "31209f41d199e6adb3cb26ee91dd8a760f0624ca51f45475bc80654b7f87f9d6",
+    ("z4-lcs", 3, True, 2): "dcc0e2eeb96fdfdfa284dcf0f24f8519c600caa995d274f23cbee088572bb1e1",
+    ("trivial(2)", 1, False, 2): "0baf97034b5e67d901341919f9537083cb79081a54a3ec1b584565d7fd4b7845",
+    ("trivial(2)", 1, True, 2): "4a9af3aab1d099f6d28d1f7cd2b1a21e7905727980bcb143432d84fbbd5945af",
+    ("trivial(2)", 2, False, 2): "f1d1d5578515e525e2579d69d25c613793bb88cb2f6c54c9373b1196b84b5e73",
+    ("trivial(2)", 2, True, 2): "3c2ff567fedfd945cf00520a4167ca1aa7cb29422d73914efcc3ffbedc7a6079",
+    ("trivial(2)", 3, False, 2): "a3cc2e47fb68eb8ca478cc66f1844e23e831dadf6bcd2e09ba88f3ef9f515041",
+    ("trivial(2)", 3, True, 2): "29aa3bd18d808a4493ed19e20ba01859eb04f80ce78fd63d1f51fdcdb7c308a5",
+    ("ext8", 1, False, 2): "806c41266f414221430046da321800f35e76c0865e36b5dc6584b8d9cbb97e27",
+    ("ext8", 1, True, 2): "3447dea9736d12049a383f338efb9d418da0d480b9f4e34688a2388fe1db6bf6",
+    ("ext8", 2, False, 2): "f0df565b2e7cda79124a4d82975f9612c072abf15fb955f6178786ea62e9e18c",
+    ("ext8", 2, True, 2): "3771e38fc2943b0edbde58886dbf72320f83fd40146f6ec2a41f5497e739327c",
+}
+
+
+def _digest(over, m):
+    system, read, targets = over(m)
     cocycles, constraints, coboundaries, dead, dead_below = system
     digest = hashlib.sha256()
     for rows in (cocycles, constraints, coboundaries):
@@ -98,13 +122,23 @@ CASES = [
     for normalized in (False, True)
     for m in (2, 4, 6)
 ]
+REDUCED_CASES = [case for case in CASES if case[3] == 2]
 
 
 def test_every_case_is_pinned():
     assert sorted(CASES) == sorted(PINNED)
+    assert sorted(REDUCED_CASES) == sorted(REDUCED)
 
 
 @pytest.mark.parametrize("name,degree,normalized,m", CASES)
 def test_full_system_digest(name, degree, normalized, m):
     structure = STRUCTURES[name][0]
-    assert _digest(structure, degree, normalized, m) == PINNED[name, degree, normalized, m]
+    over = _full_system(structure, degree, normalized)
+    assert _digest(over, m) == PINNED[name, degree, normalized, m]
+
+
+@pytest.mark.parametrize("name,degree,normalized,m", REDUCED_CASES)
+def test_reduced_system_digest(name, degree, normalized, m):
+    structure = STRUCTURES[name][0]
+    over = _reduced_system(structure, degree, normalized)
+    assert _digest(over, m) == REDUCED[name, degree, normalized, m]
