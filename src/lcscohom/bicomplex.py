@@ -39,6 +39,7 @@ import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .abelian import FiniteAbelianGroup
 from .budget import check_power
@@ -204,6 +205,7 @@ def _total_faces(structure: LinearCycleSet, n: int):
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def _harrison(n: int, j: int, m: int):
     """A presentation over Z/m of the shuffle quotient K_j: the free module
     on the j-tuples modulo the shuffle sums of every type (r, j - r).
@@ -224,18 +226,22 @@ def _harrison(n: int, j: int, m: int):
     term of the shuffle sum of a tuple holding 0 holds 0 too, so tuples
     without 0 have normal forms in generators without 0.
 
-    On pairs over two elements (0, 1) reads (1, 0), and three generators
-    remain; over Z/4 the quadruples over one element keep torsion:
+    K_j depends on n, j and m alone, so the presentation is cached on
+    them and shared by every structure of order n and every caller.  So
+    it is read-only: tuples, and relation rows as mapping proxies, as in
+    `reduced._presentation`.  On pairs over two elements (0, 1) reads
+    (1, 0), and three generators remain; over Z/4 the quadruples over one
+    element keep torsion:
 
     >>> gens, relations, forms, _layers = _harrison(2, 2, 2)
     >>> gens, relations, forms[1]
-    ([0, 2, 3], [], [(1, 1)])
-    >>> _harrison(1, 4, 4)[1]
+    ((0, 2, 3), (), ((1, 1),))
+    >>> [dict(relation) for relation in _harrison(1, 4, 4)[1]]
     [{0: 2}]
     """
     if j == 1:  # no shuffles: every element generates
-        every = list(range(n))
-        return every, [], [[(t, 1)] for t in every], [(every, [1] * n)]
+        forms = tuple(((t, 1),) for t in range(n))
+        return tuple(range(n)), (), forms, _layers(forms)
     sums = [s for r in range(1, j) for s in _shuffle_sums(n, 0, j, r) if s]
     local = []  # per prime power q: the lift of Z/q into Z/m, forms and relations
     for p, e in _prime_powers(m):
@@ -276,7 +282,9 @@ def _harrison(n: int, j: int, m: int):
             for g, x in forms[t]:
                 merged[g] += x
             forms[t] = [(g, x % m) for g, x in sorted(merged.items()) if x % m]
-    return gens, relations, forms, _layers(forms)
+    forms = tuple(map(tuple, forms))
+    relations = tuple(map(MappingProxyType, relations))
+    return tuple(gens), relations, forms, _layers(forms)
 
 
 def _spanning(n: int, j: int):
@@ -315,13 +323,13 @@ def _full_system(structure: LinearCycleSet, degree: int, normalized: bool = Fals
     i-tuples into the dual of the shuffle quotient K_j, so a degree-n
     cochain is given by its values on (p, g), p an i-tuple and g a
     generator of the presentation of K_j over Z/m (`_harrison`), subject
-    to its relations; each K_j, j <= n, is presented once per call of
-    over.  The coboundary of such a cochain vanishes on shuffles again, so
-    the cocycle conditions are needed only on the generators of each
-    target block, and on the top block (0, n + 1) on tuples that span
-    K_(n+1) (`_spanning`), which spares presenting it.  On every tuple,
-    block (i, j) takes n^(i+j) coordinates from (j - 1) n^(i+j) on, as in
-    `_into_map`.
+    to its relations; each K_j, j <= n, is presented once per (order, m)
+    and process.  The coboundary of such a cochain vanishes on shuffles
+    again, so the cocycle conditions are needed only on the generators of
+    each target block, and on the top block (0, n + 1) on tuples that
+    span K_(n+1) (`_spanning`), which spares presenting it.  On every
+    tuple, block (i, j) takes n^(i+j) coordinates from (j - 1) n^(i+j)
+    on, as in `_into_map`.
     """
     if not isinstance(degree, int) or degree < 1:
         raise DegreeError(f"degree must be an integer >= 1, got {degree!r}")

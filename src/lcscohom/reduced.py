@@ -38,17 +38,18 @@ Degree-k bases grow as |A|^k, so everything checks the basis budget
 before writing any rows.  Every boundary, shuffle and permutation
 operator here and in the bicomplex is a signed list of face maps on
 tuples (act by the dot operation, merge by +, drop or permute
-coordinates).  A face is compiled, once per call, into an index map over
-the lexicographically ordered basis: entry x of the map is the index of
+coordinates).  A face is compiled into an index map over the
+lexicographically ordered basis: entry x of the map is the index of
 the image of tuple x, built from whole runs of indices, cut, repeated
 and gathered, or by whole-list arithmetic on the tables (`_index_map`).
 The presented writer compiles its faces on the prefixes or the suffixes
-of the tuples it reads, not on every tuple, and writes each expanded
-face target with `_accumulate`.  `_face_rows` writes compiled face lists
-into the sparse rows that the unconstrained system and the additive
-sections are reduced from; sparse rows are the one operator format of
-the package.  The chain-map and structural checks send formal sums of
-tuple indices through compiled face lists (`_apply`), without a matrix.
+of the tuples it reads, not on every tuple, once per structure and
+process (`_tables`), and writes each expanded face target with
+`_accumulate`.  `_face_rows` writes compiled face lists into the sparse
+rows that the unconstrained system and the additive sections are
+reduced from; sparse rows are the one operator format of the package.
+The chain-map and structural checks send formal sums of tuple indices
+through compiled face lists (`_apply`), without a matrix.
 
 The boundary of a tuple (a_1, ..., a_k) is
 
@@ -239,17 +240,19 @@ def _act_map(n: int, k: int, dot, pos: int) -> list:
     return out
 
 
-def _acted(dot, k: int) -> list:
+def _acted(dot, k: int) -> tuple:
     """acted[a][y] is the index of the k-tuple y with row a of dot applied
-    to every coordinate.
+    to every coordinate, as tuples.
 
     >>> _acted(((0, 1), (1, 0)), 2)
-    [[0, 1, 2, 3], [3, 2, 1, 0]]
+    ((0, 1, 2, 3), (3, 2, 1, 0))
     """
     n = len(dot)
-    acted = [list(row) for row in dot] if k else [[0] for _row in dot]
+    acted = tuple(map(tuple, dot)) if k else ((0,),) * n
     for _ in range(k - 1):
-        acted = [[x * n + y for x in image for y in row] for image, row in zip(acted, dot)]
+        acted = tuple(
+            tuple(x * n + y for x in image for y in row) for image, row in zip(acted, dot)
+        )
     return acted
 
 
@@ -509,11 +512,11 @@ def _in_linearity_lattice(add, chain) -> bool:
 # The presented writer of both theories' systems
 
 
-def _holding_zero(structure: LinearCycleSet, k: int) -> list:
+def _holding_zero(structure: LinearCycleSet, k: int) -> tuple:
     """Per k-tuple, in lexicographic order, whether it holds the neutral
     element; the empty tuple does not."""
     zero = structure.zero
-    return [zero in t for t in all_tuples(structure.order, k)]
+    return tuple(zero in t for t in all_tuples(structure.order, k))
 
 
 def _layers(forms) -> tuple:
@@ -529,12 +532,19 @@ def _layers(forms) -> tuple:
     )
 
 
+@lru_cache(maxsize=8)
 def _tables(structure: LinearCycleSet):
     """tables(kind, k): the index tables of the presented writer, built on
     first use: the faces of dh compiled on k-prefixes ("dh") and of dv on
     k-suffixes ("dv"), the action of each element on k-suffixes ("act",
     `_acted`), and the k-tuples holding the neutral element ("zero",
-    `_holding_zero`)."""
+    `_holding_zero`).
+
+    Cached on the structure, whose equality and hash are those of its
+    tables (order, add, dot), so every system built on equal tables, over
+    any coefficients, shares one compile.  Every caller shares the tables,
+    so they are read-only: (sign, index map) pairs and rows are tuples.
+    """
     n = structure.order
     built = {}
 
@@ -542,12 +552,15 @@ def _tables(structure: LinearCycleSet):
         if (kind, k) not in built:
             if kind == "zero":
                 built[kind, k] = _holding_zero(structure, k)
-            elif kind == "dh":
-                built[kind, k] = _index_maps(_horizontal_faces(structure, k), n, k)
-            elif kind == "dv":
-                built[kind, k] = _index_maps(_vertical_faces(structure, 0, k), n, k)
-            else:
+            elif kind == "act":
                 built[kind, k] = _acted(structure.dot, k)
+            else:
+                if kind == "dh":
+                    faces = _horizontal_faces(structure, k)
+                else:
+                    faces = _vertical_faces(structure, 0, k)
+                maps = _index_maps(faces, n, k)
+                built[kind, k] = tuple((sign, tuple(image)) for sign, image in maps)
         return built[kind, k]
 
     return tables
@@ -598,7 +611,7 @@ def _write_boundary(structure: LinearCycleSet, k: int, pres, blocks, normalized:
     (p, g) in the boundary of the tuple (p', g').  The faces of dh move
     the prefix alone, except the action, whose suffix is p'_0 . g' on each
     run of p'_0; the faces of dv move the suffix alone.  So each face is
-    compiled once per call, by `tables`, on prefixes or on suffixes; its
+    compiled once, by `tables`, on prefixes or on suffixes; its
     suffix targets are expanded through one layer of normal forms at a
     time for the generators (`_layers`), and the rows of all prefixes are
     then indexed at once.  When normalized, targets holding the neutral

@@ -12,6 +12,7 @@ first violation and the witnesses are walked only when they are read.
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -313,6 +314,20 @@ def _brace_violations(n, add, circle):
 
 
 def require_valid_lcs(structure: LinearCycleSet) -> LinearCycleSet:
+    _refuse_invalid_lcs(structure)
+    return structure
+
+
+@lru_cache(maxsize=8)
+def _refuse_invalid_lcs(structure: LinearCycleSet) -> None:
+    """Raise StructureValidationError, with the report, if the structure
+    is not a linear cycle set.
+
+    Cached on the structure, whose equality and hash are those of its
+    tables, so a structure built again from equal tables is not validated
+    again.  A raised error is never cached: an invalid structure is
+    validated, and refused with a fresh report, on every call.
+    """
     report = validate_lcs(structure)
     if not report.valid:
         names = sorted({v.axiom for v in report.violations})
@@ -320,7 +335,6 @@ def require_valid_lcs(structure: LinearCycleSet) -> LinearCycleSet:
             f"linear cycle set of order {structure.order} is invalid ({', '.join(names)})",
             report=report,
         )
-    return structure
 
 
 def require_valid_brace(structure: Brace) -> Brace:

@@ -73,7 +73,7 @@ def test_examples_are_collected():
     # two elements up to order, three of them
     examples = finder.find(bicomplex._harrison)[0].examples
     assert any(ex.source.startswith("gens, relations, forms, _layers = _harrison(2, 2,") for ex in examples)
-    assert any(ex.want.startswith("([0, 2, 3], ") for ex in examples)
+    assert any(ex.want.startswith("((0, 2, 3), ") for ex in examples)
     # the cached helper's doctest is collected through its cache wrapper
     extensions = importlib.import_module("lcscohom.extensions")
     names = {t.name for t in finder.find(extensions) if t.examples}

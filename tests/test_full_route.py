@@ -92,11 +92,11 @@ def test_spanning_targets_span_the_shuffle_quotient(n, j, m):
     gens, relations, forms, _layers = _harrison(n, j, m)
     targets = bicomplex._spanning(n, j)[0]
     assert len(targets) < n**j
-    span = _IntegerSpan([dict(forms[t]) for t in targets] + relations, m)
+    span = _IntegerSpan([dict(forms[t]) for t in targets] + list(relations), m)
     assert all(span.reduce({g: 1}) == {} for g in range(len(gens)))
     # without the tuples whose first two entries agree, they do not
     fewer = [t for t in targets if t // n ** (j - 1) != t // n ** (j - 2) % n]
-    span = _IntegerSpan([dict(forms[t]) for t in fewer] + relations, m)
+    span = _IntegerSpan([dict(forms[t]) for t in fewer] + list(relations), m)
     assert not all(span.reduce({g: 1}) == {} for g in range(len(gens)))
 
 
@@ -144,6 +144,10 @@ def test_budgets_refuse_before_any_shuffle_sum(monkeypatch):
     def stop(*_args):
         raise AssertionError("a shuffle sum was built")
 
+    # the presentations and tables are cached per process: start cold, so
+    # that degree 5 must present its quotients again
+    bicomplex._harrison.cache_clear()
+    bicomplex._tables.cache_clear()
     monkeypatch.delenv("LCSCOHOM_BUDGET", raising=False)
     monkeypatch.setattr(bicomplex, "_shuffle_sums", stop)
     with pytest.raises(BudgetError):
@@ -153,23 +157,26 @@ def test_budgets_refuse_before_any_shuffle_sum(monkeypatch):
         bicomplex._full_system(Z4LCS, 5)(2)
 
 
-# Full and reduced groups over Z/2, plain and normalized: below degree
-# 2p = 4 normalization changes nothing, at 4 it drops one factor of the
-# full group and none of the reduced one.  Observed, not proven.
+# Full and reduced groups over Z/p, plain and normalized: below degree
+# 2p normalization changes nothing, at 2p it drops one factor of the full
+# group and none of the reduced one, over Z/2 at 4 and over Z/3 at 6.
+# Observed, not proven.
 SPLIT = {
-    ("trivial(2)", 2): ([2, 2], [2, 2]),
-    ("trivial(2)", 3): ([2, 2], [2, 2]),
-    ("trivial(2)", 4): ([2, 2, 2, 2], [2, 2, 2]),
-    ("z4-lcs", 3): ([2] * 5, [2] * 5),
-    ("z4-lcs", 4): ([2] * 10, [2] * 9),
+    ("trivial(2)", "Z/2", 2): ([2, 2], [2, 2]),
+    ("trivial(2)", "Z/2", 3): ([2, 2], [2, 2]),
+    ("trivial(2)", "Z/2", 4): ([2, 2, 2, 2], [2, 2, 2]),
+    ("z4-lcs", "Z/2", 3): ([2] * 5, [2] * 5),
+    ("z4-lcs", "Z/2", 4): ([2] * 10, [2] * 9),
+    ("trivial(3)", "Z/3", 5): ([3, 3], [3, 3]),
+    ("trivial(3)", "Z/3", 6): ([3] * 5, [3] * 4),
 }
 
 
 def test_normalization_splits_the_full_groups_from_degree_2p():
-    z2 = parse_group_spec("Z/2")
-    for (name, degree), (plain, normalized) in SPLIT.items():
-        s = builtin_structure(name)
-        assert full_cohomology(s, z2, degree) == plain, (name, degree)
-        assert full_cohomology(s, z2, degree, normalized=True) == normalized, (name, degree)
-        same = reduced_cohomology(s, z2, degree, normalized=True)
-        assert same == reduced_cohomology(s, z2, degree), (name, degree)
+    for (name, spec, degree), (plain, normalized) in SPLIT.items():
+        s, coeffs = builtin_structure(name), parse_group_spec(spec)
+        case = (name, spec, degree)
+        assert full_cohomology(s, coeffs, degree) == plain, case
+        assert full_cohomology(s, coeffs, degree, normalized=True) == normalized, case
+        same = reduced_cohomology(s, coeffs, degree, normalized=True)
+        assert same == reduced_cohomology(s, coeffs, degree), case
