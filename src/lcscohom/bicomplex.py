@@ -57,6 +57,7 @@ from .reduced import (
     _index_map,
     _index_maps,
     _invariants,
+    _kept,
     _layers,
     _over_factors,
     _permute,
@@ -66,7 +67,7 @@ from .reduced import (
     all_tuples,
     tuple_index,
 )
-from .structures import LinearCycleSet, require_valid_lcs
+from .structures import _CACHED_STRUCTURES, LinearCycleSet, require_valid_lcs
 
 __all__ = [
     "shuffle_permutations",
@@ -323,13 +324,14 @@ def _full_system(structure: LinearCycleSet, degree: int, normalized: bool = Fals
     i-tuples into the dual of the shuffle quotient K_j, so a degree-n
     cochain is given by its values on (p, g), p an i-tuple and g a
     generator of the presentation of K_j over Z/m (`_harrison`), subject
-    to its relations; each K_j, j <= n, is presented once per (order, m)
-    and process.  The coboundary of such a cochain vanishes on shuffles
-    again, so the cocycle conditions are needed only on the generators of
-    each target block, and on the top block (0, n + 1) on tuples that
-    span K_(n+1) (`_spanning`), which spares presenting it.  On every
-    tuple, block (i, j) takes n^(i+j) coordinates from (j - 1) n^(i+j)
-    on, as in `_into_map`.
+    to its relations.  The coboundary of such a cochain vanishes on
+    shuffles again, so the cocycle conditions are needed only on the
+    generators of each target block, and on the top block (0, n + 1) on
+    tuples that span K_(n+1) (`_spanning`), which spares presenting it.
+    On every tuple, block (i, j) takes n^(i+j) coordinates from (j - 1)
+    n^(i+j) on, as in `_into_map`.  The budgets are checked on every
+    call; the system over Z/m is written once per (structure, degree,
+    normalized, m) and process, and kept read-only (`_written_full`).
     """
     if not isinstance(degree, int) or degree < 1:
         raise DegreeError(f"degree must be an integer >= 1, got {degree!r}")
@@ -339,14 +341,19 @@ def _full_system(structure: LinearCycleSet, degree: int, normalized: bool = Fals
     # 2**(degree + 1) shuffles, each on the n**degree tuples
     what = f"the shuffle sums of total degree {degree}"
     check_power(2, degree + 1, what, _SHUFFLE_FACTOR, times=n**degree + degree)
-    tables = _tables(structure)
+    return functools.partial(_written_full, structure, degree, normalized)
 
-    def over(m):
-        pres = {j: _harrison(n, j, m) for j in range(1, degree + 1)}
-        pres[degree + 1] = _spanning(n, degree + 1)
-        return _presented_system(structure, degree, pres, normalized, tables)
 
-    return over
+@functools.lru_cache(maxsize=_CACHED_STRUCTURES)
+def _written_full(structure: LinearCycleSet, degree: int, normalized: bool, m: int):
+    """The system of `_full_system` over Z/m, read-only (`reduced._kept`)
+    and kept per (structure, degree, normalized, m) and process, since the
+    presentations depend on m: each K_j, j <= n, is presented once per
+    (order, m) and process (`_harrison`)."""
+    n = structure.order
+    pres = {j: _harrison(n, j, m) for j in range(1, degree + 1)}
+    pres[degree + 1] = _spanning(n, degree + 1)
+    return _kept(*_presented_system(structure, degree, pres, normalized, _tables(structure)))
 
 
 def full_cohomology(

@@ -63,6 +63,7 @@ from .reduced import (
     _tagged,
 )
 from .structures import (
+    _CACHED_STRUCTURES,
     Brace,
     LinearCycleSet,
     Violation,
@@ -198,7 +199,7 @@ _IDENTITIES = {
 _TABLES = {"reduced": ("f",), "full": ("f", "g")}
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=_CACHED_STRUCTURES)
 def _cocycle_plan(base: LinearCycleSet) -> tuple:
     """The 2-cocycle identities over base, compiled from the bicomplex.
 

@@ -45,9 +45,12 @@ and gathered, or by whole-list arithmetic on the tables (`_index_map`).
 The presented writer compiles its faces on the prefixes or the suffixes
 of the tuples it reads, not on every tuple, once per structure and
 process (`_tables`), and writes each expanded face target with
-`_accumulate`.  `_face_rows` writes compiled face lists into the sparse
-rows that the unconstrained system and the additive sections are
-reduced from; sparse rows are the one operator format of the package.
+`_accumulate`.  Each written system is kept read-only for the process
+(`_written_reduced`, `bicomplex._written_full`), and shared by every
+coefficient group, homology and classification that reads it.
+`_face_rows` writes compiled face lists into the sparse rows that the
+unconstrained system and the additive sections are reduced from; sparse
+rows are the one operator format of the package.
 The chain-map and structural checks send formal sums of tuple indices
 through compiled face lists (`_apply`), without a matrix.
 
@@ -75,7 +78,7 @@ from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from .budget import check_power
 from .errors import DegreeError, MalformedTableError
 from .linalg import _subquotient_mod
-from .structures import LinearCycleSet, require_valid_lcs
+from .structures import _CACHED_STRUCTURES, LinearCycleSet, require_valid_lcs
 
 __all__ = [
     "tuple_index",
@@ -532,7 +535,7 @@ def _layers(forms) -> tuple:
     )
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_CACHED_STRUCTURES)
 def _tables(structure: LinearCycleSet):
     """tables(kind, k): the index tables of the presented writer, built on
     first use: the faces of dh compiled on k-prefixes ("dh") and of dv on
@@ -752,6 +755,8 @@ def _reader(n: int, degree: int, pres):
     coordinates of `_presented_system`, on every tuple: {total index:
     value}, nonzero entries only.  The value at (p, t) of block (i, j) is
     the sum over the normal form of t of c times the value at (p, g).
+    The reader is kept with its cached system and shared by every
+    caller, so what it reads through is built here, once, as tuples.
     Over Z/4, with s_0 = 1, the reduced values u = (1, 3) on the prefixes
     0 and 1 read a and 3a:
 
@@ -759,21 +764,21 @@ def _reader(n: int, degree: int, pres):
     >>> _reader(4, 2, {1: _presentation(z4)})({0: 1, 1: 3})
     {1: 1, 2: 2, 3: 3, 5: 3, 6: 6, 7: 9}
     """
-    spreads = []  # built on the first read
+    # per block, last first: its first coordinate, its offset on tuples,
+    # and per generator g the tuples whose forms hold g
+    spreads = []
+    start = 0
+    for i, j in _blocks(degree, pres):
+        gens, _relations, forms, _layers = pres[j]
+        spread = [[] for _ in gens]
+        for t, terms in enumerate(forms):
+            for g, c in terms:
+                spread[g].append((t, c))
+        spreads.insert(0, (start, (j - 1) * n**degree, n**j, tuple(map(tuple, spread))))
+        start += n**i * len(gens)
+    spreads = tuple(spreads)
 
     def read(vec):
-        if not spreads:
-            # per block, last first: its first coordinate, its offset on
-            # tuples, and per generator g the tuples whose forms hold g
-            start = 0
-            for i, j in _blocks(degree, pres):
-                gens, _relations, forms, _layers = pres[j]
-                spread = [[] for _ in gens]
-                for t, terms in enumerate(forms):
-                    for g, c in terms:
-                        spread[g].append((t, c))
-                spreads.insert(0, (start, (j - 1) * n**degree, n**j, spread))
-                start += n**i * len(gens)
         out = defaultdict(int)
         for x, u in vec.items():
             start, offset, width, spread = next(b for b in spreads if b[0] <= x)
@@ -785,6 +790,24 @@ def _reader(n: int, degree: int, pres):
     return read
 
 
+def _kept(system, read, targets):
+    """A written system made read-only, to be kept and shared: rows as
+    mapping proxies in tuples, and the dead coordinates as frozensets.
+    Its readers copy what they reduce (`_subquotient_mod`, `_kernel_mod`)."""
+    cocycles, constraints, coboundaries, dead, dead_below = system
+    rows = (tuple(map(MappingProxyType, r)) for r in (cocycles, constraints, coboundaries))
+    return (*rows, frozenset(dead), frozenset(dead_below)), read, targets
+
+
+@lru_cache(maxsize=_CACHED_STRUCTURES)
+def _written_reduced(structure: LinearCycleSet, k: int, normalized: bool):
+    """The degree-k reduced system as `_presented_system` writes it,
+    read-only (`_kept`), and written once per (structure, k, normalized)
+    and process: it does not depend on the coefficients."""
+    pres = {1: _presentation(structure.add)}
+    return _kept(*_presented_system(structure, k, pres, normalized, _tables(structure)))
+
+
 def _reduced_system(structure: LinearCycleSet, k: int, normalized: bool = False):
     """The degree-k reduced system, checked against the budgets first:
     block (k - 1, 1) of the total complex over the presentation of (A, +),
@@ -793,15 +816,17 @@ def _reduced_system(structure: LinearCycleSet, k: int, normalized: bool = False)
     A last-linear cochain is given by its values u_(p,j) = phi(p, s_j) on
     the generators s_j of `_presentation`, subject to the relations
     o_j u_(p,j) = sum over i < j of r_ji u_(p,i).  Returns over(m), giving
-    (system, read, targets) as `bicomplex._full_system` does; the system
-    does not depend on m, so it is written once.
+    (system, read, targets) as `bicomplex._full_system` does.  The system
+    does not depend on m, so every coefficient group, homology and
+    classification share one read-only system, kept per (structure, k,
+    normalized) and process (`_written_reduced`); the budgets are checked
+    on every call, before it is looked up.
     """
     _check_degree(k)
     n = structure.order
     check_power(n, k, f"the degree-{k} tuple basis")
     check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
-    pres = {1: _presentation(structure.add)}
-    built = _presented_system(structure, k, pres, normalized, _tables(structure))
+    built = _written_reduced(structure, k, normalized)
     return lambda m: built
 
 

@@ -18,6 +18,10 @@ from operator import itemgetter
 
 from .errors import MalformedTableError, StructureValidationError
 
+# The entries of each cache keyed on a structure: every linear cycle set
+# of order at most 4 is 13 structures, so a sweep over them all fits.
+_CACHED_STRUCTURES = 16
+
 
 def _check_table(table, n, name):
     """The table as tuple rows, once every entry is an int index in 0..n-1.
@@ -318,7 +322,7 @@ def require_valid_lcs(structure: LinearCycleSet) -> LinearCycleSet:
     return structure
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_CACHED_STRUCTURES)
 def _refuse_invalid_lcs(structure: LinearCycleSet) -> None:
     """Raise StructureValidationError, with the report, if the structure
     is not a linear cycle set.

@@ -3,8 +3,8 @@
 import time
 
 import pytest
+from compile_caches import clear_compile_caches
 
-import lcscohom.bicomplex
 import lcscohom.reduced
 from lcscohom.abelian import parse_group_spec
 from lcscohom.bicomplex import bicomplex_identity_check, full_cohomology
@@ -81,10 +81,9 @@ def test_budgets_refuse_before_any_index_map(monkeypatch, run, over, under):
         raise AssertionError("an index map was built")
 
     monkeypatch.delenv("LCSCOHOM_BUDGET", raising=False)
-    # the tables and presentations are cached per process: start cold, so
-    # that one degree below a map must be compiled again
-    lcscohom.reduced._tables.cache_clear()
-    lcscohom.bicomplex._harrison.cache_clear()
+    # the tables, presentations and systems are cached per process: start
+    # cold, so that one degree below a map must be compiled again
+    clear_compile_caches()
     monkeypatch.setattr(lcscohom.reduced, "_index_map", refuse)
     with pytest.raises(BudgetError):
         run(over)

@@ -23,6 +23,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from compile_caches import clear_compile_caches
 
 import lcscohom
 import lcscohom.bicomplex
@@ -248,13 +249,14 @@ def test_one_presented_writer_serves_both_theories(monkeypatch):
         reached.append(tuple(pres))
         raise Stopped
 
-    lcscohom.extensions._cohomologous_solver.cache_clear()
+    # the set-up above wrote and kept the degree-2 systems: start cold
+    clear_compile_caches()
     monkeypatch.setattr(lcscohom.reduced, "_write_boundary", stop)
     for (name, presented), run in routes.items():
         with pytest.raises(Stopped):
             run()
         assert reached.pop() == presented, name
-    lcscohom.extensions._cohomologous_solver.cache_clear()
+    clear_compile_caches()
 
 
 def test_full_degree_four_stays_small():

@@ -1,29 +1,37 @@
-"""Each structure is compiled once per process.
+"""Each structure is compiled, and each system written, once per process.
 
 The presented writer's index tables (`reduced._tables`), the shuffle
-quotients' presentations (`bicomplex._harrison`) and the validity verdict
-behind `require_valid_lcs` are cached on what they depend on: the
-structure's tables, or (order, degree, modulus).  A structure loaded
-again from a file hits the caches, and no map, shuffle sum or validation
-runs a second time.  The key is the whole structure: two structures that
-share `add` but not `dot` never read each other's tables.  An invalid
-structure is validated, and refused, on every call.  Cached values are
-shared by every caller, so they are read-only.
+quotients' presentations (`bicomplex._harrison`), the validity verdict
+behind `require_valid_lcs` and the written systems of both theories
+(`reduced._written_reduced`, `bicomplex._written_full`) are cached on
+what they depend on: the structure's tables, the degree, normalization
+and, for the full theory and the presentations, the modulus.  A
+structure loaded again from a file hits the caches, and no map, shuffle
+sum, validation or system write runs a second time.  The key is the
+whole structure: two structures that share `add` but not `dot` never
+read each other's tables.  An invalid structure is validated, and
+refused, on every call, and the budgets are checked on every call, before
+any cache.  Only what is written is kept: every call still eliminates.
+Cached values are shared by every caller, so they are read-only.
 """
 
 import json
 import operator
 
 import pytest
+from compile_caches import clear_compile_caches
+from ext8 import EXT8
 
 import lcscohom.bicomplex
+import lcscohom.linalg
 import lcscohom.reduced
 import lcscohom.structures
 from lcscohom.abelian import parse_group_spec
-from lcscohom.bicomplex import _harrison, full_cohomology
+from lcscohom.bicomplex import _full_system, _harrison, full_cohomology
 from lcscohom.corpus import builtin_structure
-from lcscohom.errors import StructureValidationError
-from lcscohom.reduced import _tables, reduced_cohomology, reduced_homology
+from lcscohom.errors import BudgetError, StructureValidationError
+from lcscohom.extensions import classify_extensions
+from lcscohom.reduced import _reduced_system, _tables, reduced_cohomology, reduced_homology
 from lcscohom.structures import (
     LinearCycleSet,
     structure_from_dict,
@@ -31,6 +39,7 @@ from lcscohom.structures import (
 )
 
 Z2 = parse_group_spec("Z/2")
+Z4 = parse_group_spec("Z/4")
 Z4LCS = builtin_structure("z4-lcs")
 TRIVIAL4 = builtin_structure("trivial(4)")
 ROUTES = {
@@ -38,12 +47,6 @@ ROUTES = {
     "reduced H_3": lambda s: reduced_homology(s, Z2, 3),
     "full H^2": lambda s: full_cohomology(s, Z2, 2),
 }
-
-
-def clear_caches():
-    _tables.cache_clear()
-    _harrison.cache_clear()
-    lcscohom.structures._refuse_invalid_lcs.cache_clear()
 
 
 def reloaded(structure):
@@ -71,10 +74,10 @@ def test_the_key_is_the_whole_structure():
     cold = {}
     for s in (Z4LCS, TRIVIAL4):
         for name, route in ROUTES.items():
-            clear_caches()
+            clear_compile_caches()
             cold[s.dot, name] = route(s)
     assert any(cold[Z4LCS.dot, name] != cold[TRIVIAL4.dot, name] for name in ROUTES)
-    clear_caches()
+    clear_compile_caches()
     for _ in range(2):
         for name, route in ROUTES.items():
             for s in (Z4LCS, TRIVIAL4):
@@ -119,3 +122,99 @@ def test_cached_values_are_read_only():
     for target in targets:
         with pytest.raises(TypeError):
             operator.setitem(target, 0, 1)
+
+
+def classes(structure, gamma, flavor):
+    return [entry.to_dict() for entry in classify_extensions(structure, gamma, flavor)]
+
+
+# calls that share written systems: the reduced degree-3 system of z4-lcs
+# over three coefficient groups and for homology, its reduced degree-2
+# system for cycle-type classification, and its full degree-2 system over
+# Z/2, which the test calls twice
+SHARED = {
+    "reduced H^3 Z/2": lambda: reduced_cohomology(Z4LCS, Z2, 3),
+    "reduced H^3 Z/8": lambda: reduced_cohomology(Z4LCS, parse_group_spec("Z/8"), 3),
+    "reduced H^3 Z/2+Z/2": lambda: reduced_cohomology(Z4LCS, parse_group_spec("Z/2+Z/2"), 3),
+    "reduced H_3 Z/4": lambda: reduced_homology(Z4LCS, Z4, 3),
+    "cycle-type classes Z/2": lambda: classes(Z4LCS, Z2, "cycle-type"),
+    "full H^2 Z/2": lambda: full_cohomology(Z4LCS, Z2, 2),
+}
+
+
+def test_one_write_serves_every_coefficient_group(monkeypatch):
+    cold = {}
+    for name, call in SHARED.items():
+        clear_compile_caches()
+        cold[name] = call()
+    clear_compile_caches()
+    reduced_cohomology(Z4LCS, Z2, 3)
+    reduced_cohomology(Z4LCS, Z2, 2)
+    full_cohomology(Z4LCS, Z2, 2)
+    monkeypatch.setattr(lcscohom.reduced, "_write_boundary", refuse)
+    for _ in range(2):
+        assert {name: call() for name, call in SHARED.items()} == cold
+
+
+def test_the_full_key_holds_the_modulus(monkeypatch):
+    clear_compile_caches()
+    full_cohomology(Z4LCS, Z2, 2)
+    monkeypatch.setattr(lcscohom.reduced, "_write_boundary", refuse)
+    full_cohomology(Z4LCS, Z2, 2)
+    with pytest.raises(AssertionError, match="compiled or validated again"):
+        full_cohomology(Z4LCS, Z4, 2)
+
+
+def test_answers_are_not_cached(monkeypatch):
+    eliminations = []
+    real = lcscohom.linalg._eliminate
+
+    def counted(*args, **kwargs):
+        eliminations.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lcscohom.linalg, "_eliminate", counted)
+    clear_compile_caches()
+    for call in (SHARED["reduced H^3 Z/8"], SHARED["reduced H_3 Z/4"]):
+        cold = call()
+        cold_eliminations = eliminations[:]
+        eliminations.clear()
+        assert call() == cold
+        assert eliminations == cold_eliminations and eliminations
+        eliminations.clear()
+
+
+def test_budgets_are_checked_before_the_cache(monkeypatch):
+    monkeypatch.setenv("LCSCOHOM_BUDGET", "70000")
+    try:
+        # 8**5 = 32,768 tuples in degree 5: over the default budget
+        cached = reduced_cohomology(EXT8, Z2, 4)
+        assert _reduced_system(EXT8, 4)(2) is _reduced_system(EXT8, 4)(4)
+        monkeypatch.delenv("LCSCOHOM_BUDGET")
+        for call in (reduced_cohomology, reduced_homology):
+            with pytest.raises(BudgetError):
+                call(EXT8, Z2, 4)
+        monkeypatch.setenv("LCSCOHOM_BUDGET", "70000")
+        monkeypatch.setattr(lcscohom.reduced, "_write_boundary", refuse)
+        assert reduced_cohomology(EXT8, Z2, 4) == cached
+    finally:
+        clear_compile_caches()  # the degree-4 system of ext8 is large
+
+
+def test_written_systems_are_read_only():
+    written = (
+        _reduced_system(Z4LCS, 3, normalized=True)(2),
+        _full_system(Z4LCS, 2, normalized=True)(2),
+    )
+    for system, _read, _targets in written:
+        cocycles, constraints, coboundaries, dead, dead_below = system
+        assert dead and dead_below, "normalized systems have dead coordinates"
+        for rows in (cocycles, constraints, coboundaries):
+            with pytest.raises(TypeError):
+                operator.setitem(rows, 0, {})
+        for row in (next(filter(None, cocycles)), next(filter(None, coboundaries))):
+            with pytest.raises(TypeError):
+                operator.setitem(row, next(iter(row)), 1)
+        for held in (dead, dead_below):
+            with pytest.raises(AttributeError):
+                held.add(-1)

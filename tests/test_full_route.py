@@ -18,6 +18,7 @@ import itertools
 
 import full_route_oracle as oracle
 import pytest
+from compile_caches import clear_compile_caches
 from ext8 import EXT8
 
 import lcscohom.bicomplex as bicomplex
@@ -110,7 +111,11 @@ def test_generator_counts():
 
 
 @pytest.mark.parametrize("mutation", ["drop a relation", "move a coefficient"])
-def test_a_broken_presentation_is_refused(monkeypatch, mutation):
+def test_a_broken_presentation_is_refused(monkeypatch, request, mutation):
+    # the systems are written once per process: write them over the broken
+    # presentation, and keep none of them past this test
+    clear_compile_caches()
+    request.addfinalizer(clear_compile_caches)
     original = bicomplex._harrison
 
     def broken(n, j, m):
@@ -144,10 +149,9 @@ def test_budgets_refuse_before_any_shuffle_sum(monkeypatch):
     def stop(*_args):
         raise AssertionError("a shuffle sum was built")
 
-    # the presentations and tables are cached per process: start cold, so
-    # that degree 5 must present its quotients again
-    bicomplex._harrison.cache_clear()
-    bicomplex._tables.cache_clear()
+    # the presentations, tables and systems are cached per process: start
+    # cold, so that degree 5 must present its quotients again
+    clear_compile_caches()
     monkeypatch.delenv("LCSCOHOM_BUDGET", raising=False)
     monkeypatch.setattr(bicomplex, "_shuffle_sums", stop)
     with pytest.raises(BudgetError):

@@ -16,6 +16,7 @@ import itertools
 
 import linearity_oracle as oracle
 import pytest
+from compile_caches import clear_compile_caches
 from ext8 import EXT8, EXT8_RELABELED, relabeled
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,7 +161,11 @@ def disagrees(route, reference, case) -> bool:
 
 
 @pytest.mark.parametrize("kind", ["drop", "double", "powers"])
-def test_a_perturbed_presentation_is_refused(monkeypatch, kind):
+def test_a_perturbed_presentation_is_refused(monkeypatch, request, kind):
+    # the systems are written once per process: write them over the
+    # perturbed presentation, and keep none of them past this test
+    clear_compile_caches()
+    request.addfinalizer(clear_compile_caches)
     monkeypatch.setattr(reduced, "_presentation", _perturbed(kind))
     # the relabeled ext8 first: only its power relation has a right side
     for route, reference in ROUTES:
