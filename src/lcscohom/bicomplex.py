@@ -67,7 +67,7 @@ from .reduced import (
     all_tuples,
     tuple_index,
 )
-from .structures import _CACHED_STRUCTURES, LinearCycleSet, require_valid_lcs
+from .structures import LinearCycleSet, require_valid_lcs
 
 __all__ = [
     "shuffle_permutations",
@@ -344,16 +344,16 @@ def _full_system(structure: LinearCycleSet, degree: int, normalized: bool = Fals
     return functools.partial(_written_full, structure, degree, normalized)
 
 
-@functools.lru_cache(maxsize=_CACHED_STRUCTURES)
+@_kept
 def _written_full(structure: LinearCycleSet, degree: int, normalized: bool, m: int):
-    """The system of `_full_system` over Z/m, read-only (`reduced._kept`)
-    and kept per (structure, degree, normalized, m) and process, since the
-    presentations depend on m: each K_j, j <= n, is presented once per
-    (order, m) and process (`_harrison`)."""
+    """The system of `_full_system` over Z/m, kept per (structure, degree,
+    normalized, m) and process (`reduced._kept`), since the presentations
+    depend on m: each K_j, j <= n, is presented once per (order, m) and
+    process (`_harrison`)."""
     n = structure.order
     pres = {j: _harrison(n, j, m) for j in range(1, degree + 1)}
     pres[degree + 1] = _spanning(n, degree + 1)
-    return _kept(*_presented_system(structure, degree, pres, normalized, _tables(structure)))
+    return _presented_system(structure, degree, pres, normalized, _tables(structure))
 
 
 def full_cohomology(

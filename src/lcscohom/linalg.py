@@ -8,8 +8,11 @@ entry left, so a single elimination pass on sparse {column: entry} rows
 with entries below p^e decides ranks, kernels and orders of subgroups.
 Every (co)homology group is one call of `_subquotient_mod`: its cycles K
 and boundaries B are each the tags of the vanishing combinations of
-sparse rows, read off one tagged elimination, and K / B comes from the
-orders of p^i K + B.  No floating point is used anywhere.
+sparse rows, read off one tagged elimination.  K / B is read off one
+echelon of K, whose pivot rows are coordinates on K: B is written in
+them, and one more elimination of those coordinates, with the orders of
+the pivots, gives its Smith form (`_quotient_invariants`).  No floating
+point is used anywhere.
 
 The other kernel, `_IntegerSpan`, merges sparse rows by extended gcds.
 Over Z it decides membership in the integer span of the shuffle sums,
@@ -238,31 +241,78 @@ def _kernel_tags(rows, tags, p: int, e: int):
     return out
 
 
-def _log_order(rows, p: int, e: int):
-    """log_p of the order of the span of rows over Z/p^e, and an echelon
-    basis of that span."""
-    pivots, _ = _eliminate([dict(r) for r in rows], p, e)
-    return sum(e - v for _row, v, _tag, _col in pivots), [pivot[0] for pivot in pivots]
-
-
 def _quotient_invariants(k_gens, b_gens, p: int, e: int):
-    """Invariant factors of K / B over Z/p^e from the orders of p^i K + B.
+    """Invariant factors of K / B over Z/p^e, read off one echelon of K.
 
-    |p^i (K/B)| = |p^i K + B| / |B|, and the drop from p^i to p^(i+1)
-    counts the cyclic factors of order above p^i.  B must lie in K.
+    K and B are given by generators, {column: entry} dicts with entries in
+    [1, p^e), which are not changed.  The pivot rows of K's elimination
+    give K = sum of the Z/p^(e - v_i), one coordinate per pivot row: pivot
+    i's column is absent from every later pivot row, and p^(v_i) divides
+    every entry of row i.  Each distinct generator of B is read in those
+    coordinates by substitution through the pivot rows in order, which
+    meets each pivot it needs once.  B must lie in K: LatticeError is
+    raised when a pivot entry is not divisible by p^(v_i), or when a
+    residue is left off the pivot columns.  So K / B is (Z/p^e)^r modulo
+    the coordinates of B and the orders p^(e - v_i) e_i, and one more
+    elimination gives its Smith form: Z/p^w for each pivot valuation w,
+    and Z/p^e for each coordinate left without a pivot.
+
+    Over Z/8, K = <(2, 4), (0, 4)> is Z/4 + Z/2 on its pivot rows (2, 4)
+    and (0, 4).  In them (4, 0) = 2 (2, 4) reads as (2, 0), and (2, 0) as
+    (1, 1):
+
+    >>> k_gens = [{0: 2, 1: 4}, {1: 4}]
+    >>> _quotient_invariants(k_gens, [], 2, 3)
+    [2, 4]
+    >>> _quotient_invariants(k_gens, [{0: 4}, {0: 4}], 2, 3)
+    [2, 2]
+    >>> _quotient_invariants(k_gens, [{0: 2}], 2, 3)
+    [2]
+    >>> _quotient_invariants(k_gens, [{0: 1}], 2, 3)
+    Traceback (most recent call last):
+    lcscohom.errors.LatticeError: generators are not contained in the enclosing subgroup
     """
     q = p**e
-    log_k, k_rows = _log_order(k_gens, p, e)
-    log_b, b_rows = _log_order(b_gens, p, e)
-    logs = []
-    for i in range(e):
-        scaled = [_scaled(r, p**i, q) for r in k_rows]
-        logs.append(_log_order([r for r in scaled if r] + b_rows, p, e)[0])
-    if logs[0] != log_k:
-        raise LatticeError("generators are not contained in the enclosing subgroup")
-    logs.append(log_b)
-    above = [logs[i] - logs[i + 1] for i in range(e)] + [0]
-    return [p**t for t in range(1, e + 1) for _ in range(above[t - 1] - above[t])]
+    k_pivots = _eliminate([dict(r) for r in k_gens], p, e)[0]
+    place = {col: i for i, (_row, _v, _tag, col) in enumerate(k_pivots)}
+    echelon = []  # per pivot: its column, p^v, unit inverse, row and later pivots there
+    relations = []  # p^(e - v_i) e_i, then the coordinates of each b
+    for i, (row, v, _tag, col) in enumerate(k_pivots):
+        pv = p**v
+        later = [place[c] for c in row if c in place and c != col]
+        echelon.append((col, pv, pow(row[col] // pv, -1, q), row, later))
+        if v:
+            relations.append({i: q // pv})
+    for b in dict.fromkeys(frozenset(b.items()) for b in b_gens):
+        b, coords = dict(b), {}
+        # row i holds no earlier pivot column, so the pivots are met in order
+        heap = [place[c] for c in b if c in place]
+        heapq.heapify(heap)
+        while heap:
+            i = heapq.heappop(heap)
+            col, pv, inv, row, later = echelon[i]
+            x = b.get(col)
+            if x is None:
+                continue
+            if x % pv:
+                raise LatticeError("generators are not contained in the enclosing subgroup")
+            a = x // pv * inv % q
+            coords[i] = a % (q // pv)
+            for c, y in row.items():
+                z = (b.get(c, 0) - a * y) % q
+                if z:
+                    b[c] = z
+                else:
+                    b.pop(c, None)
+            for j in later:
+                heapq.heappush(heap, j)
+        if b:
+            raise LatticeError("generators are not contained in the enclosing subgroup")
+        if coords:
+            relations.append(coords)
+    smith, _ = _eliminate(relations, p, e)
+    free = len(echelon) - len(smith)
+    return sorted([p**w for _row, w, _tag, _col in smith if w] + [q] * free)
 
 
 def _subquotient_mod(k_rows, k_tags, b_rows, b_tags, m: int):
@@ -274,7 +324,8 @@ def _subquotient_mod(k_rows, k_tags, b_rows, b_tags, m: int):
     must lie in K (LatticeError otherwise).  Empty rows put their tags in
     the kernel outright, so an explicit B is passed as empty rows tagged
     with its generators.  The work splits over the prime powers of m,
-    with one tagged elimination for K and one for B each.
+    with four eliminations each: one tagged elimination for K and one for
+    B, then two for the quotient (`_quotient_invariants`).
 
     On two coordinates over Z/4, K = {x : x_0 + x_1 = 0} is cyclic of
     order 4, and B = <(2, 2)> lies in it:

@@ -46,7 +46,8 @@ The presented writer compiles its faces on the prefixes or the suffixes
 of the tuples it reads, not on every tuple, once per structure and
 process (`_tables`), and writes each expanded face target with
 `_accumulate`.  Each written system is kept read-only for the process
-(`_written_reduced`, `bicomplex._written_full`), and shared by every
+(`_written_reduced`, `bicomplex._written_full`), up to a bound on the
+sparse entries all kept systems hold (`_kept`), and shared by every
 coefficient group, homology and classification that reads it.
 `_face_rows` writes compiled face lists into the sparse rows that the
 unconstrained system and the additive sections are reduced from; sparse
@@ -70,8 +71,8 @@ with the degree-1 boundary zero.  The unconstrained companion complex
 
 import itertools
 import operator
-from collections import defaultdict
-from functools import lru_cache, partial
+from collections import OrderedDict, defaultdict
+from functools import lru_cache, partial, wraps
 from types import MappingProxyType
 
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
@@ -233,9 +234,16 @@ def _act_map(n: int, k: int, dot, pos: int) -> list:
     [0, 1, 1, 0]
     >>> _act_map(2, 3, ((0, 1), (1, 0)), 1)
     [0, 1, 3, 2, 2, 3, 1, 0]
+
+    At pos = k - 1 the runs are single indices, so the rows interleave:
+
+    >>> _act_map(2, 3, ((0, 1), (1, 0)), 2)
+    [0, 3, 1, 2, 2, 1, 3, 0]
     """
     low = n ** (k - 1 - pos)
     acted = _acted(dot, k - 1)
+    if low == 1:
+        return list(itertools.chain.from_iterable(zip(*acted)))
     out = []
     for h in range(0, n ** (k - 1), low):
         for image in acted:
@@ -790,22 +798,56 @@ def _reader(n: int, degree: int, pres):
     return read
 
 
-def _kept(system, read, targets):
-    """A written system made read-only, to be kept and shared: rows as
-    mapping proxies in tuples, and the dead coordinates as frozensets.
-    Its readers copy what they reduce (`_subquotient_mod`, `_kernel_mod`)."""
-    cocycles, constraints, coboundaries, dead, dead_below = system
-    rows = (tuple(map(MappingProxyType, r)) for r in (cocycles, constraints, coboundaries))
-    return (*rows, frozenset(dead), frozenset(dead_below)), read, targets
+# The sparse entries that the systems kept by both theories hold together:
+# at most about 120 MiB, at the 60-120 bytes a kept system takes per entry.
+_KEPT_ENTRIES = 1 << 20
+_kept_systems = OrderedDict()  # (writer, *key) -> ((system, read, targets), entries)
 
 
-@lru_cache(maxsize=_CACHED_STRUCTURES)
+def _kept(write):
+    """The system writer `write`, with each system it writes made read-only
+    and kept for the process: rows as mapping proxies in tuples, and the
+    dead coordinates as frozensets.  Every caller shares what is kept, and
+    its readers copy what they reduce (`_subquotient_mod`, `_kernel_mod`).
+
+    All kept systems together hold at most _KEPT_ENTRIES sparse entries:
+    past that, the least recently used leave first, and a system larger
+    than the bound is returned but not kept.  `cache_clear()` drops what
+    `write` keeps.
+    """
+
+    @wraps(write)
+    def written(*key):
+        key = (write, *key)
+        held = _kept_systems.get(key)
+        if held is not None:
+            _kept_systems.move_to_end(key)
+            return held[0]
+        system, read, targets = write(*key[1:])
+        cocycles, constraints, coboundaries, dead, dead_below = system
+        rows = [tuple(map(MappingProxyType, r)) for r in (cocycles, constraints, coboundaries)]
+        value = (*rows, frozenset(dead), frozenset(dead_below)), read, targets
+        _kept_systems[key] = value, sum(len(row) for block in rows for row in block)
+        total = sum(entries for _value, entries in _kept_systems.values())
+        while total > _KEPT_ENTRIES:
+            total -= _kept_systems.popitem(last=False)[1][1]
+        return value
+
+    def cache_clear():
+        for key in [key for key in _kept_systems if key[0] is write]:
+            del _kept_systems[key]
+
+    written.cache_clear = cache_clear
+    return written
+
+
+@_kept
 def _written_reduced(structure: LinearCycleSet, k: int, normalized: bool):
-    """The degree-k reduced system as `_presented_system` writes it,
-    read-only (`_kept`), and written once per (structure, k, normalized)
-    and process: it does not depend on the coefficients."""
+    """The degree-k reduced system as `_presented_system` writes it, kept
+    per (structure, k, normalized) and process (`_kept`): it does not
+    depend on the coefficients."""
     pres = {1: _presentation(structure.add)}
-    return _kept(*_presented_system(structure, k, pres, normalized, _tables(structure)))
+    return _presented_system(structure, k, pres, normalized, _tables(structure))
 
 
 def _reduced_system(structure: LinearCycleSet, k: int, normalized: bool = False):

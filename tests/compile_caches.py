@@ -1,9 +1,10 @@
 """A cold start for the tests that need one.
 
-The library keeps per-process `functools.lru_cache`s of what depends
-only on a structure, its order or a modulus: compiled face tables,
-presentations, validity verdicts, written systems, cocycle plans and
-solvers.  A test that asserts that a table is compiled, a quotient
+The library keeps per-process caches of what depends only on a
+structure, its order or a modulus: compiled face tables, presentations,
+validity verdicts, written systems, cocycle plans and solvers.  Each
+has a `cache_clear()`: the `functools.lru_cache`s, and the written
+systems' cache (`reduced._kept`).  A test that asserts that a table is compiled, a quotient
 presented or a system written must start with none of them cached.
 """
 

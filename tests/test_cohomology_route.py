@@ -28,6 +28,7 @@ from compile_caches import clear_compile_caches
 import lcscohom
 import lcscohom.bicomplex
 import lcscohom.extensions
+import lcscohom.linalg
 import lcscohom.reduced
 from lcscohom.abelian import parse_group_spec
 from lcscohom.bicomplex import bicomplex_identity_check, full_cohomology
@@ -88,6 +89,8 @@ DELETED = (
     "_linearity_faces",
     "_linearity_span",
     "partial_shuffles",
+    # the re-elimination of K, B and p^i K + B in the quotient
+    "_log_order",
 )
 # The dense view of the --bidegree dump, which no computing route reads.
 DENSE_VIEW = ("dh_matrix", "dv_matrix", "_dense")
@@ -257,6 +260,30 @@ def test_one_presented_writer_serves_both_theories(monkeypatch):
             run()
         assert reached.pop() == presented, name
     clear_compile_caches()
+
+
+@pytest.mark.parametrize("route", [reduced_cohomology, reduced_homology, full_cohomology])
+def test_the_quotient_takes_four_eliminations_whatever_the_exponent(monkeypatch, route):
+    # one tagged elimination for K and one for B, then one echelon of K and
+    # one of the relations of K / B: four over every Z/2^e, none per power
+    # of p
+    eliminations = []
+    real = lcscohom.linalg._eliminate
+
+    def counted(*args, **kwargs):
+        eliminations.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lcscohom.linalg, "_eliminate", counted)
+    counts = {}
+    for e in (1, 2, 3):
+        gamma = parse_group_spec(f"Z/{2**e}")
+        route(Z4LCS, gamma, 2)  # the system is written and presented once
+        eliminations.clear()
+        route(Z4LCS, gamma, 2)
+        counts[e] = len(eliminations)
+        assert set(eliminations) == {(2, e)}
+    assert counts == {1: 4, 2: 4, 3: 4}
 
 
 def test_full_degree_four_stays_small():

@@ -12,7 +12,9 @@ whole structure: two structures that share `add` but not `dot` never
 read each other's tables.  An invalid structure is validated, and
 refused, on every call, and the budgets are checked on every call, before
 any cache.  Only what is written is kept: every call still eliminates.
-Cached values are shared by every caller, so they are read-only.
+Cached values are shared by every caller, so they are read-only.  The
+written systems are kept up to a bound on the sparse entries they hold
+together (`reduced._KEPT_ENTRIES`), least recently used out first.
 """
 
 import json
@@ -218,3 +220,54 @@ def test_written_systems_are_read_only():
         for held in (dead, dead_below):
             with pytest.raises(AttributeError):
                 held.add(-1)
+
+
+def test_kept_systems_are_bounded_by_their_entries(monkeypatch):
+    writes = []
+    real = lcscohom.reduced._presented_system
+
+    def counted(structure, k, *args):
+        writes.append(k)
+        return real(structure, k, *args)
+
+    def kept():
+        return [key[2] for key in lcscohom.reduced._kept_systems]
+
+    clear_compile_caches()
+    unbounded = [_reduced_system(Z4LCS, k)(2)[0] for k in (1, 2, 3)]
+    entries = {key[2]: held for key, (_value, held) in lcscohom.reduced._kept_systems.items()}
+    clear_compile_caches()
+    monkeypatch.setattr(lcscohom.reduced, "_presented_system", counted)
+    monkeypatch.setattr(lcscohom.reduced, "_KEPT_ENTRIES", entries[2] + entries[3])
+    for k in (2, 3, 2):
+        _reduced_system(Z4LCS, k)(2)
+    assert writes == [2, 3] and kept() == [3, 2]
+    # degree 1 pushes the bound: the least recently used, degree 3, leaves
+    assert _reduced_system(Z4LCS, 1)(2)[0] == unbounded[0]
+    assert kept() == [2, 1]
+    assert _reduced_system(Z4LCS, 3)(2)[0] == unbounded[2]
+    assert writes == [2, 3, 1, 3] and kept() == [1, 3]
+    # a system larger than the bound is returned, not kept
+    monkeypatch.setattr(lcscohom.reduced, "_KEPT_ENTRIES", entries[3] - 1)
+    lcscohom.reduced._written_reduced.cache_clear()
+    writes.clear()
+    for _ in range(2):
+        assert _reduced_system(Z4LCS, 3)(2)[0] == unbounded[2]
+    assert writes == [3, 3] and kept() == []
+    clear_compile_caches()
+
+
+def test_each_cache_clear_drops_its_own_systems(monkeypatch):
+    clear_compile_caches()
+    _reduced_system(Z4LCS, 2)(2)
+    _full_system(Z4LCS, 1)(2)
+    lcscohom.bicomplex._written_full.cache_clear()
+    assert [key[0] for key in lcscohom.reduced._kept_systems] == [
+        lcscohom.reduced._written_reduced.__wrapped__
+    ]
+    monkeypatch.setattr(lcscohom.reduced, "_write_boundary", refuse)
+    _reduced_system(Z4LCS, 2)(2)
+    with pytest.raises(AssertionError, match="compiled or validated again"):
+        _full_system(Z4LCS, 1)(2)
+    clear_compile_caches()
+    assert not lcscohom.reduced._kept_systems

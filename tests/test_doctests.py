@@ -32,6 +32,11 @@ def test_examples_are_collected():
     linalg = importlib.import_module("lcscohom.linalg")
     assert finder.find(linalg._eliminate)[0].examples
     assert finder.find(linalg._subquotient_mod)[0].examples
+    # K / B read off one echelon of K: pivots of valuation 1 over Z/8, a
+    # repeated generator of B and one outside K
+    examples = finder.find(linalg._quotient_invariants)[0].examples
+    assert any("[{0: 4}, {0: 4}], 2, 3)" in ex.source for ex in examples)
+    assert any(ex.exc_msg for ex in examples)
     assert finder.find(linalg._IntegerSpan)[0].examples
     # the merged kernel shows both rings: membership over Z, least coset
     # elements and the order over Z/m

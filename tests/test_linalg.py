@@ -24,7 +24,13 @@ from lattice_oracle import (
     solution_lattice_mod,
 )
 from lcscohom.errors import BudgetError, LatticeError, ShapeError
-from lcscohom.linalg import _IntegerSpan, _least_solver, _prime_powers
+from lcscohom.linalg import (
+    _eliminate,
+    _IntegerSpan,
+    _least_solver,
+    _prime_powers,
+    _quotient_invariants,
+)
 from subquotient_route import subquotient_invariants
 
 
@@ -270,6 +276,98 @@ def test_subquotient_splits_over_coprime_factors():
 
 def sparse(vec):
     return {c: x for c, x in enumerate(vec) if x}
+
+
+def quotient_oracle(k_gens, b_gens, q, width):
+    """K / B over Z/q by the lattice oracle: each subgroup is the lattice
+    spanned by its generators and q Z^width."""
+
+    def lattice(gens):
+        data = [[g.get(c, 0) for g in gens] for c in range(width)]
+        columns = IntegerMatrix(width, len(gens), data)
+        return hstack([columns, IntegerMatrix.identity(width).scaled(q)])
+
+    return lattice_quotient_invariants(lattice(k_gens), lattice(b_gens))
+
+
+# (k_gens, b_gens, p, e, invariants): over Z/8 and Z/27, K has pivots of
+# valuation 1 and 2, and B repeats a generator
+QUOTIENTS = [
+    # K = <(2, 4), (0, 4)> = Z/4 + Z/2 and (4, 0) = 2 (2, 4)
+    ([{0: 2, 1: 4}, {1: 4}], [{0: 4}, {0: 4}], 2, 3, [2, 2]),
+    ([{0: 2, 1: 4}, {1: 4}], [{0: 2}, {0: 4}, {0: 2}], 2, 3, [2]),
+    # K = <(4, 0), (4, 2)> = <(4, 0)> + <(0, 2)>
+    ([{0: 4}, {0: 4, 1: 2}], [{1: 4}], 2, 3, [2, 2]),
+    # K = <(3, 9), (0, 9)> = Z/9 + Z/3, (9, 0) = 3 (3, 9), (3, 0) = (3, 9) - (0, 9)
+    ([{0: 3, 1: 9}, {1: 9}], [{0: 9}, {0: 9}, {0: 18}], 3, 3, [3, 3]),
+    ([{0: 3, 1: 9}, {1: 9}], [{0: 3}, {0: 3}], 3, 3, [3]),
+    # (9, 0, 26) = 3 (3, 9, 0) - (0, 0, 1) has order 27
+    ([{0: 3, 1: 9}, {1: 9}, {2: 1}], [{0: 9, 2: 26}], 3, 3, [3, 9]),
+    # an empty K or an empty B
+    ([], [], 2, 3, []),
+    ([], [{}], 3, 3, []),
+    ([{0: 3, 1: 9}, {1: 9}], [], 3, 3, [3, 9]),
+    ([{0: 1}, {0: 1}, {1: 2}], [{}], 2, 1, [2]),
+]
+
+
+@pytest.mark.parametrize("k_gens, b_gens, p, e, expected", QUOTIENTS)
+def test_quotient_invariants_frozen(k_gens, b_gens, p, e, expected):
+    assert _quotient_invariants(k_gens, b_gens, p, e) == expected
+    width = 1 + max([c for g in k_gens + b_gens for c in g], default=0)
+    assert quotient_oracle(k_gens, b_gens, p**e, width) == expected
+
+
+def test_quotient_invariants_read_b_off_pivots_of_every_valuation():
+    # K's generators are random multiples of p^v, and B random sums of
+    # them, repeated; the lattice oracle decides K / B
+    valuations = set()
+    for p, e in ((2, 1), (2, 3), (3, 2), (3, 3), (5, 2)):
+        rng = random.Random(31 * p + e)
+        q = p**e
+        for _ in range(40):
+            width = rng.randrange(1, 5)
+            k_gens = [
+                sparse([p ** rng.randrange(e) * rng.randrange(q) % q for _ in range(width)])
+                for _ in range(rng.randrange(4))
+            ]
+            b_gens = []
+            for _ in range(rng.randrange(4)):
+                mix = [rng.randrange(q) for _ in k_gens]
+                combo = [sum(a * g.get(c, 0) for a, g in zip(mix, k_gens)) for c in range(width)]
+                b = sparse([x % q for x in combo])
+                b_gens += [b] * rng.randrange(1, 3)
+            expected = quotient_oracle(k_gens, b_gens, q, width)
+            assert _quotient_invariants(k_gens, b_gens, p, e) == expected, (k_gens, b_gens, q)
+            pivots, _ = _eliminate([dict(g) for g in k_gens], p, e)
+            valuations.update(v for _row, v, _tag, _col in pivots)
+    assert valuations == {0, 1, 2}
+
+
+def test_quotient_refuses_a_pivot_entry_that_p_to_v_does_not_divide():
+    # b meets a pivot column of valuation v with an entry of lower valuation
+    for k_gens, b, p, e in (
+        ([{0: 2}], {0: 1}, 2, 3),
+        ([{0: 2, 1: 4}, {1: 4}], {0: 2, 1: 2}, 2, 3),
+        ([{0: 9, 1: 3}], {0: 3, 1: 1}, 3, 3),
+    ):
+        with pytest.raises(LatticeError, match="not contained"):
+            _quotient_invariants(k_gens, [b], p, e)
+        assert quotient_oracle(k_gens, [], p**e, 2) != quotient_oracle(k_gens + [b], [], p**e, 2)
+
+
+def test_quotient_refuses_a_residue_off_the_pivot_columns():
+    # b holds a column that no pivot clears: from the start, once the
+    # pivot rows are taken off, or with K empty
+    for k_gens, b, p, e in (
+        ([{0: 1}], {1: 1}, 2, 3),
+        ([{0: 1, 1: 1}], {0: 1}, 2, 1),
+        ([{0: 3, 1: 9}], {0: 3}, 3, 3),
+        ([], {0: 9}, 3, 3),
+    ):
+        with pytest.raises(LatticeError, match="not contained"):
+            _quotient_invariants(k_gens, [{}, b], p, e)
+        assert quotient_oracle(k_gens, [], p**e, 2) != quotient_oracle(k_gens + [b], [], p**e, 2)
 
 
 def test_contains_all_needs_every_column():
