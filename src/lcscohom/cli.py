@@ -338,10 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--normalized",
         action="store_true",
-        help="cochains vanishing on tuples that hold 0.  Observed in every case "
-        "tried, not proven: normalized and plain reduced groups are equal; over "
-        "Z/p^e, normalized and plain full groups are equal below degree 2p and "
-        "split from 2p on (full H^4 of trivial(2) over Z/2 is [2, 2, 2, 2] plain, "
+        help="cochains vanishing on tuples that hold 0.  Normalized and plain "
+        "reduced groups are equal: those tuples are the degenerate bar cells of "
+        "the brace group.  Observed in every case tried, not proven: over Z/p^e, "
+        "normalized and plain full groups are equal below degree 2p and split "
+        "from 2p on (full H^4 of trivial(2) over Z/2 is [2, 2, 2, 2] plain, "
         "[2, 2, 2] normalized)",
     )
 
@@ -352,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--normalized",
         action="store_true",
-        help="chains modulo the tuples that hold 0.  Observed in every case tried, "
-        "not proven: normalized and plain groups are equal",
+        help="chains modulo the tuples that hold 0, the degenerate bar cells of "
+        "the brace group: normalized and plain groups are equal",
     )
 
     p = sub.add_parser("cocycle-check", help="check a degree-2 cochain file")

@@ -34,6 +34,31 @@ normal forms a = sum of c_i(a) s_i.  Its degree-k system is block
 last-linear cochain (`_reduced_system`).  Membership modulo linearity is
 decided on normal forms (`_in_linearity_lattice`).
 
+The plain reduced groups are group (co)homology of the brace group G =
+(A, o), a o b = a + t(b) with a . t(b) = b (`lcs_to_brace`), so that
+p^-1 o c = p . (c - p).  Write a k-chain (x_1, ..., x_(k-1); x_k) in its
+partial sums p_i = x_1 + ... + x_i, with p_0 = 0.  The merge of x_i and
+x_(i+1) deletes p_i, the drop of x_(k-1) deletes p_(k-1), and the action
+of x_1 = p_1 sends each p_i to p_1 . (p_i - p_1) = p_1^-1 o p_i and x_k
+to p_1 . x_k: it deletes p_0 and translates by p_1^-1, with sigma_(p_1) =
+p_1 . - on x_k.  These are the faces of the homogeneous bar resolution
+B(G), sign for sign (tests/test_resolution.py checks them on compiled
+index maps).  As sigma_(g o h) = sigma_h sigma_g, G acts on Hom(A, Gamma)
+on the left by (g . phi)(a) = phi(g . a), and the reduced cochains of
+degree k are Hom_G(B_(k-1)(G), Hom(A, Gamma)): reduced H^k(A; Gamma) =
+H^(k-1)(G; Hom(A, Gamma)), and dually H_k = H_(k-1)(G; A (x) Gamma).  By
+the comparison theorem (Brown, *Cohomology of Groups*, GTM 87, 1982,
+I.7) any free resolution computes them, so the plain groups are read off
+a small resolution of Z/q over (Z/q)[G] (`resolution._resolution`), with
+r_i generators in degree i against n^i bar cells, one system per
+(structure, k, q) (`_reduced_theory`).  Lebed and Vendramin, Adv. Math.
+304 (2017), relate cycle-set homology to the structure group in the
+same way.  A tuple holding the neutral element at x_i, i < k, has p_i =
+p_(i-1): it is a degenerate bar cell.  The normalized bar complex is a
+free resolution as well, so the normalized reduced groups equal the
+plain ones in every degree; they stay on the tuple route, which is the
+second path that verify-paper compares in degree 2.
+
 Degree-k bases grow as |A|^k, so everything checks the basis budget
 before writing any rows.  Every boundary, shuffle and permutation
 operator here and in the bicomplex is a signed list of face maps on
@@ -46,9 +71,10 @@ The presented writer compiles its faces on the prefixes or the suffixes
 of the tuples it reads, not on every tuple, once per structure and
 process (`_tables`), and writes each expanded face target with
 `_accumulate`.  Each written system is kept read-only for the process
-(`_written_reduced`, `bicomplex._written_full`), up to a bound on the
-sparse entries all kept systems hold (`_kept`), and shared by every
-coefficient group, homology and classification that reads it.
+(`_written_reduced`, `_written_resolved`, `bicomplex._written_full`), up
+to a bound on the sparse entries all kept systems hold (`_kept`), and
+shared by every coefficient group, homology and classification that
+reads it.
 `_face_rows` writes compiled face lists into the sparse rows that the
 unconstrained system and the additive sections are reduced from; sparse
 rows are the one operator format of the package.
@@ -78,8 +104,9 @@ from types import MappingProxyType
 from .abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from .budget import check_power
 from .errors import DegreeError, MalformedTableError
-from .linalg import _subquotient_mod
-from .structures import _CACHED_STRUCTURES, LinearCycleSet, require_valid_lcs
+from .linalg import _prime_powers, _subquotient_mod
+from .resolution import _resolution
+from .structures import _CACHED_STRUCTURES, LinearCycleSet, lcs_to_brace, require_valid_lcs
 
 __all__ = [
     "tuple_index",
@@ -807,8 +834,10 @@ _kept_systems = OrderedDict()  # (writer, *key) -> ((system, read, targets), ent
 def _kept(write):
     """The system writer `write`, with each system it writes made read-only
     and kept for the process: rows as mapping proxies in tuples, and the
-    dead coordinates as frozensets.  Every caller shares what is kept, and
-    its readers copy what they reduce (`_subquotient_mod`, `_kernel_mod`).
+    dead coordinates as frozensets.  `write` returns the system first,
+    then what reads it, which is kept as it is.  Every caller shares what
+    is kept, and its readers copy what they reduce (`_subquotient_mod`,
+    `_kernel_mod`).
 
     All kept systems together hold at most _KEPT_ENTRIES sparse entries:
     past that, the least recently used leave first, and a system larger
@@ -823,10 +852,10 @@ def _kept(write):
         if held is not None:
             _kept_systems.move_to_end(key)
             return held[0]
-        system, read, targets = write(*key[1:])
+        system, *readers = write(*key[1:])
         cocycles, constraints, coboundaries, dead, dead_below = system
         rows = [tuple(map(MappingProxyType, r)) for r in (cocycles, constraints, coboundaries)]
-        value = (*rows, frozenset(dead), frozenset(dead_below)), read, targets
+        value = ((*rows, frozenset(dead), frozenset(dead_below)), *readers)
         _kept_systems[key] = value, sum(len(row) for block in rows for row in block)
         total = sum(entries for _value, entries in _kept_systems.values())
         while total > _KEPT_ENTRIES:
@@ -850,6 +879,15 @@ def _written_reduced(structure: LinearCycleSet, k: int, normalized: bool):
     return _presented_system(structure, k, pres, normalized, _tables(structure))
 
 
+def _check_budgets(structure: LinearCycleSet, k: int) -> None:
+    """The degree and basis budgets of a degree-k reduced group, checked
+    on every call before any system is looked up or written."""
+    _check_degree(k)
+    n = structure.order
+    check_power(n, k, f"the degree-{k} tuple basis")
+    check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
+
+
 def _reduced_system(structure: LinearCycleSet, k: int, normalized: bool = False):
     """The degree-k reduced system, checked against the budgets first:
     block (k - 1, 1) of the total complex over the presentation of (A, +),
@@ -859,17 +897,111 @@ def _reduced_system(structure: LinearCycleSet, k: int, normalized: bool = False)
     the generators s_j of `_presentation`, subject to the relations
     o_j u_(p,j) = sum over i < j of r_ji u_(p,i).  Returns over(m), giving
     (system, read, targets) as `bicomplex._full_system` does.  The system
-    does not depend on m, so every coefficient group, homology and
-    classification share one read-only system, kept per (structure, k,
-    normalized) and process (`_written_reduced`); the budgets are checked
-    on every call, before it is looked up.
+    does not depend on m, so every coefficient group and classification
+    share one read-only system, kept per (structure, k, normalized) and
+    process (`_written_reduced`); the budgets are checked on every call,
+    before it is looked up.  The plain groups take a resolution instead
+    (`_reduced_theory`); this tuple route serves the normalized groups,
+    classification and `cocycles_cohomologous`.
     """
-    _check_degree(k)
-    n = structure.order
-    check_power(n, k, f"the degree-{k} tuple basis")
-    check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
+    _check_budgets(structure, k)
     built = _written_reduced(structure, k, normalized)
     return lambda m: built
+
+
+def _pulled_back(images, below: int, acting, r: int, q: int) -> list:
+    """The coboundary Hom_G(d, Hom(A, Z/q)) of a differential d: P_i ->
+    P_(i-1) of `resolution._resolution`, given by its images d(e_l), as
+    one row per coordinate (l', t) of degree i - 1, at l' * r + t.
+
+    Row (l', t) holds, at column l * r + j, the coefficient of u_(l',t) in
+    (delta phi)(e_l)(s_j) = phi(d e_l)(s_j): the sum over the terms c g e_l'
+    of d(e_l) of c phi(e_l')(g . s_j), read through the normal form of g .
+    s_j, whose terms (t, j, a) are listed in acting[g].  Entries are taken
+    mod q, and zeros are left out.
+    """
+    n = len(acting)
+    rows = [{} for _ in range(below * r)]
+    for l, image in enumerate(images):
+        for x, c in image.items():
+            source, g = divmod(x, n)
+            for t, j, a in acting[g]:
+                row, col = rows[source * r + t], l * r + j
+                row[col] = row.get(col, 0) + c * a
+    return [{col: x % q for col, x in row.items() if x % q} for row in rows]
+
+
+def _relation_columns(rows, relations, r: int, start: int) -> None:
+    """Write, from column `start` on, each relation of (A, +) at each
+    generator of a free module: one column per (l, relation), holding the
+    relation's coefficient at each coordinate (l, t)."""
+    for y, row in enumerate(rows):
+        source, t = divmod(y, r)
+        for rho, relation in enumerate(relations):
+            if t in relation:
+                row[start + source * r + rho] = relation[t]
+
+
+def _resolved_system(mul, dot, add, k: int, q: int) -> tuple:
+    """The plain degree-k reduced system over Z/q, written over a free
+    resolution P of Z/q over (Z/q)[G], G the group of `mul`: the cochains
+    Hom_G(P_(k-1), Hom(A, Z/q)), in the shape `_tagged` reads, as a
+    one-entry tuple for `_kept`.
+
+    A cochain phi is given by the values u_(l,t) = phi(e_l)(s_t) on the
+    generators e_l of P_(k-1) and s_t of `_presentation(add)`, subject to
+    the relations of (A, +) at each e_l.  G acts on Hom(A, Z/q) by (g .
+    psi)(a) = psi(dot[g][a]).  Row l * r + t of `cocycles` holds the
+    coefficients of u_(l,t) in the conditions (delta phi)(e)(s_j) = 0, one
+    per generator e of P_k and s_j, then in the relations; `coboundaries`
+    and `constraints` do the same for the coboundary from degree k - 2
+    and its relations.  Nothing is dead: the system is plain.
+    """
+    gens, relations, forms, _layers = _presentation(add)
+    r = len(gens)
+    # per g, the terms (t, j, a) of the normal forms of g . s_j
+    acting = [[(t, j, a) for j, s in enumerate(gens) for t, a in forms[row[s]]] for row in dot]
+    d = _resolution(mul, q, k)
+    ranks = [1] + [len(images) for images in d]
+    cocycles = _pulled_back(d[k - 1], ranks[k - 1], acting, r, q)
+    _relation_columns(cocycles, relations, r, ranks[k] * r)
+    constraints = coboundaries = ()
+    if k >= 2:
+        constraints = [{} for _ in range(ranks[k - 2] * r)]
+        _relation_columns(constraints, relations, r, 0)
+        coboundaries = _pulled_back(d[k - 2], ranks[k - 2], acting, r, q)
+    return ((cocycles, constraints, coboundaries, (), ()),)
+
+
+@_kept
+def _written_resolved(structure: LinearCycleSet, k: int, q: int):
+    """The plain degree-k reduced system over Z/q as `_resolved_system`
+    writes it over the brace group (A, o), kept per (structure, k, q) and
+    process (`_kept`); the resolution is built only when it is written."""
+    mul = lcs_to_brace(structure).circle
+    return _resolved_system(mul, structure.dot, structure.add, k, q)
+
+
+def _reduced_theory(structure: LinearCycleSet, k: int, normalized: bool, theory):
+    """over(m): `theory` (`_invariants` or `_homology`) of the degree-k
+    reduced group over Z/m, once the budgets are checked.
+
+    Normalized, it reads the tuple system of `_reduced_system`.  Plain, it
+    reads one system per prime power q of m, written over a resolution of
+    the brace group (`_written_resolved`), and merges the parts.
+    """
+    if normalized:
+        over = _reduced_system(structure, k, True)
+        return lambda m: theory(over(m)[0], m)
+    _check_budgets(structure, k)
+
+    def resolved(m):
+        parts = []
+        for p, e in _prime_powers(m):
+            parts.append(theory(_written_resolved(structure, k, p**e)[0], p**e))
+        return merge_invariants(*parts)
+
+    return resolved
 
 
 def reduced_cohomology(
@@ -878,11 +1010,11 @@ def reduced_cohomology(
     k: int,
     normalized: bool = False,
 ):
-    """Invariant factors of the degree-k reduced cohomology group, on the
-    solutions of `_reduced_system`."""
+    """Invariant factors of the degree-k reduced cohomology group: plain,
+    H^(k-1)(G; Hom(A, Gamma)) over a resolution (`_reduced_theory`), and
+    normalized, on the solutions of `_reduced_system`."""
     require_valid_lcs(structure)
-    over = _reduced_system(structure, k, normalized)
-    return _over_factors(coeffs, lambda m: _invariants(over(m)[0], m))
+    return _over_factors(coeffs, _reduced_theory(structure, k, normalized, _invariants))
 
 
 def _columns(rows, width: int = 0) -> list:
@@ -896,6 +1028,28 @@ def _columns(rows, width: int = 0) -> list:
     return columns
 
 
+def _homology(system, m: int):
+    """Invariant factors over Z/m of the homology of a system, as
+    `_tagged` lays it out, read by columns.
+
+    Read by columns, the rows of a system are the boundaries of the
+    generators above and the relations, as chains, and the dead
+    generators are zero.  The homology is (preimage of the relations
+    under the boundary) / (boundary image + relations), both taken mod m.
+    In degree 1 there is no boundary below: every chain is a cycle.
+    """
+    cocycles, constraints, coboundaries, dead, dead_below = system
+    # cycles are the x whose boundary lies in the relations and the dead
+    # generators below; their rows carry x as a tag, the others nothing
+    size = len(cocycles)
+    rows = _columns(coboundaries, size) + _columns(constraints)
+    rows += [{y: 1} for y in sorted(dead_below)]
+    tags = [{x: 1} for x in range(size)] + [{}] * (len(rows) - size)
+    # boundaries of the generators above, relations and dead generators
+    bound = _columns(cocycles) + [{y: 1} for y in sorted(dead)]
+    return _subquotient_mod(rows, tags, [{}] * len(bound), bound, m)
+
+
 def reduced_homology(
     structure: LinearCycleSet,
     coeffs: FiniteAbelianGroup,
@@ -904,33 +1058,16 @@ def reduced_homology(
 ):
     """Invariant factors of the degree-k reduced homology group.
 
-    Degree-k chains are presented on the generators (p, s_j), one per
-    (k-1)-tuple p and generator s_j of `_presentation`, modulo the
-    relations o_j (p, s_j) - sum over i < j of r_ji (p, s_i) and, when
-    normalized, the dead generators (p, s_j) whose prefix p holds the
-    neutral element.  Read by columns, the rows of `_reduced_system` are
-    the boundaries of the generators and the relations, as chains.  Over
-    each cyclic factor Z/m the homology is (preimage of the relations
-    under the boundary) / (boundary image + relations), both taken mod m.
-    Degree 1 is the full degree-1 chain group modulo the image from
-    degree 2.
+    Plain, it is H_(k-1)(G; A (x) Gamma), on the transpose of the
+    resolved system (`_reduced_theory`).  Normalized, degree-k chains are
+    presented on the generators (p, s_j), one per (k-1)-tuple p and
+    generator s_j of `_presentation`, modulo the relations o_j (p, s_j) -
+    sum over i < j of r_ji (p, s_i) and the dead generators (p, s_j) whose
+    prefix p holds the neutral element; `_homology` reads the rows of
+    `_reduced_system` by columns.
     """
     require_valid_lcs(structure)
-    over = _reduced_system(structure, k, normalized)
-
-    def homology(m):
-        cocycles, constraints, coboundaries, dead, dead_below = over(m)[0]
-        # cycles are the x whose boundary lies in the relations and the dead
-        # generators below; their rows carry x as a tag, the others nothing
-        size = len(cocycles)
-        rows = _columns(coboundaries, size) + _columns(constraints)
-        rows += [{y: 1} for y in sorted(dead_below)]
-        tags = [{x: 1} for x in range(size)] + [{}] * (len(rows) - size)
-        # boundaries of the generators above, relations and dead generators
-        bound = _columns(cocycles) + [{y: 1} for y in sorted(dead)]
-        return _subquotient_mod(rows, tags, [{}] * len(bound), bound, m)
-
-    return _over_factors(coeffs, homology)
+    return _over_factors(coeffs, _reduced_theory(structure, k, normalized, _homology))
 
 
 # ---------------------------------------------------------------------------

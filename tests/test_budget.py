@@ -82,9 +82,11 @@ def test_budgets_refuse_before_any_index_map(monkeypatch, run, over, under):
 
     monkeypatch.delenv("LCSCOHOM_BUDGET", raising=False)
     # the tables, presentations and systems are cached per process: start
-    # cold, so that one degree below a map must be compiled again
+    # cold, so that one degree below a map must be compiled again; the
+    # plain reduced groups compile no map, but build a resolution instead
     clear_compile_caches()
     monkeypatch.setattr(lcscohom.reduced, "_index_map", refuse)
+    monkeypatch.setattr(lcscohom.reduced, "_resolution", refuse)
     with pytest.raises(BudgetError):
         run(over)
     # one degree below, every check passes and the first map is compiled

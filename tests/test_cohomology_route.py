@@ -227,13 +227,15 @@ def test_one_builder_per_degree_two_system(monkeypatch):
 
 
 def test_one_presented_writer_serves_both_theories(monkeypatch):
-    # every route that reads a system of either theory reaches the one
-    # presented writer of reduced.py, and the theories differ only in the
-    # quotients they present: K_1 alone, as (A, +), or every K_j
+    # every route that reads a tuple system of either theory reaches the
+    # one presented writer of reduced.py, and the theories differ only in
+    # the quotients they present: K_1 alone, as (A, +), or every K_j.  The
+    # plain reduced groups are read off a resolution of the brace group
+    # instead, and never reach it.
     gamma = parse_group_spec("Z/2")
     routes = {
-        ("reduced cohomology", (1,)): lambda: reduced_cohomology(Z4LCS, gamma, 2),
-        ("reduced homology", (1,)): lambda: reduced_homology(Z4LCS, gamma, 2),
+        ("reduced cohomology", (1,)): lambda: reduced_cohomology(Z4LCS, gamma, 2, True),
+        ("reduced homology", (1,)): lambda: reduced_homology(Z4LCS, gamma, 2, True),
         ("full cohomology", (1, 2, 3)): lambda: full_cohomology(Z4LCS, gamma, 2),
     }
     # the degree-2 systems of classification, the degree-1 ones of
@@ -259,6 +261,9 @@ def test_one_presented_writer_serves_both_theories(monkeypatch):
         with pytest.raises(Stopped):
             run()
         assert reached.pop() == presented, name
+    assert reduced_cohomology(Z4LCS, gamma, 2) == [2, 2]
+    assert reduced_homology(Z4LCS, gamma, 2) == [2, 2]
+    assert reached == []
     clear_compile_caches()
 
 

@@ -74,6 +74,11 @@ def test_examples_are_collected():
     examples = finder.find(reduced._presented_system)[0].examples
     assert any(ex.source.startswith("_presented_system(z2, 2, pres,") for ex in examples)
     assert any(ex.want == "[{0: 1, 3: -1, 1: 1, 2: 1, 4: 2}, {1: 0, 2: 0, 3: 2, 5: 2}]\n" for ex in examples)
+    # the resolution builder shows the minimal ranks of V4 over Z/2
+    resolution = importlib.import_module("lcscohom.resolution")
+    examples = finder.find(resolution._resolution)[0].examples
+    assert any(ex.source.startswith("d = _resolution(v4, 2, 2)") for ex in examples)
+    assert any(ex.want == "[1, 2, 3]\n" for ex in examples)
     # the shuffle quotient's presentation shows its generators: pairs over
     # two elements up to order, three of them
     examples = finder.find(bicomplex._harrison)[0].examples
