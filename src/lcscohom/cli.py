@@ -339,8 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--normalized",
         action="store_true",
         help="cochains vanishing on tuples that hold 0.  Normalized and plain "
-        "reduced groups are equal: those tuples are the degenerate bar cells of "
-        "the brace group.  Observed in every case tried, not proven: over Z/p^e, "
+        "reduced groups are equal, and read off one resolution: those tuples are "
+        "the degenerate bar cells of the brace group.  Observed in every case "
+        "tried, not proven: over Z/p^e, "
         "normalized and plain full groups are equal below degree 2p and split "
         "from 2p on (full H^4 of trivial(2) over Z/2 is [2, 2, 2, 2] plain, "
         "[2, 2, 2] normalized)",
@@ -354,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--normalized",
         action="store_true",
         help="chains modulo the tuples that hold 0, the degenerate bar cells of "
-        "the brace group: normalized and plain groups are equal",
+        "the brace group: normalized and plain groups are equal, and equal to "
+        "the cohomology groups, read off one resolution",
     )
 
     p = sub.add_parser("cocycle-check", help="check a degree-2 cochain file")

@@ -16,9 +16,9 @@ degree-2 cochain of the bicomplex's total complex killed by its degree-3
 total boundary: the identities checked are the source blocks of
 `bicomplex._total_faces`, read on one flat column per cyclic factor, f
 and then g (`_cocycle_plan`).  Equivalence and classification are
-linear algebra over Z/m on the systems the cohomology groups are read
-from, `reduced._reduced_system` (cycle-type: the reduced H^2) and
-`bicomplex._full_system` (general: the normalized full H^2).  The one
+linear algebra over Z/m on the tuple systems whose cohomology is the
+degree-2 group, `reduced._reduced_system` (cycle-type: the reduced H^2)
+and `bicomplex._full_system` (general: the normalized full H^2).  The one
 presented writer, `reduced._presented_system`, writes both, for values
 on generators of (A, +) or of the shuffle quotients, and both give
 over(m) -> (system, read, targets).  So tagged eliminations give
@@ -1190,9 +1190,18 @@ def _cohomologous_solver(base: LinearCycleSet, flavor: str, normalized: bool, m:
     the pairs whose conditions the system writes, its targets: (a, s) for
     the generators s of (A, +) when reduced.  theta lives on generators,
     so each column is tagged with its values on every element, and the
-    least theta is read off the tags."""
-    build = _reduced_system if flavor == "cycle-type" else _full_system
-    system, read, targets = build(base, 1, normalized)(m)
+    least theta is read off the tags.
+
+    The cycle-type flavor reads the plain system whatever `normalized`
+    is.  A reduced 2-cocycle has f(0, c) = 0 (its translation identity at
+    a = b = 0), and so does every coboundary: theta(0 . c) - theta(c) = 0.
+    So the conditions at a = 0, which the normalized system leaves out,
+    read 0 = 0, and both systems have the same unknowns."""
+    if flavor == "cycle-type":
+        over = _reduced_system(base, 1)
+    else:
+        over = _full_system(base, 1, normalized)
+    system, read, targets = over(m)
     rows, tags, _b_rows, _b_tags = _tagged(*system)
     solve = _least_solver(rows, m, list(map(read, tags)), base.order)
     at_targets = _gatherer(targets())

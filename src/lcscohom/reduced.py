@@ -31,10 +31,11 @@ The full theory presents every K_j by its shuffle sums
 orders o_j, power relations o_j s_j = sum over i < j of r_ji s_i, and
 normal forms a = sum of c_i(a) s_i.  Its degree-k system is block
 (k - 1, 1), whose coordinates (p, j) are the values phi(p, s_j) of a
-last-linear cochain (`_reduced_system`).  Membership modulo linearity is
-decided on normal forms (`_in_linearity_lattice`).
+last-linear cochain (`_reduced_system`), which classification and
+cohomologousness read.  Membership modulo linearity is decided on normal
+forms (`_in_linearity_lattice`).
 
-The plain reduced groups are group (co)homology of the brace group G =
+The reduced groups are group (co)homology of the brace group G =
 (A, o), a o b = a + t(b) with a . t(b) = b (`lcs_to_brace`), so that
 p^-1 o c = p . (c - p).  Write a k-chain (x_1, ..., x_(k-1); x_k) in its
 partial sums p_i = x_1 + ... + x_i, with p_0 = 0.  The merge of x_i and
@@ -51,13 +52,16 @@ the comparison theorem (Brown, *Cohomology of Groups*, GTM 87, 1982,
 I.7) any free resolution computes them, so the plain groups are read off
 a small resolution of Z/q over (Z/q)[G] (`resolution._resolution`), with
 r_i generators in degree i against n^i bar cells, one system per
-(structure, k, q) (`_reduced_theory`).  Lebed and Vendramin, Adv. Math.
+(structure, k, q) (`_written_resolved`).  Lebed and Vendramin, Adv. Math.
 304 (2017), relate cycle-set homology to the structure group in the
 same way.  A tuple holding the neutral element at x_i, i < k, has p_i =
 p_(i-1): it is a degenerate bar cell.  The normalized bar complex is a
 free resolution as well, so the normalized reduced groups equal the
-plain ones in every degree; they stay on the tuple route, which is the
-second path that verify-paper compares in degree 2.
+plain ones in every degree, and both are read off the one resolved
+system (`reduced_cohomology`).  Homology is read there too: the resolved
+cochains are the Z/q-dual of the resolved chains, so both have the same
+invariant factors (`reduced_homology`).  verify-paper compares the
+normalized tuple system of degree 2 with the resolved groups.
 
 Degree-k bases grow as |A|^k, so everything checks the basis budget
 before writing any rows.  Every boundary, shuffle and permutation
@@ -721,17 +725,13 @@ def _accumulate(rows, columns, targets, entries) -> None:
 
 def _write_relations(structure: LinearCycleSet, d: int, pres, blocks, start: int) -> None:
     """Write the relations of the degree-d coordinates as columns from
-    `start` on: one per block (i, j), i-tuple p and relation of pres[j],
-    holding its coefficient at each (p, g)."""
+    `start` on: one per block (i, j), i-tuple p and relation of pres[j]
+    (`_relation_columns`)."""
     col = start
     for i, j in _blocks(d, pres):
         gens, relations, _forms, _layers = pres[j]
-        block, r = blocks[i, j], len(gens)
-        for p in range(structure.order**i):
-            for relation in relations:
-                for g, x in relation.items():
-                    block[p * r + g][col] = x
-                col += 1
+        _relation_columns(blocks[i, j], relations, len(gens), col)
+        col += structure.order**i * len(relations)
 
 
 def _presented_system(structure: LinearCycleSet, d: int, pres, normalized: bool, tables):
@@ -871,12 +871,12 @@ def _kept(write):
 
 
 @_kept
-def _written_reduced(structure: LinearCycleSet, k: int, normalized: bool):
-    """The degree-k reduced system as `_presented_system` writes it, kept
-    per (structure, k, normalized) and process (`_kept`): it does not
-    depend on the coefficients."""
+def _written_reduced(structure: LinearCycleSet, k: int):
+    """The plain degree-k reduced system as `_presented_system` writes it,
+    kept per (structure, k) and process (`_kept`): it does not depend on
+    the coefficients."""
     pres = {1: _presentation(structure.add)}
-    return _presented_system(structure, k, pres, normalized, _tables(structure))
+    return _presented_system(structure, k, pres, False, _tables(structure))
 
 
 def _check_budgets(structure: LinearCycleSet, k: int) -> None:
@@ -888,24 +888,24 @@ def _check_budgets(structure: LinearCycleSet, k: int) -> None:
     check_power(n, k + 1, f"the degree-{k + 1} tuple basis")
 
 
-def _reduced_system(structure: LinearCycleSet, k: int, normalized: bool = False):
-    """The degree-k reduced system, checked against the budgets first:
-    block (k - 1, 1) of the total complex over the presentation of (A, +),
-    as `_presented_system` writes it.
+def _reduced_system(structure: LinearCycleSet, k: int):
+    """The plain degree-k reduced system, checked against the budgets
+    first: block (k - 1, 1) of the total complex over the presentation of
+    (A, +), as `_presented_system` writes it.
 
     A last-linear cochain is given by its values u_(p,j) = phi(p, s_j) on
     the generators s_j of `_presentation`, subject to the relations
     o_j u_(p,j) = sum over i < j of r_ji u_(p,i).  Returns over(m), giving
     (system, read, targets) as `bicomplex._full_system` does.  The system
-    does not depend on m, so every coefficient group and classification
-    share one read-only system, kept per (structure, k, normalized) and
-    process (`_written_reduced`); the budgets are checked on every call,
-    before it is looked up.  The plain groups take a resolution instead
-    (`_reduced_theory`); this tuple route serves the normalized groups,
-    classification and `cocycles_cohomologous`.
+    does not depend on m, so every coefficient group shares one read-only
+    system, kept per (structure, k) and process (`_written_reduced`); the
+    budgets are checked on every call, before it is looked up.  The groups
+    themselves are read off a resolution (`reduced_cohomology`); this tuple
+    route serves classification and `cocycles_cohomologous`, which read
+    cocycles on every tuple.
     """
     _check_budgets(structure, k)
-    built = _written_reduced(structure, k, normalized)
+    built = _written_reduced(structure, k)
     return lambda m: built
 
 
@@ -932,14 +932,16 @@ def _pulled_back(images, below: int, acting, r: int, q: int) -> list:
 
 
 def _relation_columns(rows, relations, r: int, start: int) -> None:
-    """Write, from column `start` on, each relation of (A, +) at each
-    generator of a free module: one column per (l, relation), holding the
-    relation's coefficient at each coordinate (l, t)."""
-    for y, row in enumerate(rows):
-        source, t = divmod(y, r)
-        for rho, relation in enumerate(relations):
-            if t in relation:
-                row[start + source * r + rho] = relation[t]
+    """Write, from column `start` on, each relation on r generators at each
+    prefix or generator l of a free module, the rows l * r + t: one column
+    per (l, relation), in that order, holding the relation's coefficient
+    at each coordinate (l, t)."""
+    col = start
+    for chunk in _runs(rows, r):
+        for relation in relations:
+            for t, x in relation.items():
+                chunk[t][col] = x
+            col += 1
 
 
 def _resolved_system(mul, dot, add, k: int, q: int) -> tuple:
@@ -982,72 +984,32 @@ def _written_resolved(structure: LinearCycleSet, k: int, q: int):
     return _resolved_system(mul, structure.dot, structure.add, k, q)
 
 
-def _reduced_theory(structure: LinearCycleSet, k: int, normalized: bool, theory):
-    """over(m): `theory` (`_invariants` or `_homology`) of the degree-k
-    reduced group over Z/m, once the budgets are checked.
-
-    Normalized, it reads the tuple system of `_reduced_system`.  Plain, it
-    reads one system per prime power q of m, written over a resolution of
-    the brace group (`_written_resolved`), and merges the parts.
-    """
-    if normalized:
-        over = _reduced_system(structure, k, True)
-        return lambda m: theory(over(m)[0], m)
-    _check_budgets(structure, k)
-
-    def resolved(m):
-        parts = []
-        for p, e in _prime_powers(m):
-            parts.append(theory(_written_resolved(structure, k, p**e)[0], p**e))
-        return merge_invariants(*parts)
-
-    return resolved
-
-
 def reduced_cohomology(
     structure: LinearCycleSet,
     coeffs: FiniteAbelianGroup,
     k: int,
     normalized: bool = False,
 ):
-    """Invariant factors of the degree-k reduced cohomology group: plain,
-    H^(k-1)(G; Hom(A, Gamma)) over a resolution (`_reduced_theory`), and
-    normalized, on the solutions of `_reduced_system`."""
-    require_valid_lcs(structure)
-    return _over_factors(coeffs, _reduced_theory(structure, k, normalized, _invariants))
+    """Invariant factors of the degree-k reduced cohomology group,
+    H^(k-1)(G; Hom(A, Gamma)) for the brace group G = (A, o).
 
-
-def _columns(rows, width: int = 0) -> list:
-    """The columns of sparse rows as sparse {row: entry} vectors: `width`
-    of them, or more if a row holds an entry further on."""
-    width = max(width, 1 + max(map(max, filter(None, rows)), default=-1))
-    columns = [{} for _ in range(width)]
-    for y, row in enumerate(rows):
-        for x, c in row.items():
-            columns[x][y] = c
-    return columns
-
-
-def _homology(system, m: int):
-    """Invariant factors over Z/m of the homology of a system, as
-    `_tagged` lays it out, read by columns.
-
-    Read by columns, the rows of a system are the boundaries of the
-    generators above and the relations, as chains, and the dead
-    generators are zero.  The homology is (preimage of the relations
-    under the boundary) / (boundary image + relations), both taken mod m.
-    In degree 1 there is no boundary below: every chain is a cycle.
+    Each cyclic factor Z/m is read one prime power q of m at a time, on
+    the system written over a resolution of Z/q over (Z/q)[G]
+    (`_written_resolved`), and the parts are merged.  `normalized` picks
+    no other route: a tuple holding the neutral element is a degenerate
+    bar cell of G, and the normalized bar complex is a free resolution as
+    well, so the normalized groups equal the plain ones in every degree.
     """
-    cocycles, constraints, coboundaries, dead, dead_below = system
-    # cycles are the x whose boundary lies in the relations and the dead
-    # generators below; their rows carry x as a tag, the others nothing
-    size = len(cocycles)
-    rows = _columns(coboundaries, size) + _columns(constraints)
-    rows += [{y: 1} for y in sorted(dead_below)]
-    tags = [{x: 1} for x in range(size)] + [{}] * (len(rows) - size)
-    # boundaries of the generators above, relations and dead generators
-    bound = _columns(cocycles) + [{y: 1} for y in sorted(dead)]
-    return _subquotient_mod(rows, tags, [{}] * len(bound), bound, m)
+    require_valid_lcs(structure)
+    _check_budgets(structure, k)
+
+    def resolved(m):
+        parts = []
+        for p, e in _prime_powers(m):
+            parts.append(_invariants(_written_resolved(structure, k, p**e)[0], p**e))
+        return merge_invariants(*parts)
+
+    return _over_factors(coeffs, resolved)
 
 
 def reduced_homology(
@@ -1056,18 +1018,16 @@ def reduced_homology(
     k: int,
     normalized: bool = False,
 ):
-    """Invariant factors of the degree-k reduced homology group.
+    """Invariant factors of the degree-k reduced homology group, H_(k-1)(G;
+    A (x) Gamma), which equal those of the cohomology group.
 
-    Plain, it is H_(k-1)(G; A (x) Gamma), on the transpose of the
-    resolved system (`_reduced_theory`).  Normalized, degree-k chains are
-    presented on the generators (p, s_j), one per (k-1)-tuple p and
-    generator s_j of `_presentation`, modulo the relations o_j (p, s_j) -
-    sum over i < j of r_ji (p, s_i) and the dead generators (p, s_j) whose
-    prefix p holds the neutral element; `_homology` reads the rows of
-    `_reduced_system` by columns.
+    Over Z/q the resolved cochains Hom_G(P, Hom(A, Z/q)) are the Z/q-dual
+    of the chains P (x)_G (A (x) Z/q).  Z/q is self-injective, so dualizing
+    is exact and H^k = Hom(H_k, Z/q); and a finite Z/q-module has the same
+    invariant factors as its dual.  `normalized` picks no other route, as
+    in `reduced_cohomology`.
     """
-    require_valid_lcs(structure)
-    return _over_factors(coeffs, _reduced_theory(structure, k, normalized, _homology))
+    return reduced_cohomology(structure, coeffs, k)
 
 
 # ---------------------------------------------------------------------------

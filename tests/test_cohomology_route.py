@@ -24,6 +24,7 @@ from collections import Counter
 
 import pytest
 from compile_caches import clear_compile_caches
+from ext8 import EXT8
 
 import lcscohom
 import lcscohom.bicomplex
@@ -34,6 +35,7 @@ from lcscohom.abelian import parse_group_spec
 from lcscohom.bicomplex import bicomplex_identity_check, full_cohomology
 from lcscohom.corpus import builtin_structure, standard_corpus
 from lcscohom.extensions import (
+    ReducedTwoCocycle,
     classify_extensions,
     cocycles_cohomologous,
     extensions_equivalent,
@@ -46,7 +48,9 @@ from lcscohom.reduced import (
     reduced_cohomology,
     reduced_homology,
 )
+from lcscohom.verify import COCYCLE_PHIS, _phi_table
 
+Z2 = parse_group_spec("Z/2")
 Z4LCS = builtin_structure("z4-lcs")
 
 # Invariant factors over Z/2+Z/4, as {factor: multiplicity}.
@@ -193,18 +197,21 @@ class Stopped(Exception):
 
 
 def test_one_builder_per_degree_two_system(monkeypatch):
-    # classification, cohomologousness and cohomology all read the reduced
-    # and the full systems from the one builder of each theory
+    # classification and cohomologousness read the reduced and the full
+    # systems from the one builder of each theory, and so does full
+    # cohomology; the reduced tuple system is the plain one, whatever
+    # `normalized` is, and reduced cohomology never reads it
     gamma = parse_group_spec("Z/2")
     classes = {f: classify_extensions(Z4LCS, gamma, f) for f in ("cycle-type", "general")}
     builders = (
         ("cycle-type", lcscohom.reduced, "_reduced_system", reduced_cohomology),
         ("general", lcscohom.bicomplex, "_full_system", full_cohomology),
     )
+    expected = {"cycle-type": [(2, None), (1, None)], "general": [(2, True), (1, True), (2, True)]}
     for flavor, module, name, cohomology in builders:
         calls = []
 
-        def stop(structure, degree, normalized=False, calls=calls):
+        def stop(structure, degree, normalized=None, calls=calls):
             calls.append((degree, normalized))
             raise Stopped
 
@@ -216,26 +223,51 @@ def test_one_builder_per_degree_two_system(monkeypatch):
             runs = (
                 lambda: classify_extensions(Z4LCS, gamma, flavor),
                 lambda: cocycles_cohomologous(first.cocycle, second.cocycle, True),
-                lambda: cohomology(Z4LCS, gamma, 2, True),
             )
             for run in runs:
                 with pytest.raises(Stopped):
                     run()
-        normalized = flavor == "general"
-        assert calls == [(2, normalized), (1, True), (2, True)], flavor
+            if flavor == "general":
+                with pytest.raises(Stopped):
+                    cohomology(Z4LCS, gamma, 2, True)
+            else:  # read off a resolution of the brace group
+                assert cohomology(Z4LCS, gamma, 2, True) == [2, 2]
+        assert calls == expected[flavor], flavor
     lcscohom.extensions._cohomologous_solver.cache_clear()
+
+
+def test_cohomologous_reduced_cocycles_ignore_normalization():
+    # a reduced 2-cocycle and every coboundary vanish at (0, c), so the
+    # plain degree-1 system answers for the normalized question as well:
+    # every pair of ext8's cycle-type classes over Z/4, and the z4-lcs
+    # family of verify-paper with each cocycle shifted by a coboundary
+    gamma = parse_group_spec("Z/4")
+    cocycles = [entry.cocycle for entry in classify_extensions(EXT8, gamma, "cycle-type")]
+    dot, theta = Z4LCS.dot, [0, 1, 0, 1]
+    family = []
+    for phi in COCYCLE_PHIS:
+        f = _phi_table(phi)
+        moved = [[(f[a][b] + theta[b] - theta[dot[a][b]]) % 2 for b in range(4)] for a in range(4)]
+        family += [ReducedTwoCocycle(Z4LCS, Z2, f), ReducedTwoCocycle(Z4LCS, Z2, moved)]
+    verdicts = []
+    for group in (cocycles, family):
+        for c1 in group:
+            for c2 in group:
+                plain = cocycles_cohomologous(c1, c2, False)
+                assert cocycles_cohomologous(c1, c2, True) == plain
+                verdicts.append(plain[0])
+    assert len(verdicts) == len(cocycles) ** 2 + 64
+    assert set(verdicts) == {True, False}
 
 
 def test_one_presented_writer_serves_both_theories(monkeypatch):
     # every route that reads a tuple system of either theory reaches the
     # one presented writer of reduced.py, and the theories differ only in
     # the quotients they present: K_1 alone, as (A, +), or every K_j.  The
-    # plain reduced groups are read off a resolution of the brace group
-    # instead, and never reach it.
+    # reduced groups, plain or normalized, are read off a resolution of the
+    # brace group instead, and never reach it.
     gamma = parse_group_spec("Z/2")
     routes = {
-        ("reduced cohomology", (1,)): lambda: reduced_cohomology(Z4LCS, gamma, 2, True),
-        ("reduced homology", (1,)): lambda: reduced_homology(Z4LCS, gamma, 2, True),
         ("full cohomology", (1, 2, 3)): lambda: full_cohomology(Z4LCS, gamma, 2),
     }
     # the degree-2 systems of classification, the degree-1 ones of
@@ -261,8 +293,9 @@ def test_one_presented_writer_serves_both_theories(monkeypatch):
         with pytest.raises(Stopped):
             run()
         assert reached.pop() == presented, name
-    assert reduced_cohomology(Z4LCS, gamma, 2) == [2, 2]
-    assert reduced_homology(Z4LCS, gamma, 2) == [2, 2]
+    for normalized in (False, True):
+        assert reduced_cohomology(Z4LCS, gamma, 2, normalized) == [2, 2]
+        assert reduced_homology(Z4LCS, gamma, 2, normalized) == [2, 2]
     assert reached == []
     clear_compile_caches()
 

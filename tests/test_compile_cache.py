@@ -5,10 +5,10 @@ quotients' presentations (`bicomplex._harrison`), the validity verdict
 behind `require_valid_lcs` and the written systems of both theories
 (`reduced._written_reduced`, `reduced._written_resolved`,
 `bicomplex._written_full`) are cached on what they depend on: the
-structure's tables, the degree, normalization and, for the full theory,
-the plain reduced groups and the presentations, the modulus.  A
-structure loaded again from a file hits the caches, and no map, shuffle
-sum, validation or system write runs a second time.  The key is the
+structure's tables and the degree; for the full theory, normalization
+and the modulus; and for the resolved reduced system, the prime power
+q.  A structure loaded again from a file hits the caches, and no map,
+shuffle sum, validation or system write runs a second time.  The key is the
 whole structure: two structures that share `add` but not `dot` never
 read each other's tables.  An invalid structure is validated, and
 refused, on every call, and the budgets are checked on every call, before
@@ -34,7 +34,13 @@ from lcscohom.bicomplex import _full_system, _harrison, full_cohomology
 from lcscohom.corpus import builtin_structure
 from lcscohom.errors import BudgetError, StructureValidationError
 from lcscohom.extensions import classify_extensions
-from lcscohom.reduced import _reduced_system, _tables, reduced_cohomology, reduced_homology
+from lcscohom.reduced import (
+    _reduced_system,
+    _tables,
+    _written_resolved,
+    reduced_cohomology,
+    reduced_homology,
+)
 from lcscohom.structures import (
     LinearCycleSet,
     structure_from_dict,
@@ -212,12 +218,13 @@ def test_budgets_are_checked_before_the_cache(monkeypatch):
 
 def test_written_systems_are_read_only():
     written = (
-        _reduced_system(Z4LCS, 3, normalized=True)(2),
+        _reduced_system(Z4LCS, 3)(2),
+        _written_resolved(Z4LCS, 3, 4),
         _full_system(Z4LCS, 2, normalized=True)(2),
     )
-    for system, _read, _targets in written:
+    assert all(written[2][0][3:]), "normalized systems have dead coordinates"
+    for system, *_readers in written:
         cocycles, constraints, coboundaries, dead, dead_below = system
-        assert dead and dead_below, "normalized systems have dead coordinates"
         for rows in (cocycles, constraints, coboundaries):
             with pytest.raises(TypeError):
                 operator.setitem(rows, 0, {})

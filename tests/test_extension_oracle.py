@@ -68,7 +68,10 @@ from lcscohom.structures import LinearCycleSet, validate_lcs
 
 STRUCTURES = [s for n in (1, 2, 3, 4) for s in enumerate_lcs(n)]
 # each flavor's degree-2 system: the plain reduced one, the normalized full one
-BUILDERS = {"cycle-type": (_reduced_system, False), "general": (_full_system, True)}
+BUILDERS = {
+    "cycle-type": _reduced_system,
+    "general": functools.partial(_full_system, normalized=True),
+}
 COEFFS = ("Z/2", "Z/3", "Z/4", "Z/6", "Z/2+Z/2", "Z/2+Z/4")
 # Bases with more classes than this are left out of the per-class
 # comparisons: the oracle lists every cocycle, and each total checked
@@ -138,8 +141,7 @@ def test_cochain_system_matches_the_dense_stacks(flavor):
     for s in STRUCTURES + [builtin_structure("z4-lcs"), EXT8, EXT8_RELABELED]:
         constraints, cob = two_cocycle_system(s, flavor)
         theta_rows = theta_constraints(s, flavor, normalized=True)
-        build, normalized = BUILDERS[flavor]
-        over = build(s, 2, normalized)
+        over = BUILDERS[flavor](s, 2)
         for m in (2, 4, 6):
             system, read, _targets = over(m)
             k_rows, k_tags, b_rows, b_tags = _tagged(*system)

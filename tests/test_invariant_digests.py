@@ -10,7 +10,9 @@ to a single invariant factor of any of them fails the test.
 import hashlib
 
 import pytest
+from compile_caches import clear_compile_caches
 
+import lcscohom.reduced
 from lcscohom.abelian import parse_group_spec
 from lcscohom.bicomplex import full_cohomology
 from lcscohom.corpus import enumerate_lcs
@@ -127,3 +129,18 @@ def test_invariant_digest(spec, name, fn, k, norm):
         inv = fn(s, coeffs, k) if norm is None else fn(s, coeffs, k, normalized=norm)
         digest.update(repr(inv).encode())
     assert digest.hexdigest() == PINNED[(spec, name)]
+
+
+def test_normalized_reduced_groups_are_read_off_the_resolution(monkeypatch):
+    # a tuple holding 0 is a degenerate bar cell of the brace group, so the
+    # normalized reduced groups are the plain ones, read off the resolved
+    # system: no tuple system is written for them, cold or warm
+    def refuse(*_args):
+        raise AssertionError("a tuple system was written")
+
+    clear_compile_caches()
+    monkeypatch.setattr(lcscohom.reduced, "_presented_system", refuse)
+    pinned = [case for case in _cases() if case[2] is not full_cohomology and case[4]]
+    assert len(pinned) == 2 * 3 * len(COEFFS)
+    for case in pinned:
+        test_invariant_digest(*case)

@@ -23,6 +23,7 @@ from dense_views import (
     linearity_rows,
     reduced_boundary_matrix,
 )
+from homology_oracle import homology, tuple_system
 from lattice_oracle import IntegerMatrix, LatticeTester
 from lcscohom.abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from lcscohom.bicomplex import full_cohomology
@@ -218,25 +219,31 @@ def test_frozen_degree_one_groups():
 
 
 def test_normalized_matches_plain_in_degree_two():
+    # the normalized tuple system against the resolved groups
     for _, s in standard_corpus():
+        system = tuple_system(s, 2, True)[0]
         for g in (Z2, Z4):
             plain = reduced_cohomology(s, g, 2, normalized=False)
-            norm = reduced_cohomology(s, g, 2, normalized=True)
+            assert reduced_cohomology(s, g, 2, normalized=True) == plain
+            norm = merge_invariants(*(reduced._invariants(system, m) for m in g.factors))
             assert plain == norm, (s.order, g.factors)
 
 
 def test_homology_equals_cohomology_over_cyclic_coefficients():
     # Hom(-, Z/m) is exact on Z/m-modules, so the invariant factors of
-    # degree-k homology and cohomology must coincide.
+    # degree-k homology and cohomology must coincide.  The library reads
+    # homology as cohomology; the oracle reads it off the chains of the
+    # plain and the normalized tuple systems.
     for _, s in standard_corpus():
         top = 4 if s.order <= 3 else 3
-        for m in (2, 3, 4):
-            g = FiniteAbelianGroup((m,))
-            for k in range(1, top):
-                for normalized in (False, True):
-                    hom = reduced_homology(s, g, k, normalized)
-                    coh = reduced_cohomology(s, g, k, normalized)
-                    assert hom == coh, (s.order, m, k, normalized)
+        for k in range(1, top):
+            systems = [tuple_system(s, k, normalized)[0] for normalized in (False, True)]
+            for m in (2, 3, 4):
+                g = FiniteAbelianGroup((m,))
+                coh = reduced_cohomology(s, g, k)
+                for normalized, system in zip((False, True), systems):
+                    assert reduced_homology(s, g, k, normalized) == coh
+                    assert homology(system, m) == coh, (s.order, m, k, normalized)
 
 
 def brute_cohomology_order(s, m, k, normalized=False):

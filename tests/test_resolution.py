@@ -4,20 +4,33 @@ Written in the partial sums p_i = x_1 + ... + x_i, a reduced chain
 (x_1, ..., x_(k-1); x_k) is a homogeneous bar chain (0, p_1, ..., p_(k-1))
 of G = (A, o) with coefficient x_k, and each face of the reduced
 boundary is the matching bar face: checked here on compiled index maps,
-sign for sign, with two mutants that must break it.  So the plain
+sign for sign, with two mutants that must break it.  So the reduced
 groups are read off a small free resolution of Z/q over (Z/q)[G]
-(`reduced._reduced_theory`), and they must equal the tuple route of
+(`reduced.reduced_cohomology`), and they must equal the tuple route of
 `reduced._reduced_system` on every small cycle set, ext8, trivial(6)
-and an order-6 cycle set whose group S3 is no p-group.  Building the
+and an order-6 cycle set whose group S3 is no p-group: cohomology read
+by rows, and homology read by columns (`homology_oracle`).  Building the
 resolution over (A, +), or with G acting trivially on Hom(A, Gamma),
 must make the routes disagree.  Over a p-group the resolution is
 minimal, which greedy kernel generators alone are not.
+
+The resolution is also certified exact, without asking how it was
+built, on dense matrices over F_p.  Let C be a complex of free
+Z/q-modules of finite rank, q = p^e, with d d = 0.  Multiplication by
+p^j maps C / pC onto p^j C / p^(j+1) C, and it is one-to-one because C
+is free, so each layer p^j C / p^(j+1) C is C (x) F_p as a complex.  If
+C (x) F_p is exact at P_i, so is each layer, and the long exact
+sequence of 0 -> p^(j+1) C -> p^j C -> p^j C / p^(j+1) C -> 0 gives,
+from j = e - 1 down to j = 0, that p^j C is exact at P_i; at j = 0 that
+is C.  Over F_p, with d d = 0, exactness at P_i is rank d_i + rank
+d_(i+1) = dim P_i = r_i n, the augmentation being d_0.
 """
 
 import itertools
 
 import pytest
 from ext8 import EXT8
+from homology_oracle import homology
 
 from lcscohom.abelian import merge_invariants, parse_group_spec
 from lcscohom.corpus import builtin_structure, enumerate_lcs
@@ -27,7 +40,6 @@ from lcscohom.linalg import _prime_powers
 from lcscohom.reduced import (
     _compose,
     _drop_map,
-    _homology,
     _horizontal_faces,
     _index_maps,
     _invariants,
@@ -56,7 +68,7 @@ STRUCTURES = SMALL + [
 COEFFS = ("Z/2", "Z/3", "Z/4", "Z/8", "Z/2+Z/2", "Z/6")
 THEORIES = {
     "cohomology": (reduced_cohomology, _invariants),
-    "homology": (reduced_homology, _homology),
+    "homology": (reduced_homology, homology),
 }
 
 
@@ -190,3 +202,74 @@ def test_the_resolution_of_a_two_group_is_minimal(q, o16):
     for s, ranks in cases:
         d = _resolution(lcs_to_brace(s).circle, q, 3)
         assert [1] + [len(images) for images in d] == ranks
+
+
+def dense_columns(mul, images, size: int) -> list:
+    """The columns of a G-map from a free module, over the Z/q-basis g e_l
+    of each side: column l * n + h is h . image_l, a list of `size`
+    entries."""
+    n = len(mul)
+    out = []
+    for image in images:
+        for h in range(n):
+            column = [0] * size
+            for x, c in image.items():
+                column[x - x % n + mul[h][x % n]] += c
+            out.append(column)
+    return out
+
+
+def dense_rank(columns, p: int) -> int:
+    """The rank over F_p of a dense matrix given by its columns."""
+    basis = {}  # leading position -> reduced column, 1 at its lead
+    for column in columns:
+        v = [x % p for x in column]
+        for lead in sorted(basis):
+            if v[lead]:
+                c = v[lead]
+                v = [(a - c * b) % p for a, b in zip(v, basis[lead])]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            inverse = pow(v[lead], -1, p)
+            basis[lead] = [x * inverse % p for x in v]
+    return len(basis)
+
+
+def exact(mul, d, q: int) -> bool:
+    """Whether Z/q <- P_0 <- P_1 <- ... <- P_len(d), with the differentials
+    d, is a complex over Z/q and is exact over F_p at P_0, ..., P_(len(d) -
+    1), and so over Z/q (the module docstring)."""
+    ((p, _e),) = _prime_powers(q)
+    n = len(mul)
+    matrices, sizes = [[[1]] * n], [1, n]  # the augmentation g -> 1
+    for images in d:
+        matrices.append(dense_columns(mul, images, sizes[-1]))
+        sizes.append(len(images) * n)
+    for lower, upper in zip(matrices, matrices[1:]):
+        for column in upper:
+            image = [0] * len(lower[0])
+            for x, c in enumerate(column):
+                for y, entry in enumerate(lower[x] if c else ()):
+                    image[y] += c * entry
+            if any(entry % q for entry in image):
+                return False
+    ranks = [dense_rank(matrix, p) for matrix in matrices]
+    return all(ranks[i] + ranks[i + 1] == sizes[i + 1] for i in range(len(d)))
+
+
+@pytest.mark.parametrize("q", [2, 4, 3, 9])
+def test_the_resolution_is_exact(q, o16):
+    for name, s, length in (
+        ("z4-lcs", builtin_structure("z4-lcs"), 5),
+        ("ext8", EXT8, 5),
+        ("o16", o16, 4),
+        ("s3", S3LCS, 5),
+    ):
+        mul = lcs_to_brace(s).circle
+        d = _resolution(mul, q, length)
+        assert exact(mul, d, q), (name, q)
+        # without its last generator, d_1 no longer reaches the kernel of
+        # the augmentation; and the differentials of (A, o) are no complex
+        # over (A, +)
+        assert not exact(mul, (d[0][:-1],), q), (name, q)
+        assert not exact(s.add, d, q), (name, q)
