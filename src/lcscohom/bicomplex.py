@@ -30,9 +30,35 @@ relations where K_j has torsion, and normal forms.  `_full_system` hands
 the presentations of K_1, ..., K_n, and tuples that span K_(n+1), to the
 one presented writer, `reduced._presented_system`, which writes the
 reduced theory's systems too: those are the block (k - 1, 1) alone, over
-the presentation of (A, +), the first Harrison homology.  Full
-cohomology, general classification and cohomologousness read
+the presentation of (A, +), the first Harrison homology.  Normalized
+full cohomology, general classification and cohomologousness read
 `_full_system`, and read its solutions on every tuple.
+
+The plain full groups are read off a free resolution of the brace group
+G = (A, o) instead, by the argument `reduced` makes for the row j = 1.
+Write the prefix (x_1, ..., x_i) of a chain of block (i, j) in its
+partial sums p_1, ..., p_i.  Then the faces of dh are the faces of the
+homogeneous bar resolution B(G) at (0, p_1, ..., p_i), face for face,
+the first face acting on the suffix by sigma_(p_1) = p_1 . - on every
+coordinate: row j is Hom_G(B_i(G), Hom(Z[A^j], Gamma)).  sigma_g is
+additive, so it maps each shuffle sum to the shuffle sum of the moved
+tuple: it preserves the shuffles, so it acts on K_j, and row j of the
+cochains vanishing on shuffles is Hom_G(B_i(G), Hom(K_j, Gamma)).  The
+faces of dv drop coordinates or merge them by +, so sigma_g commutes
+with dv, and dv is a map of G-modules.  A free resolution P of Z over
+Z[G] has a comparison map P -> B over G (Brown, *Cohomology of Groups*,
+GTM 87, 1982, I.7).  Composing with it is a map of double complexes Tot
+Hom_G(B_i, Hom(K_j, Gamma)) -> Tot Hom_G(P_i, Hom(K_j, Gamma)), which
+respects the filtration by j.  That filtration is finite in each total
+degree, 1 <= j <= n, and on both sides its E_1 is H^i(G; Hom(K_j,
+Gamma)), where the map is an isomorphism; so the map is an isomorphism
+on the total cohomology.  Over Z/q, q a prime power, P is a resolution
+of Z/q over (Z/q)[G] (`resolution._resolution`), which computes the same
+groups for Z/q-modules, and the system of Tot Hom_G(P_i, Hom(K_j, Z/q)),
+with D = dh + (-1)^i dv, is written by `reduced._resolved_system`, the
+one resolved writer of both theories (`_written_full_resolved`).
+Lebed and Vendramin, Adv. Math. 304 (2017), relate cycle-set homology
+to the structure group in the same way.
 """
 
 import functools
@@ -62,12 +88,14 @@ from .reduced import (
     _over_factors,
     _permute,
     _presented_system,
+    _resolved_groups,
+    _resolved_system,
     _tables,
     _vertical_faces,
     all_tuples,
     tuple_index,
 )
-from .structures import LinearCycleSet, require_valid_lcs
+from .structures import LinearCycleSet, lcs_to_brace, require_valid_lcs
 
 __all__ = [
     "shuffle_permutations",
@@ -313,8 +341,8 @@ def _spanning(n: int, j: int):
 
 
 def _full_system(structure: LinearCycleSet, degree: int, normalized: bool = False):
-    """The degree-n system of the total complex in Harrison coordinates,
-    checked against the budgets first.
+    """The degree-n tuple system of the total complex in Harrison
+    coordinates, checked against the budgets first.
 
     Returns over(m), which gives (system, read, targets) over Z/m as the
     presented writer `_presented_system` writes them: the system as
@@ -332,7 +360,20 @@ def _full_system(structure: LinearCycleSet, degree: int, normalized: bool = Fals
     n^(i+j) on, as in `_into_map`.  The budgets are checked on every
     call; the system over Z/m is written once per (structure, degree,
     normalized, m) and process, and kept read-only (`_written_full`).
+
+    The plain groups are read off a resolution of the brace group instead
+    (`full_cohomology`).  This tuple route serves what needs a cochain on
+    every tuple or a normalized cochain: the normalized groups, general
+    classification, `cocycles_cohomologous` and verify-paper.
     """
+    _check_full_budgets(structure, degree)
+    return functools.partial(_written_full, structure, degree, normalized)
+
+
+def _check_full_budgets(structure: LinearCycleSet, degree: int) -> None:
+    """The degree, basis and shuffle budgets of a degree-n full group,
+    checked on every call before any system is looked up or written, on
+    either route."""
     if not isinstance(degree, int) or degree < 1:
         raise DegreeError(f"degree must be an integer >= 1, got {degree!r}")
     n = structure.order
@@ -341,7 +382,6 @@ def _full_system(structure: LinearCycleSet, degree: int, normalized: bool = Fals
     # 2**(degree + 1) shuffles, each on the n**degree tuples
     what = f"the shuffle sums of total degree {degree}"
     check_power(2, degree + 1, what, _SHUFFLE_FACTOR, times=n**degree + degree)
-    return functools.partial(_written_full, structure, degree, normalized)
 
 
 @_kept
@@ -351,9 +391,30 @@ def _written_full(structure: LinearCycleSet, degree: int, normalized: bool, m: i
     depend on m: each K_j, j <= n, is presented once per (order, m) and
     process (`_harrison`)."""
     n = structure.order
+    pres = _full_presentations(n, degree, m)
+    return _presented_system(structure, degree, pres, normalized, _tables(structure))
+
+
+def _full_presentations(n: int, degree: int, m: int) -> dict:
+    """The presentations over Z/m of K_1, ..., K_n (`_harrison`), and the
+    targets spanning K_(n+1) (`_spanning`), as both writers read them."""
     pres = {j: _harrison(n, j, m) for j in range(1, degree + 1)}
     pres[degree + 1] = _spanning(n, degree + 1)
-    return _presented_system(structure, degree, pres, normalized, _tables(structure))
+    return pres
+
+
+@_kept
+def _written_full_resolved(structure: LinearCycleSet, degree: int, q: int):
+    """The plain degree-n system over Z/q, q a prime power, written over a
+    resolution of the brace group (A, o) by `reduced._resolved_system`:
+    Tot Hom_G(P_i, Hom(K_j, Z/q)) on the presentations of
+    `_full_presentations`.  Kept per (structure, degree, q) and process
+    (`reduced._kept`), and the resolution is shared with every other
+    system of the brace group over Z/q."""
+    pres = _full_presentations(structure.order, degree, q)
+    mul = lcs_to_brace(structure).circle
+    tables = _tables(structure)
+    return _resolved_system(mul, structure.dot, structure.add, degree, q, pres, tables)
 
 
 def full_cohomology(
@@ -362,11 +423,22 @@ def full_cohomology(
     degree: int,
     normalized: bool = False,
 ):
-    """Invariant factors of the degree-n cohomology of the total complex,
-    on the Harrison coordinates of `_full_system`."""
+    """Invariant factors of the degree-n cohomology of the total complex.
+
+    The plain groups are read one prime power q of each cyclic factor at
+    a time off Tot Hom_G(P_i, Hom(K_j, Z/q)), P a resolution of the brace
+    group G = (A, o) (`_written_full_resolved`; the module docstring says
+    why P may replace the bar resolution), and the parts are merged.
+    Normalized and plain groups split from degree 2p on, so the normalized
+    ones are read off the normalized tuple system of `_full_system`.  The
+    budgets are checked first on both routes.
+    """
     require_valid_lcs(structure)
-    over = _full_system(structure, degree, normalized)
-    return _over_factors(coeffs, lambda m: _invariants(over(m)[0], m))
+    if normalized:
+        over = _full_system(structure, degree, normalized)
+        return _over_factors(coeffs, lambda m: _invariants(over(m)[0], m))
+    _check_full_budgets(structure, degree)
+    return _over_factors(coeffs, _resolved_groups(_written_full_resolved, structure, degree))
 
 
 # ---------------------------------------------------------------------------

@@ -340,11 +340,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cochains vanishing on tuples that hold 0.  Normalized and plain "
         "reduced groups are equal, and read off one resolution: those tuples are "
-        "the degenerate bar cells of the brace group.  Observed in every case "
-        "tried, not proven: over Z/p^e, "
-        "normalized and plain full groups are equal below degree 2p and split "
-        "from 2p on (full H^4 of trivial(2) over Z/2 is [2, 2, 2, 2] plain, "
-        "[2, 2, 2] normalized)",
+        "the degenerate bar cells of the brace group.  Plain full groups are read "
+        "off a resolution of the brace group too, and normalized full groups off "
+        "the normalized tuple system.  Observed in every case tried, not proven: "
+        "over Z/p^e, normalized and plain full groups are equal below degree 2p "
+        "and split from 2p on (full H^4 of trivial(2) over Z/2 is [2, 2, 2, 2] "
+        "plain, [2, 2, 2] normalized)",
     )
 
     p = sub.add_parser("homology", help="invariant factors of a reduced homology group")

@@ -61,7 +61,11 @@ plain ones in every degree, and both are read off the one resolved
 system (`reduced_cohomology`).  Homology is read there too: the resolved
 cochains are the Z/q-dual of the resolved chains, so both have the same
 invariant factors (`reduced_homology`).  verify-paper compares the
-normalized tuple system of degree 2 with the resolved groups.
+normalized tuple system of degree 2 with the resolved groups.  The same
+resolved writer, `_resolved_system`, writes the plain full theory's
+systems from the presentations of every K_j, on the same resolution
+(`bicomplex`), so reduced and full systems of one brace group over Z/q
+share the one resolution `_resolution` keeps.
 
 Degree-k bases grow as |A|^k, so everything checks the basis budget
 before writing any rows.  Every boundary, shuffle and permutation
@@ -75,10 +79,10 @@ The presented writer compiles its faces on the prefixes or the suffixes
 of the tuples it reads, not on every tuple, once per structure and
 process (`_tables`), and writes each expanded face target with
 `_accumulate`.  Each written system is kept read-only for the process
-(`_written_reduced`, `_written_resolved`, `bicomplex._written_full`), up
-to a bound on the sparse entries all kept systems hold (`_kept`), and
-shared by every coefficient group, homology and classification that
-reads it.
+(`_written_reduced`, `_written_resolved`, `bicomplex._written_full`,
+`bicomplex._written_full_resolved`), up to a bound on the sparse entries
+all kept systems hold (`_kept`), and shared by every coefficient group,
+homology and classification that reads it.
 `_face_rows` writes compiled face lists into the sparse rows that the
 unconstrained system and the additive sections are reduced from; sparse
 rows are the one operator format of the package.
@@ -723,15 +727,16 @@ def _accumulate(rows, columns, targets, entries) -> None:
         row[x] = row.get(x, 0) + c
 
 
-def _write_relations(structure: LinearCycleSet, d: int, pres, blocks, start: int) -> None:
+def _write_relations(d: int, pres, blocks, start: int, ranks) -> None:
     """Write the relations of the degree-d coordinates as columns from
-    `start` on: one per block (i, j), i-tuple p and relation of pres[j]
-    (`_relation_columns`)."""
+    `start` on: one per block (i, j), generator of the free module of rank
+    ranks[i] in degree i (an i-tuple, or a generator of P_i) and relation
+    of pres[j] (`_relation_columns`)."""
     col = start
     for i, j in _blocks(d, pres):
         gens, relations, _forms, _layers = pres[j]
         _relation_columns(blocks[i, j], relations, len(gens), col)
-        col += structure.order**i * len(relations)
+        col += ranks[i] * len(relations)
 
 
 def _presented_system(structure: LinearCycleSet, d: int, pres, normalized: bool, tables):
@@ -759,14 +764,15 @@ def _presented_system(structure: LinearCycleSet, d: int, pres, normalized: bool,
     >>> _presented_system(z2, 2, pres, False, _tables(z2))[0][0]
     [{0: 1, 3: -1, 1: 1, 2: 1, 4: 2}, {1: 0, 2: 0, 3: 2, 5: 2}]
     """
+    tuples = [structure.order**i for i in range(d + 1)]
     cocycles, blocks, dead = _unknowns(structure, d, pres, normalized, tables)
     width = _write_boundary(structure, d + 1, pres, blocks, normalized, tables)
-    _write_relations(structure, d, pres, blocks, width)
+    _write_relations(d, pres, blocks, width, tuples)
     constraints = coboundaries = dead_below = ()
     if d >= 2:
         below = (structure, d - 1, pres, normalized, tables)
         constraints, blocks, dead_below = _unknowns(*below)
-        _write_relations(structure, d - 1, pres, blocks, 0)
+        _write_relations(d - 1, pres, blocks, 0, tuples)
         coboundaries, blocks, _dead = _unknowns(*below)
         _write_boundary(structure, d, pres, blocks, normalized, tables)
     system = cocycles, constraints, coboundaries, dead, dead_below
@@ -909,16 +915,17 @@ def _reduced_system(structure: LinearCycleSet, k: int):
     return lambda m: built
 
 
-def _pulled_back(images, below: int, acting, r: int, q: int) -> list:
-    """The coboundary Hom_G(d, Hom(A, Z/q)) of a differential d: P_i ->
-    P_(i-1) of `resolution._resolution`, given by its images d(e_l), as
-    one row per coordinate (l', t) of degree i - 1, at l' * r + t.
+def _pulled_back(images, below: int, acting, r: int, q: int, start: int = 0) -> list:
+    """The coboundary Hom_G(d, M) of a differential d: P_i -> P_(i-1) of
+    `resolution._resolution`, given by its images d(e_l), for the module M
+    = Hom(K, Z/q) of a presented K on r generators s_j, as one row per
+    coordinate (l', t) of degree i - 1, at l' * r + t.
 
-    Row (l', t) holds, at column l * r + j, the coefficient of u_(l',t) in
-    (delta phi)(e_l)(s_j) = phi(d e_l)(s_j): the sum over the terms c g e_l'
-    of d(e_l) of c phi(e_l')(g . s_j), read through the normal form of g .
-    s_j, whose terms (t, j, a) are listed in acting[g].  Entries are taken
-    mod q, and zeros are left out.
+    Row (l', t) holds, at column start + l * r + j, the coefficient of
+    u_(l',t) in (delta phi)(e_l)(s_j) = phi(d e_l)(s_j): the sum over the
+    terms c g e_l' of d(e_l) of c phi(e_l')(g . s_j), read through the
+    normal form of g . s_j, whose terms (t, j, a) are listed in acting[g].
+    Entries are taken mod q, and zeros are left out.
     """
     n = len(acting)
     rows = [{} for _ in range(below * r)]
@@ -926,9 +933,32 @@ def _pulled_back(images, below: int, acting, r: int, q: int) -> list:
         for x, c in image.items():
             source, g = divmod(x, n)
             for t, j, a in acting[g]:
-                row, col = rows[source * r + t], l * r + j
+                row, col = rows[source * r + t], start + l * r + j
                 row[col] = row.get(col, 0) + c * a
     return [{col: x % q for col, x in row.items() if x % q} for row in rows]
+
+
+def _vertical_columns(rows, faces, gens, below, count: int, sign: int, q: int, start: int):
+    """Write Hom_G(P_i, dv^*) into the rows of block (i, j - 1), from column
+    `start` on.  dv sends each generator t of K_j, a j-tuple in `gens`, to
+    the signed sum of its compiled faces, read in the normal forms of
+    `below`, the presentation of K_(j-1).  At each of the `count`
+    generators e_l of P_i, row l * r' + t' holds, at column start + l * r
+    + g, sign times the coefficient of generator t' in dv of generator g,
+    mod q, with zeros left out; r and r' count the generators of K_j and
+    K_(j-1).  dv leaves P_i alone, so e_l meets only e_l."""
+    forms, r, width = below[2], len(gens), len(below[0])
+    images = []  # per generator g of K_j, the terms (t', c) of dv g
+    for u in gens:
+        image = defaultdict(int)
+        for face_sign, face in faces:
+            for t, c in forms[face[u]]:
+                image[t] += face_sign * c
+        images.append([(t, sign * c % q) for t, c in image.items() if c % q])
+    for l in range(count):
+        for g, image in enumerate(images):
+            for t, c in image:
+                rows[l * width + t][start + l * r + g] = c
 
 
 def _relation_columns(rows, relations, r: int, start: int) -> None:
@@ -944,34 +974,76 @@ def _relation_columns(rows, relations, r: int, start: int) -> None:
             col += 1
 
 
-def _resolved_system(mul, dot, add, k: int, q: int) -> tuple:
-    """The plain degree-k reduced system over Z/q, written over a free
-    resolution P of Z/q over (Z/q)[G], G the group of `mul`: the cochains
-    Hom_G(P_(k-1), Hom(A, Z/q)), in the shape `_tagged` reads, as a
-    one-entry tuple for `_kept`.
+def _resolved_system(mul, dot, add, d: int, q: int, pres=None, tables=None) -> tuple:
+    """The plain degree-d system of the total complex over Z/q, written over
+    a free resolution P of Z/q over (Z/q)[G], G the group of `mul`: the
+    cochains of Tot Hom_G(P_i, Hom(K_j, Z/q)) on the blocks (d - j, j)
+    whose j is presented, in the shape `_tagged` reads, as a one-entry
+    tuple for `_kept`.
 
-    A cochain phi is given by the values u_(l,t) = phi(e_l)(s_t) on the
-    generators e_l of P_(k-1) and s_t of `_presentation(add)`, subject to
-    the relations of (A, +) at each e_l.  G acts on Hom(A, Z/q) by (g .
-    psi)(a) = psi(dot[g][a]).  Row l * r + t of `cocycles` holds the
-    coefficients of u_(l,t) in the conditions (delta phi)(e)(s_j) = 0, one
-    per generator e of P_k and s_j, then in the relations; `coboundaries`
-    and `constraints` do the same for the coboundary from degree k - 2
-    and its relations.  Nothing is dead: the system is plain.
+    pres[j] presents K_j as `_presented_system` reads it; by default pres
+    = {1: `_presentation(add)`}, the reduced system, Hom_G(P_(d-1), Hom(A,
+    Z/q)).  A cochain phi is given by the values u_(l,t) = phi(e_l)(s_t) on
+    the generators e_l of P_i and s_t of K_j, subject to the relations of
+    K_j at each e_l.  G acts on K_j by dot on every coordinate (`_acted`),
+    and so on Hom(K_j, Z/q) by (g . psi)(t) = psi(g . t).  The total
+    coboundary is Hom_G(d_P, -) (`_pulled_back`) plus (-1)^i Hom_G(P_i,
+    dv^*), with dv the compiled `tables("dv", j)`, read through the normal
+    forms of K_(j-1) (`_vertical_columns`); `tables` is needed only when
+    some j >= 2 is presented.  A j without normal forms, such as
+    `bicomplex._spanning`, only lists targets of the top block (0, d + 1).
+
+    Row y of `cocycles` holds the coefficients of coordinate y in the
+    conditions (delta phi)(e)(s) = 0, one per generator e of P_i and s of
+    K_j of each block of degree d + 1, then in the relations;
+    `coboundaries` and `constraints` do the same for the coboundary from
+    degree d - 1 and its relations.  Nothing is dead: the system is plain.
     """
-    gens, relations, forms, _layers = _presentation(add)
-    r = len(gens)
-    # per g, the terms (t, j, a) of the normal forms of g . s_j
-    acting = [[(t, j, a) for j, s in enumerate(gens) for t, a in forms[row[s]]] for row in dot]
-    d = _resolution(mul, q, k)
-    ranks = [1] + [len(images) for images in d]
-    cocycles = _pulled_back(d[k - 1], ranks[k - 1], acting, r, q)
-    _relation_columns(cocycles, relations, r, ranks[k] * r)
+    if pres is None:
+        pres = {1: _presentation(add)}
+    resolution = _resolution(mul, q, d)
+    ranks = [1] + [len(images) for images in resolution]
+    acting = {}  # per presented j <= d and g, the terms (t, s, a) of the forms of g . s
+    for j, (gens, _relations, forms, _layers) in pres.items():
+        if j <= d:
+            acting[j] = [
+                [(t, s, a) for s, u in enumerate(gens) for t, a in forms[image[u]]]
+                for image in _acted(dot, j)
+            ]
+
+    def coordinates(e):
+        # empty rows for the degree-e coordinates, and the rows of each block
+        rows, blocks = [], {}
+        for i, j in _blocks(e, pres):
+            start = len(rows)
+            rows += [{} for _ in range(ranks[i] * len(pres[j][0]))]
+            blocks[i, j] = rows[start:]
+        return rows, blocks
+
+    def coboundary(e):
+        # the degree-e coordinates' rows of the coboundary into degree e + 1
+        rows, blocks = coordinates(e)
+        col = 0
+        for i, j in _blocks(e + 1, pres):
+            gens = pres[j][0]
+            if i >= 1:
+                pulled = _pulled_back(resolution[i - 1], ranks[i - 1], acting[j], len(gens), q, col)
+                for row, more in zip(blocks[i - 1, j], pulled):
+                    row.update(more)
+            if j >= 2:
+                faces = tables("dv", j)
+                below = blocks[i, j - 1]
+                _vertical_columns(below, faces, gens, pres[j - 1], ranks[i], (-1) ** i, q, col)
+            col += ranks[i] * len(gens)
+        return rows, blocks, col
+
+    cocycles, blocks, width = coboundary(d)
+    _write_relations(d, pres, blocks, width, ranks)
     constraints = coboundaries = ()
-    if k >= 2:
-        constraints = [{} for _ in range(ranks[k - 2] * r)]
-        _relation_columns(constraints, relations, r, 0)
-        coboundaries = _pulled_back(d[k - 2], ranks[k - 2], acting, r, q)
+    if d >= 2:
+        constraints, blocks = coordinates(d - 1)
+        _write_relations(d - 1, pres, blocks, 0, ranks)
+        coboundaries = coboundary(d - 1)[0]
     return ((cocycles, constraints, coboundaries, (), ()),)
 
 
@@ -979,9 +1051,24 @@ def _resolved_system(mul, dot, add, k: int, q: int) -> tuple:
 def _written_resolved(structure: LinearCycleSet, k: int, q: int):
     """The plain degree-k reduced system over Z/q as `_resolved_system`
     writes it over the brace group (A, o), kept per (structure, k, q) and
-    process (`_kept`); the resolution is built only when it is written."""
+    process (`_kept`); the resolution is built only when it is written,
+    and shared with every other system of the brace group over Z/q."""
     mul = lcs_to_brace(structure).circle
     return _resolved_system(mul, structure.dot, structure.add, k, q)
+
+
+def _resolved_groups(written, structure: LinearCycleSet, k: int):
+    """over(m): the invariant factors over Z/m of the degree-k groups of a
+    resolved system, read one prime power q of m at a time on the system
+    `written(structure, k, q)` and merged."""
+
+    def over(m):
+        parts = []
+        for p, e in _prime_powers(m):
+            parts.append(_invariants(written(structure, k, p**e)[0], p**e))
+        return merge_invariants(*parts)
+
+    return over
 
 
 def reduced_cohomology(
@@ -1002,14 +1089,7 @@ def reduced_cohomology(
     """
     require_valid_lcs(structure)
     _check_budgets(structure, k)
-
-    def resolved(m):
-        parts = []
-        for p, e in _prime_powers(m):
-            parts.append(_invariants(_written_resolved(structure, k, p**e)[0], p**e))
-        return merge_invariants(*parts)
-
-    return _over_factors(coeffs, resolved)
+    return _over_factors(coeffs, _resolved_groups(_written_resolved, structure, k))
 
 
 def reduced_homology(

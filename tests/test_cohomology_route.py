@@ -264,11 +264,13 @@ def test_one_presented_writer_serves_both_theories(monkeypatch):
     # every route that reads a tuple system of either theory reaches the
     # one presented writer of reduced.py, and the theories differ only in
     # the quotients they present: K_1 alone, as (A, +), or every K_j.  The
-    # reduced groups, plain or normalized, are read off a resolution of the
-    # brace group instead, and never reach it.
+    # reduced groups, plain or normalized, and the plain full groups are
+    # read off a resolution of the brace group instead, and never reach it.
     gamma = parse_group_spec("Z/2")
     routes = {
-        ("full cohomology", (1, 2, 3)): lambda: full_cohomology(Z4LCS, gamma, 2),
+        ("normalized full cohomology", (1, 2, 3)): (
+            lambda: full_cohomology(Z4LCS, gamma, 2, normalized=True)
+        ),
     }
     # the degree-2 systems of classification, the degree-1 ones of
     # cohomologousness: the full theory presents K_1 to K_(n+1)
@@ -296,6 +298,7 @@ def test_one_presented_writer_serves_both_theories(monkeypatch):
     for normalized in (False, True):
         assert reduced_cohomology(Z4LCS, gamma, 2, normalized) == [2, 2]
         assert reduced_homology(Z4LCS, gamma, 2, normalized) == [2, 2]
+    assert full_cohomology(Z4LCS, gamma, 2) == [2, 2, 2]
     assert reached == []
     clear_compile_caches()
 

@@ -4,10 +4,10 @@ The presented writer's index tables (`reduced._tables`), the shuffle
 quotients' presentations (`bicomplex._harrison`), the validity verdict
 behind `require_valid_lcs` and the written systems of both theories
 (`reduced._written_reduced`, `reduced._written_resolved`,
-`bicomplex._written_full`) are cached on what they depend on: the
-structure's tables and the degree; for the full theory, normalization
-and the modulus; and for the resolved reduced system, the prime power
-q.  A structure loaded again from a file hits the caches, and no map,
+`bicomplex._written_full`, `bicomplex._written_full_resolved`) are
+cached on what they depend on: the structure's tables and the degree;
+for the full tuple system, normalization and the modulus; and for the
+resolved systems of both theories, the prime power q.  A structure loaded again from a file hits the caches, and no map,
 shuffle sum, validation or system write runs a second time.  The key is the
 whole structure: two structures that share `add` but not `dot` never
 read each other's tables.  An invalid structure is validated, and
@@ -170,12 +170,21 @@ def test_one_write_serves_every_coefficient_group(monkeypatch):
 
 
 def test_the_full_key_holds_the_modulus(monkeypatch):
+    # the normalized tuple system is kept per cyclic factor Z/m, and the
+    # plain resolved one per prime power q: Z/2 serves Z/2+Z/2, and Z/2
+    # and Z/3 serve Z/6, but Z/4 writes its own
     clear_compile_caches()
-    full_cohomology(Z4LCS, Z2, 2)
+    full_cohomology(Z4LCS, Z2, 2, normalized=True)
+    for spec in ("Z/2", "Z/3"):
+        full_cohomology(Z4LCS, parse_group_spec(spec), 2)
     monkeypatch.setattr(lcscohom.reduced, "_write_boundary", refuse)
-    full_cohomology(Z4LCS, Z2, 2)
-    with pytest.raises(AssertionError, match="compiled or validated again"):
-        full_cohomology(Z4LCS, Z4, 2)
+    monkeypatch.setattr(lcscohom.bicomplex, "_resolved_system", refuse)
+    full_cohomology(Z4LCS, Z2, 2, normalized=True)
+    for spec in ("Z/2", "Z/2+Z/2", "Z/6"):
+        full_cohomology(Z4LCS, parse_group_spec(spec), 2)
+    for normalized in (False, True):
+        with pytest.raises(AssertionError, match="compiled or validated again"):
+            full_cohomology(Z4LCS, Z4, 2, normalized)
 
 
 def test_answers_are_not_cached(monkeypatch):
@@ -188,7 +197,7 @@ def test_answers_are_not_cached(monkeypatch):
 
     monkeypatch.setattr(lcscohom.linalg, "_eliminate", counted)
     clear_compile_caches()
-    for call in (SHARED["reduced H^3 Z/8"], SHARED["reduced H_3 Z/4"]):
+    for call in (SHARED["reduced H^3 Z/8"], SHARED["reduced H_3 Z/4"], SHARED["full H^2 Z/2"]):
         cold = call()
         cold_eliminations = eliminations[:]
         eliminations.clear()
