@@ -409,8 +409,7 @@ def _written_full_resolved(structure: LinearCycleSet, degree: int, q: int):
     resolution of the brace group (A, o) by `reduced._resolved_system`:
     Tot Hom_G(P_i, Hom(K_j, Z/q)) on the presentations of
     `_full_presentations`.  Kept per (structure, degree, q) and process
-    (`reduced._kept`), and the resolution is shared with every other
-    system of the brace group over Z/q."""
+    (`reduced._kept`); the resolution is built only when it is written."""
     pres = _full_presentations(structure.order, degree, q)
     mul = lcs_to_brace(structure).circle
     tables = _tables(structure)

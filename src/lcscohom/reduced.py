@@ -63,9 +63,8 @@ cochains are the Z/q-dual of the resolved chains, so both have the same
 invariant factors (`reduced_homology`).  verify-paper compares the
 normalized tuple system of degree 2 with the resolved groups.  The same
 resolved writer, `_resolved_system`, writes the plain full theory's
-systems from the presentations of every K_j, on the same resolution
-(`bicomplex`), so reduced and full systems of one brace group over Z/q
-share the one resolution `_resolution` keeps.
+systems from the presentations of every K_j, on a resolution of the
+same brace group (`bicomplex`).
 
 Degree-k bases grow as |A|^k, so everything checks the basis budget
 before writing any rows.  Every boundary, shuffle and permutation
@@ -619,24 +618,24 @@ def _blocks(d: int, pres) -> list:
     return [(d - j, j) for j in pres if j <= d]
 
 
-def _unknowns(structure: LinearCycleSet, d: int, pres, normalized: bool, tables):
+def _unknowns(ranks, d: int, pres, normalized: bool = False, tables=None):
     """Empty rows for the degree-d coordinates of the presented total
     complex, the rows of each block, and the dead coordinates.
 
-    Block (i, j), in `_blocks` order, holds the coordinate (p, g) of an
-    i-tuple p and a generator g of pres[j] at its offset plus index(p) *
-    r + g, r the number of generators, and blocks[i, j][index(p) * r + g]
-    is that row.  When normalized, the coordinates whose tuple (p, g)
-    holds the neutral element are dead: in `blocks` they read one scrap
-    row, so nothing is ever written to them.
+    Block (i, j), in `_blocks` order, holds the coordinate (p, g) of a
+    generator p of the free module of rank ranks[i] in degree i (an
+    i-tuple, ranks[i] = |A|^i, or a generator of P_i) and a generator g of
+    pres[j] at its offset plus p * r + g, r the number of generators, and
+    blocks[i, j][p * r + g] is that row.  When normalized, the coordinates
+    whose tuple (p, g) holds the neutral element are dead: in `blocks`
+    they read one scrap row, so nothing is ever written to them.
     """
-    n = structure.order
     rows, blocks, dead = [], {}, set()
     scrap = {}
     for i, j in _blocks(d, pres):
         gens = pres[j][0]
         r, start = len(gens), len(rows)
-        rows += [{} for _ in range(n**i * r)]
+        rows += [{} for _ in range(ranks[i] * r)]
         blocks[i, j] = block = rows[start:]
         if normalized:
             suffixes = tables("zero", j)
@@ -692,16 +691,27 @@ def _write_boundary(structure: LinearCycleSet, k: int, pres, blocks, normalized:
                 entries = [c for p in prefixes for c in scaled[p // low]]
                 _write_nonzero(below, columns, targets, entries)
         if j >= 2:
-            rb = len(pres[j - 1][0])
-            for sign, image in tables("dv", j):
-                sign *= (-1) ** i
-                images = [image[t] for t in ts]
-                for generator, coefficient in pres[j - 1][3]:
-                    entries = [sign * coefficient[t] for t in images] * len(prefixes)
-                    targets = [p * rb + generator[t] for p in prefixes for t in images]
-                    _write_nonzero(blocks[i, j - 1], columns, targets, entries)
+            faces = tables("dv", j)
+            _write_vertical(blocks[i, j - 1], columns, prefixes, ts, pres[j - 1], (-1) ** i, faces)
         col += n**i * r
     return col
+
+
+def _write_vertical(below, columns, prefixes, ts, pres, sign: int, faces) -> None:
+    """Write sign times dv of a block (i, j) into the rows `below` of block
+    (i, j - 1), presented by `pres`: dv moves the suffix alone, so column
+    (p, t) of `columns`, for p in `prefixes` and the suffix t of `ts`, gains
+    the faces of t, compiled by `tables("dv", j)` and expanded through one
+    layer of normal forms at a time, at the rows p * r' + t', r' the
+    number of generators of pres.  The prefixes are i-tuples of the tuple
+    writer or the generators of P_i of the resolved one."""
+    rb, layers = len(pres[0]), pres[3]
+    for face_sign, image in faces:
+        images = [image[t] for t in ts]
+        for generator, coefficient in layers:
+            entries = [sign * face_sign * coefficient[t] for t in images] * len(prefixes)
+            targets = [p * rb + generator[t] for p in prefixes for t in images]
+            _write_nonzero(below, columns, targets, entries)
 
 
 def _write_nonzero(rows, columns, targets, entries) -> None:
@@ -765,12 +775,12 @@ def _presented_system(structure: LinearCycleSet, d: int, pres, normalized: bool,
     [{0: 1, 3: -1, 1: 1, 2: 1, 4: 2}, {1: 0, 2: 0, 3: 2, 5: 2}]
     """
     tuples = [structure.order**i for i in range(d + 1)]
-    cocycles, blocks, dead = _unknowns(structure, d, pres, normalized, tables)
+    cocycles, blocks, dead = _unknowns(tuples, d, pres, normalized, tables)
     width = _write_boundary(structure, d + 1, pres, blocks, normalized, tables)
     _write_relations(d, pres, blocks, width, tuples)
     constraints = coboundaries = dead_below = ()
     if d >= 2:
-        below = (structure, d - 1, pres, normalized, tables)
+        below = (tuples, d - 1, pres, normalized, tables)
         constraints, blocks, dead_below = _unknowns(*below)
         _write_relations(d - 1, pres, blocks, 0, tuples)
         coboundaries, blocks, _dead = _unknowns(*below)
@@ -938,29 +948,6 @@ def _pulled_back(images, below: int, acting, r: int, q: int, start: int = 0) -> 
     return [{col: x % q for col, x in row.items() if x % q} for row in rows]
 
 
-def _vertical_columns(rows, faces, gens, below, count: int, sign: int, q: int, start: int):
-    """Write Hom_G(P_i, dv^*) into the rows of block (i, j - 1), from column
-    `start` on.  dv sends each generator t of K_j, a j-tuple in `gens`, to
-    the signed sum of its compiled faces, read in the normal forms of
-    `below`, the presentation of K_(j-1).  At each of the `count`
-    generators e_l of P_i, row l * r' + t' holds, at column start + l * r
-    + g, sign times the coefficient of generator t' in dv of generator g,
-    mod q, with zeros left out; r and r' count the generators of K_j and
-    K_(j-1).  dv leaves P_i alone, so e_l meets only e_l."""
-    forms, r, width = below[2], len(gens), len(below[0])
-    images = []  # per generator g of K_j, the terms (t', c) of dv g
-    for u in gens:
-        image = defaultdict(int)
-        for face_sign, face in faces:
-            for t, c in forms[face[u]]:
-                image[t] += face_sign * c
-        images.append([(t, sign * c % q) for t, c in image.items() if c % q])
-    for l in range(count):
-        for g, image in enumerate(images):
-            for t, c in image:
-                rows[l * width + t][start + l * r + g] = c
-
-
 def _relation_columns(rows, relations, r: int, start: int) -> None:
     """Write, from column `start` on, each relation on r generators at each
     prefix or generator l of a free module, the rows l * r + t: one column
@@ -989,7 +976,7 @@ def _resolved_system(mul, dot, add, d: int, q: int, pres=None, tables=None) -> t
     and so on Hom(K_j, Z/q) by (g . psi)(t) = psi(g . t).  The total
     coboundary is Hom_G(d_P, -) (`_pulled_back`) plus (-1)^i Hom_G(P_i,
     dv^*), with dv the compiled `tables("dv", j)`, read through the normal
-    forms of K_(j-1) (`_vertical_columns`); `tables` is needed only when
+    forms of K_(j-1) (`_write_vertical`); `tables` is needed only when
     some j >= 2 is presented.  A j without normal forms, such as
     `bicomplex._spanning`, only lists targets of the top block (0, d + 1).
 
@@ -1011,37 +998,28 @@ def _resolved_system(mul, dot, add, d: int, q: int, pres=None, tables=None) -> t
                 for image in _acted(dot, j)
             ]
 
-    def coordinates(e):
-        # empty rows for the degree-e coordinates, and the rows of each block
-        rows, blocks = [], {}
-        for i, j in _blocks(e, pres):
-            start = len(rows)
-            rows += [{} for _ in range(ranks[i] * len(pres[j][0]))]
-            blocks[i, j] = rows[start:]
-        return rows, blocks
-
     def coboundary(e):
         # the degree-e coordinates' rows of the coboundary into degree e + 1
-        rows, blocks = coordinates(e)
+        rows, blocks, _dead = _unknowns(ranks, e, pres)
         col = 0
         for i, j in _blocks(e + 1, pres):
             gens = pres[j][0]
+            columns = range(col, col + ranks[i] * len(gens))
             if i >= 1:
                 pulled = _pulled_back(resolution[i - 1], ranks[i - 1], acting[j], len(gens), q, col)
                 for row, more in zip(blocks[i - 1, j], pulled):
                     row.update(more)
             if j >= 2:
-                faces = tables("dv", j)
-                below = blocks[i, j - 1]
-                _vertical_columns(below, faces, gens, pres[j - 1], ranks[i], (-1) ** i, q, col)
-            col += ranks[i] * len(gens)
+                below, faces = blocks[i, j - 1], tables("dv", j)
+                _write_vertical(below, columns, range(ranks[i]), gens, pres[j - 1], (-1) ** i, faces)
+            col = columns.stop
         return rows, blocks, col
 
     cocycles, blocks, width = coboundary(d)
     _write_relations(d, pres, blocks, width, ranks)
     constraints = coboundaries = ()
     if d >= 2:
-        constraints, blocks = coordinates(d - 1)
+        constraints, blocks, _dead = _unknowns(ranks, d - 1, pres)
         _write_relations(d - 1, pres, blocks, 0, ranks)
         coboundaries = coboundary(d - 1)[0]
     return ((cocycles, constraints, coboundaries, (), ()),)
@@ -1052,7 +1030,7 @@ def _written_resolved(structure: LinearCycleSet, k: int, q: int):
     """The plain degree-k reduced system over Z/q as `_resolved_system`
     writes it over the brace group (A, o), kept per (structure, k, q) and
     process (`_kept`); the resolution is built only when it is written,
-    and shared with every other system of the brace group over Z/q."""
+    and is not kept apart from it."""
     mul = lcs_to_brace(structure).circle
     return _resolved_system(mul, structure.dot, structure.add, k, q)
 

@@ -24,23 +24,11 @@ minimally.  Otherwise the G-orbits of the lifts need not span K_i, so
 each step checks them against every kernel generator and adds the ones
 left out, greedily.  Every kernel is free over Z/q: it is the kernel of
 a split surjection of free Z/q-modules.
-
-Each step reads only the differential before it, so one resolution per
-(group table, q) serves every degree and both theories: it is kept
-read-only for the process, and a longer one extends it (`_resolution`).
 """
-
-from collections import OrderedDict
-from types import MappingProxyType
 
 from .linalg import _IntegerSpan, _kernel_tags, _prime_powers
 
 __all__ = []
-
-# The resolutions kept at once, one per (group table, q), least recently
-# used out first.
-_CACHED_RESOLUTIONS = 8
-_built = OrderedDict()  # (group table, q) -> the differentials built so far
 
 
 def _resolution(mul, q: int, length: int) -> tuple:
@@ -59,8 +47,8 @@ def _resolution(mul, q: int, length: int) -> tuple:
     >>> d = _resolution(v4, 2, 2)
     >>> [1] + [len(images) for images in d]
     [1, 2, 3]
-    >>> [dict(image) for image in d[0]]
-    [{1: 1, 0: 1}, {2: 1, 0: 1}]
+    >>> d[0]
+    ({1: 1, 0: 1}, {2: 1, 0: 1})
 
     Over Z/4 the ranks are the same.  (Z/3)[V4] is not local: J = J^2, so
     no kernel element lifts a basis vector of K / (3K + JK), and every
@@ -70,41 +58,16 @@ def _resolution(mul, q: int, length: int) -> tuple:
     [2, 3]
     >>> [len(images) for images in _resolution(v4, 3, 2)]
     [2, 3]
-
-    The differentials are kept per (group table, q) and process, up to
-    _CACHED_RESOLUTIONS of them, and shared by every caller, so they are
-    read-only: tuples of mapping proxies.  A call for a longer resolution
-    extends the kept one from its last differential; a shorter one reads
-    its prefix.  `cache_clear()` drops them all.
     """
-    key = (tuple(map(tuple, mul)), q)
-    differentials = _built.pop(key, ())
-    if len(differentials) < length:
-        differentials = _extended(mul, q, differentials, length)
-    _built[key] = differentials
-    if len(_built) > _CACHED_RESOLUTIONS:
-        _built.popitem(last=False)
-    return differentials[:length]
-
-
-_resolution.cache_clear = _built.clear
-
-
-def _extended(mul, q: int, differentials: tuple, length: int) -> tuple:
-    """The differentials of `_resolution`, extended to `length` from the
-    ones given, each step from the kernel of the one before."""
     ((p, e),) = _prime_powers(q)
     n = len(mul)
     steps = _generating_set(mul)
-    if differentials:
-        rows = [_translate(mul, h, image) for image in differentials[-1] for h in range(n)]
-    else:
-        rows = [{0: 1}] * n  # the augmentation g -> 1 on the basis of P_0
-    differentials = list(differentials)
-    while len(differentials) < length:
+    rows = [{0: 1}] * n  # the augmentation g -> 1 on the basis of P_0
+    differentials = []
+    for _ in range(length):
         kernel = _kernel_tags(rows, [{x: 1} for x in range(len(rows))], p, e)
         chosen = _module_generators(kernel, mul, steps, p, q)
-        differentials.append(tuple(map(MappingProxyType, chosen)))
+        differentials.append(tuple(chosen))
         rows = [_translate(mul, h, image) for image in chosen for h in range(n)]
     return tuple(differentials)
 

@@ -118,7 +118,8 @@ def _written_boundary(s, k):
     block (k - 1, 1) of the total complex over the presentation of (A, +),
     into the rows of block (k - 2, 1)."""
     pres, tables = {1: _presentation(s.add)}, _tables(s)
-    rows, blocks, _dead = _unknowns(s, k - 1, pres, False, tables)
+    tuples = [s.order**i for i in range(k)]
+    rows, blocks, _dead = _unknowns(tuples, k - 1, pres, False, tables)
     _write_boundary(s, k, pres, blocks, False, tables)
     return rows
 

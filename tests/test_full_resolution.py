@@ -13,8 +13,6 @@ resolution there.  Checked here:
   the bar resolution's cochains (`bicomplex._full_system`), on every
   cycle set and brace of order 2 to 4 and on larger cases; G acting
   trivially on K_j, or dv without its sign (-1)^i, must break that;
-- one resolution per (group table, q) serves every degree and both
-  theories, extended rather than rebuilt;
 - the budgets refuse what they refused before, before any resolution;
 - a dense writer over F_p that shares only the resolution with the
   library (`dense_hom_oracle`) gives the reduced ranks of o16, where the
@@ -30,7 +28,6 @@ from ext8 import EXT8
 from test_resolution import S3LCS
 
 import lcscohom.reduced
-import lcscohom.resolution
 from lcscohom.abelian import FiniteAbelianGroup, merge_invariants, parse_group_spec
 from lcscohom.bicomplex import _full_presentations, _full_system, full_cohomology
 from lcscohom.cli import main
@@ -46,7 +43,6 @@ from lcscohom.reduced import (
     _written_resolved,
     reduced_cohomology,
 )
-from lcscohom.resolution import _resolution
 from lcscohom.structures import brace_to_lcs, lcs_to_brace, save_structure
 
 Z2 = parse_group_spec("Z/2")
@@ -221,74 +217,36 @@ def test_the_resolved_route_reaches_past_the_tuple_route(monkeypatch):
 CONTROL_CASES = [case for case in SMALL_CASES if case[2] in ("Z/2", "Z/3", "Z/4")]
 
 
-def changed(dot_of) -> int:
+def changed(dot_of, expected) -> int:
     """The control cases whose groups the resolved writer, written afresh
     with G acting through dot_of(structure), takes away from the tuple
-    route's, or whose boundaries it makes no cocycles."""
+    route's, `expected` in step, or whose boundaries it makes no
+    cocycles."""
     count = 0
-    for _name, s, spec, degree in CONTROL_CASES:
+    for (_name, s, spec, degree), groups in zip(CONTROL_CASES, expected):
         coeffs = parse_group_spec(spec)
         try:
-            count += resolved_route(s, coeffs, degree, dot_of(s)) != tuple_route(s, coeffs, degree)
+            count += resolved_route(s, coeffs, degree, dot_of(s)) != groups
         except LatticeError:
             count += 1
     return count
 
 
 def test_the_action_on_k_and_the_sign_of_dv_are_needed(monkeypatch):
-    assert changed(lambda s: s.dot) == 0
+    # the tuple route's groups, read before its dv writer is patched below
+    expected = [tuple_route(s, parse_group_spec(spec), d) for _n, s, spec, d in CONTROL_CASES]
+    assert changed(lambda s: s.dot, expected) == 0
     # G acting trivially on every K_j
-    trivial = changed(lambda s: [tuple(range(s.order))] * s.order)
+    trivial = changed(lambda s: [tuple(range(s.order))] * s.order, expected)
     # dv written without its sign (-1)^i
-    real = lcscohom.reduced._vertical_columns
+    real = lcscohom.reduced._write_vertical
 
-    def unsigned(rows, faces, gens, below, count, sign, q, start):
-        return real(rows, faces, gens, below, count, 1, q, start)
+    def unsigned(below, columns, prefixes, ts, pres, sign, faces):
+        return real(below, columns, prefixes, ts, pres, 1, faces)
 
-    monkeypatch.setattr(lcscohom.reduced, "_vertical_columns", unsigned)
-    signless = changed(lambda s: s.dot)
+    monkeypatch.setattr(lcscohom.reduced, "_write_vertical", unsigned)
+    signless = changed(lambda s: s.dot, expected)
     assert trivial > 0 and signless > 0, (trivial, signless, len(CONTROL_CASES))
-
-
-# ---------------------------------------------------------------------------
-# One resolution per brace group and q
-
-
-def test_one_resolution_serves_every_degree_and_both_theories(monkeypatch):
-    steps = []
-    real = lcscohom.resolution._module_generators
-
-    def counted(*args):
-        steps.append(args[-1])
-        return real(*args)
-
-    clear_compile_caches()
-    monkeypatch.setattr(lcscohom.resolution, "_module_generators", counted)
-    # reduced H^3 builds P_1 to P_3, and full H^2 reads P_1 and P_2 of it
-    reduced_cohomology(Z4LCS, Z2, 3)
-    full_cohomology(Z4LCS, Z2, 2)
-    assert steps == [2, 2, 2]
-    # full H^4 extends it by P_4 alone; Z/4 has a resolution of its own
-    full_cohomology(Z4LCS, Z2, 4)
-    reduced_cohomology(Z4LCS, parse_group_spec("Z/4"), 1)
-    assert steps == [2, 2, 2, 2, 4]
-
-
-def test_an_extended_resolution_is_the_one_built_at_once():
-    mul = lcs_to_brace(EXT8).circle
-    clear_compile_caches()
-    at_once = _resolution(mul, 2, 4)
-    clear_compile_caches()
-    assert [_resolution(mul, 2, length) for length in (1, 3, 4, 2)][2] == at_once
-    assert _resolution(mul, 2, 2) == at_once[:2]
-    # kept read-only, and at most _CACHED_RESOLUTIONS of them
-    with pytest.raises(TypeError):
-        at_once[0][0][0] = 1
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
-        _resolution(mul, q, 1)
-    assert len(lcscohom.resolution._built) == lcscohom.resolution._CACHED_RESOLUTIONS
-    clear_compile_caches()
-    assert not lcscohom.resolution._built
 
 
 # ---------------------------------------------------------------------------
