@@ -925,27 +925,24 @@ def _reduced_system(structure: LinearCycleSet, k: int):
     return lambda m: built
 
 
-def _pulled_back(images, below: int, acting, r: int, q: int, start: int = 0) -> list:
-    """The coboundary Hom_G(d, M) of a differential d: P_i -> P_(i-1) of
-    `resolution._resolution`, given by its images d(e_l), for the module M
-    = Hom(K, Z/q) of a presented K on r generators s_j, as one row per
-    coordinate (l', t) of degree i - 1, at l' * r + t.
+def _pulled_back(rows, images, acting, r: int, start: int) -> None:
+    """Write the coboundary Hom_G(d, M) of a differential d: P_i -> P_(i-1)
+    of `resolution._resolution`, given by its images d(e_l), for the module
+    M = Hom(K, Z/q) of a presented K on r generators s_j, into `rows`, one
+    per coordinate (l', t) of degree i - 1, at l' * r + t.
 
-    Row (l', t) holds, at column start + l * r + j, the coefficient of
+    Row (l', t) gains, at column start + l * r + j, the coefficient of
     u_(l',t) in (delta phi)(e_l)(s_j) = phi(d e_l)(s_j): the sum over the
     terms c g e_l' of d(e_l) of c phi(e_l')(g . s_j), read through the
     normal form of g . s_j, whose terms (t, j, a) are listed in acting[g].
-    Entries are taken mod q, and zeros are left out.
     """
     n = len(acting)
-    rows = [{} for _ in range(below * r)]
     for l, image in enumerate(images):
         for x, c in image.items():
             source, g = divmod(x, n)
             for t, j, a in acting[g]:
                 row, col = rows[source * r + t], start + l * r + j
                 row[col] = row.get(col, 0) + c * a
-    return [{col: x % q for col, x in row.items() if x % q} for row in rows]
 
 
 def _relation_columns(rows, relations, r: int, start: int) -> None:
@@ -984,7 +981,8 @@ def _resolved_system(mul, dot, add, d: int, q: int, pres=None, tables=None) -> t
     conditions (delta phi)(e)(s) = 0, one per generator e of P_i and s of
     K_j of each block of degree d + 1, then in the relations;
     `coboundaries` and `constraints` do the same for the coboundary from
-    degree d - 1 and its relations.  Nothing is dead: the system is plain.
+    degree d - 1 and its relations.  Coboundary entries are taken mod q,
+    and zeros are left out.  Nothing is dead: the system is plain.
     """
     if pres is None:
         pres = {1: _presentation(add)}
@@ -1006,13 +1004,15 @@ def _resolved_system(mul, dot, add, d: int, q: int, pres=None, tables=None) -> t
             gens = pres[j][0]
             columns = range(col, col + ranks[i] * len(gens))
             if i >= 1:
-                pulled = _pulled_back(resolution[i - 1], ranks[i - 1], acting[j], len(gens), q, col)
-                for row, more in zip(blocks[i - 1, j], pulled):
-                    row.update(more)
+                _pulled_back(blocks[i - 1, j], resolution[i - 1], acting[j], len(gens), col)
             if j >= 2:
                 below, faces = blocks[i, j - 1], tables("dv", j)
                 _write_vertical(below, columns, range(ranks[i]), gens, pres[j - 1], (-1) ** i, faces)
             col = columns.stop
+        for row in rows:  # entries mod q, zeros left out
+            reduced = {x: c % q for x, c in row.items() if c % q}
+            row.clear()
+            row.update(reduced)
         return rows, blocks, col
 
     cocycles, blocks, width = coboundary(d)
