@@ -981,8 +981,9 @@ def _resolved_system(mul, dot, add, d: int, q: int, pres=None, tables=None) -> t
     conditions (delta phi)(e)(s) = 0, one per generator e of P_i and s of
     K_j of each block of degree d + 1, then in the relations;
     `coboundaries` and `constraints` do the same for the coboundary from
-    degree d - 1 and its relations.  Coboundary entries are taken mod q,
-    and zeros are left out.  Nothing is dead: the system is plain.
+    degree d - 1 and its relations.  Coboundary entries are taken mod q
+    and kept in column order, which steers the pivot tie-breaks of the
+    elimination; zeros are left out.  Nothing is dead: the system is plain.
     """
     if pres is None:
         pres = {1: _presentation(add)}
@@ -1009,8 +1010,8 @@ def _resolved_system(mul, dot, add, d: int, q: int, pres=None, tables=None) -> t
                 below, faces = blocks[i, j - 1], tables("dv", j)
                 _write_vertical(below, columns, range(ranks[i]), gens, pres[j - 1], (-1) ** i, faces)
             col = columns.stop
-        for row in rows:  # entries mod q, zeros left out
-            reduced = {x: c % q for x, c in row.items() if c % q}
+        for row in rows:  # entries mod q in column order, zeros left out
+            reduced = {x: c % q for x, c in sorted(row.items()) if c % q}
             row.clear()
             row.update(reduced)
         return rows, blocks, col
